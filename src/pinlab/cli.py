@@ -20,8 +20,9 @@ from .errors import (BudgetError, ConfigError, DomainError, PinlabError,
                      RegressionMismatch)
 from .experiments import (build_generator, build_phase, cfg_float, cfg_floats,
                           cfg_int, cfg_str, draw_pins, exceptional_probe,
-                          load_config, regression_check, sweep_threshold,
-                          write_csv, write_json, write_manifest)
+                          load_config, parse_number, regression_check,
+                          sweep_threshold, write_csv, write_json,
+                          write_manifest)
 from .fractals import save_cells, save_measure
 from .harmonic import (LPPartition, SpectralGrid, energy_integral,
                        oscillatory_G, radon_sobolev_ratio,
@@ -169,9 +170,21 @@ def cmd_hinge(cfg, seed, out, jobs):
     return ["hinge.csv"]
 
 
+def _parse_pair(tok, key):
+    """An `i-j` vertex pair; anything else is a ConfigError."""
+    try:
+        i, j = (int(v) for v in tok.split("-"))
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: bad vertex pair {tok!r}, "
+                          "expected i-j") from None
+    return i, j
+
+
 def _parse_edges(cfg):
     toks = cfg_str(cfg, "edges").split()
-    edges = frozenset(tuple(int(v) for v in tok.split("-")) for tok in toks)
+    edges = frozenset(_parse_pair(tok, "edges") for tok in toks)
+    if not edges:
+        raise ConfigError("config key 'edges' lists no edge")
     vertices = cfg_int(cfg, "vertices", max(max(e) for e in edges))
     return EdgeMap(vertices, edges)
 
@@ -183,9 +196,11 @@ def cmd_config_count(cfg, seed, out, jobs):
     em = _parse_edges(cfg)
     t_map = {}
     for tok in cfg_str(cfg, "t_assignment").split():
-        pair, val = tok.split(":")
-        i, j = (int(v) for v in pair.split("-"))
-        t_map[(i, j)] = float(val)
+        pair, sep, val = tok.partition(":")
+        if not sep:
+            raise ConfigError(f"config key 't_assignment': bad token {tok!r}, "
+                              "expected i-j:t")
+        t_map[_parse_pair(pair, "t_assignment")] = parse_number(val, "t_assignment")
     eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -3])
     samples = cfg_int(cfg, "mc_samples", 0)
     if cfg_str(cfg, "lift", "0") == "1":

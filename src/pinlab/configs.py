@@ -139,15 +139,40 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
 
 
 def _window_mass(lam, mu, phi, t_nodes, eps):
-    """(n_pins, n_t) matrix of sum_y mu_y 1[|phi(x,y) - t| <= eps]."""
-    out = np.empty((len(lam), len(t_nodes)))
+    """(n_pins, n_t) matrix of sum_y mu_y 1[|phi(x,y) - t| <= eps].
+
+    Each pin's gaps are sorted once, with prefix sums of their weights.  The
+    rounded difference fl(g - t) is monotone in g, so every window is a
+    contiguous run of sorted gaps; its ends come from a binary search that
+    applies the membership test itself, so ties and rounding at the window
+    edges count exactly as the closed-interval test does.
+    """
+    t_nodes = np.asarray(t_nodes, float)
     gaps = _phi_matrix(phi, lam.points, mu.points)
-    chunk = max(1, 4_000_000 // max(len(mu), 1))
-    for i0 in range(0, len(t_nodes), chunk):
-        sl = slice(i0, min(i0 + chunk, len(t_nodes)))
-        ind = np.abs(gaps[:, None, :] - t_nodes[None, sl, None]) <= eps
-        out[:, sl] = ind @ mu.weights
-    return out
+    order = np.argsort(gaps, axis=1)
+    gaps = np.take_along_axis(gaps, order, axis=1)
+    prefix = np.zeros((len(lam), len(mu) + 1))
+    np.cumsum(mu.weights[order], axis=1, out=prefix[:, 1:])
+    lo = _first_passing(gaps, t_nodes, lambda diff: diff >= -eps)
+    hi = _first_passing(gaps, t_nodes, lambda diff: diff > eps)
+    rows = np.arange(len(lam))[:, None]
+    return prefix[rows, hi] - prefix[rows, lo]
+
+
+def _first_passing(sorted_gaps, t_nodes, test):
+    """(n_rows, n_t) index of the first gap per row whose difference g - t
+    passes `test`, or the row length if none does (vectorised bisection;
+    `test` must be monotone in the difference)."""
+    n_rows, n = sorted_gaps.shape
+    rows = np.arange(n_rows)[:, None]
+    lo = np.zeros((n_rows, len(t_nodes)), np.int64)
+    hi = np.full(lo.shape, n)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        hit = test(sorted_gaps[rows, np.minimum(mid, n - 1)] - t_nodes)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, np.minimum(mid + 1, hi))
+    return lo
 
 
 def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,

@@ -60,13 +60,18 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def _num(tok: str) -> float:
-    """Parse a float, allowing dyadic tokens like 2^-5."""
+def parse_number(tok: str, key: str) -> float:
+    """Parse a float, allowing dyadic tokens like 2^-5; a malformed token is
+    a ConfigError naming its config key."""
     tok = tok.strip()
-    if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return float(base) ** float(exp)
-    return float(tok)
+    base, caret, exp = tok.partition("^")
+    try:
+        val = float(base) ** float(exp) if caret else float(tok)
+    except (ValueError, ArithmeticError):
+        val = None
+    if not isinstance(val, float):     # None, or complex from e.g. -2^0.5
+        raise ConfigError(f"config key {key!r}: bad number {tok!r}")
+    return val
 
 
 def cfg_float(cfg, key, default=None) -> float:
@@ -74,15 +79,12 @@ def cfg_float(cfg, key, default=None) -> float:
         if default is None:
             raise ConfigError(f"missing config key {key!r}")
         return default
-    try:
-        return _num(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: bad number {cfg[key]!r}") from None
+    return parse_number(cfg[key], key)
 
 
 def cfg_int(cfg, key, default=None) -> int:
     val = cfg_float(cfg, key, default)
-    if val != int(val):
+    if not math.isfinite(val) or val != int(val):
         raise ConfigError(f"config key {key!r} must be an integer")
     return int(val)
 
@@ -100,7 +102,7 @@ def cfg_floats(cfg, key, default=None):
         if default is None:
             raise ConfigError(f"missing config key {key!r}")
         return list(default)
-    return [_num(tok) for tok in cfg[key].replace(",", " ").split()]
+    return [parse_number(tok, key) for tok in cfg[key].replace(",", " ").split()]
 
 
 def build_phase(cfg, d: int):

@@ -1,7 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import dense_window_mass
 
 from pinlab import (BudgetError, DomainError, EdgeMap, FrostmanMeasure,
                     build_product_cantor, chain_edge_map, chain_tuple_count,
@@ -9,6 +13,7 @@ from pinlab import (BudgetError, DomainError, EdgeMap, FrostmanMeasure,
                     load_edge_map, natural_measure, phase_function,
                     pinned_lift, save_edge_map, star_edge_map,
                     uniform_grid_measure)
+from pinlab.configs import _window_mass
 from pinlab.rng import rng_for
 
 PHI = phase_function("euclidean", 2)
@@ -81,6 +86,47 @@ def test_hinge_integrated_two_atoms_vs_quadrature_oracle():
     # per pin the other atom carries mass 1/2, both legs must pick it:
     # event mass 1/4 over a window of width 2 eps
     assert oracle == pytest.approx(0.25 * 2 * eps / eps ** 2, rel=0.04)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_pins=st.integers(1, 8),
+       n_atoms=st.integers(1, 200), n_t=st.integers(2, 40),
+       eps=st.floats(1e-3, 0.5))
+def test_window_mass_matches_dense_oracle(seed, n_pins, n_atoms, n_t, eps):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, n_atoms)
+    mu = FrostmanMeasure(rng.uniform(0, 1, (n_atoms, 2)), w / w.sum(), exponent_s=2.0)
+    lam = FrostmanMeasure(rng.uniform(0, 1, (n_pins, 2)), np.full(n_pins, 1 / n_pins),
+                          exponent_s=2.0)
+    t_nodes = np.linspace(-0.1, 1.5, n_t)
+    # window masses are differences of prefix sums of weights that add to 1
+    np.testing.assert_allclose(_window_mass(lam, mu, PHI, t_nodes, eps),
+                               dense_window_mass(lam, mu, PHI, t_nodes, eps),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_window_mass_ties_on_grid_measure_exact():
+    # dyadic cell centres: every gap is exact, many gaps tie, and gaps land
+    # exactly on the closed window edges t +- eps; weights 2^-8 add exactly
+    mu = uniform_grid_measure(2, 16)
+    step = 1.0 / 16
+    t_nodes = step * np.arange(24)
+    for eps in (step, 2 * step, 3 * step):
+        new = _window_mass(mu, mu, PHI, t_nodes, eps)
+        assert np.array_equal(new, dense_window_mass(mu, mu, PHI, t_nodes, eps))
+
+
+def test_window_mass_memory_scales_with_pins_times_atoms():
+    # 64 pins x 4096 atoms x 96 t-nodes; a (pin x t x atom) tensor is ~200 MB
+    mu = uniform_grid_measure(2, 64)
+    lam = FrostmanMeasure(mu.points[::64], np.full(64, 1 / 64), exponent_s=2.0)
+    t_nodes = np.linspace(-0.05, 1.5, 96)
+    tracemalloc.start()
+    try:
+        _window_mass(lam, mu, PHI, t_nodes, 2.0 ** -5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_hinge_integrated_cantor_bounded():

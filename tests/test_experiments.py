@@ -183,6 +183,39 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["gen", "--config", big, "--out", str(tmp_path / "o3")]) == 3
 
 
+COUNT_CFG = """
+generator = uniform
+d = 2
+per_side = 4
+edges = 1-2 2-3
+t_assignment = 1-2:0.5 2-3:0.5
+epsilons = 2^-3
+"""
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("sweep", "dims = 1.0 1.8\nepsilons = 2^-4 abc\n",
+     "config error: config key 'epsilons': bad number 'abc'"),
+    ("config-count", COUNT_CFG.replace("edges = 1-2 2-3", "edges = 1-2 2x3"),
+     "config error: config key 'edges': bad vertex pair '2x3', expected i-j"),
+    ("config-count", COUNT_CFG.replace("1-2:0.5 2-3:0.5", "1-2:0.5 2-3"),
+     "config error: config key 't_assignment': bad token '2-3', expected i-j:t"),
+], ids=["epsilons", "edges", "t_assignment"])
+def test_cli_malformed_numbers_exit_2(tmp_path, capsys, command, body, message):
+    cfg = write_cfg(tmp_path, "bad.cfg", body)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_config_number_edge_cases():
+    for bad in ("2^x", "-2^0.5", "0^-1", "10^400", "1.5.2"):
+        with pytest.raises(ConfigError):
+            cfg_float({"v": bad}, "v")
+    with pytest.raises(ConfigError):
+        cfg_int({"seed": "nan"}, "seed")
+    assert cfg_floats({"e": "2^-2, 0.5"}, "e") == [0.25, 0.5]
+
+
 def test_cli_regression_freeze_and_mismatch(tmp_path):
     cfg = write_cfg(tmp_path, "h.cfg", """
 generator = product_cantor

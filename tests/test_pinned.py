@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import dense_pinned_density
 from scipy.integrate import quad
 
 from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
@@ -8,6 +13,7 @@ from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
                     density_mass, l2_energy, measure_mollify, natural_measure,
                     phase_function, pinned_density, support_measure,
                     uniform_grid_measure)
+from pinlab import pinned as pinned_module
 from pinlab.pinned import default_t_grid
 from pinlab.profiles import bump_l2_constant, bump_norm_constant, bump_profile
 from pinlab.rng import rng_for
@@ -76,6 +82,81 @@ def test_annulus_density_monte_carlo_vs_oracle():
     assert density_mass(nu) == pytest.approx(1.0, abs=3e-4)
 
 
+@st.composite
+def random_measures(draw, max_atoms=300):
+    """Atoms in the unit square with positive weights summing to 1."""
+    n = draw(st.integers(1, max_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.uniform(0.05, 1.0, n)
+    return FrostmanMeasure(rng.uniform(0.0, 1.0, (n, 2)), w / w.sum(), exponent_s=2.0)
+
+
+PINS = st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)).map(np.array)
+EPSILONS = st.sampled_from([2.0 ** -k for k in range(2, 9)])
+# small blocks split the windows of a few hundred atoms into many blocks
+BLOCKS = st.sampled_from([pinned_module.DEPOSIT_BLOCK, 500])
+
+
+@given(mu=random_measures(), pin=PINS, eps=EPSILONS,
+       divisor=st.sampled_from([2, 3, 5, 16]), block=BLOCKS)
+def test_exact_deposition_matches_dense_oracle(mu, pin, eps, divisor, block):
+    phi_vals = np.asarray(PHI.value(pin[None, :], mu.points))
+    grid = default_t_grid(phi_vals, eps, divisor)
+    moll = Mollifier(eps)
+    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+        nu = pinned_density(mu, PHI, pin, moll, t_grid=grid)
+    ref, _, _, _ = dense_pinned_density(mu, PHI, pin, moll, t_grid=grid)
+    np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(nu.values > 0, ref > 0)
+    ref_nu = PinnedLike(grid, ref)
+    assert support_measure(nu, 0.0) == support_measure(ref_nu, 0.0)
+    assert np.all(nu.stderr == 0.0) and nu.mass_stderr == 0.0
+
+
+@given(mu=random_measures(), pin=PINS, eps=EPSILONS,
+       samples=st.integers(2, 600), seed=st.integers(0, 10_000), block=BLOCKS)
+def test_monte_carlo_deposition_matches_dense_oracle(mu, pin, eps, samples, seed, block):
+    moll = Mollifier(eps)
+    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+        nu = pinned_density(mu, PHI, pin, moll, mc_samples=samples, seed=seed)
+    ref, ref_se, ref_mass_se, grid = dense_pinned_density(mu, PHI, pin, moll,
+                                                          mc_samples=samples, seed=seed)
+    assert np.array_equal(nu.t_grid, grid)
+    np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(nu.values > 0, ref > 0)
+    # stderr^2 = (sum w k^2 - values^2) / samples; where every draw puts the
+    # same kernel on a node the difference is pure cancellation, a few ulp
+    # of values^2, so the variances are compared with that floor
+    floor = 1e-12 * float((ref ** 2).max()) / samples
+    np.testing.assert_allclose(nu.stderr ** 2, ref_se ** 2, rtol=1e-12, atol=floor)
+    # the std of per-draw masses that all lie within ~1e-7 of 1: each mass
+    # carries ~1e-16 of rounding, the floor of any comparison
+    assert nu.mass_stderr == pytest.approx(ref_mass_se, rel=1e-9, abs=1e-15)
+
+
+@given(mu=random_measures(), pin=PINS, eps=EPSILONS, mc=st.sampled_from([0, 64, 500]))
+def test_deposition_conserves_mass(mu, pin, eps, mc):
+    nu = pinned_density(mu, PHI, pin, Mollifier(eps), mc_samples=mc, seed=4)
+    assert density_mass(nu) == pytest.approx(1.0, abs=1e-6)
+
+
+@given(mu=random_measures(), pin=PINS, eps=EPSILONS, atom=st.integers(0, 299),
+       nodes=st.integers(2, 200))
+def test_narrow_grid_clips_windows_and_raises_coverage(mu, pin, eps, atom, nodes):
+    # the grid starts on an atom's gap, so its first node carries that atom's
+    # bump peak; windows running past either end of the grid are clipped
+    phi_vals = np.asarray(PHI.value(pin[None, :], mu.points))
+    dt = eps / 4
+    grid = phi_vals[atom % len(mu)] + dt * np.arange(nodes)
+    moll = Mollifier(eps)
+    nu = pinned_density(mu, PHI, pin, moll, t_grid=grid)
+    ref, _, _, _ = dense_pinned_density(mu, PHI, pin, moll, t_grid=grid)
+    np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(nu.values > 0, ref > 0)
+    with pytest.raises(CoverageError):
+        density_mass(nu)
+
+
 def test_density_mass_coverage_error():
     mu = circle_measure(128)
     eps = 2.0 ** -4
@@ -91,6 +172,10 @@ def test_resolution_and_empty_errors():
     grid = np.arange(0.0, 0.6, eps)   # dt = eps > eps/2
     with pytest.raises(ResolutionError):
         pinned_density(mu, PHI, np.array([0.5, 0.5]), Mollifier(eps), t_grid=grid)
+    # support windows and trapezoid weights both assume one grid step
+    for bad in (np.linspace(0.0, 0.7, 400) ** 1.5, np.linspace(0.7, 0.0, 400)):
+        with pytest.raises(DomainError):
+            pinned_density(mu, PHI, np.array([0.5, 0.5]), Mollifier(eps), t_grid=bad)
     with pytest.raises(DomainError):
         FrostmanMeasure(np.zeros((0, 2)), np.zeros(0), exponent_s=1.0)
 
@@ -192,6 +277,23 @@ def test_chain_mass_monte_carlo():
     ch = chain_density(mu, PHI, mu.points[100], 2, Mollifier(2.0 ** -3),
                        mc_samples=20_000, seed=3)
     assert density_mass(ch) == pytest.approx(1.0, abs=max(3 * ch.mass_stderr, 1e-3))
+
+
+def test_chain_monte_carlo_beyond_seven_links():
+    # one atom: every sampled chain has gaps (r, 0, ..., 0), so the density
+    # is the outer product of the k shifted bumps, whatever the draws
+    k = 8
+    mu = FrostmanMeasure(np.array([[0.8, 0.5]]), np.array([1.0]), exponent_s=0.0)
+    pin = np.array([0.5, 0.5])
+    moll = Mollifier(0.25)
+    gaps = [float(PHI.value(pin, mu.points[0]))] + [0.0] * (k - 1)
+    axes = tuple(g + 0.1 * (np.arange(5) - 2) + 0.01 * i for i, g in enumerate(gaps))
+    ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes, mc_samples=4, seed=1)
+    expected = moll(axes[0] - gaps[0])
+    for ax, g in zip(axes[1:], gaps[1:]):
+        expected = np.multiply.outer(expected, moll(ax - g))
+    assert ch.values.shape == (5,) * k
+    np.testing.assert_allclose(ch.values, expected, rtol=1e-12, atol=0.0)
 
 
 def test_composed_equals_chain_exact_mode():
