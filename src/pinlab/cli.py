@@ -68,7 +68,7 @@ def main(argv=None) -> int:
                          rtol=cfg_float(cfg, "regression_rtol", 1e-9))
         return 0
     except RegressionMismatch as exc:
-        print(f"regression mismatch:\n{exc}", file=sys.stderr)
+        print(f"regression mismatch: {exc}", file=sys.stderr)
         return 4
     except BudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

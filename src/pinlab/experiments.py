@@ -379,7 +379,8 @@ def regression_check(out_dir, csv_names, freeze: bool, rtol: float = 1e-9) -> No
     """Freeze or compare the run's CSVs against out_dir/golden copies.
 
     Comparison is numeric cell-by-cell at relative tolerance rtol; any
-    mismatch raises RegressionMismatch carrying a diff table.
+    mismatch raises RegressionMismatch carrying a diff table.  A golden/
+    directory that lacks one of the CSVs raises it too, naming them.
     """
     golden_dir = os.path.join(out_dir, "golden")
     if freeze:
@@ -393,13 +394,14 @@ def regression_check(out_dir, csv_names, freeze: bool, rtol: float = 1e-9) -> No
         return
     if not os.path.isdir(golden_dir):
         return
+    missing = [name for name in csv_names
+               if not os.path.exists(os.path.join(golden_dir, name))]
+    if missing:
+        raise RegressionMismatch("golden file(s) missing: " + ", ".join(missing))
     diffs = []
     for name in csv_names:
-        gold_path = os.path.join(golden_dir, name)
-        if not os.path.exists(gold_path):
-            continue
         cur = _read_csv(os.path.join(out_dir, name))
-        gold = _read_csv(gold_path)
+        gold = _read_csv(os.path.join(golden_dir, name))
         if len(cur) != len(gold):
             diffs.append((name, "row count", len(gold), len(cur)))
             continue

@@ -405,8 +405,14 @@ def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
 
 def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
     """Apply T_eps,t to several fields at once (the kernel is field-independent,
-    so one pass over the pair matrix serves them all)."""
-    from .phases import pairwise_value
+    so one kernel serves them all).
+
+    Without psi, a phase of x - y alone (euclidean, flat_torus) makes T a
+    convolution: its kernel is tabulated once on the grid offsets and applied
+    by FFT, zero-padded to 2n per axis for euclidean and periodic for
+    flat_torus.  Other phases and psi-weighted calls use `_radon_direct`.
+    """
+    from .phases import Euclidean, FlatTorus
     fields = [np.asarray(f) for f in fields]
     n = fields[0].shape[0]
     for f in fields:
@@ -416,6 +422,32 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
         # 2/side_n puts >= 8 grid nodes across the mollifier support, the
         # coarsest the y-quadrature stays trustworthy
         raise ResolutionError(f"eps {eps} below the resolvable 2/side_n = {2.0 / n}")
+    if psi is not None or not isinstance(phi, (Euclidean, FlatTorus)):
+        return _radon_direct(phi, psi, eps, t, fields)
+    h = 1.0 / n
+    # kernel at offsets i - j of x = i h from y = j h: periodic on the torus,
+    # else padded to 2n so that the circular convolution is the linear one
+    if isinstance(phi, FlatTorus):
+        k, size = np.arange(n), n
+    else:
+        k, size = np.arange(1 - n, n), 2 * n
+    gx, gy = np.meshgrid(k * h, k * h, indexing="ij")
+    dist = phi.value(np.stack([gx, gy], axis=-1), np.zeros(2))
+    kern = np.zeros((size, size))
+    kern[np.ix_(k % size, k % size)] = Mollifier(eps)(t - dist) * h ** 2
+    stack = np.stack(fields)
+    if np.iscomplexobj(stack):
+        out = np.fft.ifft2(np.fft.fft2(stack, s=kern.shape) * np.fft.fft2(kern))
+    else:
+        out = np.fft.irfft2(np.fft.rfft2(stack, s=kern.shape) * np.fft.rfft2(kern),
+                            s=kern.shape)
+    return list(out[:, :n, :n])
+
+
+def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
+    """T_eps,t by direct quadrature over the (n^2 x n^2) pair matrix."""
+    from .phases import pairwise_value
+    n = fields[0].shape[0]
     h = 1.0 / n
     axis = np.arange(n) * h
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
@@ -440,8 +472,8 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
 
 
 def radon_apply(phi, psi, eps: float, t: float, field: np.ndarray) -> np.ndarray:
-    """T f(x) = eps^-1 int rho((t - phi(x,y))/eps) f(y) psi(x,y) dy by direct
-    quadrature over the grid in y for each x (d = 2)."""
+    """T f(x) = eps^-1 int rho((t - phi(x,y))/eps) f(y) psi(x,y) dy by
+    quadrature over the grid in y for each x (d = 2); see `radon_apply_stack`."""
     return radon_apply_stack(phi, psi, eps, t, [field])[0]
 
 

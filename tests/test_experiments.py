@@ -236,6 +236,26 @@ seed = 5
     assert cli_main(["hinge", "--config", cfg2, "--out", out]) == 4
 
 
+def test_cli_regression_missing_golden_exit_4(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "h.cfg", """
+generator = product_cantor
+d = 2
+ratio_a = 0.44
+level = 3
+pins = 8
+epsilons = 2^-3
+seed = 5
+""")
+    out = tmp_path / "h"
+    assert cli_main(["hinge", "--config", cfg, "--out", str(out),
+                     "--regression-freeze"]) == 0
+    os.remove(out / "golden" / "hinge.csv")
+    capsys.readouterr()
+    assert cli_main(["hinge", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "regression mismatch: golden file(s) missing: hinge.csv\n"
+
+
 def test_cli_gen_writes_cells_and_measure(tmp_path):
     cfg = write_cfg(tmp_path, "g.cfg", """
 generator = subdivision

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0
 
@@ -11,7 +13,8 @@ from pinlab import (DomainError, LPPartition, ResolutionError, SpectralGrid,
                     schur_dyadic_majorant, schur_kernel_sup,
                     segment_measure, surface_measure_decay,
                     uniform_grid_measure)
-from pinlab.harmonic import (ResolutionWarning, radon_apply_stack,
+from pinlab import harmonic
+from pinlab.harmonic import (ResolutionWarning, _radon_direct, radon_apply_stack,
                              rasterize_sphere_shell, shell_profile_verdict)
 
 # independent oracle for the segment energy shells (2-d quadrature of the
@@ -210,6 +213,73 @@ def test_radon_epsilon_uniformity_smoke():
     fields = [random_band_limited(n, 2.0, seed=40 + i) for i in range(3)]
     _, summary = radon_sobolev_ratio(phi, None, 0.5,
                                      [2.0 ** -3, 2.0 ** -4, 2.0 ** -5], fields)
+    assert max(summary.values()) <= 2.0
+
+
+def assert_fields_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@st.composite
+def radon_cases(draw):
+    n = draw(st.integers(16, 48))
+    eps = draw(st.floats(2.0 / n, 0.25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fields = []
+    for is_complex in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        f = rng.standard_normal((n, n))
+        fields.append(f + 1j * rng.standard_normal((n, n)) if is_complex else f)
+    return eps, fields
+
+
+@settings(max_examples=20)
+@given(kind=st.sampled_from(["euclidean", "flat_torus"]), case=radon_cases(),
+       t=st.floats(0.1, 0.7))
+def test_radon_fft_matches_direct_quadrature(kind, case, t):
+    eps, fields = case
+    phi = phase_function(kind, 2)
+    assert_fields_close(radon_apply_stack(phi, None, eps, t, fields),
+                        _radon_direct(phi, None, eps, t, fields))
+
+
+def test_radon_fft_matches_direct_at_benchmark_size():
+    phi = phase_function("euclidean", 2)
+    fields = [random_band_limited(96, 1.45, seed=7 + i) for i in range(5)]
+    assert_fields_close(radon_apply_stack(phi, None, 2.0 ** -5, 0.5, fields),
+                        _radon_direct(phi, None, 2.0 ** -5, 0.5, fields))
+
+
+def test_radon_dispatch_direct_for_weighted_and_non_invariant(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0].kind)
+        return _radon_direct(*args)
+
+    monkeypatch.setattr(harmonic, "_radon_direct", spy)
+    n, eps, t = 32, 2.0 ** -4, 0.4
+    fields = [random_band_limited(n, 6.0, seed=50 + i) for i in range(2)]
+    euclid = phase_function("euclidean", 2)
+    fft = radon_apply_stack(euclid, None, eps, t, fields)
+    assert calls == []
+    scaled = radon_apply_stack(phase_function("scaled_euclidean", 2, factor=1.0),
+                               None, eps, t, fields)
+    weighted = radon_apply_stack(euclid, lambda x, y: np.ones(np.broadcast_shapes(
+        x.shape, y.shape)[:-1]), eps, t, fields)
+    assert calls == ["scaled_euclidean", "euclidean"]
+    assert_fields_close(fft, scaled)
+    assert_fields_close(fft, weighted)
+
+
+def test_radon_epsilon_uniformity_down_to_resolution_floor():
+    """Criterion 08's check at side 512, where the 2/n floor admits eps = 2^-8."""
+    phi = phase_function("euclidean", 2)
+    fields = [random_band_limited(512, 1.45, seed=108 + i) for i in range(5)]
+    _, summary = radon_sobolev_ratio(phi, None, 0.5,
+                                     [2.0 ** -k for k in range(3, 9)], fields)
     assert max(summary.values()) <= 2.0
 
 
