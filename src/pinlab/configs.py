@@ -19,7 +19,7 @@ from .fractals import FrostmanMeasure
 from .pinned import _phi_matrix, _trapz_weights
 from .rng import batches, rng_for
 
-#: Exhaustive enumeration is auto-selected when the tuple count is below this.
+#: Exact `config_count` refuses more tuples than this; pass samples instead.
 EXHAUSTIVE_BUDGET = 10_000_000
 
 
@@ -101,11 +101,46 @@ class ConfigCount:
     count_normalized: float
     stderr: float
     tuple_budget: int
-    samples: int             # 0 for exhaustive mode
+    samples: int             # 0 for exact mode
 
     def __post_init__(self):
         if self.count_normalized < 0 or self.stderr < 0:
             raise DomainError("counts and errors must be nonnegative")
+
+
+def _check_eps_samples(eps, samples):
+    if not (eps > 0 and samples >= 0):
+        raise DomainError(f"need eps > 0 and samples >= 0, got eps={eps}, samples={samples}")
+
+
+def _contract(vertex_weights, edge_kernels) -> float:
+    """Sum over atom tuples x of prod_v w_v(x_v) prod_(i,j) K_ij(x_i, x_j).
+
+    `edge_kernels` maps vertex pairs (i, j) of 0..n-1 to (N_i, N_j) matrices.
+    Vertices are summed out one at a time, each time the one with the fewest
+    neighbours (lowest index on ties), so a tree costs N^2 per edge.  Each
+    step is one einsum labelled afresh: the vertex count is not bound by
+    einsum's 52 labels.
+    """
+    factors = [((v,), np.asarray(w, float)) for v, w in enumerate(vertex_weights)]
+    factors += [(e, np.asarray(k, float)) for e, k in edge_kernels.items()]
+
+    def neighbours(v):
+        return set().union(*(lab for lab, _ in factors if v in lab)) - {v}
+
+    remaining = set(range(len(vertex_weights)))
+    while remaining:
+        v = min(remaining, key=lambda u: (len(neighbours(u)), u))
+        remaining.remove(v)
+        keep = sorted(neighbours(v))
+        name = {u: n for n, u in enumerate([v] + keep)}
+        args = []
+        for lab, arr in factors:
+            if v in lab:
+                args += [arr, [name[u] for u in lab]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((tuple(keep), np.einsum(*args, range(1, len(name)), optimize=True)))
+    return float(math.prod(arr for _, arr in factors))
 
 
 def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
@@ -115,14 +150,12 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
     The (y, z) legs are conditionally independent given the pin, so the exact
     triple sum factors as sum_x lam_x (sum_y mu_y 1[|phi(x,y)-t|<=eps])^2.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    _check_eps_samples(eps, samples)
     if samples == 0:
         inner = _window_mass(lam, mu, phi, np.array([t]), eps)[:, 0]
         val = float(lam.weights @ inner ** 2) / eps ** 2
         return ConfigCount(eps, {"t": t}, val, 0.0, EXHAUSTIVE_BUDGET, 0)
     hits = 0
-    hits_sq = 0
     for b, _, size in batches(samples):
         rng = rng_for(seed, 5, b)
         x = lam.points[rng.choice(len(lam), size=size, p=lam.weights)]
@@ -131,9 +164,8 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
         ind = ((np.abs(np.asarray(phi.value(x, y)) - t) <= eps)
                & (np.abs(np.asarray(phi.value(x, z)) - t) <= eps)).astype(float)
         hits += ind.sum()
-        hits_sq += (ind ** 2).sum()
     mean = hits / samples
-    var = max(hits_sq / samples - mean ** 2, 0.0) / samples
+    var = max(mean - mean ** 2, 0.0) / samples
     return ConfigCount(eps, {"t": t}, mean / eps ** 2,
                        float(np.sqrt(var)) / eps ** 2, EXHAUSTIVE_BUDGET, samples)
 
@@ -197,20 +229,23 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
                       eps: float, samples: int = 0, seed: int = 0) -> ConfigCount:
     """eps^-2k normalized mass of the doubled k-chain sharing its pin.
 
-    The two chains hanging off the pin are conditionally independent, so the
-    exact mass is sum_x lam_x m_x(t)^2 with m_x the single-chain indicator
-    mass started at x, computed by one backward recursion over atoms.
+    The pin x carries lambda and the two k-link chains hanging off it carry
+    mu; link i asks |phi - t[i]| <= eps on both chains.  Exact mode is the
+    `config_count` of the `pinned_lift` of the k-chain, with no tuple budget;
+    `samples` > 0 draws that many doubled chains instead.
     """
     t = np.atleast_1d(np.asarray(t, float))
     k = len(t)
-    if eps <= 0 or k < 1:
-        raise DomainError("need eps > 0 and k >= 1")
+    if k < 1:
+        raise DomainError("need k >= 1")
+    _check_eps_samples(eps, samples)
     if samples == 0:
-        m_x = _chain_indicator_mass(lam, mu, phi, t, eps)
-        val = float(lam.weights @ m_x ** 2) / eps ** (2 * k)
-        return ConfigCount(eps, {"t": tuple(t)}, val, 0.0, EXHAUSTIVE_BUDGET, 0)
+        chain = chain_edge_map(k)        # pinned at its last vertex, k + 1
+        t_chain = {(k - i, k + 1 - i): t[i] for i in range(k)}
+        c = config_count(pinned_lift(chain), [mu] * k + [lam] + [mu] * k, phi,
+                         lift_t_assignment(chain, t_chain), eps, budget=math.inf)
+        return ConfigCount(eps, {"t": tuple(t)}, c.count_normalized, 0.0, EXHAUSTIVE_BUDGET, 0)
     hits = 0.0
-    hits_sq = 0.0
     for b, _, size in batches(samples):
         rng = rng_for(seed, 6, b)
         x = lam.points[rng.choice(len(lam), size=size, p=lam.weights)]
@@ -222,25 +257,10 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
                 ok &= np.abs(np.asarray(phi.value(prev, nxt)) - t[i]) <= eps
                 prev = nxt
         hits += ok.sum()
-        hits_sq += ok.sum()
     mean = hits / samples
-    var = max(hits_sq / samples - mean ** 2, 0.0) / samples
+    var = max(mean - mean ** 2, 0.0) / samples
     return ConfigCount(eps, {"t": tuple(t)}, mean / eps ** (2 * k),
                        float(np.sqrt(var)) / eps ** (2 * k), EXHAUSTIVE_BUDGET, samples)
-
-
-def _chain_indicator_mass(lam, mu, phi, t, eps):
-    """m_x(t) = mass of chains (x, x^2..x^{k+1}) with all gaps within eps."""
-    k = len(t)
-    g = np.ones(len(mu))
-    if k > 1:
-        gaps_aa = _phi_matrix(phi, mu.points, mu.points)
-    for link in range(k, 1, -1):
-        kern = (np.abs(gaps_aa - t[link - 1]) <= eps).astype(float)
-        g = kern @ (mu.weights * g)
-    gaps_pin = _phi_matrix(phi, lam.points, mu.points)
-    kern0 = (np.abs(gaps_pin - t[0]) <= eps).astype(float)
-    return kern0 @ (mu.weights * g)
 
 
 def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
@@ -250,10 +270,11 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
 
     `measures` is one FrostmanMeasure per vertex (a single measure is
     broadcast).  `t_assignment` maps each edge (i, j) to its gap value and
-    must cover exactly the edge set.  Exhaustive mode enumerates all tuples
-    when their count is within budget, otherwise Monte Carlo with `samples`
-    draws is required.
+    must cover exactly the edge set.  Exact mode (tuple count within
+    `budget`) contracts the edge indicator matrices with `_contract`, N^2
+    per edge for a tree; otherwise Monte Carlo with `samples` draws.
     """
+    _check_eps_samples(eps, samples)
     if isinstance(measures, FrostmanMeasure):
         measures = [measures] * em.vertex_count
     if len(measures) != em.vertex_count:
@@ -266,8 +287,14 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
     total = math.prod(sizes)
     if samples == 0:
         if total > budget:
-            raise BudgetError(f"{total} tuples exceed exhaustive budget {budget}; pass samples")
-        mass = _config_exhaustive(em, measures, phi, t_map, eps)
+            raise BudgetError(f"{total} tuples exceed exact-count budget {budget}; pass samples")
+        gaps, kernels = {}, {}
+        for (i, j), tv in t_map.items():
+            a, b = measures[i - 1], measures[j - 1]
+            if (id(a), id(b)) not in gaps:
+                gaps[(id(a), id(b))] = _phi_matrix(phi, a.points, b.points)
+            kernels[(i - 1, j - 1)] = np.abs(gaps[(id(a), id(b))] - tv) <= eps
+        mass = _contract([m.weights for m in measures], kernels)
         return ConfigCount(eps, t_map, mass / eps ** n, 0.0, budget, 0)
     hits = 0.0
     for b, _, size in batches(samples):
@@ -281,34 +308,6 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
     var = max(mean - mean ** 2, 0.0) / samples
     return ConfigCount(eps, t_map, mean / eps ** n,
                        float(np.sqrt(var)) / eps ** n, budget, samples)
-
-
-def _config_exhaustive(em, measures, phi, t_map, eps):
-    """Sum over all vertex-atom tuples of the product of edge indicators.
-
-    Edge indicators are cached per pair, then the tuple grid is swept in
-    flat chunks; fast enough at the enforced budget.
-    """
-    sizes = [len(m) for m in measures]
-    total = math.prod(sizes)
-    chunk = 1_000_000
-    mass = 0.0
-    pair_ind = {}
-    for (i, j), tv in t_map.items():
-        gaps = _phi_matrix(phi, measures[i - 1].points, measures[j - 1].points)
-        pair_ind[(i, j)] = np.abs(gaps - tv) <= eps
-    wts = [m.weights for m in measures]
-    for start in range(0, total, chunk):
-        idx_flat = np.arange(start, min(start + chunk, total))
-        idx = np.unravel_index(idx_flat, sizes)
-        ok = np.ones(len(idx_flat), dtype=bool)
-        for (i, j) in t_map:
-            ok &= pair_ind[(i, j)][idx[i - 1], idx[j - 1]]
-        w = np.ones(len(idx_flat))
-        for v in range(len(sizes)):
-            w *= wts[v][idx[v]]
-        mass += float(w[ok].sum())
-    return mass
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,17 +1,22 @@
 """Dense reference implementations kept as test oracles.
 
-These are the (node x atom) kernel-matrix evaluation of `pinned_density` and
-the (pin x t x atom) indicator tensor of `configs._window_mass` that the
-package used before windowed deposition and sorted prefix sums replaced
-them.  They touch every pair, so they are slow and memory-hungry, but they
-are simple enough to trust.
+These are the (node x atom) kernel-matrix evaluation of `pinned_density`,
+the (pin x t x atom) indicator tensor of `configs._window_mass`, the tuple
+enumeration of exact `config_count` and the hand-written nested sums of
+exact `chain_tuple_count` and `composed_operator_density` that the package
+used before windowed deposition, sorted prefix sums and the graph
+contraction `configs._contract` replaced them.  They touch every pair or
+tuple, so they are slow and memory-hungry, but they are simple enough to
+trust.
 """
+
+import math
 
 import numpy as np
 
 from pinlab.fractals import sample_points
 from pinlab.phases import pairwise_value
-from pinlab.pinned import _trapz_weights, default_t_grid
+from pinlab.pinned import _phi_matrix, _trapz_weights, default_t_grid
 
 
 def dense_pinned_density(mu, phi, pin_x, mollifier, t_grid=None,
@@ -63,3 +68,59 @@ def dense_window_mass(lam, mu, phi, t_nodes, eps):
         ind = np.abs(gaps[:, None, :] - t_nodes[None, sl, None]) <= eps
         out[:, sl] = ind @ mu.weights
     return out
+
+
+def enumerated_config_mass(em, measures, phi, t_map, eps):
+    """Sum over all vertex-atom tuples of the weight product times every edge
+    indicator 1[|phi(x_i, x_j) - t_ij| <= eps], swept in flat chunks."""
+    sizes = [len(m) for m in measures]
+    total = math.prod(sizes)
+    pair_ind = {}
+    for (i, j), tv in t_map.items():
+        gaps = _phi_matrix(phi, measures[i - 1].points, measures[j - 1].points)
+        pair_ind[(i, j)] = np.abs(gaps - tv) <= eps
+    mass = 0.0
+    for start in range(0, total, 1_000_000):
+        idx_flat = np.arange(start, min(start + 1_000_000, total))
+        idx = np.unravel_index(idx_flat, sizes)
+        ok = np.ones(len(idx_flat), dtype=bool)
+        for (i, j), ind in pair_ind.items():
+            ok &= ind[idx[i - 1], idx[j - 1]]
+        w = np.ones(len(idx_flat))
+        for v, m in enumerate(measures):
+            w *= m.weights[idx[v]]
+        mass += float(w[ok].sum())
+    return mass
+
+
+def nested_chain_tuple_mass(lam, mu, phi, t, eps):
+    """sum_x lam_x m_x^2, with m_x the single k-chain indicator mass started
+    at pin x, by one backward recursion over the links."""
+    k = len(t)
+    g = np.ones(len(mu))
+    if k > 1:
+        gaps_aa = _phi_matrix(phi, mu.points, mu.points)
+    for link in range(k, 1, -1):
+        kern = (np.abs(gaps_aa - t[link - 1]) <= eps).astype(float)
+        g = kern @ (mu.weights * g)
+    gaps_pin = _phi_matrix(phi, lam.points, mu.points)
+    kern0 = (np.abs(gaps_pin - t[0]) <= eps).astype(float)
+    m_x = kern0 @ (mu.weights * g)
+    return float(lam.weights @ m_x ** 2)
+
+
+def nested_composed_density(mu, phi, pin_x, k, mollifier, t, psi=None):
+    """g_0(pin) for g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
+    psi(y, z) g_i(z), evaluated innermost-out on the atoms."""
+    pin = np.asarray(pin_x, float)
+    pts, w = mu.points, mu.weights
+    g = np.ones(len(pts))
+    for link in range(k, 1, -1):
+        kern = mollifier(t[link - 1] - _phi_matrix(phi, pts, pts))
+        if psi is not None:
+            kern = kern * np.asarray(psi(pts[:, None, :], pts[None, :, :]))
+        g = kern @ (w * g)
+    kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts)))
+    if psi is not None:
+        kern0 = kern0 * np.asarray(psi(pin[None, :], pts))
+    return float(kern0 @ (w * g))

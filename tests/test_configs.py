@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_window_mass
+from oracles import (dense_window_mass, enumerated_config_mass,
+                     nested_chain_tuple_mass)
 
 from pinlab import (BudgetError, DomainError, EdgeMap, FrostmanMeasure,
                     build_product_cantor, chain_edge_map, chain_tuple_count,
@@ -309,3 +310,117 @@ def test_edge_map_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "4 4"
     assert load_edge_map(path) == em
+
+
+def test_counts_reject_bad_eps_and_samples():
+    mu = two_atom_measure()
+    em = EdgeMap(2, frozenset({(1, 2)}))
+    for eps, samples in ((0.0, 0), (-0.1, 0), (0.1, -5)):
+        with pytest.raises(DomainError):
+            config_count(em, mu, PHI, {(1, 2): 1.0}, eps, samples)
+        with pytest.raises(DomainError):
+            hinge_count(mu, mu, PHI, 1.0, eps, samples)
+        with pytest.raises(DomainError):
+            chain_tuple_count(mu, mu, PHI, [1.0, 1.0], eps, samples)
+
+
+# -- exact counts by contraction against tuple enumeration -----------------
+
+NAMED_PATTERNS = {
+    "triangle": EdgeMap(3, frozenset({(1, 2), (2, 3), (1, 3)})),
+    "four_cycle": EdgeMap(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})),
+    "lifted_triangle": pinned_lift(EdgeMap(3, frozenset({(1, 2), (2, 3), (1, 3)}))),
+    "isolated_vertex": EdgeMap(4, frozenset({(1, 2), (2, 3)})),
+}
+
+# dyadic grid: every gap is exact, gaps tie, and the t and eps below put
+# gaps exactly on the closed window edges t +- eps
+GRID_T = (0.25, 0.5, 0.75)
+GRID_EPS = (0.25, 0.5)
+
+
+@st.composite
+def random_edge_maps(draw):
+    """2-5 vertices, any nonempty edge set; vertices past the largest edge
+    end are isolated."""
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    return EdgeMap(draw(st.integers(max(j for _, j in edges), 5)), frozenset(edges))
+
+
+@st.composite
+def count_inputs(draw, em):
+    """(measures, t_map, eps): distinct random measures per vertex, or one
+    grid-aligned uniform_grid_measure with dyadic t and eps."""
+    if draw(st.booleans()):
+        # 16 atoms on at most 4 vertices keeps the enumeration small
+        per_side = draw(st.sampled_from((2, 4) if em.vertex_count <= 4 else (2,)))
+        mu = uniform_grid_measure(2, per_side)
+        t_map = {e: draw(st.sampled_from(GRID_T)) for e in em.sorted_edges()}
+        return [mu] * em.vertex_count, t_map, draw(st.sampled_from(GRID_EPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    measures = []
+    for _ in range(em.vertex_count):
+        n = int(rng.integers(1, 6))
+        w = rng.uniform(0.05, 1.0, n)
+        measures.append(FrostmanMeasure(rng.uniform(0, 1, (n, 2)), w / w.sum(),
+                                        exponent_s=2.0))
+    t_map = {e: float(rng.uniform(0.05, 1.0)) for e in em.sorted_edges()}
+    return measures, t_map, draw(st.floats(0.05, 0.5))
+
+
+def assert_matches_enumeration(em, measures, t_map, eps):
+    got = config_count(em, measures, PHI, t_map, eps).count_normalized * eps ** em.n_edges
+    want = enumerated_config_mass(em, measures, PHI, t_map, eps)
+    assert (got == 0.0) == (want == 0.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PATTERNS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_contract_named_patterns_match_enumeration(name, data):
+    em = NAMED_PATTERNS[name]
+    assert_matches_enumeration(em, *data.draw(count_inputs(em)))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_contract_random_patterns_match_enumeration(data):
+    em = data.draw(random_edge_maps())
+    assert_matches_enumeration(em, *data.draw(count_inputs(em)))
+
+
+def test_contract_sixty_vertex_path_of_single_atoms():
+    # more vertices than einsum has labels; enumeration sees a single tuple
+    a = FrostmanMeasure(np.array([[0.2, 0.5]]), np.array([1.0]), exponent_s=0.0)
+    b = FrostmanMeasure(np.array([[0.7, 0.5]]), np.array([1.0]), exponent_s=0.0)
+    em = chain_edge_map(59)
+    t_map = {e: 0.5 for e in em.edges}
+    c = config_count(em, [a, b] * 30, PHI, t_map, 0.25)
+    assert c.count_normalized == 4.0 ** 59
+    t_map[(30, 31)] = 2.0
+    assert config_count(em, [a, b] * 30, PHI, t_map, 0.25).count_normalized == 0.0
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+       n_pins=st.integers(1, 5), n_atoms=st.integers(1, 40),
+       eps=st.floats(0.02, 0.5), grid=st.booleans())
+def test_chain_tuple_count_matches_nested_oracle(seed, k, n_pins, n_atoms, eps, grid):
+    rng = np.random.default_rng(seed)
+    if grid:
+        mu = lam = uniform_grid_measure(2, 4)
+        t = rng.choice(GRID_T, size=k)
+        eps = float(rng.choice(GRID_EPS))
+    else:
+        w = rng.uniform(0.05, 1.0, n_atoms)
+        mu = FrostmanMeasure(rng.uniform(0, 1, (n_atoms, 2)), w / w.sum(), exponent_s=2.0)
+        lam = FrostmanMeasure(rng.uniform(0, 1, (n_pins, 2)), np.full(n_pins, 1 / n_pins),
+                              exponent_s=2.0)
+        t = rng.uniform(0.05, 1.0, size=k)
+    got = chain_tuple_count(lam, mu, PHI, t, eps).count_normalized * eps ** (2 * k)
+    want = nested_chain_tuple_mass(lam, mu, PHI, t, eps)
+    assert (got == 0.0) == (want == 0.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -207,6 +207,29 @@ def test_cli_malformed_numbers_exit_2(tmp_path, capsys, command, body, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("body, message", [
+    (COUNT_CFG.replace("epsilons = 2^-3", "epsilons = 0"),
+     "config error: need eps > 0 and samples >= 0, got eps=0.0, samples=0"),
+    (COUNT_CFG.replace("epsilons = 2^-3", "epsilons = -0.1"),
+     "config error: need eps > 0 and samples >= 0, got eps=-0.1, samples=0"),
+    (COUNT_CFG + "mc_samples = -5\n",
+     "config error: need eps > 0 and samples >= 0, got eps=0.125, samples=-5"),
+], ids=["eps_zero", "eps_negative", "samples_negative"])
+def test_cli_config_count_bad_eps_or_samples_exit_2(tmp_path, capsys, body, message):
+    cfg = write_cfg(tmp_path, "bad.cfg", body)
+    assert cli_main(["config-count", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
+    # 1024 atoms on a 2-chain: 1024^3 tuples, past the exact-count budget
+    cfg = write_cfg(tmp_path, "big.cfg", COUNT_CFG.replace("per_side = 4", "per_side = 32"))
+    assert cli_main(["config-count", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: 1073741824 tuples exceed")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_config_number_edge_cases():
     for bad in ("2^x", "-2^0.5", "0^-1", "10^400", "1.5.2"):
         with pytest.raises(ConfigError):

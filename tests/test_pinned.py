@@ -2,9 +2,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_pinned_density
+from oracles import dense_pinned_density, nested_composed_density
 from scipy.integrate import quad
 
 from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
@@ -325,6 +325,30 @@ def test_composed_monte_carlo_vs_chain_sampling():
     scale = max(exact, 1e-3)
     assert mc == pytest.approx(exact, rel=0.15, abs=0.05 * scale)
     assert direct == pytest.approx(exact, abs=max(4 * float(ch.stderr[1, 1, 1]), 0.05 * scale))
+
+
+def smooth_weight(a, b):
+    """A positive psi(y, z), so no sum can cancel."""
+    return 1.5 + np.sin(3.0 * (np.asarray(a) - np.asarray(b)).sum(-1))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+       n_atoms=st.integers(1, 60), eps=st.floats(0.05, 0.5),
+       with_psi=st.booleans())
+def test_composed_exact_matches_nested_oracle(seed, k, n_atoms, eps, with_psi):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, n_atoms)
+    mu = FrostmanMeasure(rng.uniform(0, 1, (n_atoms, 2)), w / w.sum(), exponent_s=2.0)
+    pin = rng.uniform(0, 1, 2)
+    t = rng.uniform(0.0, 1.0, size=k)
+    psi = smooth_weight if with_psi else None
+    moll = Mollifier(eps)
+    got = composed_operator_density(mu, PHI, pin, k, moll, t, psi=psi)
+    want = nested_composed_density(mu, PHI, pin, k, moll, t, psi=psi)
+    # every term is nonnegative; abs only absorbs products that underflow
+    # in one summation order and not the other
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_measure_mollify_point_mass_and_conservation():
