@@ -117,13 +117,12 @@ def _contract(vertex_weights, edge_kernels) -> float:
     """Sum over atom tuples x of prod_v w_v(x_v) prod_(i,j) K_ij(x_i, x_j).
 
     `edge_kernels` maps vertex pairs (i, j) of 0..n-1 to (N_i, N_j) matrices.
-    Vertices are summed out one at a time, each time the one with the fewest
-    neighbours (lowest index on ties), so a tree costs N^2 per edge.  Each
-    step is one einsum labelled afresh: the vertex count is not bound by
-    einsum's 52 labels.
+    Kernels may be bool, and one array may serve several edges.  Vertices are
+    summed out one at a time, each time the one with the fewest neighbours
+    (lowest index on ties), so a tree costs N^2 per edge; each step is one
+    einsum labelled afresh (no 52-label bound) that casts its kernels to float.
     """
-    factors = [((v,), np.asarray(w, float)) for v, w in enumerate(vertex_weights)]
-    factors += [(e, np.asarray(k, float)) for e, k in edge_kernels.items()]
+    factors = [((v,), w) for v, w in enumerate(vertex_weights)] + list(edge_kernels.items())
 
     def neighbours(v):
         return set().union(*(lab for lab, _ in factors if v in lab)) - {v}
@@ -137,7 +136,7 @@ def _contract(vertex_weights, edge_kernels) -> float:
         args = []
         for lab, arr in factors:
             if v in lab:
-                args += [arr, [name[u] for u in lab]]
+                args += [np.asarray(arr, float), [name[u] for u in lab]]
         factors = [f for f in factors if v not in f[0]]
         factors.append((tuple(keep), np.einsum(*args, range(1, len(name)), optimize=True)))
     return float(math.prod(arr for _, arr in factors))
@@ -229,9 +228,9 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
                       eps: float, samples: int = 0, seed: int = 0) -> ConfigCount:
     """eps^-2k normalized mass of the doubled k-chain sharing its pin.
 
-    The pin x carries lambda and the two k-link chains hanging off it carry
-    mu; link i asks |phi - t[i]| <= eps on both chains.  Exact mode is the
-    `config_count` of the `pinned_lift` of the k-chain, with no tuple budget;
+    The pin y_0 carries lambda and both k-link chains y_0, y_1, ..., y_k carry
+    mu; link i asks |phi(y_i, y_{i+1}) - t[i]| <= eps, pin outward.  Exact
+    mode contracts the doubled chain with `_contract` (no tuple budget);
     `samples` > 0 draws that many doubled chains instead.
     """
     t = np.atleast_1d(np.asarray(t, float))
@@ -240,11 +239,14 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
         raise DomainError("need k >= 1")
     _check_eps_samples(eps, samples)
     if samples == 0:
-        chain = chain_edge_map(k)        # pinned at its last vertex, k + 1
-        t_chain = {(k - i, k + 1 - i): t[i] for i in range(k)}
-        c = config_count(pinned_lift(chain), [mu] * k + [lam] + [mu] * k, phi,
-                         lift_t_assignment(chain, t_chain), eps, budget=math.inf)
-        return ConfigCount(eps, {"t": tuple(t)}, c.count_normalized, 0.0, EXHAUSTIVE_BUDGET, 0)
+        kern = [np.abs(_phi_matrix(phi, lam.points, mu.points) - t[0]) <= eps]
+        if k > 1:
+            gaps_aa = _phi_matrix(phi, mu.points, mu.points)
+            kern += [np.abs(gaps_aa - ti) <= eps for ti in t[1:]]
+        # pin 0, chains 1..k and k+1..2k; both copies of link i share kern[i]
+        edges = {e: kern[i] for i in range(k) for e in ((i, i + 1), (k + i if i else 0, k + i + 1))}
+        mass = _contract([lam.weights] + [mu.weights] * (2 * k), edges)
+        return ConfigCount(eps, {"t": tuple(t)}, mass / eps ** (2 * k), 0.0, EXHAUSTIVE_BUDGET, 0)
     hits = 0.0
     for b, _, size in batches(samples):
         rng = rng_for(seed, 6, b)
@@ -283,8 +285,7 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
     if set(t_map) != set(em.edges):
         raise DomainError("t_assignment must cover exactly the edge set")
     n = em.n_edges
-    sizes = [len(m) for m in measures]
-    total = math.prod(sizes)
+    total = math.prod(len(m) for m in measures)
     if samples == 0:
         if total > budget:
             raise BudgetError(f"{total} tuples exceed exact-count budget {budget}; pass samples")

@@ -392,27 +392,26 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
                               seed: int = 0, psi=None) -> float:
     """Nested-operator evaluation of the chain density at a single gap vector.
 
-    Returns g_0(pin) for g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
-    psi(y, z) g_i(z).  Exact mode contracts the path pin, y_1, ..., y_k on the
-    atoms (`configs._contract`); mc_samples > 0 replaces each layer's sum with
-    an independent weighted draw (unbiased by independence across layers).
+    Evaluates g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
+    psi(y, z) g_i(z) innermost-out and returns g_0(pin).  Exact mode uses the
+    atoms, N^2 per link; mc_samples > 0 replaces each layer's sum with an
+    independent weighted draw (unbiased by independence across layers).
     """
     t = np.atleast_1d(np.asarray(t, float))
     if len(t) != k:
         raise DomainError("need one gap value per link")
     pin = np.asarray(pin_x, float)
     if mc_samples == 0:
-        from .configs import _contract
-        pts = mu.points
-        weight0 = 1.0 if psi is None else np.asarray(psi(pin[None, :], pts))
-        kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts))) * weight0
-        edges = {(0, 1): kern0[None, :]}
+        pts, w = mu.points, mu.weights
+        g = np.ones(len(pts))
         if k > 1:
             gaps = _phi_matrix(phi, pts, pts)
             weight = 1.0 if psi is None else np.asarray(psi(pts[:, None, :], pts[None, :, :]))
-            for link in range(1, k):
-                edges[(link, link + 1)] = mollifier(t[link] - gaps) * weight
-        return _contract([np.ones(1)] + [mu.weights] * k, edges)
+        for link in range(k, 1, -1):
+            g = (mollifier(t[link - 1] - gaps) * weight) @ (w * g)
+        weight0 = 1.0 if psi is None else np.asarray(psi(pin[None, :], pts))
+        kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts))) * weight0
+        return float(kern0 @ (w * g))
     total = 0.0
     for b, _, size in batches(mc_samples):
         rng = rng_for(seed, 4, b)

@@ -2,12 +2,13 @@
 
 These are the (node x atom) kernel-matrix evaluation of `pinned_density`,
 the (pin x t x atom) indicator tensor of `configs._window_mass`, the tuple
-enumeration of exact `config_count` and the hand-written nested sums of
-exact `chain_tuple_count` and `composed_operator_density` that the package
-used before windowed deposition, sorted prefix sums and the graph
-contraction `configs._contract` replaced them.  They touch every pair or
-tuple, so they are slow and memory-hungry, but they are simple enough to
-trust.
+enumeration of exact `config_count` and the hand-written recursion of exact
+`chain_tuple_count` that the package used before windowed deposition,
+sorted prefix sums and the graph contraction `configs._contract` replaced
+them, plus exact `composed_operator_density` as it was before its phi and
+psi matrices were built once for all links.  They touch every pair or
+tuple, or rebuild what the package shares, so they are slow and
+memory-hungry, but they are simple enough to trust.
 """
 
 import math

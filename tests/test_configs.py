@@ -175,6 +175,18 @@ def test_chain_monte_carlo_three_sigma():
     assert mc.count_normalized == pytest.approx(exact, abs=3 * mc.stderr)
 
 
+def test_chain_exact_vs_monte_carlo_asymmetric_phase():
+    rng = rng_for(12, 0)
+    mu = FrostmanMeasure(rng.uniform(0, 1, (12, 2)), np.full(12, 1 / 12), exponent_s=2.0)
+    lam = FrostmanMeasure(rng.uniform(0, 1, (4, 2)), np.full(4, 1 / 4), exponent_s=2.0)
+    phi = phase_function("scaled_euclidean", 2, factor=1.7)
+    t, eps = [0.6, 0.5], 0.3
+    exact = chain_tuple_count(lam, mu, phi, t, eps).count_normalized
+    mc = chain_tuple_count(lam, mu, phi, t, eps, samples=60_000, seed=3)
+    assert exact > 0
+    assert mc.count_normalized == pytest.approx(exact, abs=3 * mc.stderr)
+
+
 def test_config_single_edge_matches_pair_count():
     mu = uniform_grid_measure(2, 8)
     em = EdgeMap(2, frozenset({(1, 2)}))
@@ -404,11 +416,17 @@ def test_contract_sixty_vertex_path_of_single_atoms():
     assert config_count(em, [a, b] * 30, PHI, t_map, 0.25).count_normalized == 0.0
 
 
-@settings(max_examples=40)
+# phi(x, y) != phi(y, x) for a scale factor other than 1, so these catch
+# a chain read from the far end instead of from the pin
+CHAIN_PHASES = (PHI, phase_function("scaled_euclidean", 2, factor=0.5),
+                phase_function("scaled_euclidean", 2, factor=1.7))
+
+
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
        n_pins=st.integers(1, 5), n_atoms=st.integers(1, 40),
-       eps=st.floats(0.02, 0.5), grid=st.booleans())
-def test_chain_tuple_count_matches_nested_oracle(seed, k, n_pins, n_atoms, eps, grid):
+       eps=st.floats(0.02, 0.5), grid=st.booleans(), phi=st.sampled_from(CHAIN_PHASES))
+def test_chain_tuple_count_matches_nested_oracle(seed, k, n_pins, n_atoms, eps, grid, phi):
     rng = np.random.default_rng(seed)
     if grid:
         mu = lam = uniform_grid_measure(2, 4)
@@ -420,7 +438,7 @@ def test_chain_tuple_count_matches_nested_oracle(seed, k, n_pins, n_atoms, eps, 
         lam = FrostmanMeasure(rng.uniform(0, 1, (n_pins, 2)), np.full(n_pins, 1 / n_pins),
                               exponent_s=2.0)
         t = rng.uniform(0.05, 1.0, size=k)
-    got = chain_tuple_count(lam, mu, PHI, t, eps).count_normalized * eps ** (2 * k)
-    want = nested_chain_tuple_mass(lam, mu, PHI, t, eps)
+    got = chain_tuple_count(lam, mu, phi, t, eps).count_normalized * eps ** (2 * k)
+    want = nested_chain_tuple_mass(lam, mu, phi, t, eps)
     assert (got == 0.0) == (want == 0.0)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -346,8 +346,8 @@ def test_composed_exact_matches_nested_oracle(seed, k, n_atoms, eps, with_psi):
     moll = Mollifier(eps)
     got = composed_operator_density(mu, PHI, pin, k, moll, t, psi=psi)
     want = nested_composed_density(mu, PHI, pin, k, moll, t, psi=psi)
-    # every term is nonnegative; abs only absorbs products that underflow
-    # in one summation order and not the other
+    # the same recursion on the same kernel floats, so only BLAS summation
+    # order may differ; every term is nonnegative
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
