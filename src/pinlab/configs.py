@@ -210,6 +210,7 @@ def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,
                            eps: float, t_nodes, samples: int = 0,
                            seed: int = 0) -> float:
     """Trapezoid t-integral of beta(t) * hinge_count(t) over the node grid."""
+    _check_eps_samples(eps, samples)
     t_nodes = np.asarray(t_nodes, float)
     tw = _trapz_weights(len(t_nodes), float(t_nodes[1] - t_nodes[0]))
     bvals = np.asarray(beta(t_nodes), float) if beta is not None else np.ones(len(t_nodes))

@@ -207,6 +207,8 @@ def circle_measure(n_atoms: int, center=(0.5, 0.5), radius: float = 0.25) -> Fro
 
 def segment_measure(n_atoms: int, p0=(0.25, 0.5), p1=(0.75, 0.5)) -> FrostmanMeasure:
     """Uniform atoms on a segment; a 1-dimensional measure in the plane."""
+    if n_atoms < 1:
+        raise DomainError(f"need n_atoms >= 1, got {n_atoms}")
     u = (np.arange(n_atoms) + 0.5) / n_atoms
     pts = np.outer(1.0 - u, np.asarray(p0, float)) + np.outer(u, np.asarray(p1, float))
     w = np.full(n_atoms, 1.0 / n_atoms)

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, ResolutionError
 from .fractals import FrostmanMeasure
-from .pinned import Mollifier
+from .pinned import DEPOSIT_BLOCK, Mollifier
 from .profiles import smooth_step
 from .rng import rng_for
 
@@ -230,28 +231,27 @@ class EnergyResult(NamedTuple):
 
 def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int,
                      pad: int = 4, sigma_cells: float = 1.0) -> np.ndarray:
-    """Deposit atoms on the pad*side_n grid as unit-mass Gaussian bumps."""
+    """Deposit atoms on the pad*side_n grid as unit-mass Gaussian bumps, each a
+    tensor product on its window of wrapped nodes, scattered by `np.bincount`."""
     h = 1.0 / side_n
     n_tot = pad * side_n
     sigma = sigma_cells * h
     reach = int(math.ceil(5.0 * sigma_cells))
     offsets = np.arange(-reach, reach + 1)
-    d = points.shape[1]
-    dens = np.zeros((n_tot,) * d)
-    cells = np.floor(points / h).astype(int)
-    for p, w, c in zip(points, masses, cells):
-        axes_vals, axes_idx = [], []
-        for j in range(d):
-            idx = c[j] + offsets
-            nodes = idx * h
-            vals = np.exp(-0.5 * ((nodes - p[j]) / sigma) ** 2)
-            axes_vals.append(vals)
-            axes_idx.append(np.mod(idx, n_tot))
-        block = axes_vals[0]
-        for v in axes_vals[1:]:
-            block = np.multiply.outer(block, v)
-        dens[np.ix_(*axes_idx)] += block * (w / block.sum())
-    return dens
+    n, d = points.shape
+    dens = np.zeros(n_tot ** d)
+    rows = max(1, DEPOSIT_BLOCK // len(offsets) ** d)
+    for r0 in range(0, n, rows):
+        p = points[r0:r0 + rows]
+        idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
+        vals = np.exp(-0.5 * ((idx * h - p[:, :, None]) / sigma) ** 2)
+        axis = [(len(p),) + (1,) * j + (-1,) + (1,) * (d - 1 - j) for j in range(d)]
+        block = math.prod(vals[:, j].reshape(s) for j, s in enumerate(axis)).reshape(len(p), -1)
+        flat = np.ravel_multi_index([idx[:, j].reshape(s) % n_tot for j, s in enumerate(axis)],
+                                    (n_tot,) * d)
+        block *= (masses[r0:r0 + rows] / block.sum(axis=1))[:, None]
+        dens += np.bincount(flat.ravel(), block.ravel(), n_tot ** d)
+    return dens.reshape((n_tot,) * d)
 
 
 def _center_energy_exact(points, masses, gamma: float, r0: float = 1.0,
@@ -259,25 +259,39 @@ def _center_energy_exact(points, masses, gamma: float, r0: float = 1.0,
     """int_{|xi| < r0} |g lambda^(xi)|^2 |xi|^-gamma dxi by polar quadrature.
 
     The transform is evaluated exactly as an atom sum; the radial weight
-    r^(1-gamma) is absorbed by the substitution u = r^(2-gamma).
+    r^(1-gamma) is absorbed by the substitution u = r^(2-gamma).  Real masses
+    make the power even in xi, so only the angles in [0, pi) are evaluated, as
+    cosine and sine sums over blocks of frequencies, and their sum is doubled.
     """
+    assert n_ang % 2 == 0
     p = 2.0 - gamma
     gn, gw = np.polynomial.legendre.leggauss(n_rad)
     u = (gn + 1.0) / 2.0 * r0 ** p
     wu = gw / 2.0 * r0 ** p
     r = u ** (1.0 / p)
-    th = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
-    xi = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1)
-    xi_flat = xi.reshape(-1, 2)
+    th = (np.arange(n_ang // 2) + 0.5) * (2.0 * np.pi / n_ang)
+    xi_flat = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1).reshape(-1, 2)
     power = np.empty(len(xi_flat))
-    chunk = max(1, 8_000_000 // max(len(points), 1))
-    for i0 in range(0, len(xi_flat), chunk):
-        sl = slice(i0, min(i0 + chunk, len(xi_flat)))
-        phase = xi_flat[sl] @ points.T
-        hat = np.exp(-2j * np.pi * phase) @ masses
-        power[sl] = np.abs(hat) ** 2
-    ang_int = power.reshape(len(r), n_ang).sum(axis=1) * (2.0 * np.pi / n_ang)
+    rows = max(1, DEPOSIT_BLOCK // max(len(points), 1))
+    for i0 in range(0, len(xi_flat), rows):
+        ph = (xi_flat[i0:i0 + rows] @ points.T) * (2.0 * np.pi)
+        re = np.cos(ph) @ masses
+        power[i0:i0 + rows] = re ** 2 + (np.sin(ph, out=ph) @ masses) ** 2
+    ang_int = power.reshape(len(r), n_ang // 2).sum(axis=1) * (4.0 * np.pi / n_ang)
     return float((wu * ang_int).sum() / p)
+
+
+def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
+    """sum_j w_j |x_i - x_j|^(gamma - d) over the atoms j at positive distance from x_i."""
+    n, d = points.shape
+    out = np.empty(n)
+    rows = max(1, DEPOSIT_BLOCK // max(n, 1))
+    for i0 in range(0, n, rows):
+        dist = cdist(points[i0:i0 + rows], points)
+        # zero distances (the diagonal, coincident atoms) stay 0 and drop out
+        np.power(dist, gamma - d, out=dist, where=dist > 0)
+        out[i0:i0 + rows] = dist @ weights
+    return out
 
 
 def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
@@ -294,6 +308,8 @@ def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
     """
     if not (0.0 < gamma < lam.d):
         raise DomainError(f"gamma {gamma} outside (0, {lam.d})")
+    if side_n < 16:
+        raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
     d = lam.d
     g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
     masses = lam.weights * g
@@ -307,15 +323,12 @@ def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
     sigma = sigma_cells / side_n
     decon = np.exp((2.0 * np.pi ** 2 * sigma ** 2) * fn ** 2)
     power = (np.abs(hat) * decon) ** 2
-    # rfft stores half the spectrum; double the interior columns
+    # rfft stores half the spectrum; double all columns but 0 and an even n_tot's Nyquist
     dup = np.full(hat.shape[-1], 2.0)
-    dup[0] = 1.0
-    if n_tot % 2 == 0:
-        dup[-1] = 1.0
+    dup[[0, -1] if n_tot % 2 == 0 else 0] = 1.0
     power = power * dup
-    cut = side_n / 4.0
     cell = (1.0 / pad) ** d
-    m_hi = int(math.floor(math.log2(cut)))
+    m_hi = int(math.floor(math.log2(side_n / 4.0)))
     radii, incs = [], []
     for m in range(0, m_hi):
         lo, hi = 2.0 ** m, 2.0 ** (m + 1)
@@ -335,16 +348,7 @@ def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
         low_part = 4.0 * np.pi * (amp_zero / (3.0 - gamma) + b_coef / (5.0 - gamma))
     fourier_value = low_part + float(np.sum(incs))
 
-    kern = 0.0
-    pts, n = lam.points, len(lam)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for i0 in range(0, n, chunk):
-        sl = slice(i0, min(i0 + chunk, n))
-        diff = pts[sl, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(-1))
-        # dist == 0 is the excluded diagonal: inf^(gamma-d) = 0 drops it
-        block = np.where(dist > 0, dist, np.inf) ** (gamma - d)
-        kern += float((masses[sl, None] * masses[None, :] * block).sum())
+    kern = float(masses @ _riesz_row_sums(lam.points, masses, gamma))
     kernel_value = riesz_constant(gamma, d) * kern
     return EnergyResult(fourier_value, kernel_value, np.array(radii), np.array(incs))
 
@@ -369,14 +373,7 @@ def schur_kernel_sup(lam: FrostmanMeasure, gamma: float) -> float:
     """sup over atoms x of sum_{y != x} w_y |x - y|^(gamma - d)."""
     if not (0.0 < gamma < lam.d):
         raise DomainError(f"gamma {gamma} outside (0, {lam.d})")
-    best = 0.0
-    pts, w, d = lam.points, lam.weights, lam.d
-    for i in range(len(lam)):
-        dist = np.sqrt(((pts - pts[i]) ** 2).sum(1))
-        dist[i] = np.inf
-        vals = np.where(dist > 0, dist, np.inf) ** (gamma - d)
-        best = max(best, float((w * vals).sum()))
-    return best
+    return float(_riesz_row_sums(lam.points, lam.weights, gamma).max())
 
 
 def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:

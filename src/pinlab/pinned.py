@@ -36,8 +36,8 @@ GRID_BUDGET = 2_000_000
 #: mass contract (1 within 1e-6 in exact mode) needs the finer default.
 STEP_DIVISOR = 16
 
-#: Kernel values evaluated per block of support windows; bounds the
-#: (centers x window) temporaries of a deposition.
+#: Kernel values evaluated per block of support windows, and entries per block
+#: of `harmonic`'s energy sums; bounds the temporaries of each block.
 DEPOSIT_BLOCK = 1 << 20
 
 

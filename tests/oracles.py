@@ -6,9 +6,13 @@ enumeration of exact `config_count` and the hand-written recursion of exact
 `chain_tuple_count` that the package used before windowed deposition,
 sorted prefix sums and the graph contraction `configs._contract` replaced
 them, plus exact `composed_operator_density` as it was before its phi and
-psi matrices were built once for all links.  They touch every pair or
-tuple, or rebuild what the package shares, so they are slow and
-memory-hungry, but they are simple enough to trust.
+psi matrices were built once for all links.  The energy-integral pieces
+are the per-atom Gaussian deposit, the complex polar centre sum over the
+full circle of angles and the dense Riesz double sum, with the per-atom
+Schur row loop, as they were before the blocked real-arithmetic versions
+replaced them.  They touch every pair or tuple, or rebuild what the
+package shares, so they are slow and memory-hungry, but they are simple
+enough to trust.
 """
 
 import math
@@ -16,6 +20,7 @@ import math
 import numpy as np
 
 from pinlab.fractals import sample_points
+from pinlab.harmonic import EnergyResult, riesz_constant
 from pinlab.phases import pairwise_value
 from pinlab.pinned import _phi_matrix, _trapz_weights, default_t_grid
 
@@ -125,3 +130,122 @@ def nested_composed_density(mu, phi, pin_x, k, mollifier, t, psi=None):
     if psi is not None:
         kern0 = kern0 * np.asarray(psi(pin[None, :], pts))
     return float(kern0 @ (w * g))
+
+
+def loop_deposit_gaussian(points, masses, side_n, pad=4, sigma_cells=1.0):
+    """Atoms deposited one at a time as unit-mass Gaussian bumps on the
+    pad*side_n periodic grid."""
+    h = 1.0 / side_n
+    n_tot = pad * side_n
+    sigma = sigma_cells * h
+    reach = int(math.ceil(5.0 * sigma_cells))
+    offsets = np.arange(-reach, reach + 1)
+    d = points.shape[1]
+    dens = np.zeros((n_tot,) * d)
+    cells = np.floor(points / h).astype(int)
+    for p, w, c in zip(points, masses, cells):
+        axes_vals, axes_idx = [], []
+        for j in range(d):
+            idx = c[j] + offsets
+            nodes = idx * h
+            vals = np.exp(-0.5 * ((nodes - p[j]) / sigma) ** 2)
+            axes_vals.append(vals)
+            axes_idx.append(np.mod(idx, n_tot))
+        block = axes_vals[0]
+        for v in axes_vals[1:]:
+            block = np.multiply.outer(block, v)
+        dens[np.ix_(*axes_idx)] += block * (w / block.sum())
+    return dens
+
+
+def complex_center_energy(points, masses, gamma, r0=1.0, n_rad=48, n_ang=128):
+    """int_{|xi| < r0} |lambda^(xi)|^2 |xi|^-gamma dxi by polar quadrature
+    over all n_ang angles, the transform taken as complex exponential sums."""
+    p = 2.0 - gamma
+    gn, gw = np.polynomial.legendre.leggauss(n_rad)
+    u = (gn + 1.0) / 2.0 * r0 ** p
+    wu = gw / 2.0 * r0 ** p
+    r = u ** (1.0 / p)
+    th = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
+    xi = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1)
+    xi_flat = xi.reshape(-1, 2)
+    power = np.empty(len(xi_flat))
+    chunk = max(1, 8_000_000 // max(len(points), 1))
+    for i0 in range(0, len(xi_flat), chunk):
+        sl = slice(i0, min(i0 + chunk, len(xi_flat)))
+        phase = xi_flat[sl] @ points.T
+        hat = np.exp(-2j * np.pi * phase) @ masses
+        power[sl] = np.abs(hat) ** 2
+    ang_int = power.reshape(len(r), n_ang).sum(axis=1) * (2.0 * np.pi / n_ang)
+    return float((wu * ang_int).sum() / p)
+
+
+def dense_riesz_double_sum(points, masses, gamma):
+    """sum over atom pairs at positive distance of m_x m_y |x - y|^(gamma - d)."""
+    d = points.shape[1]
+    n = len(points)
+    kern = 0.0
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for i0 in range(0, n, chunk):
+        sl = slice(i0, min(i0 + chunk, n))
+        diff = points[sl, None, :] - points[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(-1))
+        # dist == 0 is the excluded diagonal: inf^(gamma-d) = 0 drops it
+        block = np.where(dist > 0, dist, np.inf) ** (gamma - d)
+        kern += float((masses[sl, None] * masses[None, :] * block).sum())
+    return kern
+
+
+def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
+                              sigma_cells=1.0):
+    """`energy_integral` built on the three reference pieces above: the
+    per-atom deposit, the complex full-circle centre sum (d = 2) and the
+    dense Riesz double sum."""
+    d = lam.d
+    g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
+    masses = lam.weights * g
+    dens = loop_deposit_gaussian(lam.points, masses, side_n, pad, sigma_cells)
+    hat = np.fft.rfftn(dens)
+    n_tot = pad * side_n
+    axes = [np.fft.fftfreq(n_tot) * n_tot / pad] * (d - 1) + \
+           [np.arange(n_tot // 2 + 1) / pad]
+    grids = np.meshgrid(*axes, indexing="ij")
+    fn = np.sqrt(sum(x ** 2 for x in grids))
+    sigma = sigma_cells / side_n
+    decon = np.exp((2.0 * np.pi ** 2 * sigma ** 2) * fn ** 2)
+    power = (np.abs(hat) * decon) ** 2
+    dup = np.full(hat.shape[-1], 2.0)
+    dup[0] = 1.0
+    if n_tot % 2 == 0:
+        dup[-1] = 1.0
+    power = power * dup
+    cell = (1.0 / pad) ** d
+    radii, incs = [], []
+    for m in range(0, int(math.floor(math.log2(side_n / 4.0)))):
+        lo, hi = 2.0 ** m, 2.0 ** (m + 1)
+        sel = (fn >= lo) & (fn < hi)
+        radii.append(math.sqrt(lo * hi))
+        incs.append(float((power[sel] * fn[sel] ** (-gamma)).sum() * cell))
+    if d == 2:
+        low_part = complex_center_energy(lam.points, masses, gamma)
+    else:
+        amp_zero = float(power.flat[0])
+        ring = (fn >= 0.75) & (fn < 1.25)
+        ring_mean = float(power[ring].mean()) if np.any(ring) else amp_zero
+        b_coef = ring_mean - amp_zero
+        low_part = 4.0 * np.pi * (amp_zero / (3.0 - gamma) + b_coef / (5.0 - gamma))
+    kernel_value = riesz_constant(gamma, d) * dense_riesz_double_sum(lam.points, masses, gamma)
+    return EnergyResult(low_part + float(np.sum(incs)), kernel_value,
+                        np.array(radii), np.array(incs))
+
+
+def loop_schur_kernel_sup(lam, gamma):
+    """sup over atoms x of sum_{y != x} w_y |x - y|^(gamma - d), one row at a time."""
+    best = 0.0
+    pts, w, d = lam.points, lam.weights, lam.d
+    for i in range(len(lam)):
+        dist = np.sqrt(((pts - pts[i]) ** 2).sum(1))
+        dist[i] = np.inf
+        vals = np.where(dist > 0, dist, np.inf) ** (gamma - d)
+        best = max(best, float((w * vals).sum()))
+    return best

@@ -336,6 +336,14 @@ def test_counts_reject_bad_eps_and_samples():
             chain_tuple_count(mu, mu, PHI, [1.0, 1.0], eps, samples)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+def test_hinge_count_integrated_rejects_bad_eps(eps):
+    # eps = 0 divided by zero and eps = -0.1 returned 4.956 here
+    mu = uniform_grid_measure(2, 4)
+    with pytest.raises(DomainError, match=r"^need eps > 0 and samples >= 0, got eps="):
+        hinge_count_integrated(mu, mu, PHI, None, eps, np.linspace(0, 1, 11))
+
+
 # -- exact counts by contraction against tuple enumeration -----------------
 
 NAMED_PATTERNS = {

@@ -221,6 +221,17 @@ def test_cli_config_count_bad_eps_or_samples_exit_2(tmp_path, capsys, body, mess
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("key, message", [
+    ("energy_side_n = 8",
+     "config error: side_n 8 gives fewer than two shells; need side_n >= 16"),
+    ("segment_atoms = 0", "config error: need n_atoms >= 1, got 0"),
+], ids=["side_n_one_shell", "no_atoms"])
+def test_cli_fourier_bad_energy_input_exit_2(tmp_path, capsys, key, message):
+    cfg = write_cfg(tmp_path, "bad.cfg", f"which = energy\n{key}\n")
+    assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
     # 1024 atoms on a 2-chain: 1024^3 tuples, past the exact-count budget
     cfg = write_cfg(tmp_path, "big.cfg", COUNT_CFG.replace("per_side = 4", "per_side = 32"))

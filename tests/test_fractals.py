@@ -5,7 +5,14 @@ from pinlab import (BudgetError, DomainError, ball_mass, box_dimension_estimate,
                     build_product_cantor, build_subdivision_fractal,
                     frostman_exponent_fit, load_cells, load_measure,
                     natural_measure, sample_points, save_cells, save_measure,
-                    uniform_grid_measure)
+                    segment_measure, uniform_grid_measure)
+
+
+def test_segment_measure_needs_an_atom():
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="need n_atoms >= 1"):
+            segment_measure(n)
+    assert len(segment_measure(1)) == 1
 
 
 def test_middle_thirds_level3():

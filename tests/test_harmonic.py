@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (complex_center_energy, dense_riesz_double_sum,
+                     loop_deposit_gaussian, loop_schur_kernel_sup,
+                     reference_energy_integral)
 from scipy.integrate import quad
 from scipy.special import j0
 
-from pinlab import (DomainError, LPPartition, ResolutionError, SpectralGrid,
-                    build_cutoffs, build_product_cantor, circle_measure,
+from pinlab import (DomainError, FrostmanMeasure, LPPartition, ResolutionError,
+                    SpectralGrid, build_cutoffs, build_product_cantor,
+                    circle_measure,
                     energy_integral, l2_norm, lp_project, natural_measure,
                     oscillatory_G, phase_function, radon_apply,
                     radon_sobolev_ratio, random_band_limited, riesz_constant,
@@ -14,8 +20,10 @@ from pinlab import (DomainError, LPPartition, ResolutionError, SpectralGrid,
                     segment_measure, surface_measure_decay,
                     uniform_grid_measure)
 from pinlab import harmonic
-from pinlab.harmonic import (ResolutionWarning, _radon_direct, radon_apply_stack,
-                             rasterize_sphere_shell, shell_profile_verdict)
+from pinlab.harmonic import (ResolutionWarning, _center_energy_exact,
+                             _radon_direct, _riesz_row_sums, deposit_gaussian,
+                             radon_apply_stack, rasterize_sphere_shell,
+                             shell_profile_verdict)
 
 # independent oracle for the segment energy shells (2-d quadrature of the
 # closed-form |segment hat|^2 = sinc^2(L xi_1) over dyadic annuli), frozen
@@ -138,6 +146,118 @@ def test_energy_gamma_domain():
     for gamma in (0.0, -0.3, 2.0, 2.5):
         with pytest.raises(DomainError):
             energy_integral(mu, gamma, 64)
+
+
+def test_energy_rejects_side_n_below_two_shells():
+    lam = segment_measure(64)
+    for side in (0, 8, 15):
+        with pytest.raises(ResolutionError):
+            energy_integral(lam, 1.2, side)
+    assert len(energy_integral(lam, 1.2, 16).shell_increments) == 2
+
+
+def test_energy_memory_stays_blocked():
+    # the complex full-circle centre sum and dense kernel blocks peaked at 451 MiB
+    lam = segment_measure(4096)
+    tracemalloc.start()
+    try:
+        energy_integral(lam, 1.2, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
+
+
+# -- blocked energy pieces against the per-atom, complex and dense oracles ----
+
+def assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want)), (got, want)
+
+
+@st.composite
+def atom_clouds(draw, dims=(1, 2, 3)):
+    """(points, masses, g_values) with random positive weights; `tied` snaps
+    the points to a 4-per-side lattice, so many atoms coincide."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.random((n, d))
+    if draw(st.booleans()):
+        pts = (np.floor(pts * 4) + 0.5) / 4
+    w = rng.random(n) + 0.05
+    return pts, w / w.sum(), rng.random(n) + 0.1
+
+
+small_blocks = st.sampled_from([1, 64, 1 << 20])
+
+
+@settings(max_examples=40)
+@given(cloud=atom_clouds(), frac=st.floats(0.05, 0.95), block=small_blocks)
+def test_riesz_row_sums_match_dense_kernel_and_schur_loop(cloud, frac, block):
+    pts, w, g = cloud
+    gamma = frac * pts.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+        masses = w * g
+        assert_rel_close(masses @ _riesz_row_sums(pts, masses, gamma),
+                         dense_riesz_double_sum(pts, masses, gamma))
+        lam = FrostmanMeasure(pts, w, exponent_s=0.0)
+        assert_rel_close(schur_kernel_sup(lam, gamma), loop_schur_kernel_sup(lam, gamma))
+
+
+def test_riesz_row_sums_drop_coincident_atoms():
+    pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.75, 0.5]])
+    rows = _riesz_row_sums(pts, np.ones(3), 1.0)
+    assert rows.tolist() == [4.0, 4.0, 8.0]
+
+
+@settings(max_examples=30)
+@given(cloud=atom_clouds(), side=st.integers(6, 24), pad=st.sampled_from([2, 4]),
+       block=small_blocks)
+def test_deposit_gaussian_matches_per_atom_loop(cloud, side, pad, block):
+    pts, w, g = cloud
+    if pts.shape[1] == 3:
+        side = min(side, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+        got = deposit_gaussian(pts, w * g, side, pad)
+    want = loop_deposit_gaussian(pts, w * g, side, pad)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.sum() == pytest.approx((w * g).sum(), rel=1e-12)
+
+
+@settings(max_examples=30)
+@given(cloud=atom_clouds(dims=(2,)), gamma=st.floats(0.1, 1.9), block=small_blocks)
+def test_center_energy_half_ring_matches_complex_full_circle(cloud, gamma, block):
+    pts, w, g = cloud
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+        got = _center_energy_exact(pts, w * g, gamma)
+    assert_rel_close(got, complex_center_energy(pts, w * g, gamma))
+
+
+@settings(max_examples=20)
+@given(cloud=atom_clouds(), frac=st.floats(0.05, 0.95), side=st.sampled_from([16, 32]))
+def test_energy_integral_matches_reference(cloud, frac, side):
+    pts, w, g = cloud
+    d = pts.shape[1]
+    side = 16 if d == 3 else side
+    lam = FrostmanMeasure(pts, w, exponent_s=0.0)
+    got = energy_integral(lam, frac * d, side, g_values=g)
+    want = reference_energy_integral(lam, frac * d, side, g_values=g)
+    assert_rel_close(got.fourier_value, want.fourier_value)
+    assert_rel_close(got.kernel_value, want.kernel_value)
+    assert np.array_equal(got.shell_radii, want.shell_radii)
+    assert_rel_close(got.shell_increments, want.shell_increments)
+
+
+def test_schur_kernel_sup_matches_row_loop_on_cantor_levels():
+    for level in (4, 5, 6, 7):
+        lam = natural_measure(build_product_cantor(1, 1 / 3, level))
+        for gamma in (0.2, 0.8):
+            assert_rel_close(schur_kernel_sup(lam, gamma), loop_schur_kernel_sup(lam, gamma))
 
 
 def test_riesz_constant_gaussian_identity():
