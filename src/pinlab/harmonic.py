@@ -245,9 +245,9 @@ def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int,
         p = points[r0:r0 + rows]
         idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
         vals = np.exp(-0.5 * ((idx * h - p[:, :, None]) / sigma) ** 2)
-        axis = [(len(p),) + (1,) * j + (-1,) + (1,) * (d - 1 - j) for j in range(d)]
-        block = math.prod(vals[:, j].reshape(s) for j, s in enumerate(axis)).reshape(len(p), -1)
-        flat = np.ravel_multi_index([idx[:, j].reshape(s) % n_tot for j, s in enumerate(axis)],
+        shapes = [(len(p),) + (1,) * j + (-1,) + (1,) * (d - 1 - j) for j in range(d)]
+        block = math.prod(vals[:, j].reshape(s) for j, s in enumerate(shapes)).reshape(len(p), -1)
+        flat = np.ravel_multi_index([idx[:, j].reshape(s) % n_tot for j, s in enumerate(shapes)],
                                     (n_tot,) * d)
         block *= (masses[r0:r0 + rows] / block.sum(axis=1))[:, None]
         dens += np.bincount(flat.ravel(), block.ravel(), n_tot ** d)
