@@ -290,14 +290,13 @@ def cmd_fourier(cfg, seed, out, jobs):
         # plateau strictly inside the box so the integrand is compactly
         # supported; otherwise boundary terms spoil the decay
         cuts = build_cutoffs(phi, (0.15, 0.85), 0.05, (0.1, 1.0))
-        quad_n = cfg_int(cfg, "quad_n", 48)
-        ref = abs(oscillatory_G(phi, cuts.psi, 4.0, np.array([4.0, 0.0]),
-                                np.array([4.0, 0.0]), quad_n=quad_n))
-        rows = [[2, 2, 4.0, ref, 1.0]]
-        for (j, k, s) in [(0, 4, 1.0), (4, 0, 1.0), (0, 4, 2.0)]:
-            val = abs(oscillatory_G(phi, cuts.psi, s, np.array([2.0 ** k, 0.0]),
-                                    np.array([2.0 ** j, 0.0]), quad_n=quad_n))
-            rows.append([j, k, s, val, val / ref])
+        # (j, k, s): the matched triple, then the separated ones, in one call
+        triples = [(2, 2, 4.0), (0, 4, 1.0), (4, 0, 1.0), (0, 4, 2.0)]
+        vals = np.abs(oscillatory_G(phi, cuts.psi, np.array([s for _, _, s in triples]),
+                                    np.array([[2.0 ** k, 0.0] for _, k, _ in triples]),
+                                    np.array([[2.0 ** j, 0.0] for j, _, _ in triples]),
+                                    quad_n=cfg_int(cfg, "quad_n", 48)))
+        rows = [[j, k, s, v, v / vals[0]] for (j, k, s), v in zip(triples, vals)]
         write_csv(os.path.join(out, "oscillatory_decay.csv"),
                   ["j", "k", "s", "abs_G", "ratio_to_matched"], rows)
         names.append("oscillatory_decay.csv")

@@ -501,41 +501,57 @@ def radon_sobolev_ratio(phi, psi, t: float, eps_list, fields, gamma: float = 0.5
 
 # -- oscillatory integral -----------------------------------------------------
 
-def oscillatory_G(phi, psi, s: float, xi, zeta, t: float = 0.0,
-                  quad_n: int = 48, e_bounds=(0.0, 1.0)) -> complex:
+def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
+                  quad_n: int = 48, e_bounds=(0.0, 1.0)):
     """Tensor Gauss-Legendre quadrature of the separated-frequency integral
 
         G(s, xi, zeta) = II exp(2 pi i ((phi(x,y) - t) s + y.zeta - x.xi))
-                            psi(x, y) dx dy        (d = 2 only).
+                            psi(x, y) dx dy        (d = 2 only)
 
-    Frequencies beyond quad_n/4 raise a ResolutionWarning: values are still
-    returned but are quadrature-limited.
+    for one triple (scalar s, xi and zeta of shape (2,)) or m stacked ones
+    (shapes (m,), (m, 2), (m, 2); m values).  G = sum_x u_x (K_s v)_x with
+    u = w e^(-2 pi i x.xi), v = w e^(2 pi i y.zeta), K_s = psi e^(2 pi i s (phi - t)):
+    per block of at most DEPOSIT_BLOCK (x, y) pairs, 2 pi (phi - t) and psi are
+    tabulated once; per distinct s, psi cos and psi sin take one GEMM each with
+    the stacked real and imaginary columns of v.  DomainError unless quad_n is
+    an integer in 1..64, every input is finite and e_bounds has lo < hi.  Each
+    triple with a frequency beyond quad_n/4 raises a ResolutionWarning.
     """
-    xi = np.asarray(xi, float)
-    zeta = np.asarray(zeta, float)
-    if xi.shape != (2,) or zeta.shape != (2,):
-        raise DomainError("oscillatory_G supports d = 2 only")
-    if quad_n > 64:
-        raise DomainError("quad_n capped at 64 per axis")
-    top = max(np.abs(xi).max(), np.abs(zeta).max(), abs(s))
-    if top > quad_n / 4.0:
+    single = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, float))
+    xi, zeta = np.atleast_2d(np.asarray(xi, float)), np.atleast_2d(np.asarray(zeta, float))
+    if s.ndim != 1 or xi.shape != (len(s), 2) or zeta.shape != (len(s), 2):
+        raise DomainError("oscillatory_G supports d = 2 only, with equal stacked lengths; "
+                          f"got s {s.shape}, xi {xi.shape}, zeta {zeta.shape}")
+    if not isinstance(quad_n, (int, np.integer)) or not 1 <= quad_n <= 64:
+        raise DomainError(f"quad_n must be an integer in 1..64, got {quad_n!r}")
+    lo, hi = float(e_bounds[0]), float(e_bounds[1])
+    finite = np.isfinite(np.concatenate([s, xi.ravel(), zeta.ravel(), [t, lo, hi]])).all()
+    if not (finite and lo < hi):
+        raise DomainError(f"oscillatory_G needs finite s, xi, zeta, t and e_bounds with "
+                          f"lo < hi; got e_bounds ({lo}, {hi})")
+    tops = np.maximum(np.abs(np.hstack([xi, zeta])).max(axis=1), np.abs(s))
+    for top in tops[tops > quad_n / 4.0]:
         warnings.warn(f"frequency {top} beyond quad_n/4 = {quad_n / 4}; "
                       "result is quadrature-limited", ResolutionWarning, stacklevel=2)
-    lo, hi = float(e_bounds[0]), float(e_bounds[1])
     gn, gw = np.polynomial.legendre.leggauss(quad_n)
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gn
     wts = 0.5 * (hi - lo) * gw
-    g1, g2 = np.meshgrid(nodes, nodes, indexing="ij")
-    pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
-    w2 = (wts[:, None] * wts[None, :]).ravel()
-    phase_y = pts @ zeta
-    phase_x = pts @ xi
-    acc = 0.0 + 0.0j
-    chunk = max(1, 4_000_000 // len(pts))
-    for i0 in range(0, len(pts), chunk):
-        sl = slice(i0, min(i0 + chunk, len(pts)))
-        pv = np.asarray(phi.value(pts[sl][:, None, :], pts[None, :, :]))
-        ps = np.asarray(psi(pts[sl][:, None, :], pts[None, :, :])) if psi is not None else 1.0
-        phase = (pv - t) * s + phase_y[None, :] - phase_x[sl, None]
-        acc += (w2[sl, None] * w2[None, :] * ps * np.exp(2j * np.pi * phase)).sum()
-    return complex(acc)
+    pts = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    w2 = np.outer(wts, wts).ravel()
+    u = w2[:, None] * np.exp(-2j * np.pi * (pts @ xi.T))
+    v = w2[:, None] * np.exp(2j * np.pi * (pts @ zeta.T))
+    groups = [np.flatnonzero(s == sv) for sv in np.unique(s)]
+    acc = np.zeros(len(s), complex)
+    rows = max(1, DEPOSIT_BLOCK // len(pts))
+    for i0 in range(0, len(pts), rows):
+        x, y = pts[i0:i0 + rows, None, :], pts[None, :, :]
+        phase = (np.asarray(phi.value(x, y)) - t) * (2.0 * np.pi)
+        ps = 1.0 if psi is None else np.asarray(psi(x, y))
+        for idx in groups:
+            arg, k = phase * s[idx[0]], len(idx)
+            vc = np.hstack([v[:, idx].real, v[:, idx].imag])
+            a, b = (np.cos(arg) * ps) @ vc, (np.sin(arg, out=arg) * ps) @ vc
+            kv = (a[:, :k] - b[:, k:]) + 1j * (a[:, k:] + b[:, :k])
+            acc[idx] += (u[i0:i0 + rows, idx] * kv).sum(axis=0)
+    return complex(acc[0]) if single else acc

@@ -104,24 +104,29 @@ def _outer(u):
     return u[..., :, None] * u[..., None, :]
 
 
+def _norm(x, y, diff):
+    """sqrt(sum_j diff(x_j, y_j)^2) over the last axis, added in coordinate order:
+    the rounding of `np.sqrt((diff(x, y) ** 2).sum(axis=-1))` without numpy's
+    slow reduction over a length-d last axis."""
+    x, y = np.asarray(x), np.asarray(y)
+    return np.sqrt(sum(diff(x[..., j], y[..., j]) ** 2 for j in range(x.shape[-1])))
+
+
 class Euclidean(PhaseFunction):
     kind = "euclidean"
 
     def value(self, x, y):
-        return np.sqrt(((x - y) ** 2).sum(axis=-1))
+        return _norm(x, y, np.subtract)
 
     def grad_x(self, x, y):
-        diff = x - y
-        r = np.sqrt((diff ** 2).sum(axis=-1, keepdims=True))
-        return diff / r
+        return (x - y) / self.value(x, y)[..., None]
 
     def grad_y(self, x, y):
         return -self.grad_x(x, y)
 
     def mixed_hessian(self, x, y):
-        diff = x - y
-        r = np.sqrt((diff ** 2).sum(axis=-1, keepdims=True))
-        u = diff / r
+        r = self.value(x, y)[..., None]
+        u = (x - y) / r
         eye = np.eye(x.shape[-1])
         return (_outer(u) - eye) / r[..., None]
 
@@ -142,21 +147,18 @@ class ScaledEuclidean(PhaseFunction):
         self.factor = float(factor)
 
     def value(self, x, y):
-        return np.sqrt(((x - self.factor * y) ** 2).sum(axis=-1))
+        return _norm(x, y, lambda a, b: a - self.factor * b)
 
     def grad_x(self, x, y):
-        diff = x - self.factor * y
-        r = np.sqrt((diff ** 2).sum(axis=-1, keepdims=True))
-        return diff / r
+        return (x - self.factor * y) / self.value(x, y)[..., None]
 
     def grad_y(self, x, y):
         return -self.factor * self.grad_x(x, y)
 
     def mixed_hessian(self, x, y):
         a = self.factor
-        diff = x - a * y
-        r = np.sqrt((diff ** 2).sum(axis=-1, keepdims=True))
-        u = diff / r
+        r = self.value(x, y)[..., None]
+        u = (x - a * y) / r
         eye = np.eye(x.shape[-1])
         return a * (_outer(u) - eye) / r[..., None]
 
@@ -205,21 +207,17 @@ class FlatTorus(PhaseFunction):
     kind = "flat_torus"
 
     def value(self, x, y):
-        w = torus_wrap(x - y)
-        return np.sqrt((w ** 2).sum(axis=-1))
+        return _norm(x, y, lambda a, b: torus_wrap(a - b))
 
     def grad_x(self, x, y):
-        w = torus_wrap(x - y)
-        r = np.sqrt((w ** 2).sum(axis=-1, keepdims=True))
-        return w / r
+        return torus_wrap(x - y) / self.value(x, y)[..., None]
 
     def grad_y(self, x, y):
         return -self.grad_x(x, y)
 
     def mixed_hessian(self, x, y):
-        w = torus_wrap(x - y)
-        r = np.sqrt((w ** 2).sum(axis=-1, keepdims=True))
-        u = w / r
+        r = self.value(x, y)[..., None]
+        u = torus_wrap(x - y) / r
         eye = np.eye(x.shape[-1])
         return (_outer(u) - eye) / r[..., None]
 
@@ -326,17 +324,6 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray,
             r2 = (A[sl] ** 2).sum(axis=1)[:, None] + b2[None, :]
             r2 -= 2.0 * (A[sl] @ Bs.T)
             np.maximum(r2, 0.0, out=r2)
-            np.sqrt(r2, out=r2)
-            out[sl] = r2
-        return out
-    if isinstance(phi, FlatTorus):
-        for i0 in range(0, len(A), rows):
-            sl = slice(i0, min(i0 + rows, len(A)))
-            r2 = np.zeros((sl.stop - sl.start, len(B)))
-            for j in range(A.shape[1]):
-                dj = A[sl, j][:, None] - B[None, :, j]
-                dj -= np.round(dj)
-                r2 += dj * dj
             np.sqrt(r2, out=r2)
             out[sl] = r2
         return out

@@ -38,16 +38,14 @@ def plateau(t, lo, hi, margin):
 
 
 def bump_raw(u):
-    """Unnormalized even bump exp(-1/(1-(u/2)^2)) supported on (-2, 2)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
-    v = u / 2.0
-    inside = np.abs(v) < 1.0
-    if np.any(inside):
-        out[inside] = np.exp(-1.0 / (1.0 - v[inside] ** 2))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Unnormalized even bump exp(-1/(1-(u/2)^2)) supported on (-2, 2); outside
+    it 1 - (u/2)^2 is clamped to 0, so exp(-1/0) = exp(-inf) = 0."""
+    v = np.asarray(np.asarray(u, dtype=float) / 2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.square(v, out=v)
+        np.maximum(np.subtract(1.0, v, out=v), 0.0, out=v)
+        np.exp(np.divide(-1.0, v, out=v), out=v)
+    return float(v) if v.ndim == 0 else v
 
 
 @lru_cache(maxsize=None)

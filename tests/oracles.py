@@ -249,3 +249,43 @@ def loop_schur_kernel_sup(lam, gamma):
         vals = np.where(dist > 0, dist, np.inf) ** (gamma - d)
         best = max(best, float((w * vals).sum()))
     return best
+
+
+def chunked_oscillatory_G(phi, psi, s, xi, zeta, t=0.0, quad_n=48,
+                          e_bounds=(0.0, 1.0)):
+    """One (s, xi, zeta) triple of `oscillatory_G` as the complex exponential
+    of the whole phase, summed over chunks of about 4M (x, y) pairs."""
+    xi = np.asarray(xi, float)
+    zeta = np.asarray(zeta, float)
+    lo, hi = float(e_bounds[0]), float(e_bounds[1])
+    gn, gw = np.polynomial.legendre.leggauss(quad_n)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gn
+    wts = 0.5 * (hi - lo) * gw
+    g1, g2 = np.meshgrid(nodes, nodes, indexing="ij")
+    pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
+    w2 = (wts[:, None] * wts[None, :]).ravel()
+    phase_y = pts @ zeta
+    phase_x = pts @ xi
+    acc = 0.0 + 0.0j
+    chunk = max(1, 4_000_000 // len(pts))
+    for i0 in range(0, len(pts), chunk):
+        sl = slice(i0, min(i0 + chunk, len(pts)))
+        pv = np.asarray(phi.value(pts[sl][:, None, :], pts[None, :, :]))
+        ps = np.asarray(psi(pts[sl][:, None, :], pts[None, :, :])) if psi is not None else 1.0
+        phase = (pv - t) * s + phase_y[None, :] - phase_x[sl, None]
+        acc += (w2[sl, None] * w2[None, :] * ps * np.exp(2j * np.pi * phase)).sum()
+    return complex(acc)
+
+
+def masked_bump_raw(u):
+    """`profiles.bump_raw` evaluated only on the entries inside the support,
+    through a boolean mask; every other entry stays 0."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    v = u / 2.0
+    inside = np.abs(v) < 1.0
+    if np.any(inside):
+        out[inside] = np.exp(-1.0 / (1.0 - v[inside] ** 2))
+    if out.ndim == 0:
+        return float(out)
+    return out

@@ -232,6 +232,27 @@ def test_cli_fourier_bad_energy_input_exit_2(tmp_path, capsys, key, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_cli_fourier_osc_bad_quad_n_exit_2(tmp_path, capsys):
+    # quad_n = 0 used to escape as a numpy ValueError traceback with exit 1
+    cfg = write_cfg(tmp_path, "bad.cfg", "which = osc\nquad_n = 0\n")
+    assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: quad_n must be an integer in 1..64, got 0\n"
+
+
+def test_cli_fourier_osc_deterministic(tmp_path):
+    cfg = write_cfg(tmp_path, "osc.cfg", "which = osc\nquad_n = 20\nseed = 7\n")
+    outs = [str(tmp_path / f"r{run}") for run in (1, 2)]
+    for out in outs:
+        assert cli_main(["fourier", "--config", cfg, "--out", out]) == 0
+    a, b = (open(os.path.join(out, "oscillatory_decay.csv"), "rb").read() for out in outs)
+    assert a == b
+    lines = a.decode().splitlines()
+    assert lines[0] == "j,k,s,abs_G,ratio_to_matched"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["2", "2", "4.0"], ["0", "4", "1.0"], ["4", "0", "1.0"], ["0", "4", "2.0"]]
+    assert lines[1].endswith(",1.0")
+
+
 def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
     # 1024 atoms on a 2-chain: 1024^3 tuples, past the exact-count budget
     cfg = write_cfg(tmp_path, "big.cfg", COUNT_CFG.replace("per_side = 4", "per_side = 32"))

@@ -1,12 +1,14 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (complex_center_energy, dense_riesz_double_sum,
-                     loop_deposit_gaussian, loop_schur_kernel_sup,
-                     reference_energy_integral)
+from oracles import (chunked_oscillatory_G, complex_center_energy,
+                     dense_riesz_double_sum, loop_deposit_gaussian,
+                     loop_schur_kernel_sup, reference_energy_integral)
 from scipy.integrate import quad
 from scipy.special import j0
 
@@ -450,3 +452,103 @@ def test_oscillatory_warning_and_caps():
         oscillatory_G(phi, cuts.psi, 1.0, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], quad_n=32)
     with pytest.raises(DomainError):
         oscillatory_G(phi, cuts.psi, 1.0, [1.0, 0.0], [1.0, 0.0], quad_n=100)
+
+
+@pytest.mark.parametrize("s, xi, zeta, kwargs", [
+    (1.0, [1.0, 0.0], [1.0, 0.0], {"quad_n": 0}),
+    (1.0, [1.0, 0.0], [1.0, 0.0], {"quad_n": 65}),
+    (1.0, [1.0, 0.0], [1.0, 0.0], {"quad_n": 12.0}),
+    (np.nan, [1.0, 0.0], [1.0, 0.0], {}),
+    ([1.0, 2.0], [[1.0, 0.0], [np.inf, 0.0]], [[1.0, 0.0], [1.0, 0.0]], {}),
+    (1.0, [1.0, 0.0], [1.0, np.nan], {}),
+    (1.0, [1.0, 0.0], [1.0, 0.0], {"e_bounds": (1.0, 0.0)}),
+    (1.0, [1.0, 0.0], [1.0, 0.0], {"e_bounds": (0.5, 0.5)}),
+    ([1.0, 2.0], [[1.0, 0.0]] * 3, [[1.0, 0.0]] * 2, {}),
+    ([1.0, 2.0], [1.0, 0.0], [1.0, 0.0], {}),
+], ids=["quad_n_zero", "quad_n_65", "quad_n_float", "s_nan", "xi_inf", "zeta_nan",
+        "bounds_reversed", "bounds_empty", "xi_length", "unstacked_xi"])
+def test_oscillatory_rejects_bad_inputs(s, xi, zeta, kwargs):
+    phi, cuts = oscillatory_cutoffs()
+    with pytest.raises(DomainError):
+        oscillatory_G(phi, cuts.psi, s, xi, zeta, **{"quad_n": 8, **kwargs})
+
+
+OSC_PHASES = st.sampled_from([("euclidean", {}), ("scaled_euclidean", {"factor": 0.5}),
+                              ("scaled_euclidean", {"factor": 1.7}), ("flat_torus", {}),
+                              ("dot_product", {})])
+FREQ = st.floats(-8.0, 8.0)
+
+
+@st.composite
+def frequency_stacks(draw):
+    """1-5 (s, xi, zeta) triples whose s values come from a pool of at most
+    as many values as triples, so that some s repeat."""
+    m = draw(st.integers(1, 5))
+    pool = draw(st.lists(FREQ, min_size=1, max_size=m))
+    s = [draw(st.sampled_from(pool)) for _ in range(m)]
+    pairs = st.lists(st.tuples(FREQ, FREQ), min_size=m, max_size=m)
+    return np.array(s), np.array(draw(pairs)), np.array(draw(pairs))
+
+
+@settings(max_examples=40)
+@given(kind=OSC_PHASES, weighted=st.booleans(), quad_n=st.integers(4, 24),
+       t=st.floats(0.0, 0.7), stack=frequency_stacks(),
+       block=st.sampled_from([harmonic.DEPOSIT_BLOCK, 64, 1000]))
+def test_oscillatory_stack_matches_chunked_oracle(kind, weighted, quad_n, t, stack, block):
+    phi = phase_function(kind[0], 2, **kind[1])
+    psi = build_cutoffs(phi, (0.15, 0.85), 0.05, (0.1, 1.0)).psi if weighted else None
+    s, xi, zeta = stack
+    with warnings.catch_warnings(), mock.patch.object(harmonic, "DEPOSIT_BLOCK", block):
+        warnings.simplefilter("ignore", ResolutionWarning)
+        got = oscillatory_G(phi, psi, s, xi, zeta, t=t, quad_n=quad_n)
+        single = oscillatory_G(phi, psi, s[0], xi[0], zeta[0], t=t, quad_n=quad_n)
+        first = oscillatory_G(phi, psi, s[:1], xi[:1], zeta[:1], t=t, quad_n=quad_n)
+    assert got.shape == s.shape and got.dtype == complex
+    assert isinstance(single, complex) and single == first[0]
+    # separated triples cancel to a small |G|, so the bar is the L1 mass
+    # sum w_x w_y |psi| (1 without psi), not |G|
+    abs_psi = None if psi is None else (lambda x, y: np.abs(psi(x, y)))
+    mass = chunked_oscillatory_G(phi, abs_psi, 0.0, [0.0, 0.0], [0.0, 0.0], quad_n=quad_n).real
+    want = [chunked_oscillatory_G(phi, psi, *triple, t=t, quad_n=quad_n)
+            for triple in zip(s, xi, zeta)]
+    assert np.abs(got - want).max() <= 1e-12 * mass
+
+
+def cli_oscillatory_triples():
+    """The (s, xi, zeta) stacks of the `fourier` CLI's osc part."""
+    s = np.array([4.0, 1.0, 1.0, 2.0])
+    xi = np.array([[4.0, 0.0], [16.0, 0.0], [1.0, 0.0], [16.0, 0.0]])
+    return s, xi, xi[[0, 2, 1, 2]]
+
+
+def test_oscillatory_stack_memory_stays_blocked():
+    # one scalar call over 4M-entry (pair) chunks peaked at 244 MiB
+    phi, cuts = oscillatory_cutoffs()
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            oscillatory_G(phi, cuts.psi, *cli_oscillatory_triples(), quad_n=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20
+
+
+def test_oscillatory_criterion_09_ratios_converge_in_quad_n():
+    """Criterion 09's separated/matched ratios move by 3-6% from 48 to 64
+    nodes per axis; 10% bounds the quadrature error of the 48-node values."""
+    phi, cuts = oscillatory_cutoffs()
+    pairs = [(2, 2, 4.0), (0, 4, 1.0), (4, 0, 1.0), (0, 4, 2.0), (4, 0, 2.0)]
+    s = np.array([p[2] for p in pairs])
+    xi = np.array([[2.0 ** k, 0.0] for _, k, _ in pairs])
+    zeta = np.array([[2.0 ** j, 0.0] for j, _, _ in pairs])
+    with pytest.warns(ResolutionWarning) as record:
+        g48 = np.abs(oscillatory_G(phi, cuts.psi, s, xi, zeta, quad_n=48))
+    # frequency 16 > 48/4 in each separated triple, one warning apiece
+    assert sum(issubclass(w.category, ResolutionWarning) for w in record) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        g64 = np.abs(oscillatory_G(phi, cuts.psi, s, xi, zeta, quad_n=64))
+    r48, r64 = g48[1:] / g48[0], g64[1:] / g64[0]
+    assert np.all(np.abs(r48 / r64 - 1.0) <= 0.1), (r48, r64)

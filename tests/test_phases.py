@@ -4,7 +4,8 @@ import pytest
 from pinlab import (DomainError, FrostmanMeasure, build_cutoffs,
                     build_product_cantor, monge_ampere_det, natural_measure,
                     nondegeneracy_scan, phase_function, uniform_grid_measure)
-from pinlab.phases import bordered_matrix, monge_ampere_det_many
+from pinlab.phases import (bordered_matrix, monge_ampere_det_many,
+                           pairwise_value, torus_wrap)
 from pinlab.rng import rng_for
 
 KINDS = [("euclidean", {}), ("scaled_euclidean", {"factor": 3.0}),
@@ -229,3 +230,32 @@ def test_nondegeneracy_scan_atom_diagonal():
     phi = phase_function("euclidean", 2)
     res = nondegeneracy_scan(phi, mu, 60000, tolerance=1e-9, seed=6)
     assert res.forbidden_mass_estimate == pytest.approx(0.09, abs=0.006)
+
+
+@pytest.mark.parametrize("kind, params, diff", [
+    ("euclidean", {}, lambda x, y: x - y),
+    ("scaled_euclidean", {"factor": 1.7}, lambda x, y: x - 1.7 * y),
+    ("flat_torus", {}, lambda x, y: torus_wrap(x - y)),
+])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distance_phases_equal_last_axis_reductions_bitwise(kind, params, diff, d):
+    """value sums the squared coordinates one at a time; it must round exactly
+    as the reduction over the last axis does, and so must the gradients and
+    Hessians built on it."""
+    phi = phase_function(kind, d, **params)
+    rng = rng_for(5, d)
+    X = rng.uniform(-1.5, 1.5, size=(40, 1, d))
+    Y = rng.uniform(-1.5, 1.5, size=(1, 30, d))
+    w = diff(X, Y)
+    r = np.sqrt((w ** 2).sum(axis=-1))
+    u = w / r[..., None]
+    scale = params.get("factor", 1.0)
+    assert np.array_equal(phi.value(X, Y), r)
+    assert np.array_equal(phi.grad_x(X, Y), u)
+    assert np.array_equal(phi.mixed_hessian(X, Y),
+                          scale * (u[..., :, None] * u[..., None, :] - np.eye(d)) / r[..., None, None])
+    if kind == "flat_torus":
+        # pairwise_value reaches the torus through value (euclidean kinds use GEMM)
+        assert np.array_equal(pairwise_value(phi, X[:, 0], Y[0]), r)
+    x0, y0 = X[0, 0], Y[0, 0]
+    assert phi.value(x0, y0) == r[0, 0]

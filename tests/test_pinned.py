@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_pinned_density, nested_composed_density
+from oracles import (dense_pinned_density, masked_bump_raw,
+                     nested_composed_density)
 from scipy.integrate import quad
 
 from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
@@ -15,7 +16,8 @@ from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
                     uniform_grid_measure)
 from pinlab import pinned as pinned_module
 from pinlab.pinned import default_t_grid
-from pinlab.profiles import bump_l2_constant, bump_norm_constant, bump_profile
+from pinlab.profiles import (bump_l2_constant, bump_norm_constant, bump_profile,
+                             bump_raw)
 from pinlab.rng import rng_for
 
 PHI = phase_function("euclidean", 2)
@@ -46,6 +48,24 @@ def test_mollifier_profile_constants():
     assert mass_eps == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(DomainError):
         Mollifier(0.0)
+
+
+# the support ends, their floating-point neighbours on both sides, and 0
+BUMP_EDGES = [2.0, -2.0, 0.0, -0.0] + [np.nextafter(e, to) for e in (2.0, -2.0)
+                                       for to in (-np.inf, np.inf)]
+
+
+@given(u=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                  | st.floats(-2.5, 2.5) | st.sampled_from(BUMP_EDGES), max_size=60))
+def test_bump_raw_in_place_matches_masked_bitwise(u):
+    u = np.array(u + BUMP_EDGES)
+    got, want = bump_raw(u), masked_bump_raw(u)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for x in u[:8]:
+        one = bump_raw(x)
+        assert type(one) is float and one == masked_bump_raw(x)
+    assert np.array_equal(bump_raw(u.reshape(-1, 1)), want.reshape(-1, 1))
 
 
 def test_circle_density_is_shifted_bump():
