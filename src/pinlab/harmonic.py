@@ -508,14 +508,15 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
         G(s, xi, zeta) = II exp(2 pi i ((phi(x,y) - t) s + y.zeta - x.xi))
                             psi(x, y) dx dy        (d = 2 only)
 
-    for one triple (scalar s, xi and zeta of shape (2,)) or m stacked ones
-    (shapes (m,), (m, 2), (m, 2); m values).  G = sum_x u_x (K_s v)_x with
-    u = w e^(-2 pi i x.xi), v = w e^(2 pi i y.zeta), K_s = psi e^(2 pi i s (phi - t)):
-    per block of at most DEPOSIT_BLOCK (x, y) pairs, 2 pi (phi - t) and psi are
-    tabulated once; per distinct s, psi cos and psi sin take one GEMM each with
-    the stacked real and imaginary columns of v.  DomainError unless quad_n is
-    an integer in 1..64, every input is finite and e_bounds has lo < hi.  Each
-    triple with a frequency beyond quad_n/4 raises a ResolutionWarning.
+    for one triple (s scalar, xi and zeta of shape (2,)) or m stacked ones (s,
+    xi, zeta of shapes (m,), (m, 2), (m, 2); m values).  G = sum_x u_x (K_s v)_x
+    with u = w e^(-2 pi i x.xi), v = w e^(2 pi i y.zeta), K_s = psi e^(2 pi i s
+    (phi - t)): per block of at most DEPOSIT_BLOCK (x, y) pairs, 2 pi (phi - t)
+    and psi are tabulated once; per distinct s, psi cos and psi sin take one
+    GEMM each with v's stacked real and imaginary columns.  DomainError for
+    other shapes, a quad_n outside the integers 1..64, a non-finite input or
+    e_bounds lo >= hi; a ResolutionWarning for each triple with a frequency
+    beyond quad_n/4 (its value is quadrature-limited).
     """
     single = np.ndim(s) == 0
     s = np.atleast_1d(np.asarray(s, float))
@@ -528,8 +529,7 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
     lo, hi = float(e_bounds[0]), float(e_bounds[1])
     finite = np.isfinite(np.concatenate([s, xi.ravel(), zeta.ravel(), [t, lo, hi]])).all()
     if not (finite and lo < hi):
-        raise DomainError(f"oscillatory_G needs finite s, xi, zeta, t and e_bounds with "
-                          f"lo < hi; got e_bounds ({lo}, {hi})")
+        raise DomainError(f"need finite inputs and e_bounds lo < hi, got e_bounds ({lo}, {hi})")
     tops = np.maximum(np.abs(np.hstack([xi, zeta])).max(axis=1), np.abs(s))
     for top in tops[tops > quad_n / 4.0]:
         warnings.warn(f"frequency {top} beyond quad_n/4 = {quad_n / 4}; "

@@ -514,21 +514,18 @@ def test_oscillatory_stack_matches_chunked_oracle(kind, weighted, quad_n, t, sta
     assert np.abs(got - want).max() <= 1e-12 * mass
 
 
-def cli_oscillatory_triples():
-    """The (s, xi, zeta) stacks of the `fourier` CLI's osc part."""
+def test_oscillatory_stack_memory_stays_blocked():
+    # the fourier CLI's four triples; one scalar call over 4M-entry (pair)
+    # chunks peaked at 244 MiB
+    phi, cuts = oscillatory_cutoffs()
     s = np.array([4.0, 1.0, 1.0, 2.0])
     xi = np.array([[4.0, 0.0], [16.0, 0.0], [1.0, 0.0], [16.0, 0.0]])
-    return s, xi, xi[[0, 2, 1, 2]]
-
-
-def test_oscillatory_stack_memory_stays_blocked():
-    # one scalar call over 4M-entry (pair) chunks peaked at 244 MiB
-    phi, cuts = oscillatory_cutoffs()
+    zeta = np.array([[4.0, 0.0], [1.0, 0.0], [16.0, 0.0], [1.0, 0.0]])
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            oscillatory_G(phi, cuts.psi, *cli_oscillatory_triples(), quad_n=48)
+            oscillatory_G(phi, cuts.psi, s, xi, zeta, quad_n=48)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

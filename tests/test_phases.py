@@ -252,8 +252,8 @@ def test_distance_phases_equal_last_axis_reductions_bitwise(kind, params, diff, 
     scale = params.get("factor", 1.0)
     assert np.array_equal(phi.value(X, Y), r)
     assert np.array_equal(phi.grad_x(X, Y), u)
-    assert np.array_equal(phi.mixed_hessian(X, Y),
-                          scale * (u[..., :, None] * u[..., None, :] - np.eye(d)) / r[..., None, None])
+    hess = scale * (u[..., :, None] * u[..., None, :] - np.eye(d)) / r[..., None, None]
+    assert np.array_equal(phi.mixed_hessian(X, Y), hess)
     if kind == "flat_torus":
         # pairwise_value reaches the torus through value (euclidean kinds use GEMM)
         assert np.array_equal(pairwise_value(phi, X[:, 0], Y[0]), r)
