@@ -6,6 +6,15 @@ measure mass of the event is scaled by eps^(-n) where n is the number of
 constrained pairs.  The first vertex always carries the pin measure lambda,
 remaining vertices carry mu, except in `config_count` where measures are
 assigned per vertex.
+
+Every count but the exact hinge (windowed prefix sums, `_window_mass`) goes
+through one counter, `_event_mass`, given one measure per vertex and the
+links (i, j, t).  Exact mode builds each indicator matrix 1[|phi - t| <= eps]
+once per (measure pair, t) and contracts them with `_contract`.  Monte Carlo
+mode draws one atom per vertex, in vertex order, from the Philox stream
+(seed, stream id, batch) -- 5 for `hinge_count`, 6 for `chain_tuple_count`,
+7 for `config_count` -- and returns the hit rate with stderr
+sqrt(mean (1 - mean) / samples).
 """
 
 from dataclasses import dataclass
@@ -142,6 +151,31 @@ def _contract(vertex_weights, edge_kernels) -> float:
     return float(math.prod(arr for _, arr in factors))
 
 
+def _event_mass(measures, links, phi, eps, samples, seed, stream):
+    """(mass, stderr) of the event |phi(x_i, x_j) - t| <= eps for every link
+    (i, j, t) under the product of `measures` (one per vertex, 0-based)."""
+    if samples == 0:
+        gaps, ind, kernels = {}, {}, {}
+        for i, j, t in links:
+            pair = (id(measures[i]), id(measures[j]))
+            if pair not in gaps:
+                gaps[pair] = _phi_matrix(phi, measures[i].points, measures[j].points)
+            if (pair, t) not in ind:
+                ind[(pair, t)] = np.abs(gaps[pair] - t) <= eps
+            kernels[(i, j)] = ind[(pair, t)]
+        return _contract([m.weights for m in measures], kernels), 0.0
+    hits = 0.0
+    for b, _, size in batches(samples):
+        rng = rng_for(seed, stream, b)
+        draws = [m.points[rng.choice(len(m), size=size, p=m.weights)] for m in measures]
+        ok = np.ones(size, dtype=bool)
+        for i, j, t in links:
+            ok &= np.abs(np.asarray(phi.value(draws[i], draws[j])) - t) <= eps
+        hits += ok.sum()
+    mean = hits / samples
+    return mean, float(np.sqrt(max(mean - mean ** 2, 0.0) / samples))
+
+
 def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
                 eps: float, samples: int = 0, seed: int = 0) -> ConfigCount:
     """eps^-2 times the lambda x mu x mu mass of the hinge event at gap t.
@@ -152,21 +186,11 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
     _check_eps_samples(eps, samples)
     if samples == 0:
         inner = _window_mass(lam, mu, phi, np.array([t]), eps)[:, 0]
-        val = float(lam.weights @ inner ** 2) / eps ** 2
-        return ConfigCount(eps, {"t": t}, val, 0.0, EXHAUSTIVE_BUDGET, 0)
-    hits = 0
-    for b, _, size in batches(samples):
-        rng = rng_for(seed, 5, b)
-        x = lam.points[rng.choice(len(lam), size=size, p=lam.weights)]
-        y = mu.points[rng.choice(len(mu), size=size, p=mu.weights)]
-        z = mu.points[rng.choice(len(mu), size=size, p=mu.weights)]
-        ind = ((np.abs(np.asarray(phi.value(x, y)) - t) <= eps)
-               & (np.abs(np.asarray(phi.value(x, z)) - t) <= eps)).astype(float)
-        hits += ind.sum()
-    mean = hits / samples
-    var = max(mean - mean ** 2, 0.0) / samples
-    return ConfigCount(eps, {"t": t}, mean / eps ** 2,
-                       float(np.sqrt(var)) / eps ** 2, EXHAUSTIVE_BUDGET, samples)
+        mass, se = float(lam.weights @ inner ** 2), 0.0
+    else:
+        mass, se = _event_mass([lam, mu, mu], [(0, 1, t), (0, 2, t)], phi, eps,
+                               samples, seed, 5)
+    return ConfigCount(eps, {"t": t}, mass / eps ** 2, se / eps ** 2, EXHAUSTIVE_BUDGET, samples)
 
 
 def _window_mass(lam, mu, phi, t_nodes, eps):
@@ -239,31 +263,11 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
     if k < 1:
         raise DomainError("need k >= 1")
     _check_eps_samples(eps, samples)
-    if samples == 0:
-        kern = [np.abs(_phi_matrix(phi, lam.points, mu.points) - t[0]) <= eps]
-        if k > 1:
-            gaps_aa = _phi_matrix(phi, mu.points, mu.points)
-            kern += [np.abs(gaps_aa - ti) <= eps for ti in t[1:]]
-        # pin 0, chains 1..k and k+1..2k; both copies of link i share kern[i]
-        edges = {e: kern[i] for i in range(k) for e in ((i, i + 1), (k + i if i else 0, k + i + 1))}
-        mass = _contract([lam.weights] + [mu.weights] * (2 * k), edges)
-        return ConfigCount(eps, {"t": tuple(t)}, mass / eps ** (2 * k), 0.0, EXHAUSTIVE_BUDGET, 0)
-    hits = 0.0
-    for b, _, size in batches(samples):
-        rng = rng_for(seed, 6, b)
-        x = lam.points[rng.choice(len(lam), size=size, p=lam.weights)]
-        ok = np.ones(size, dtype=bool)
-        for side in range(2):
-            prev = x
-            for i in range(k):
-                nxt = mu.points[rng.choice(len(mu), size=size, p=mu.weights)]
-                ok &= np.abs(np.asarray(phi.value(prev, nxt)) - t[i]) <= eps
-                prev = nxt
-        hits += ok.sum()
-    mean = hits / samples
-    var = max(mean - mean ** 2, 0.0) / samples
-    return ConfigCount(eps, {"t": tuple(t)}, mean / eps ** (2 * k),
-                       float(np.sqrt(var)) / eps ** (2 * k), EXHAUSTIVE_BUDGET, samples)
+    # pin 0, chains 1..k and k+1..2k; link i of both copies has gap t[i]
+    links = [(a, b, t[i]) for i in range(k) for a, b in ((i, i + 1), (k + i if i else 0, k + i + 1))]
+    mass, se = _event_mass([lam] + [mu] * (2 * k), links, phi, eps, samples, seed, 6)
+    return ConfigCount(eps, {"t": tuple(t)}, mass / eps ** (2 * k), se / eps ** (2 * k),
+                       EXHAUSTIVE_BUDGET, samples)
 
 
 def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
@@ -285,31 +289,13 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
     t_map = {tuple(sorted((int(i), int(j)))): float(v) for (i, j), v in t_assignment.items()}
     if set(t_map) != set(em.edges):
         raise DomainError("t_assignment must cover exactly the edge set")
-    n = em.n_edges
     total = math.prod(len(m) for m in measures)
-    if samples == 0:
-        if total > budget:
-            raise BudgetError(f"{total} tuples exceed exact-count budget {budget}; pass samples")
-        gaps, kernels = {}, {}
-        for (i, j), tv in t_map.items():
-            a, b = measures[i - 1], measures[j - 1]
-            if (id(a), id(b)) not in gaps:
-                gaps[(id(a), id(b))] = _phi_matrix(phi, a.points, b.points)
-            kernels[(i - 1, j - 1)] = np.abs(gaps[(id(a), id(b))] - tv) <= eps
-        mass = _contract([m.weights for m in measures], kernels)
-        return ConfigCount(eps, t_map, mass / eps ** n, 0.0, budget, 0)
-    hits = 0.0
-    for b, _, size in batches(samples):
-        rng = rng_for(seed, 7, b)
-        draws = [m.points[rng.choice(len(m), size=size, p=m.weights)] for m in measures]
-        ok = np.ones(size, dtype=bool)
-        for (i, j), tv in t_map.items():
-            ok &= np.abs(np.asarray(phi.value(draws[i - 1], draws[j - 1])) - tv) <= eps
-        hits += ok.sum()
-    mean = hits / samples
-    var = max(mean - mean ** 2, 0.0) / samples
-    return ConfigCount(eps, t_map, mean / eps ** n,
-                       float(np.sqrt(var)) / eps ** n, budget, samples)
+    if samples == 0 and total > budget:
+        raise BudgetError(f"{total} tuples exceed exact-count budget {budget}; pass samples")
+    links = [(i - 1, j - 1, tv) for (i, j), tv in t_map.items()]
+    mass, se = _event_mass(measures, links, phi, eps, samples, seed, 7)
+    n = em.n_edges
+    return ConfigCount(eps, t_map, mass / eps ** n, se / eps ** n, budget, samples)
 
 
 # -- serialization ----------------------------------------------------------

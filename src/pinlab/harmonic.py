@@ -23,7 +23,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, ResolutionError
 from .fractals import FrostmanMeasure
-from .pinned import DEPOSIT_BLOCK, Mollifier
+from .pinned import DEPOSIT_BLOCK, Mollifier, _periodic_deposit
 from .profiles import smooth_step
 from .rng import rng_for
 
@@ -231,27 +231,12 @@ class EnergyResult(NamedTuple):
 
 def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int,
                      pad: int = 4, sigma_cells: float = 1.0) -> np.ndarray:
-    """Deposit atoms on the pad*side_n grid as unit-mass Gaussian bumps, each a
-    tensor product on its window of wrapped nodes, scattered by `np.bincount`."""
+    """Deposit atoms on the pad*side_n grid (cell 1/side_n) as unit-mass
+    Gaussian bumps, each a tensor product on its window of wrapped nodes."""
     h = 1.0 / side_n
-    n_tot = pad * side_n
     sigma = sigma_cells * h
-    reach = int(math.ceil(5.0 * sigma_cells))
-    offsets = np.arange(-reach, reach + 1)
-    n, d = points.shape
-    dens = np.zeros(n_tot ** d)
-    rows = max(1, DEPOSIT_BLOCK // len(offsets) ** d)
-    for r0 in range(0, n, rows):
-        p = points[r0:r0 + rows]
-        idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
-        vals = np.exp(-0.5 * ((idx * h - p[:, :, None]) / sigma) ** 2)
-        shapes = [(len(p),) + (1,) * j + (-1,) + (1,) * (d - 1 - j) for j in range(d)]
-        block = math.prod(vals[:, j].reshape(s) for j, s in enumerate(shapes)).reshape(len(p), -1)
-        flat = np.ravel_multi_index([idx[:, j].reshape(s) % n_tot for j, s in enumerate(shapes)],
-                                    (n_tot,) * d)
-        block *= (masses[r0:r0 + rows] / block.sum(axis=1))[:, None]
-        dens += np.bincount(flat.ravel(), block.ravel(), n_tot ** d)
-    return dens.reshape((n_tot,) * d)
+    return _periodic_deposit(points, masses, h, pad * side_n, int(math.ceil(5.0 * sigma_cells)),
+                             0, lambda u: np.exp(-0.5 * (u / sigma) ** 2))
 
 
 def _center_energy_exact(points, masses, gamma: float, r0: float = 1.0,

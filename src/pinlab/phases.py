@@ -104,12 +104,17 @@ def _outer(u):
     return u[..., :, None] * u[..., None, :]
 
 
-def _norm(x, y, diff):
-    """sqrt(sum_j diff(x_j, y_j)^2) over the last axis, added in coordinate order:
-    the rounding of `np.sqrt((diff(x, y) ** 2).sum(axis=-1))` without numpy's
-    slow reduction over a length-d last axis."""
+def _coord_sum(x, y, term):
+    """sum_j term(x_j, y_j) over the last axis, added in coordinate order: the
+    rounding of `term(x, y).sum(axis=-1)` without numpy's slow reduction over
+    a length-d last axis.  Like numpy, the sum starts from +0.0."""
     x, y = np.asarray(x), np.asarray(y)
-    return np.sqrt(sum(diff(x[..., j], y[..., j]) ** 2 for j in range(x.shape[-1])))
+    return sum(term(x[..., j], y[..., j]) for j in range(x.shape[-1]))
+
+
+def _norm(x, y, diff):
+    """sqrt(sum_j diff(x_j, y_j)^2), rounded as `np.sqrt((diff(x, y) ** 2).sum(axis=-1))`."""
+    return np.sqrt(_coord_sum(x, y, lambda a, b: diff(a, b) ** 2))
 
 
 class Euclidean(PhaseFunction):
@@ -173,7 +178,7 @@ class DotProduct(PhaseFunction):
     kind = "dot_product"
 
     def value(self, x, y):
-        return (x * y).sum(axis=-1)
+        return _coord_sum(x, y, np.multiply)
 
     def grad_x(self, x, y):
         return np.broadcast_arrays(x, y)[1].copy()
@@ -186,13 +191,14 @@ class DotProduct(PhaseFunction):
         return np.broadcast_to(np.eye(x.shape[-1]), shape + (x.shape[-1],) * 2).copy()
 
     def forbidden(self, x, y):
-        nx = (x ** 2).sum(axis=-1)
-        ny = (y ** 2).sum(axis=-1)
+        nx = _coord_sum(x, x, np.multiply)
+        ny = _coord_sum(y, y, np.multiply)
         return (nx == 0.0) | (ny == 0.0)
 
     def forbidden_distance(self, x, y):
-        nx = np.sqrt((x ** 2).sum(axis=-1))
-        ny = np.sqrt((np.broadcast_arrays(x, y)[1] ** 2).sum(axis=-1))
+        yb = np.broadcast_arrays(x, y)[1]
+        nx = np.sqrt(_coord_sum(x, x, np.multiply))
+        ny = np.sqrt(_coord_sum(yb, yb, np.multiply))
         return np.minimum(np.broadcast_arrays(nx, ny)[0], ny)
 
 
@@ -300,7 +306,7 @@ class SphereGeodesicChart(PhaseFunction):
         return self._cosine(x, y) >= 1.0 - 1e-14
 
     def forbidden_distance(self, x, y):
-        return np.sqrt(((x - y) ** 2).sum(axis=-1))
+        return _norm(x, y, np.subtract)
 
 
 def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray,

@@ -5,21 +5,28 @@ mollification at scale eps evaluates as
 
     nu_x * rho_eps (t) = (1/eps) * sum_y w_y rho((t - phi(x, y)) / eps)
 
-on a uniform t-grid.  The bump vanishes outside (-2 eps, 2 eps), so each atom
-is deposited only onto the grid nodes of its support window
-(`_support_windows`) and scattered into the grid with `np.bincount`: work and
-memory grow with atoms x window, not atoms x grid, and every nonzero kernel
-value is the one a full (node x atom) matrix would hold.  Chain measures push
-forward (k+1)-tuples with consecutive gaps, mollified by the tensor product
-of 1-d bumps.  Everything downstream (mass, L2 energy, Cauchy-Schwarz support
-bounds) is a weighted grid sum with trapezoid weights; using the same weights
-everywhere makes the discrete Cauchy-Schwarz inequality exact, so
-`support_measure >= cs_lower_bound` holds literally, not just up to
-quadrature error.
+on a uniform t-grid.  Chain measures push forward (k+1)-tuples with
+consecutive gaps, mollified by the tensor product of 1-d bumps; a pinned
+density is the one-link case.  Both deposit through `_deposit`: the bump
+vanishes outside (-2 eps, 2 eps), so each gap vector gets one window per
+axis of min(ceil(4 eps / dt) + 3, axis length) nodes, its start clamped into
+the axis, so that the window holds every grid node of the support and never
+leaves the grid.  The k window kernels multiply into one tensor block per
+batch of rows, scattered into the grid with `np.bincount`: work and memory
+grow with rows x window^k, not rows x grid, and every nonzero kernel value is
+the one a full (node x row) matrix would hold.  Monte Carlo mode averages
+equally weighted draws with one rule: stderr^2 = (mean of kernel^2 -
+mean^2) / draws per node, and the mass stderr is the std of the per-draw
+trapezoid masses over sqrt(draws).  Everything downstream (mass, L2 energy,
+Cauchy-Schwarz support bounds) is a weighted grid sum with trapezoid
+weights; using the same weights everywhere makes the discrete Cauchy-Schwarz
+inequality exact, so `support_measure >= cs_lower_bound` holds literally,
+not just up to quadrature error.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +43,8 @@ GRID_BUDGET = 2_000_000
 #: mass contract (1 within 1e-6 in exact mode) needs the finer default.
 STEP_DIVISOR = 16
 
-#: Kernel values evaluated per block of support windows, and entries per block
-#: of `harmonic`'s energy sums; bounds the temporaries of each block.
+#: Kernel entries per block of deposit windows, and entries per block of
+#: `harmonic`'s energy sums; bounds the temporaries of each block.
 DEPOSIT_BLOCK = 1 << 20
 
 
@@ -46,17 +53,14 @@ class Mollifier:
     """Unit-mass C-infinity bump at scale epsilon, supported on (-2 eps, 2 eps)."""
 
     epsilon: float
-    profile: callable = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
-        if self.profile is None:
-            object.__setattr__(self, "profile", bump_profile)
 
     def __call__(self, u):
-        """rho_eps(u) = profile(u / eps) / eps."""
-        return self.profile(np.asarray(u, float) / self.epsilon) / self.epsilon
+        """rho_eps(u) = bump_profile(u / eps) / eps."""
+        return bump_profile(np.asarray(u, float) / self.epsilon) / self.epsilon
 
     @property
     def support_radius(self) -> float:
@@ -127,33 +131,68 @@ def _check_resolution(dt: float, epsilon: float) -> None:
         raise ResolutionError(f"grid step {dt} too coarse for epsilon {epsilon}")
 
 
-def _support_windows(t_grid, centers, mollifier: Mollifier):
-    """Yield (rows, idx, kern) per block of centers, with `kern[r, j] =
-    mollifier(t_grid[idx[r, j]] - centers[r])` on each center's window.
+def _tensor_block(idx, vals, shape):
+    """Tensor products of per-axis windows and their flat indices on a grid.
 
-    A window starts at node floor((c - 2 eps - t0) / dt) and spans
-    ceil(4 eps / dt) + 3 nodes, at least one node of margin past each end of
-    the support; nodes off the grid are clipped and carry kernel 0.  So every
-    nonzero kernel value on the grid appears exactly once.
+    `idx[i]` and `vals[i]` (rows x w_i) hold each row's window nodes on axis i
+    and its factor there.  Returns the (rows, w_1 * ... * w_k) products and
+    the matching raveled flat indices into a grid of `shape`; with one axis
+    the products are `vals[0]` itself.
     """
-    n = len(t_grid)
-    t0 = float(t_grid[0])
-    dt = float(t_grid[1] - t_grid[0])
+    k = len(idx)
+    rows = len(idx[0])
+    shapes = [(rows,) + (1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
+    block = functools.reduce(np.multiply, [v.reshape(s) for v, s in zip(vals, shapes)])
+    flat = idx[0].reshape(shapes[0])
+    for j, n, s in zip(idx[1:], shape[1:], shapes[1:]):
+        flat = flat * n + j.reshape(s)
+    return block.reshape(rows, -1), flat.ravel()
+
+
+def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
+    """(values, stderr, mass_stderr) of sum_r weights[r] prod_i rho_eps(t_i - gaps[r, i])
+    on the tensor grid of the k uniform `t_axes`, for gap vectors of shape (n, k).
+
+    Row r's window on axis i starts at node floor((gaps[r, i] - 2 eps - t0) / dt),
+    clamped into [0, len - width]; blocks of at most DEPOSIT_BLOCK kernel
+    entries are scattered with one `np.bincount`.  With `mc` the rows are n
+    equally weighted draws: the same pass scatters the squared kernels and
+    takes each draw's trapezoid mass, for the stderrs of the module rule.
+    """
+    n = len(gaps)
     reach = mollifier.support_radius
-    width = int(math.ceil(2.0 * reach / dt)) + 3
-    offsets = np.arange(width)
-    rows = max(1, DEPOSIT_BLOCK // width)
-    for r0 in range(0, len(centers), rows):
-        sl = slice(r0, min(r0 + rows, len(centers)))
-        c = centers[sl]
-        first = np.floor((c - reach - t0) / dt).astype(np.int64)
-        idx = first[:, None] + offsets[None, :]
-        inside = (idx >= 0) & (idx < n)
-        np.clip(idx, 0, n - 1, out=idx)
-        kern = mollifier(t_grid[idx] - c[:, None])
-        if not inside.all():
-            kern[~inside] = 0.0
-        yield sl, idx, kern
+    shape = tuple(len(ax) for ax in t_axes)
+    steps = [float(ax[1] - ax[0]) for ax in t_axes]
+    offsets = [np.arange(min(int(math.ceil(2.0 * reach / dt)) + 3, len(ax)))
+               for ax, dt in zip(t_axes, steps)]
+    tws = [_trapz_weights(len(ax), dt) for ax, dt in zip(t_axes, steps)]
+    size = math.prod(shape)
+    values = np.zeros(size)
+    sq = np.zeros(size)
+    per_mass = np.ones(n)
+    rows = max(1, DEPOSIT_BLOCK // math.prod(len(off) for off in offsets))
+    for r0 in range(0, n, rows):
+        sl = slice(r0, r0 + rows)
+        idx, kern = [], []
+        for i, (ax, dt, off) in enumerate(zip(t_axes, steps, offsets)):
+            c = gaps[sl, i]
+            first = np.clip(np.floor((c - reach - ax[0]) / dt), 0, len(ax) - len(off))
+            idx.append(first.astype(np.int64)[:, None] + off)
+            kern.append(mollifier(ax[idx[-1]] - c[:, None]))
+        block, flat = _tensor_block(idx, kern, shape)
+        values += np.bincount(flat, (block * weights[sl, None]).ravel(), size)
+        if mc:
+            for f, j, tw in zip(kern, idx, tws):
+                per_mass[sl] *= (f * tw[j]).sum(axis=1)
+            # in place: with one link, block is kern[0], not read after this
+            np.square(block, out=block)
+            block *= weights[sl, None]
+            sq += np.bincount(flat, block.ravel(), size)
+    values = values.reshape(shape)
+    if not mc:
+        return values, np.zeros(shape), 0.0
+    stderr = np.sqrt(np.maximum(sq.reshape(shape) - values ** 2, 0.0) / n)
+    return values, stderr, float(per_mass.std() / np.sqrt(n))
 
 
 def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
@@ -162,9 +201,8 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
 
     Exact mode (mc_samples = 0) sums over the measure's atoms; Monte Carlo
     mode averages over seeded draws and carries per-node standard errors.
-    Each atom or draw is deposited onto its support window only; Monte Carlo
-    mode also scatters the squared kernel and sums each draw's trapezoid mass
-    over its window.
+    Each atom or draw is deposited onto its support window only (`_deposit`
+    with one link).
     """
     if len(mu) == 0:
         raise DomainError("empty measure")
@@ -185,24 +223,8 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
     if dt <= 0 or np.abs(np.diff(t_grid) - dt).max() > 1e-6 * dt:
         raise DomainError("t_grid must be increasing and uniformly spaced")
 
-    n = len(t_grid)
-    values = np.zeros(n)
-    sq = np.zeros(n) if mc_samples else None
-    per_mass = np.empty(len(phi_vals)) if mc_samples else None
-    tw = _trapz_weights(n, dt)
-    for sl, idx, kern in _support_windows(t_grid, phi_vals, mollifier):
-        nodes = idx.ravel()
-        values += np.bincount(nodes, (kern * weights[sl, None]).ravel(), n)
-        if mc_samples:
-            sq += np.bincount(nodes, (kern ** 2 * weights[sl, None]).ravel(), n)
-            per_mass[sl] = (kern * tw[idx]).sum(axis=1)
-    if mc_samples:
-        var = np.maximum(sq - values ** 2, 0.0) / mc_samples
-        stderr = np.sqrt(var)
-        mass_se = float(per_mass.std() / np.sqrt(mc_samples))
-    else:
-        stderr = np.zeros(n)
-        mass_se = 0.0
+    values, stderr, mass_se = _deposit(phi_vals[:, None], weights, (t_grid,),
+                                       mollifier, mc_samples > 0)
     return PinnedDensity(pin, eps, t_grid, values, stderr, mc_samples, mass_se)
 
 
@@ -289,7 +311,8 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
 
     Exact mode contracts the atom-pair kernel matrices link by link (the
     nested-sum expansion of the composed operator); Monte Carlo mode samples
-    chains (x^2, ..., x^{k+1}) and deposits the tensor-product bump.
+    chains (x^2, ..., x^{k+1}) and deposits the tensor-product bump on each
+    chain's clamped windows (`_deposit`).
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -349,42 +372,16 @@ def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
 
 
 def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):
-    shape = tuple(len(ax) for ax in t_axes)
-    acc = np.zeros(shape)
-    acc_sq = np.zeros(shape)
-    mass_sum = 0.0
-    mass_sq = 0.0
-    axis_w = [_trapz_weights(len(ax), float(ax[1] - ax[0])) for ax in t_axes]
-    for b, _, size in batches(mc_samples):
+    gaps = np.empty((mc_samples, k))
+    for b, start, size in batches(mc_samples):
         rng = rng_for(seed, 3, b)
         idx = rng.choice(len(mu), size=(size, k), p=mu.weights)
         chain_pts = mu.points[idx]                       # (size, k, d)
         prev = np.broadcast_to(pin, chain_pts[:, 0].shape)
-        gaps = np.empty((size, k))
         for i in range(k):
-            gaps[:, i] = np.asarray(phi.value(prev, chain_pts[:, i]))
+            gaps[start:start + size, i] = np.asarray(phi.value(prev, chain_pts[:, i]))
             prev = chain_pts[:, i]
-        factors = [mollifier(ax[None, :] - gaps[:, i, None]) for i, ax in enumerate(t_axes)]
-        per_mass = np.ones(size)
-        for i, f in enumerate(factors):
-            per_mass *= f @ axis_w[i]
-        mass_sum += per_mass.sum()
-        mass_sq += (per_mass ** 2).sum()
-        acc += _sum_outer(factors)
-        acc_sq += _sum_outer([f ** 2 for f in factors])
-    values = acc / mc_samples
-    var = np.maximum(acc_sq / mc_samples - values ** 2, 0.0) / mc_samples
-    mass_mean = mass_sum / mc_samples
-    mass_var = max(mass_sq / mc_samples - mass_mean ** 2, 0.0) / mc_samples
-    return values, np.sqrt(var), float(np.sqrt(mass_var))
-
-
-def _sum_outer(factors) -> np.ndarray:
-    """sum_s f_1[s, :] x ... x f_k[s, :] for any k, via einsum's sublist form."""
-    operands = []
-    for i, f in enumerate(factors):
-        operands += [f, [0, i + 1]]
-    return np.einsum(*operands, list(range(1, len(factors) + 1)), optimize=True)
+    return _deposit(gaps, np.full(mc_samples, 1.0 / mc_samples), t_axes, mollifier, True)
 
 
 def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
@@ -431,37 +428,43 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
     return total / mc_samples
 
 
+def _periodic_deposit(points, masses, h, n_grid, reach, shift, kernel):
+    """Deposit each atom's mass on the periodic grid of n_grid^d cells of side h.
+
+    Node i of an axis sits at (i + shift) h.  Each atom p puts the tensor
+    product of kernel(node - p_j) on the 2 reach + 1 nodes around its cell on
+    every axis, wrapped mod n_grid and scaled to sum to the atom's mass;
+    blocks of at most DEPOSIT_BLOCK entries are scattered by `np.bincount`.
+    Returns the mass per cell, shape (n_grid,) * d.
+    """
+    offsets = np.arange(-reach, reach + 1)
+    n, d = points.shape
+    shape = (n_grid,) * d
+    dens = np.zeros(n_grid ** d)
+    rows = max(1, DEPOSIT_BLOCK // len(offsets) ** d)
+    for r0 in range(0, n, rows):
+        p = points[r0:r0 + rows]
+        idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
+        vals = kernel((idx + shift) * h - p[:, :, None])
+        block, flat = _tensor_block(list(idx.transpose(1, 0, 2) % n_grid),
+                                    list(vals.transpose(1, 0, 2)), shape)
+        block *= (masses[r0:r0 + rows] / block.sum(axis=1))[:, None]
+        dens += np.bincount(flat, block.ravel(), n_grid ** d)
+    return dens.reshape(shape)
+
+
 def measure_mollify(mu: FrostmanMeasure, theta: float, grid_n: int):
     """Gridded mu * rho_theta on [0,1)^d via the tensor-product mollifier.
 
     Returns (grid density array, cell size).  Total mass is preserved to
-    1e-8: each atom deposits a normalized sampled bump.
+    1e-8: each atom deposits a normalized sampled bump at the cell centres.
     """
     if theta <= 0:
         raise DomainError("theta must be positive")
-    d = mu.d
     h = 1.0 / grid_n
     if h > theta / 4.0:
         raise ResolutionError(f"grid step {h} too coarse for theta {theta}")
     reach = int(math.ceil(2.0 * theta / h)) + 1
-    offsets = np.arange(-reach, reach + 1)
-    dens = np.zeros((grid_n,) * d)
-    centers = (np.floor(mu.points / h)).astype(int)
-    for p, w, c in zip(mu.points, mu.weights, centers):
-        axes_vals = []
-        axes_idx = []
-        for j in range(d):
-            idx = c[j] + offsets
-            nodes = (idx + 0.5) * h
-            vals = bump_profile((nodes - p[j]) / theta) / theta
-            axes_vals.append(vals)
-            axes_idx.append(np.mod(idx, grid_n))
-        block = axes_vals[0]
-        for v in axes_vals[1:]:
-            block = np.multiply.outer(block, v)
-        total = block.sum() * h ** d
-        if total <= 0:
-            continue
-        block = block * (w / (total))
-        dens[np.ix_(*axes_idx)] += block
-    return dens, h
+    dens = _periodic_deposit(mu.points, mu.weights, h, grid_n, reach, 0.5,
+                             lambda u: bump_profile(u / theta))
+    return dens / h ** mu.d, h

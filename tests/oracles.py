@@ -1,14 +1,16 @@
 """Dense reference implementations kept as test oracles.
 
 These are the (node x atom) kernel-matrix evaluation of `pinned_density`,
-the (pin x t x atom) indicator tensor of `configs._window_mass`, the tuple
+the (draw x node) factor evaluation of Monte Carlo `chain_density` with its
+einsum outer-product sum, the per-atom loop of `measure_mollify`, the
+(pin x t x atom) indicator tensor of `configs._window_mass`, the tuple
 enumeration of exact `config_count` and the hand-written recursion of exact
-`chain_tuple_count` that the package used before windowed deposition,
-sorted prefix sums and the graph contraction `configs._contract` replaced
-them, plus exact `composed_operator_density` as it was before its phi and
-psi matrices were built once for all links.  The energy-integral pieces
-are the per-atom Gaussian deposit, the complex polar centre sum over the
-full circle of angles and the dense Riesz double sum, with the per-atom
+`chain_tuple_count` that the package used before clamped tensor-window
+deposition, sorted prefix sums and the graph contraction `configs._contract`
+replaced them, plus exact `composed_operator_density` as it was before its
+phi and psi matrices were built once for all links.  The energy-integral
+pieces are the per-atom Gaussian deposit, the complex polar centre sum over
+the full circle of angles and the dense Riesz double sum, with the per-atom
 Schur row loop, as they were before the blocked real-arithmetic versions
 replaced them.  They touch every pair or tuple, or rebuild what the
 package shares, so they are slow and memory-hungry, but they are simple
@@ -23,6 +25,8 @@ from pinlab.fractals import sample_points
 from pinlab.harmonic import EnergyResult, riesz_constant
 from pinlab.phases import pairwise_value
 from pinlab.pinned import _phi_matrix, _trapz_weights, default_t_grid
+from pinlab.profiles import bump_profile
+from pinlab.rng import batches, rng_for
 
 
 def dense_pinned_density(mu, phi, pin_x, mollifier, t_grid=None,
@@ -61,6 +65,74 @@ def dense_pinned_density(mu, phi, pin_x, mollifier, t_grid=None,
         stderr = np.zeros(len(t_grid))
         mass_se = 0.0
     return values, stderr, mass_se, t_grid
+
+
+def dense_chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):
+    """(values, stderr, mass_stderr) of Monte Carlo `chain_density` from the
+    full (draw x node) bump factors of every link."""
+    shape = tuple(len(ax) for ax in t_axes)
+    acc = np.zeros(shape)
+    acc_sq = np.zeros(shape)
+    mass_sum = 0.0
+    mass_sq = 0.0
+    axis_w = [_trapz_weights(len(ax), float(ax[1] - ax[0])) for ax in t_axes]
+    for b, _, size in batches(mc_samples):
+        rng = rng_for(seed, 3, b)
+        idx = rng.choice(len(mu), size=(size, k), p=mu.weights)
+        chain_pts = mu.points[idx]                       # (size, k, d)
+        prev = np.broadcast_to(pin, chain_pts[:, 0].shape)
+        gaps = np.empty((size, k))
+        for i in range(k):
+            gaps[:, i] = np.asarray(phi.value(prev, chain_pts[:, i]))
+            prev = chain_pts[:, i]
+        factors = [mollifier(ax[None, :] - gaps[:, i, None]) for i, ax in enumerate(t_axes)]
+        per_mass = np.ones(size)
+        for i, f in enumerate(factors):
+            per_mass *= f @ axis_w[i]
+        mass_sum += per_mass.sum()
+        mass_sq += (per_mass ** 2).sum()
+        acc += sum_outer(factors)
+        acc_sq += sum_outer([f ** 2 for f in factors])
+    values = acc / mc_samples
+    var = np.maximum(acc_sq / mc_samples - values ** 2, 0.0) / mc_samples
+    mass_mean = mass_sum / mc_samples
+    mass_var = max(mass_sq / mc_samples - mass_mean ** 2, 0.0) / mc_samples
+    return values, np.sqrt(var), float(np.sqrt(mass_var))
+
+
+def sum_outer(factors) -> np.ndarray:
+    """sum_s f_1[s, :] x ... x f_k[s, :] for any k, via einsum's sublist form."""
+    operands = []
+    for i, f in enumerate(factors):
+        operands += [f, [0, i + 1]]
+    return np.einsum(*operands, list(range(1, len(factors) + 1)), optimize=True)
+
+
+def loop_measure_mollify(mu, theta, grid_n):
+    """(density, cell size) of mu * rho_theta on the periodic grid_n^d grid,
+    one atom at a time: a sampled bump at the cell centres, normalized."""
+    d = mu.d
+    h = 1.0 / grid_n
+    reach = int(math.ceil(2.0 * theta / h)) + 1
+    offsets = np.arange(-reach, reach + 1)
+    dens = np.zeros((grid_n,) * d)
+    centers = (np.floor(mu.points / h)).astype(int)
+    for p, w, c in zip(mu.points, mu.weights, centers):
+        axes_vals = []
+        axes_idx = []
+        for j in range(d):
+            idx = c[j] + offsets
+            nodes = (idx + 0.5) * h
+            vals = bump_profile((nodes - p[j]) / theta) / theta
+            axes_vals.append(vals)
+            axes_idx.append(np.mod(idx, grid_n))
+        block = axes_vals[0]
+        for v in axes_vals[1:]:
+            block = np.multiply.outer(block, v)
+        total = block.sum() * h ** d
+        block = block * (w / total)
+        dens[np.ix_(*axes_idx)] += block
+    return dens, h
 
 
 def dense_window_mass(lam, mu, phi, t_nodes, eps):

@@ -450,3 +450,27 @@ def test_chain_tuple_count_matches_nested_oracle(seed, k, n_pins, n_atoms, eps, 
     want = nested_chain_tuple_mass(lam, mu, phi, t, eps)
     assert (got == 0.0) == (want == 0.0)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_monte_carlo_counts_keep_their_streams():
+    """Seed-fixed Monte Carlo counts, recorded as `float.hex` before the three
+    sampling loops became one counter: the draws of streams 5, 6 and 7, their
+    order over the vertices and the hit tests must not move."""
+    mu = natural_measure(build_product_cantor(2, 1 / 3, 3))
+    lam = natural_measure(build_product_cantor(2, 1 / 4, 2))
+    counts = {
+        "hinge": hinge_count(lam, mu, PHI, 0.3, 0.05, samples=20_000, seed=11),
+        "chain1": chain_tuple_count(lam, mu, PHI, [0.3], 0.05, samples=20_000, seed=12),
+        "chain2": chain_tuple_count(lam, mu, PHI, [0.3, 0.35], 0.12, samples=20_000, seed=13),
+        "config": config_count(star_edge_map(2, 1), [lam, mu, mu], PHI,
+                               {(1, 2): 0.3, (1, 3): 0.45}, 0.06, samples=20_000, seed=14),
+    }
+    recorded = {
+        "hinge": ("0x1.8a3d70a3d70a3p+0", "0x1.66bae057904fep-3"),
+        "chain1": ("0x1.f0a3d70a3d709p+0", "0x1.926e04b29528cp-3"),
+        "chain2": ("0x1.cef684bda12f8p+1", "0x1.ddf77d2bc547ep-1"),
+        "config": ("0x1.31c71c71c71c7p-1", "0x1.74a4e725af38cp-4"),
+    }
+    for name, c in counts.items():
+        assert c.samples == 20_000
+        assert (float(c.count_normalized).hex(), float(c.stderr).hex()) == recorded[name], name

@@ -259,3 +259,33 @@ def test_distance_phases_equal_last_axis_reductions_bitwise(kind, params, diff, 
         assert np.array_equal(pairwise_value(phi, X[:, 0], Y[0]), r)
     x0, y0 = X[0, 0], Y[0, 0]
     assert phi.value(x0, y0) == r[0, 0]
+
+
+def _yb(x, y):
+    return np.broadcast_arrays(x, y)[1]
+
+
+@pytest.mark.parametrize("kind, method, reduction", [
+    ("dot_product", "value", lambda x, y: (x * y).sum(axis=-1)),
+    ("dot_product", "forbidden",
+     lambda x, y: ((x ** 2).sum(axis=-1) == 0.0) | ((y ** 2).sum(axis=-1) == 0.0)),
+    ("dot_product", "forbidden_distance",
+     lambda x, y: np.minimum(*np.broadcast_arrays(np.sqrt((x ** 2).sum(axis=-1)),
+                                                  np.sqrt((_yb(x, y) ** 2).sum(axis=-1))))),
+    ("sphere_geodesic_chart", "forbidden_distance",
+     lambda x, y: np.sqrt(((x - y) ** 2).sum(axis=-1))),
+])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dot_and_sphere_methods_equal_last_axis_reductions_bitwise(kind, method, reduction, d):
+    """The dot-product and sphere-chart methods also sum coordinate by
+    coordinate; each must round exactly as the last-axis reduction does."""
+    fn = getattr(phase_function(kind, d), method)
+    rng = rng_for(6, d)
+    X = rng.uniform(-1.5, 1.5, size=(40, 1, d))
+    Y = rng.uniform(-1.5, 1.5, size=(1, 30, d))
+    X[3] = 0.0                     # a zero point for the forbidden test
+    Y[0, 7, 0] = -0.0
+    for x, y in ((X, Y), (X[0, 0], Y), (X[5, 0], Y[0, 2])):
+        got, want = np.atleast_1d(fn(x, y)), np.atleast_1d(reduction(x, y))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))

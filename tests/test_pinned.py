@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (dense_pinned_density, masked_bump_raw,
-                     nested_composed_density)
+from oracles import (dense_chain_mc, dense_pinned_density, loop_measure_mollify,
+                     masked_bump_raw, nested_composed_density)
 from scipy.integrate import quad
 
 from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
@@ -316,6 +316,33 @@ def test_chain_monte_carlo_beyond_seven_links():
     np.testing.assert_allclose(ch.values, expected, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=40)
+@given(mu=random_measures(max_atoms=40), pin=PINS, k=st.integers(1, 3),
+       eps=st.sampled_from([2.0 ** -2, 2.0 ** -3, 2.0 ** -4]),
+       nodes=st.lists(st.integers(2, 30), min_size=3, max_size=3),
+       starts=st.lists(st.floats(-0.2, 1.2), min_size=3, max_size=3),
+       samples=st.integers(2, 300), seed=st.integers(0, 10_000),
+       block=st.sampled_from([64, 1000]))
+def test_chain_monte_carlo_deposition_matches_dense_oracle(mu, pin, k, eps, nodes, starts,
+                                                           samples, seed, block):
+    # at step eps/4 a window spans 19 nodes, so axes of 2..18 nodes are
+    # narrower than one window and every window on them is clamped
+    moll = Mollifier(eps)
+    axes = tuple(t0 + eps / 4 * np.arange(n) for t0, n in zip(starts[:k], nodes[:k]))
+    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+        ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes, mc_samples=samples, seed=seed)
+    ref, ref_se, ref_mass_se = dense_chain_mc(mu, PHI, pin, k, moll, axes, samples, seed)
+    np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(ch.values > 0, ref > 0)
+    # the cancellation floor of the pinned comparison above
+    floor = 1e-12 * float((ref ** 2).max()) / samples
+    np.testing.assert_allclose(ch.stderr ** 2, ref_se ** 2, rtol=1e-12, atol=floor)
+    # the oracle's one-pass mass variance (mean of squares - squared mean)
+    # cancels to a few ulp of mean^2 <= 1 when the draws' masses nearly
+    # agree; the deposit takes the std of the per-draw masses directly
+    assert ch.mass_stderr ** 2 == pytest.approx(ref_mass_se ** 2, rel=2e-9, abs=1e-14 / samples)
+
+
 def test_composed_equals_chain_exact_mode():
     rng = rng_for(9, 0)
     pts = rng.uniform(0.1, 0.9, size=(200, 2))
@@ -385,6 +412,33 @@ def test_measure_mollify_point_mass_and_conservation():
     assert dens.sum() * h ** 2 == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ResolutionError):
         measure_mollify(mu, 2.0 ** -8, 128)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2), n_atoms=st.integers(1, 50),
+       theta=st.sampled_from([2.0 ** -3, 2.0 ** -4, 2.0 ** -5]), extra=st.integers(0, 40),
+       block=st.sampled_from([64, 1000, pinned_module.DEPOSIT_BLOCK]))
+def test_measure_mollify_matches_per_atom_loop(seed, d, n_atoms, theta, extra, block):
+    # grids from the coarsest allowed (h = theta / 4) up; atoms anywhere in
+    # [0, 1)^d, so windows wrap around the torus
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, n_atoms)
+    mu = FrostmanMeasure(rng.uniform(0.0, 1.0, (n_atoms, d)), w / w.sum(), exponent_s=float(d))
+    grid_n = int(round(4 / theta)) + extra
+    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+        dens, h = measure_mollify(mu, theta, grid_n)
+    ref, ref_h = loop_measure_mollify(mu, theta, grid_n)
+    assert h == ref_h
+    np.testing.assert_allclose(dens, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(dens > 0, ref > 0)
+
+
+def test_measure_mollify_wide_bump_wraps_without_loss():
+    # theta = 0.3 on 14 cells: each window (21 nodes) wraps onto itself, and
+    # the wrapped nodes must add up, not overwrite each other
+    one = FrostmanMeasure(np.array([[0.3, 0.6]]), np.array([1.0]), exponent_s=0.0)
+    dens, h = measure_mollify(one, 0.3, 14)
+    assert dens.sum() * h ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_mollify_l2_converges():
