@@ -366,20 +366,34 @@ def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
 
     Shell-by-shell domination of the direct kernel sum: on the shell
     2^-(j+1) <= |x-y| <= 2^-j the kernel is at most 2^((j+1)(d-gamma)).
+    The balls exclude x itself, and the shells run from j = 0 to
+    ceil(-log2 r_min) + 1 for the distance r_min from x to its nearest other
+    atom (floored at 1e-300, so coincident atoms stop at j = 998).  Atom y
+    thus adds w_y times the partial sum of the shell weights up to
+    J = max{j : |x - y| <= 2^-j}, read exactly from the binary exponent of
+    |x - y|; the rows come in blocks of `DEPOSIT_BLOCK` distances.
     """
     pts, w, d = lam.points, lam.weights, lam.d
+    n = len(lam)
     best = 0.0
-    for i in range(len(lam)):
-        dist = np.sqrt(((pts - pts[i]) ** 2).sum(1))
-        dist[i] = np.inf
-        finite = dist[np.isfinite(dist)]
-        min_gap = float(finite.min()) if len(finite) else 1.0
-        j_stop = max(0, int(math.ceil(-math.log2(max(min_gap, 1e-300))))) + 1
-        total = 0.0
-        for j in range(0, j_stop + 1):
-            ball = float(w[dist <= 2.0 ** (-j)].sum())
-            total += 2.0 ** ((j + 1) * (d - gamma)) * ball
-        best = max(best, total)
+    rows = max(1, DEPOSIT_BLOCK // max(n, 1))
+    for i0 in range(0, n, rows):
+        dist = cdist(pts[i0:i0 + rows], pts)
+        self_pairs = (np.arange(len(dist)), i0 + np.arange(len(dist)))
+        dist[self_pairs] = np.inf
+        gap = dist.min(axis=1)
+        gap[np.isinf(gap)] = 1.0            # a lone atom
+        j_stop = np.array([max(0, math.ceil(-math.log2(max(g, 1e-300)))) + 1
+                           for g in gap])[:, None]
+        # |x - y| = f 2^e with f in [0.5, 1) is within 2^-j for j <= -e, and
+        # for j = 1 - e too when f = 0.5; beyond distance 1 no ball holds y
+        mant, expo = np.frexp(dist)
+        shell = np.where(dist == 0.0, j_stop, np.minimum((mant == 0.5) - expo, j_stop))
+        shell[self_pairs] = -1
+        np.maximum(shell, -1, out=shell)
+        weights = [2.0 ** ((j + 1) * (d - gamma)) for j in range(int(j_stop.max()) + 1)]
+        partial = np.concatenate([[0.0], np.cumsum(weights)])
+        best = max(best, float((partial[shell + 1] @ w).max()))
     return best
 
 

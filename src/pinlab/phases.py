@@ -15,6 +15,7 @@ whose nonvanishing on level sets {phi = t}, t != 0, is what the downstream
 operator bounds ask of a phase.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -234,8 +235,9 @@ class FlatTorus(PhaseFunction):
 
     def forbidden_distance(self, x, y):
         w = torus_wrap(x - y)
-        r = np.sqrt((w ** 2).sum(axis=-1))
-        cut_margin = (0.5 - np.abs(w)).min(axis=-1)
+        r = np.sqrt(_coord_sum(w, w, np.multiply))
+        cut_margin = functools.reduce(np.minimum, (0.5 - np.abs(w[..., j])
+                                                   for j in range(w.shape[-1])))
         return np.minimum(r, cut_margin)
 
 
@@ -277,7 +279,7 @@ class SphereGeodesicChart(PhaseFunction):
         return np.concatenate([top, bot], axis=-2)
 
     def _cosine(self, x, y):
-        return (self._embed(x) * self._embed(y)).sum(axis=-1)
+        return _coord_sum(self._embed(x), self._embed(y), np.multiply)
 
     def value(self, x, y):
         return np.arccos(np.clip(self._cosine(x, y), -1.0, 1.0))

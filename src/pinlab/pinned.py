@@ -7,21 +7,26 @@ mollification at scale eps evaluates as
 
 on a uniform t-grid.  Chain measures push forward (k+1)-tuples with
 consecutive gaps, mollified by the tensor product of 1-d bumps; a pinned
-density is the one-link case.  Both deposit through `_deposit`: the bump
-vanishes outside (-2 eps, 2 eps), so each gap vector gets one window per
-axis of min(ceil(4 eps / dt) + 3, axis length) nodes, its start clamped into
-the axis, so that the window holds every grid node of the support and never
-leaves the grid.  The k window kernels multiply into one tensor block per
-batch of rows, scattered into the grid with `np.bincount`: work and memory
-grow with rows x window^k, not rows x grid, and every nonzero kernel value is
-the one a full (node x row) matrix would hold.  Monte Carlo mode averages
-equally weighted draws with one rule: stderr^2 = (mean of kernel^2 -
-mean^2) / draws per node, and the mass stderr is the std of the per-draw
-trapezoid masses over sqrt(draws).  Everything downstream (mass, L2 energy,
-Cauchy-Schwarz support bounds) is a weighted grid sum with trapezoid
-weights; using the same weights everywhere makes the discrete Cauchy-Schwarz
-inequality exact, so `support_measure >= cs_lower_bound` holds literally,
-not just up to quadrature error.
+density is the one-link case.  Every kernel is evaluated on support windows
+only: the bump vanishes outside (-2 eps, 2 eps), so each gap gets one window
+per axis of min(ceil(4 eps / dt) + 3, axis length) nodes, its start clamped
+into the axis (`_window_width`, `_window`), so that the window holds
+every grid node of the support and never leaves the grid.  Pinned densities
+and Monte Carlo chains deposit through `_deposit`: the k window kernels
+multiply into one tensor block per batch of rows, scattered into the grid
+with `np.bincount`, so work and memory grow with rows x window^k, not rows x
+grid.  Exact chains contract link by link from the last (`_chain_exact`):
+each link's windowed kernels over the atom pairs (y, z) form one sparse
+(y, node) x z matrix per block of y rows, multiplied into the flat partial
+sums, so work grows with atoms^2 x window, not atoms^2 x axis length.
+Either way every nonzero kernel value is the one a full (node x row) matrix
+would hold.  Monte Carlo mode averages equally weighted draws with one
+rule: stderr^2 = (mean of kernel^2 - mean^2) / draws per node, and the mass
+stderr is the std of the per-draw trapezoid masses over sqrt(draws).
+Everything downstream (mass, L2 energy, Cauchy-Schwarz support bounds) is a
+weighted grid sum with trapezoid weights; using the same weights everywhere
+makes the discrete Cauchy-Schwarz inequality exact, so `support_measure >=
+cs_lower_bound` holds literally, not just up to quadrature error.
 """
 
 import functools
@@ -29,6 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse import csc_matrix
 
 from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
@@ -131,6 +138,29 @@ def _check_resolution(dt: float, epsilon: float) -> None:
         raise ResolutionError(f"grid step {dt} too coarse for epsilon {epsilon}")
 
 
+def _window_width(ax, reach: float) -> int:
+    """Nodes per support window on the uniform axis `ax`: from the node at
+    or below gap - reach, ceil(2 reach / dt) + 3 nodes hold every node within
+    `reach` of the gap, with one to spare for rounding; capped at the axis
+    length."""
+    return min(int(math.ceil(2.0 * reach / float(ax[1] - ax[0]))) + 3, len(ax))
+
+
+def _window(gaps, ax, width: int, reach: float):
+    """Each gap's support window of `width` nodes on the uniform axis `ax`.
+
+    Returns the first node, floor((gap - reach - t0) / dt) clamped into
+    [0, len - width] so that the window never leaves the axis, and the
+    offsets ax[first + o] - gap, o < width, of shape gaps.shape + (width,).
+    Every node within `reach` of the gap lies in the window.
+    """
+    dt = float(ax[1] - ax[0])
+    first = np.clip(np.floor((gaps - reach - ax[0]) / dt), 0, len(ax) - width)
+    first = first.astype(np.int64)
+    # each window is one contiguous run of ax
+    return first, sliding_window_view(ax, width)[first] - gaps[..., None]
+
+
 def _tensor_block(idx, vals, shape):
     """Tensor products of per-axis windows and their flat indices on a grid.
 
@@ -153,19 +183,17 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
     """(values, stderr, mass_stderr) of sum_r weights[r] prod_i rho_eps(t_i - gaps[r, i])
     on the tensor grid of the k uniform `t_axes`, for gap vectors of shape (n, k).
 
-    Row r's window on axis i starts at node floor((gaps[r, i] - 2 eps - t0) / dt),
-    clamped into [0, len - width]; blocks of at most DEPOSIT_BLOCK kernel
-    entries are scattered with one `np.bincount`.  With `mc` the rows are n
-    equally weighted draws: the same pass scatters the squared kernels and
-    takes each draw's trapezoid mass, for the stderrs of the module rule.
+    Row r's window on axis i is `_window`'s; blocks of at most
+    DEPOSIT_BLOCK kernel entries are scattered with one `np.bincount`.  With
+    `mc` the rows are n equally weighted draws: the same pass scatters the
+    squared kernels and takes each draw's trapezoid mass, for the stderrs of
+    the module rule.
     """
     n = len(gaps)
     reach = mollifier.support_radius
     shape = tuple(len(ax) for ax in t_axes)
-    steps = [float(ax[1] - ax[0]) for ax in t_axes]
-    offsets = [np.arange(min(int(math.ceil(2.0 * reach / dt)) + 3, len(ax)))
-               for ax, dt in zip(t_axes, steps)]
-    tws = [_trapz_weights(len(ax), dt) for ax, dt in zip(t_axes, steps)]
+    offsets = [np.arange(_window_width(ax, reach)) for ax in t_axes]
+    tws = [_trapz_weights(len(ax), float(ax[1] - ax[0])) for ax in t_axes]
     size = math.prod(shape)
     values = np.zeros(size)
     sq = np.zeros(size)
@@ -174,11 +202,11 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
     for r0 in range(0, n, rows):
         sl = slice(r0, r0 + rows)
         idx, kern = [], []
-        for i, (ax, dt, off) in enumerate(zip(t_axes, steps, offsets)):
+        for i, (ax, off) in enumerate(zip(t_axes, offsets)):
             c = gaps[sl, i]
-            first = np.clip(np.floor((c - reach - ax[0]) / dt), 0, len(ax) - len(off))
-            idx.append(first.astype(np.int64)[:, None] + off)
-            kern.append(mollifier(ax[idx[-1]] - c[:, None]))
+            first, u = _window(c, ax, len(off), reach)
+            idx.append(first[:, None] + off)
+            kern.append(mollifier(u))
         block, flat = _tensor_block(idx, kern, shape)
         values += np.bincount(flat, (block * weights[sl, None]).ravel(), size)
         if mc:
@@ -309,10 +337,12 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
                   grid_budget: int = GRID_BUDGET) -> ChainDensity:
     """Mollified k-link chain density on a tensor t-grid.
 
-    Exact mode contracts the atom-pair kernel matrices link by link (the
-    nested-sum expansion of the composed operator); Monte Carlo mode samples
-    chains (x^2, ..., x^{k+1}) and deposits the tensor-product bump on each
-    chain's clamped windows (`_deposit`).
+    Exact mode contracts the atom-pair kernels link by link (the nested-sum
+    expansion of the composed operator), each pair's kernel built on its
+    clamped support window only (`_chain_exact`), so its cost does not grow
+    as eps shrinks; Monte Carlo mode samples chains (x^2, ..., x^{k+1}) and
+    deposits the tensor-product bump on each chain's clamped windows
+    (`_deposit`).
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -352,23 +382,54 @@ def _pair_range(phi, mu, cap: int = 1024):
 
 
 def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
-    w = mu.weights
+    """Exact chain values, contracted link by link from the last.
+
+    g_k = 1 and g_{i-1}(y, t_i, ...) = sum_z w_z rho_eps(t_i - phi(y, z))
+    g_i(z, ...), then the pin link contracts g_1 the same way with
+    phi(pin, z).  Each link's kernel is one sparse matrix per block of y
+    rows (`_window_kernels`), multiplied into the flat g.
+    """
     n = len(mu)
+    w = mu.weights
+    reach = mollifier.support_radius
+    g = np.ones((n, 1))
     if k > 1:
         phi_aa = _phi_matrix(phi, mu.points, mu.points)
-    g = np.ones((n,))
-    for link in range(k, 1, -1):
-        ax = t_axes[link - 1]
-        tail = g.shape[1:]
-        g_flat = g.reshape(n, -1)
-        out = np.empty((n, len(ax), g_flat.shape[1]))
-        for a, t_val in enumerate(ax):
-            kern = mollifier(t_val - phi_aa) * w[None, :]
-            out[:, a, :] = kern @ g_flat
-        g = out.reshape((n, len(ax)) + tail)
+    for ax in reversed(t_axes[1:]):
+        out = np.empty((n, len(ax) * g.shape[1]))
+        rows = max(1, DEPOSIT_BLOCK // (n * _window_width(ax, reach)))
+        for y0 in range(0, n, rows):
+            kern = _window_kernels(phi_aa[y0:y0 + rows], w, ax, mollifier)
+            out[y0:y0 + rows] = (kern @ g).reshape(-1, out.shape[1])
+        g = out.reshape(n, -1)
     phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
-    kern0 = mollifier(t_axes[0][:, None] - phi_pin[None, :]) * w[None, :]
-    return (kern0 @ g.reshape(n, -1)).reshape((len(t_axes[0]),) + g.shape[1:])
+    values = _window_kernels(phi_pin[None, :], w, t_axes[0], mollifier) @ g
+    return values.reshape(tuple(len(ax) for ax in t_axes))
+
+
+def _window_kernels(gaps, weights, ax, mollifier: Mollifier):
+    """(rows * len(ax), n) sparse matrix whose entry at row y * len(ax) + node,
+    column z, is weights[z] rho_eps(ax[node] - gaps[y, z]), for `gaps` of
+    shape (rows, n); only the nodes of each pair's clamped support window
+    (`_window`) are stored.
+
+    The entries are laid out column by column, each column's by (y, node),
+    which is the CSC order itself: no format conversion is needed.
+    """
+    m, n = gaps.shape
+    length = len(ax)
+    reach = mollifier.support_radius
+    width = _window_width(ax, reach)
+    by_col = np.ascontiguousarray(gaps.T)
+    first, u = _window(by_col, ax, width, reach)
+    kern = mollifier(u)
+    kern *= weights[:, None, None]
+    # int32 indices when they fit, so that scipy neither scans nor copies them
+    itype = np.int32 if max(m * length, n * m * width) < 2 ** 31 else np.int64
+    first = first.astype(itype) + (length * np.arange(m)).astype(itype)
+    indices = (first[:, :, None] + np.arange(width, dtype=itype)).ravel()
+    indptr = np.arange(n + 1, dtype=itype) * (m * width)
+    return csc_matrix((kern.ravel(), indices, indptr), shape=(m * length, n))
 
 
 def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):

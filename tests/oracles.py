@@ -67,6 +67,28 @@ def dense_pinned_density(mu, phi, pin_x, mollifier, t_grid=None,
     return values, stderr, mass_se, t_grid
 
 
+def dense_chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
+    """Exact `chain_density` values from the dense (atom x atom) kernel matrix
+    of every link at every t-node, contracted link by link from the last."""
+    w = mu.weights
+    n = len(mu)
+    if k > 1:
+        phi_aa = _phi_matrix(phi, mu.points, mu.points)
+    g = np.ones((n,))
+    for link in range(k, 1, -1):
+        ax = t_axes[link - 1]
+        tail = g.shape[1:]
+        g_flat = g.reshape(n, -1)
+        out = np.empty((n, len(ax), g_flat.shape[1]))
+        for a, t_val in enumerate(ax):
+            kern = mollifier(t_val - phi_aa) * w[None, :]
+            out[:, a, :] = kern @ g_flat
+        g = out.reshape((n, len(ax)) + tail)
+    phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
+    kern0 = mollifier(t_axes[0][:, None] - phi_pin[None, :]) * w[None, :]
+    return (kern0 @ g.reshape(n, -1)).reshape((len(t_axes[0]),) + g.shape[1:])
+
+
 def dense_chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):
     """(values, stderr, mass_stderr) of Monte Carlo `chain_density` from the
     full (draw x node) bump factors of every link."""
@@ -320,6 +342,25 @@ def loop_schur_kernel_sup(lam, gamma):
         dist[i] = np.inf
         vals = np.where(dist > 0, dist, np.inf) ** (gamma - d)
         best = max(best, float((w * vals).sum()))
+    return best
+
+
+def loop_schur_dyadic_majorant(lam, gamma):
+    """sup over atoms x of sum_j 2^((j+1)(d-gamma)) lambda(B(x, 2^-j) - {x}),
+    one atom and one dyadic shell at a time."""
+    pts, w, d = lam.points, lam.weights, lam.d
+    best = 0.0
+    for i in range(len(lam)):
+        dist = np.sqrt(((pts - pts[i]) ** 2).sum(1))
+        dist[i] = np.inf
+        finite = dist[np.isfinite(dist)]
+        min_gap = float(finite.min()) if len(finite) else 1.0
+        j_stop = max(0, int(math.ceil(-math.log2(max(min_gap, 1e-300))))) + 1
+        total = 0.0
+        for j in range(0, j_stop + 1):
+            ball = float(w[dist <= 2.0 ** (-j)].sum())
+            total += 2.0 ** ((j + 1) * (d - gamma)) * ball
+        best = max(best, total)
     return best
 
 

@@ -262,6 +262,15 @@ def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_cli_chain_over_grid_budget_exit_3(tmp_path, capsys):
+    # three links of 201 nodes at eps = 2^-5: 201^3 grid nodes, past GRID_BUDGET
+    cfg = write_cfg(tmp_path, "chain.cfg", "d = 2\ngenerator = product_cantor\n"
+                    "target_dim = 1.6\nlevel = 3\nk = 3\nepsilon = 2^-5\nmc_samples = 0\n")
+    assert cli_main(["chain", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("resource error: chain grid of 8120601 nodes "
+                                       "exceeds budget 2000000\n")
+
+
 def test_config_number_edge_cases():
     for bad in ("2^x", "-2^0.5", "0^-1", "10^400", "1.5.2"):
         with pytest.raises(ConfigError):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (chunked_oscillatory_G, complex_center_energy,
                      dense_riesz_double_sum, loop_deposit_gaussian,
-                     loop_schur_kernel_sup, reference_energy_integral)
+                     loop_schur_dyadic_majorant, loop_schur_kernel_sup,
+                     reference_energy_integral)
 from scipy.integrate import quad
 from scipy.special import j0
 
@@ -269,6 +270,28 @@ def test_riesz_constant_gaussian_identity():
         fourier = np.pi * (2 * np.pi) ** (gamma / 2 - 1) * G(1 - gamma / 2)
         kernel = (np.pi / 2) * (np.pi / 2) ** (-gamma / 2) * G(gamma / 2)
         assert riesz_constant(gamma, 2) * kernel == pytest.approx(fourier, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_schur_dyadic_majorant_matches_shell_loop(d):
+    for level in (4, 5, 6):
+        lam = natural_measure(build_product_cantor(d, 1 / 3, level))
+        for gamma in (0.2, 0.8):
+            assert_rel_close(schur_dyadic_majorant(lam, gamma),
+                             loop_schur_dyadic_majorant(lam, gamma))
+
+
+def test_schur_dyadic_majorant_coincident_atoms_and_dyadic_distances():
+    # atoms 0 and 1 coincide, so their shells run to j = 998; the other
+    # distances are the dyadic 1/4, 1/2 and 1, each on its ball's boundary
+    pts = np.array([[0.25, 0.5], [0.25, 0.5], [0.5, 0.5], [0.75, 0.5], [0.25, 1.5]])
+    lam = FrostmanMeasure(pts, np.array([0.1, 0.2, 0.3, 0.15, 0.25]), exponent_s=0.0)
+    for gamma in (1.2, 1.5, 1.9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonic, "DEPOSIT_BLOCK", 7)
+            got = schur_dyadic_majorant(lam, gamma)
+        assert_rel_close(got, loop_schur_dyadic_majorant(lam, gamma))
+        assert got >= 2.0 ** (999 * (2 - gamma)) * 0.2
 
 
 def test_schur_majorant_dominates():

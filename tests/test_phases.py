@@ -4,8 +4,8 @@ import pytest
 from pinlab import (DomainError, FrostmanMeasure, build_cutoffs,
                     build_product_cantor, monge_ampere_det, natural_measure,
                     nondegeneracy_scan, phase_function, uniform_grid_measure)
-from pinlab.phases import (bordered_matrix, monge_ampere_det_many,
-                           pairwise_value, torus_wrap)
+from pinlab.phases import (SphereGeodesicChart, bordered_matrix,
+                           monge_ampere_det_many, pairwise_value, torus_wrap)
 from pinlab.rng import rng_for
 
 KINDS = [("euclidean", {}), ("scaled_euclidean", {"factor": 3.0}),
@@ -265,6 +265,9 @@ def _yb(x, y):
     return np.broadcast_arrays(x, y)[1]
 
 
+_embed = SphereGeodesicChart._embed
+
+
 @pytest.mark.parametrize("kind, method, reduction", [
     ("dot_product", "value", lambda x, y: (x * y).sum(axis=-1)),
     ("dot_product", "forbidden",
@@ -274,10 +277,16 @@ def _yb(x, y):
                                                   np.sqrt((_yb(x, y) ** 2).sum(axis=-1))))),
     ("sphere_geodesic_chart", "forbidden_distance",
      lambda x, y: np.sqrt(((x - y) ** 2).sum(axis=-1))),
+    ("sphere_geodesic_chart", "_cosine", lambda x, y: (_embed(x) * _embed(y)).sum(axis=-1)),
+    ("sphere_geodesic_chart", "value",
+     lambda x, y: np.arccos(np.clip((_embed(x) * _embed(y)).sum(axis=-1), -1.0, 1.0))),
+    ("flat_torus", "forbidden_distance",
+     lambda x, y: np.minimum(np.sqrt((torus_wrap(x - y) ** 2).sum(axis=-1)),
+                             (0.5 - np.abs(torus_wrap(x - y))).min(axis=-1))),
 ])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dot_and_sphere_methods_equal_last_axis_reductions_bitwise(kind, method, reduction, d):
-    """The dot-product and sphere-chart methods also sum coordinate by
+    """The dot-product, sphere-chart and torus methods also sum coordinate by
     coordinate; each must round exactly as the last-axis reduction does."""
     fn = getattr(phase_function(kind, d), method)
     rng = rng_for(6, d)

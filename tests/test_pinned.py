@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (dense_chain_mc, dense_pinned_density, loop_measure_mollify,
-                     masked_bump_raw, nested_composed_density)
+from oracles import (dense_chain_exact, dense_chain_mc, dense_pinned_density,
+                     loop_measure_mollify, masked_bump_raw, nested_composed_density)
 from scipy.integrate import quad
 
 from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
@@ -341,6 +341,26 @@ def test_chain_monte_carlo_deposition_matches_dense_oracle(mu, pin, k, eps, node
     # cancels to a few ulp of mean^2 <= 1 when the draws' masses nearly
     # agree; the deposit takes the std of the per-draw masses directly
     assert ch.mass_stderr ** 2 == pytest.approx(ref_mass_se ** 2, rel=2e-9, abs=1e-14 / samples)
+
+
+@settings(max_examples=40)
+@given(mu=random_measures(max_atoms=40), pin=PINS, k=st.integers(1, 3),
+       eps=st.sampled_from([2.0 ** -2, 2.0 ** -3, 2.0 ** -4]),
+       nodes=st.lists(st.integers(2, 30), min_size=3, max_size=3),
+       starts=st.lists(st.floats(-0.2, 1.2), min_size=3, max_size=3),
+       block=st.sampled_from([64, 1000]))
+def test_chain_exact_windows_match_dense_oracle(mu, pin, k, eps, nodes, starts, block):
+    # axes of 2..18 nodes at step eps/4 are narrower than one 19-node window,
+    # so every window on them is clamped; a block of 64 entries holds one y
+    # row, one of 1000 a few rows with a ragged last block
+    moll = Mollifier(eps)
+    axes = tuple(t0 + eps / 4 * np.arange(n) for t0, n in zip(starts[:k], nodes[:k]))
+    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+        ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes)
+    ref = dense_chain_exact(mu, PHI, pin, k, moll, axes)
+    np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(ch.values > 0, ref > 0)
+    assert np.all(ch.stderr == 0.0) and ch.mass_stderr == 0.0
 
 
 def test_composed_equals_chain_exact_mode():
