@@ -266,17 +266,24 @@ def _center_energy_exact(points, masses, gamma: float, r0: float = 1.0,
     return float((wu * ang_int).sum() / p)
 
 
-def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
-    """sum_j w_j |x_i - x_j|^(gamma - d) over the atoms j at positive distance from x_i."""
-    n, d = points.shape
+def _row_sums(points: np.ndarray, weights: np.ndarray, kernel) -> np.ndarray:
+    """sum_j weights[j] K[i, j] for every atom i, where the rows i0.. of K are
+    kernel(cdist(points[i0:i1], points), i0), in blocks of `DEPOSIT_BLOCK`
+    distances; kernel may overwrite the distances it gets."""
+    n = len(points)
     out = np.empty(n)
     rows = max(1, DEPOSIT_BLOCK // max(n, 1))
     for i0 in range(0, n, rows):
-        dist = cdist(points[i0:i0 + rows], points)
-        # zero distances (the diagonal, coincident atoms) stay 0 and drop out
-        np.power(dist, gamma - d, out=dist, where=dist > 0)
-        out[i0:i0 + rows] = dist @ weights
+        out[i0:i0 + rows] = kernel(cdist(points[i0:i0 + rows], points), i0) @ weights
     return out
+
+
+def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
+    """sum_j w_j |x_i - x_j|^(gamma - d) over the atoms j at positive distance from x_i."""
+    d = points.shape[1]
+    # zero distances (the diagonal, coincident atoms) stay 0 and drop out
+    return _row_sums(points, weights,
+                     lambda dist, _: np.power(dist, gamma - d, out=dist, where=dist > 0))
 
 
 def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
@@ -371,30 +378,31 @@ def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
     atom (floored at 1e-300, so coincident atoms stop at j = 998).  Atom y
     thus adds w_y times the partial sum of the shell weights up to
     J = max{j : |x - y| <= 2^-j}, read exactly from the binary exponent of
-    |x - y|; the rows come in blocks of `DEPOSIT_BLOCK` distances.
+    |x - y|.
     """
-    pts, w, d = lam.points, lam.weights, lam.d
-    n = len(lam)
-    best = 0.0
-    rows = max(1, DEPOSIT_BLOCK // max(n, 1))
-    for i0 in range(0, n, rows):
-        dist = cdist(pts[i0:i0 + rows], pts)
+    d = lam.d
+
+    def shell_sums(dist, i0):
         self_pairs = (np.arange(len(dist)), i0 + np.arange(len(dist)))
         dist[self_pairs] = np.inf
         gap = dist.min(axis=1)
         gap[np.isinf(gap)] = 1.0            # a lone atom
         j_stop = np.array([max(0, math.ceil(-math.log2(max(g, 1e-300)))) + 1
-                           for g in gap])[:, None]
+                           for g in gap], dtype=np.int32)[:, None]
         # |x - y| = f 2^e with f in [0.5, 1) is within 2^-j for j <= -e, and
         # for j = 1 - e too when f = 0.5; beyond distance 1 no ball holds y
-        mant, expo = np.frexp(dist)
-        shell = np.where(dist == 0.0, j_stop, np.minimum((mant == 0.5) - expo, j_stop))
+        mant, shell = np.frexp(dist)
+        np.negative(shell, out=shell)
+        shell += mant == 0.5
+        np.minimum(shell, j_stop, out=shell)
+        np.copyto(shell, j_stop, where=dist == 0.0)
         shell[self_pairs] = -1
         np.maximum(shell, -1, out=shell)
         weights = [2.0 ** ((j + 1) * (d - gamma)) for j in range(int(j_stop.max()) + 1)]
-        partial = np.concatenate([[0.0], np.cumsum(weights)])
-        best = max(best, float((partial[shell + 1] @ w).max()))
-    return best
+        # shell -1 (in no ball) reads the trailing 0
+        return np.append(np.cumsum(weights), 0.0)[shell]
+
+    return float(_row_sums(lam.points, lam.weights, shell_sums).max(initial=0.0))
 
 
 # -- generalized Radon transform ----------------------------------------------
