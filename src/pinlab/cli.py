@@ -20,9 +20,9 @@ from .errors import (BudgetError, ConfigError, DomainError, PinlabError,
                      RegressionMismatch)
 from .experiments import (build_generator, build_phase, cfg_float, cfg_floats,
                           cfg_int, cfg_str, draw_pins, exceptional_probe,
-                          load_config, parse_number, regression_check,
-                          sweep_threshold, write_csv, write_json,
-                          write_manifest)
+                          hinge_setup, load_config, parse_number,
+                          regression_check, sweep_threshold, write_csv,
+                          write_json, write_manifest)
 from .fractals import save_cells, save_measure
 from .harmonic import (LPPartition, SpectralGrid, energy_integral,
                        oscillatory_G, radon_sobolev_ratio,
@@ -95,9 +95,8 @@ def cmd_gen(cfg, seed, out, jobs):
 
 
 def cmd_pinned(cfg, seed, out, jobs):
-    d = cfg_int(cfg, "d", 2)
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, d)
+    phi = build_phase(cfg, mu.d)
     pins = draw_pins(cfg, mu, seed, cfg_int(cfg, "pins", 8))
     eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5])
     mc = cfg_int(cfg, "mc_samples", 0)
@@ -122,9 +121,8 @@ def cmd_pinned(cfg, seed, out, jobs):
 
 
 def cmd_chain(cfg, seed, out, jobs):
-    d = cfg_int(cfg, "d", 2)
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, d)
+    phi = build_phase(cfg, mu.d)
     pins = draw_pins(cfg, mu, seed, 1)
     k = cfg_int(cfg, "k", 2)
     eps = cfg_float(cfg, "epsilon", 2.0 ** -3)
@@ -145,25 +143,18 @@ def cmd_chain(cfg, seed, out, jobs):
 
 
 def cmd_hinge(cfg, seed, out, jobs):
-    d = cfg_int(cfg, "d", 2)
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, d)
+    phi = build_phase(cfg, mu.d)
     lam_pins = draw_pins(cfg, mu, seed, cfg_int(cfg, "pins", 48))
-    from .fractals import FrostmanMeasure
-    lam = FrostmanMeasure(lam_pins, np.full(len(lam_pins), 1.0 / len(lam_pins)),
-                          exponent_s=mu.exponent_s)
     eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
     t_mid = cfg_float(cfg, "t", 0.5)
     samples = cfg_int(cfg, "mc_samples", 0)
-    gaps = np.asarray(phi.value(lam.points[:, None, :], mu.points[None, :, :]))
-    t_lo, t_hi = float(gaps.min()), float(gaps.max())
-    cuts = build_cutoffs(phi, (0.0, 1.0), 0.05, (t_lo, t_hi))
-    t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, cfg_int(cfg, "hinge_t_nodes", 96))
+    gaps = phi.value(lam_pins[:, None, :], mu.points[None, :, :])
+    lam, beta, t_nodes = hinge_setup(cfg, phi, mu, lam_pins, gaps)
     rows = []
     for eps in eps_list:
         single = hinge_count(lam, mu, phi, t_mid, eps, samples, seed)
-        integ = hinge_count_integrated(lam, mu, phi, cuts.beta, eps, t_nodes,
-                                       samples, seed)
+        integ = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes, samples, seed)
         rows.append([eps, t_mid, single.count_normalized, single.stderr, integ])
     write_csv(os.path.join(out, "hinge.csv"),
               ["eps", "t", "count_normalized", "stderr", "integrated"], rows)
@@ -190,9 +181,8 @@ def _parse_edges(cfg):
 
 
 def cmd_config_count(cfg, seed, out, jobs):
-    d = cfg_int(cfg, "d", 2)
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, d)
+    phi = build_phase(cfg, mu.d)
     em = _parse_edges(cfg)
     t_map = {}
     for tok in cfg_str(cfg, "t_assignment").split():

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .fractals import FrostmanMeasure
-from .pinned import _phi_matrix, _trapz_weights
+from .phases import pairwise_value
+from .pinned import _trapz_weights
 from .rng import batches, rng_for
 
 #: Exact `config_count` refuses more tuples than this; pass samples instead.
@@ -109,7 +110,6 @@ class ConfigCount:
     t_assignment: dict
     count_normalized: float
     stderr: float
-    tuple_budget: int
     samples: int             # 0 for exact mode
 
     def __post_init__(self):
@@ -159,7 +159,7 @@ def _event_mass(measures, links, phi, eps, samples, seed, stream):
         for i, j, t in links:
             pair = (id(measures[i]), id(measures[j]))
             if pair not in gaps:
-                gaps[pair] = _phi_matrix(phi, measures[i].points, measures[j].points)
+                gaps[pair] = pairwise_value(phi, measures[i].points, measures[j].points)
             if (pair, t) not in ind:
                 ind[(pair, t)] = np.abs(gaps[pair] - t) <= eps
             kernels[(i, j)] = ind[(pair, t)]
@@ -190,7 +190,7 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
     else:
         mass, se = _event_mass([lam, mu, mu], [(0, 1, t), (0, 2, t)], phi, eps,
                                samples, seed, 5)
-    return ConfigCount(eps, {"t": t}, mass / eps ** 2, se / eps ** 2, EXHAUSTIVE_BUDGET, samples)
+    return ConfigCount(eps, {"t": t}, mass / eps ** 2, se / eps ** 2, samples)
 
 
 def _window_mass(lam, mu, phi, t_nodes, eps):
@@ -203,7 +203,7 @@ def _window_mass(lam, mu, phi, t_nodes, eps):
     edges count exactly as the closed-interval test does.
     """
     t_nodes = np.asarray(t_nodes, float)
-    gaps = _phi_matrix(phi, lam.points, mu.points)
+    gaps = pairwise_value(phi, lam.points, mu.points)
     order = np.argsort(gaps, axis=1)
     gaps = np.take_along_axis(gaps, order, axis=1)
     prefix = np.zeros((len(lam), len(mu) + 1))
@@ -266,20 +266,19 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
     # pin 0, chains 1..k and k+1..2k; link i of both copies has gap t[i]
     links = [(a, b, t[i]) for i in range(k) for a, b in ((i, i + 1), (k + i if i else 0, k + i + 1))]
     mass, se = _event_mass([lam] + [mu] * (2 * k), links, phi, eps, samples, seed, 6)
-    return ConfigCount(eps, {"t": tuple(t)}, mass / eps ** (2 * k), se / eps ** (2 * k),
-                       EXHAUSTIVE_BUDGET, samples)
+    return ConfigCount(eps, {"t": tuple(t)}, mass / eps ** (2 * k), se / eps ** (2 * k), samples)
 
 
 def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
-                 samples: int = 0, seed: int = 0,
-                 budget: int = EXHAUSTIVE_BUDGET) -> ConfigCount:
+                 samples: int = 0, seed: int = 0) -> ConfigCount:
     """eps^-n(E) normalized product-measure mass of a general edge-map event.
 
     `measures` is one FrostmanMeasure per vertex (a single measure is
     broadcast).  `t_assignment` maps each edge (i, j) to its gap value and
     must cover exactly the edge set.  Exact mode (tuple count within
-    `budget`) contracts the edge indicator matrices with `_contract`, N^2
-    per edge for a tree; otherwise Monte Carlo with `samples` draws.
+    EXHAUSTIVE_BUDGET) contracts the edge indicator matrices with
+    `_contract`, N^2 per edge for a tree; otherwise Monte Carlo with
+    `samples` draws.
     """
     _check_eps_samples(eps, samples)
     if isinstance(measures, FrostmanMeasure):
@@ -290,12 +289,13 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
     if set(t_map) != set(em.edges):
         raise DomainError("t_assignment must cover exactly the edge set")
     total = math.prod(len(m) for m in measures)
-    if samples == 0 and total > budget:
-        raise BudgetError(f"{total} tuples exceed exact-count budget {budget}; pass samples")
+    if samples == 0 and total > EXHAUSTIVE_BUDGET:
+        raise BudgetError(f"{total} tuples exceed exact-count budget {EXHAUSTIVE_BUDGET}; "
+                          "pass samples")
     links = [(i - 1, j - 1, tv) for (i, j), tv in t_map.items()]
     mass, se = _event_mass(measures, links, phi, eps, samples, seed, 7)
     n = em.n_edges
-    return ConfigCount(eps, t_map, mass / eps ** n, se / eps ** n, budget, samples)
+    return ConfigCount(eps, t_map, mass / eps ** n, se / eps ** n, samples)
 
 
 # -- serialization ----------------------------------------------------------

@@ -146,6 +146,18 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
     return frac, natural_measure(frac, mode)
 
 
+def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
+    """(lam, beta, t_nodes) of an integrated hinge count: the uniform pin
+    measure on lam_points, and the plateau beta over the range of the
+    observed `gaps` with `hinge_t_nodes` t-nodes reaching 0.05 past it."""
+    lam = FrostmanMeasure(lam_points, np.full(len(lam_points), 1.0 / len(lam_points)),
+                          exponent_s=mu.exponent_s)
+    t_lo, t_hi = float(np.min(gaps)), float(np.max(gaps))
+    beta = build_cutoffs(phi, (0.0, 1.0), 0.05, (t_lo, t_hi)).beta
+    t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, cfg_int(cfg, "hinge_t_nodes", 96))
+    return lam, beta, t_nodes
+
+
 def draw_pins(cfg, mu: FrostmanMeasure, seed: int, count: int):
     """Pin set per policy: distinct weight-biased atoms of mu, or a fixed point."""
     policy = cfg_str(cfg, "pin_policy", "mu")
@@ -263,17 +275,12 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
 
         lam_idx = rng_for(seed, 10).choice(len(mu), size=min(hinge_pins, len(mu)),
                                            replace=False)
-        lam = FrostmanMeasure(mu.points[lam_idx],
-                              np.full(len(lam_idx), 1.0 / len(lam_idx)),
-                              exponent_s=mu.exponent_s)
-        t_lo, t_hi = float(ref_vals.min()), float(ref_vals.max())
-        cuts = build_cutoffs(phi, (0.0, 1.0), 0.05, (t_lo, t_hi))
-        t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, cfg_int(cfg, "hinge_t_nodes", 96))
+        lam, beta, t_nodes = hinge_setup(cfg, phi, mu, mu.points[lam_idx], ref_vals)
         for eps in eps_list:
             dens = [c["density"] for c in cells if c["eps"] == eps and c["density"] is not None]
             energy = l2_energy(np.full(len(dens), 1.0 / len(dens)), dens) if dens else math.nan
             try:
-                hinge = hinge_count_integrated(lam, mu, phi, cuts.beta, eps, t_nodes)
+                hinge = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes)
             except PinlabError:
                 hinge = math.nan
             report.energy_rows.append({"dim": dim, "eps": eps,
@@ -309,7 +316,6 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     persistent pins stay below the floor at every epsilon.
     """
     seed = cfg_int(cfg, "seed", 0) if seed is None else seed
-    d = cfg_int(cfg, "d", 2)
     n_pins = cfg_int(cfg, "pins", 50)
     if n_pins < 50:
         raise ConfigError("exceptional_probe needs >= 50 pins")
@@ -319,7 +325,7 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     step_div = cfg_int(cfg, "t_step_divisor", 16)
 
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, d)
+    phi = build_phase(cfg, mu.d)
     pins = draw_pins(cfg, mu, seed, n_pins)
     report = ProbeReport(floor=floor)
     below = np.zeros(len(pins), dtype=int)

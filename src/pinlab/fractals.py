@@ -112,8 +112,7 @@ class PointSample:
             raise DomainError("weights must sum to 1 within 1e-12")
 
 
-def build_product_cantor(d: int, ratio_a: float, level_n: int,
-                         budget: int = CELL_BUDGET) -> CellFractal:
+def build_product_cantor(d: int, ratio_a: float, level_n: int) -> CellFractal:
     """d-fold product of middle-(1-2a) Cantor sets, level n.
 
     Every cell keeps both endpoint children per axis, so keep_m = 2**d and
@@ -124,8 +123,8 @@ def build_product_cantor(d: int, ratio_a: float, level_n: int,
     if level_n < 1 or d < 1:
         raise DomainError("need d >= 1 and level_n >= 1")
     count = 2 ** (d * level_n)
-    if count > budget:
-        raise BudgetError(f"cell count 2^{d * level_n} exceeds budget {budget}")
+    if count > CELL_BUDGET:
+        raise BudgetError(f"cell count 2^{d * level_n} exceeds budget {CELL_BUDGET}")
     digits_1d = np.stack(np.meshgrid(*([np.arange(2)] * level_n), indexing="ij"),
                          axis=-1).reshape(-1, level_n)
     per_axis = [digits_1d] * d
@@ -137,14 +136,14 @@ def build_product_cantor(d: int, ratio_a: float, level_n: int,
 
 
 def build_subdivision_fractal(d: int, base_b: int, keep_m: int, level_n: int,
-                              seed: int, budget: int = CELL_BUDGET) -> CellFractal:
+                              seed: int) -> CellFractal:
     """Random b-adic subdivision keeping m of the b^d children per cell."""
     if not (1 <= keep_m <= base_b ** d):
         raise DomainError(f"keep_m {keep_m} outside 1..{base_b ** d}")
     if level_n < 1 or d < 1 or base_b < 2:
         raise DomainError("need d >= 1, base_b >= 2, level_n >= 1")
-    if keep_m ** level_n > budget:
-        raise BudgetError(f"cell count {keep_m}^{level_n} exceeds budget {budget}")
+    if keep_m ** level_n > CELL_BUDGET:
+        raise BudgetError(f"cell count {keep_m}^{level_n} exceeds budget {CELL_BUDGET}")
     rng = rng_for(seed, 0)
     child_digits = np.stack(np.meshgrid(*([np.arange(base_b)] * d), indexing="ij"),
                             axis=-1).reshape(-1, d).astype(np.uint8)

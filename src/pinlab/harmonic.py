@@ -23,6 +23,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, ResolutionError
 from .fractals import FrostmanMeasure
+from .phases import pairwise_value
 from .pinned import DEPOSIT_BLOCK, Mollifier, _periodic_deposit
 from .profiles import smooth_step
 from .rng import rng_for
@@ -153,8 +154,7 @@ class DecayFit(NamedTuple):
     flagged: bool
 
 
-def rasterize_sphere_shell(d: int, side_n: int, radius: float = 0.25,
-                           width_cells: float = 2.0) -> np.ndarray:
+def rasterize_sphere_shell(d: int, side_n: int, radius: float = 0.25) -> np.ndarray:
     """Unit-mass thin spherical shell on the grid (mass-exact normalization).
 
     Cells are weighted by a tent profile across the 2-cell shell width; a
@@ -165,7 +165,7 @@ def rasterize_sphere_shell(d: int, side_n: int, radius: float = 0.25,
     axes = [(np.arange(side_n) + 0.5) * h] * d
     grids = np.meshgrid(*axes, indexing="ij")
     r = np.sqrt(sum((g - 0.5) ** 2 for g in grids))
-    mass = np.maximum(0.0, 1.0 - np.abs(r - radius) / (width_cells * h / 2.0))
+    mass = np.maximum(0.0, 1.0 - np.abs(r - radius) / h)
     total = mass.sum()
     if total == 0:
         raise DomainError("shell missed every grid cell")
@@ -345,16 +345,15 @@ def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
     return EnergyResult(fourier_value, kernel_value, np.array(radii), np.array(incs))
 
 
-def shell_profile_verdict(increments, grow_factor: float = 2.0,
-                          level_ratio: float = 1.05) -> str:
-    """Classify a shell-increment profile: "converging" when the last two
-    shells have ratio <= level_ratio, "growing" when last/first >= grow_factor."""
+def shell_profile_verdict(increments) -> str:
+    """Classify a shell-increment profile: "growing" when last/first >= 2,
+    else "converging" when the last two shells have ratio <= 1.05."""
     inc = np.asarray(increments, float)
     if len(inc) < 3:
         raise DomainError("need at least three shells")
-    if inc[-1] / inc[0] >= grow_factor:
+    if inc[-1] / inc[0] >= 2.0:
         return "growing"
-    if inc[-1] / inc[-2] <= level_ratio:
+    if inc[-1] / inc[-2] <= 1.05:
         return "converging"
     return "undecided"
 
@@ -378,7 +377,8 @@ def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
     atom (floored at 1e-300, so coincident atoms stop at j = 998).  Atom y
     thus adds w_y times the partial sum of the shell weights up to
     J = max{j : |x - y| <= 2^-j}, read exactly from the binary exponent of
-    |x - y|.
+    |x - y|.  A sum of shell weights past the float range (coincident atoms
+    with d - gamma above about 1) raises DomainError naming the two atoms.
     """
     d = lam.d
 
@@ -398,9 +398,20 @@ def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
         np.copyto(shell, j_stop, where=dist == 0.0)
         shell[self_pairs] = -1
         np.maximum(shell, -1, out=shell)
-        weights = [2.0 ** ((j + 1) * (d - gamma)) for j in range(int(j_stop.max()) + 1)]
+        top = int(j_stop.max())
+        try:
+            with np.errstate(over="ignore"):
+                sums = np.cumsum([2.0 ** ((j + 1) * (d - gamma)) for j in range(top + 1)])
+        except OverflowError:
+            sums = np.array([np.inf])
+        if not np.isfinite(sums[-1]):
+            i = int(np.argmax(j_stop))
+            near = "coincide" if gap[i] == 0.0 else f"lie {gap[i]:.3g} apart"
+            raise DomainError(f"atoms {i0 + i} and {int(np.argmin(dist[i]))} {near}: the "
+                              f"shell weights 2^((j+1)(d - gamma)) up to j = {top} pass "
+                              f"the float range at d - gamma = {d - gamma:g}")
         # shell -1 (in no ball) reads the trailing 0
-        return np.append(np.cumsum(weights), 0.0)[shell]
+        return np.append(sums, 0.0)[shell]
 
     return float(_row_sums(lam.points, lam.weights, shell_sums).max(initial=0.0))
 
@@ -416,7 +427,6 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
     by FFT, zero-padded to 2n per axis for euclidean and periodic for
     flat_torus.  Other phases and psi-weighted calls use `_radon_direct`.
     """
-    from .phases import Euclidean, FlatTorus
     fields = [np.asarray(f) for f in fields]
     n = fields[0].shape[0]
     for f in fields:
@@ -426,12 +436,12 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
         # 2/side_n puts >= 8 grid nodes across the mollifier support, the
         # coarsest the y-quadrature stays trustworthy
         raise ResolutionError(f"eps {eps} below the resolvable 2/side_n = {2.0 / n}")
-    if psi is not None or not isinstance(phi, (Euclidean, FlatTorus)):
+    if psi is not None or phi.kind not in ("euclidean", "flat_torus"):
         return _radon_direct(phi, psi, eps, t, fields)
     h = 1.0 / n
     # kernel at offsets i - j of x = i h from y = j h: periodic on the torus,
     # else padded to 2n so that the circular convolution is the linear one
-    if isinstance(phi, FlatTorus):
+    if phi.kind == "flat_torus":
         k, size = np.arange(n), n
     else:
         k, size = np.arange(1 - n, n), 2 * n
@@ -450,7 +460,6 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
 
 def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
     """T_eps,t by direct quadrature over the (n^2 x n^2) pair matrix."""
-    from .phases import pairwise_value
     n = fields[0].shape[0]
     h = 1.0 / n
     axis = np.arange(n) * h

@@ -92,8 +92,7 @@ def monge_ampere_det(phi: PhaseFunction, x, y) -> float:
     phi.check_domain(x, y)
     if phi.forbidden(x, y):
         raise DomainError("Monge-Ampere determinant undefined on the forbidden set")
-    m = bordered_matrix(phi.grad_x(x, y), phi.grad_y(x, y), phi.mixed_hessian(x, y))
-    return float(np.linalg.det(m))
+    return float(monge_ampere_det_many(phi, x, y))
 
 
 def monge_ampere_det_many(phi: PhaseFunction, X, Y) -> np.ndarray:
@@ -119,22 +118,29 @@ def _norm(x, y, diff):
 
 
 class Euclidean(PhaseFunction):
+    """|x - factor * y|; factor = 1 is the Euclidean distance.  Subclasses
+    change the difference vector `_diff`, and every map is written on it."""
+
     kind = "euclidean"
+    factor = 1.0
+
+    def _diff(self, x, y):
+        return x - self.factor * y
 
     def value(self, x, y):
-        return _norm(x, y, np.subtract)
+        return _norm(x, y, self._diff)
 
     def grad_x(self, x, y):
-        return (x - y) / self.value(x, y)[..., None]
+        return self._diff(x, y) / self.value(x, y)[..., None]
 
     def grad_y(self, x, y):
-        return -self.grad_x(x, y)
+        return -self.factor * self.grad_x(x, y)
 
     def mixed_hessian(self, x, y):
         r = self.value(x, y)[..., None]
-        u = (x - y) / r
+        u = self._diff(x, y) / r
         eye = np.eye(x.shape[-1])
-        return (_outer(u) - eye) / r[..., None]
+        return self.factor * (_outer(u) - eye) / r[..., None]
 
     def forbidden(self, x, y):
         return self.value(x, y) == 0.0
@@ -143,7 +149,7 @@ class Euclidean(PhaseFunction):
         return self.value(x, y)
 
 
-class ScaledEuclidean(PhaseFunction):
+class ScaledEuclidean(Euclidean):
     kind = "scaled_euclidean"
 
     def __init__(self, dimension_d: int, factor: float):
@@ -151,28 +157,6 @@ class ScaledEuclidean(PhaseFunction):
         if factor == 0.0:
             raise DomainError("scale factor must be nonzero")
         self.factor = float(factor)
-
-    def value(self, x, y):
-        return _norm(x, y, lambda a, b: a - self.factor * b)
-
-    def grad_x(self, x, y):
-        return (x - self.factor * y) / self.value(x, y)[..., None]
-
-    def grad_y(self, x, y):
-        return -self.factor * self.grad_x(x, y)
-
-    def mixed_hessian(self, x, y):
-        a = self.factor
-        r = self.value(x, y)[..., None]
-        u = (x - a * y) / r
-        eye = np.eye(x.shape[-1])
-        return a * (_outer(u) - eye) / r[..., None]
-
-    def forbidden(self, x, y):
-        return self.value(x, y) == 0.0
-
-    def forbidden_distance(self, x, y):
-        return self.value(x, y)
 
 
 class DotProduct(PhaseFunction):
@@ -185,7 +169,7 @@ class DotProduct(PhaseFunction):
         return np.broadcast_arrays(x, y)[1].copy()
 
     def grad_y(self, x, y):
-        return np.broadcast_arrays(x, y)[0].copy()
+        return self.grad_x(y, x)
 
     def mixed_hessian(self, x, y):
         shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
@@ -208,25 +192,13 @@ def torus_wrap(diff):
     return diff - np.round(diff)
 
 
-class FlatTorus(PhaseFunction):
+class FlatTorus(Euclidean):
     """Euclidean metric on the unit torus; matches Euclidean when |x-y|_inf < 1/2."""
 
     kind = "flat_torus"
 
-    def value(self, x, y):
-        return _norm(x, y, lambda a, b: torus_wrap(a - b))
-
-    def grad_x(self, x, y):
-        return torus_wrap(x - y) / self.value(x, y)[..., None]
-
-    def grad_y(self, x, y):
-        return -self.grad_x(x, y)
-
-    def mixed_hessian(self, x, y):
-        r = self.value(x, y)[..., None]
-        u = torus_wrap(x - y) / r
-        eye = np.eye(x.shape[-1])
-        return (_outer(u) - eye) / r[..., None]
+    def _diff(self, x, y):
+        return torus_wrap(x - y)
 
     def forbidden(self, x, y):
         w = torus_wrap(x - y)
@@ -290,9 +262,7 @@ class SphereGeodesicChart(PhaseFunction):
         return -jf / np.sqrt(np.maximum(1.0 - f ** 2, 0.0))[..., None]
 
     def grad_y(self, x, y):
-        f = self._cosine(x, y)
-        jf = np.einsum("...kj,...k->...j", self._jacobian(y), self._embed(x))
-        return -jf / np.sqrt(np.maximum(1.0 - f ** 2, 0.0))[..., None]
+        return self.grad_x(y, x)
 
     def mixed_hessian(self, x, y):
         f = self._cosine(x, y)[..., None, None]
@@ -315,17 +285,18 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray,
                    chunk: int = 4_000_000) -> np.ndarray:
     """phi(a, b) for all rows of A against all rows of B, (len(A), len(B)).
 
-    Euclidean-type kinds go through a GEMM expansion of |a - b|^2, which is
-    several times faster than broadcast subtraction at grid scale; other
-    kinds fall back to broadcasting.
+    The euclidean and scaled_euclidean kinds go through a GEMM expansion of
+    |a - factor b|^2, which is several times faster than broadcast subtraction
+    at grid scale, and dot_product is one GEMM; other kinds, the flat torus
+    among them, fall back to broadcasting `value`.  Dispatch reads `phi.kind`,
+    never the class: FlatTorus subclasses Euclidean but has no such expansion.
     """
     A = np.asarray(A, float)
     B = np.asarray(B, float)
     out = np.empty((len(A), len(B)))
     rows = max(1, chunk // max(len(B), 1))
-    if isinstance(phi, (Euclidean, ScaledEuclidean)):
-        scale = getattr(phi, "factor", 1.0)
-        Bs = scale * B
+    if phi.kind in ("euclidean", "scaled_euclidean"):
+        Bs = phi.factor * B
         b2 = (Bs ** 2).sum(axis=1)
         for i0 in range(0, len(A), rows):
             sl = slice(i0, min(i0 + rows, len(A)))
@@ -335,7 +306,7 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray,
             np.sqrt(r2, out=r2)
             out[sl] = r2
         return out
-    if isinstance(phi, DotProduct):
+    if phi.kind == "dot_product":
         for i0 in range(0, len(A), rows):
             sl = slice(i0, min(i0 + rows, len(A)))
             out[sl] = A[sl] @ B.T
@@ -378,13 +349,13 @@ class CutoffPair:
 
 
 def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
-                  t_range, window_margin: float = 0.1,
-                  beta_margin: float | None = None) -> CutoffPair:
+                  t_range) -> CutoffPair:
     """Smooth cutoffs around the forbidden set and over the t-window.
 
     psi(x, y) = W(x) W(y) S(dist_to_forbidden / radius - 1) where S steps from
     0 to 1 over [radius, 2*radius] and W is a plateau equal to 1 on the
-    e_bounds box, vanishing window_margin outside it.
+    e_bounds box, vanishing 0.1 outside it; beta falls to 0 over a tenth of
+    the t-window's length outside it.
     """
     if neighborhood_radius <= 0:
         raise DomainError("neighborhood_radius must be positive")
@@ -392,10 +363,8 @@ def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise DomainError("empty t_range")
-    bmargin = beta_margin if beta_margin is not None else 0.1 * (t1 - t0)
-
     def window(p):
-        return np.prod(plateau(p, lo, hi, window_margin), axis=-1)
+        return np.prod(plateau(p, lo, hi, 0.1), axis=-1)
 
     def psi(x, y):
         x = np.asarray(x, float)
@@ -404,7 +373,7 @@ def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
         return window(x) * window(y) * gate
 
     def beta(t):
-        return plateau(t, t0, t1, bmargin)
+        return plateau(t, t0, t1, 0.1 * (t1 - t0))
 
     return CutoffPair(psi, beta, neighborhood_radius, (t0, t1), (lo, hi))
 

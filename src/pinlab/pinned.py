@@ -39,6 +39,7 @@ from scipy.sparse import csc_matrix
 
 from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
+from .phases import pairwise_value
 from .profiles import bump_l2_constant, bump_profile
 from .rng import batches, rng_for
 
@@ -326,15 +327,8 @@ def support_measure(nu, threshold: float = 0.0) -> float:
     return float(nu.weight_grid()[nu.values > threshold].sum())
 
 
-def _phi_matrix(phi, A, B, chunk: int = 2_000_000):
-    """phi(a, b) for all atom pairs, chunked over rows."""
-    from .phases import pairwise_value
-    return pairwise_value(phi, A, B, chunk)
-
-
 def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
-                  t_axes=None, mc_samples: int = 0, seed: int = 0,
-                  grid_budget: int = GRID_BUDGET) -> ChainDensity:
+                  t_axes=None, mc_samples: int = 0, seed: int = 0) -> ChainDensity:
     """Mollified k-link chain density on a tensor t-grid.
 
     Exact mode contracts the atom-pair kernels link by link (the nested-sum
@@ -362,8 +356,8 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     for ax in t_axes:
         _check_resolution(float(ax[1] - ax[0]), eps)
         nodes *= len(ax)
-    if nodes > grid_budget:
-        raise BudgetError(f"chain grid of {nodes} nodes exceeds budget {grid_budget}")
+    if nodes > GRID_BUDGET:
+        raise BudgetError(f"chain grid of {nodes} nodes exceeds budget {GRID_BUDGET}")
 
     if mc_samples == 0:
         values = _chain_exact(mu, phi, pin, k, mollifier, t_axes)
@@ -375,9 +369,11 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     return ChainDensity(pin, k, eps, t_axes, values, stderr, mc_samples, mass_se)
 
 
-def _pair_range(phi, mu, cap: int = 1024):
-    pts = mu.points if len(mu) <= cap else mu.points[:: max(1, len(mu) // cap)]
-    m = _phi_matrix(phi, pts, pts)
+def _pair_range(phi, mu):
+    """(min, max) of phi over the pairs of every atom, or of every
+    (len // 1024)-th one beyond 1024 atoms."""
+    pts = mu.points if len(mu) <= 1024 else mu.points[:: len(mu) // 1024]
+    m = pairwise_value(phi, pts, pts)
     return float(m.min()), float(m.max())
 
 
@@ -394,7 +390,7 @@ def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
     reach = mollifier.support_radius
     g = np.ones((n, 1))
     if k > 1:
-        phi_aa = _phi_matrix(phi, mu.points, mu.points)
+        phi_aa = pairwise_value(phi, mu.points, mu.points)
     for ax in reversed(t_axes[1:]):
         out = np.empty((n, len(ax) * g.shape[1]))
         rows = max(1, DEPOSIT_BLOCK // (n * _window_width(ax, reach)))
@@ -463,7 +459,7 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
         pts, w = mu.points, mu.weights
         g = np.ones(len(pts))
         if k > 1:
-            gaps = _phi_matrix(phi, pts, pts)
+            gaps = pairwise_value(phi, pts, pts)
             weight = 1.0 if psi is None else np.asarray(psi(pts[:, None, :], pts[None, :, :]))
         for link in range(k, 1, -1):
             g = (mollifier(t[link - 1] - gaps) * weight) @ (w * g)

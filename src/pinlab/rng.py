@@ -21,15 +21,10 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def batches(total: int, batch: int = BATCH):
-    """Yield (index, start, size) triples covering range(total)."""
-    i = 0
-    start = 0
-    while start < total:
-        size = min(batch, total - start)
-        yield i, start, size
-        i += 1
-        start += size
+def batches(total: int):
+    """Yield (index, start, size) triples covering range(total) in BATCH-sized steps."""
+    for i, start in enumerate(range(0, total, BATCH)):
+        yield i, start, min(BATCH, total - start)
 
 
 def parallel_map(fn, items, jobs: int = 1):

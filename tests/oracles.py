@@ -14,17 +14,22 @@ the full circle of angles and the dense Riesz double sum, with the per-atom
 Schur row loop, as they were before the blocked real-arithmetic versions
 replaced them.  They touch every pair or tuple, or rebuild what the
 package shares, so they are slow and memory-hungry, but they are simple
-enough to trust.
+enough to trust.  The euclidean, scaled_euclidean and flat_torus phases
+are here as the three separate classes they were before one
+Euclidean-family class, written on its difference vector, replaced them.
 """
 
+import functools
 import math
 
 import numpy as np
 
+from pinlab.errors import DomainError
 from pinlab.fractals import sample_points
 from pinlab.harmonic import EnergyResult, riesz_constant
-from pinlab.phases import pairwise_value
-from pinlab.pinned import _phi_matrix, _trapz_weights, default_t_grid
+from pinlab.phases import (PhaseFunction, _coord_sum, _norm, _outer,
+                           pairwise_value, torus_wrap)
+from pinlab.pinned import _trapz_weights, default_t_grid
 from pinlab.profiles import bump_profile
 from pinlab.rng import batches, rng_for
 
@@ -73,7 +78,7 @@ def dense_chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
     w = mu.weights
     n = len(mu)
     if k > 1:
-        phi_aa = _phi_matrix(phi, mu.points, mu.points)
+        phi_aa = pairwise_value(phi, mu.points, mu.points)
     g = np.ones((n,))
     for link in range(k, 1, -1):
         ax = t_axes[link - 1]
@@ -177,7 +182,7 @@ def enumerated_config_mass(em, measures, phi, t_map, eps):
     total = math.prod(sizes)
     pair_ind = {}
     for (i, j), tv in t_map.items():
-        gaps = _phi_matrix(phi, measures[i - 1].points, measures[j - 1].points)
+        gaps = pairwise_value(phi, measures[i - 1].points, measures[j - 1].points)
         pair_ind[(i, j)] = np.abs(gaps - tv) <= eps
     mass = 0.0
     for start in range(0, total, 1_000_000):
@@ -199,11 +204,11 @@ def nested_chain_tuple_mass(lam, mu, phi, t, eps):
     k = len(t)
     g = np.ones(len(mu))
     if k > 1:
-        gaps_aa = _phi_matrix(phi, mu.points, mu.points)
+        gaps_aa = pairwise_value(phi, mu.points, mu.points)
     for link in range(k, 1, -1):
         kern = (np.abs(gaps_aa - t[link - 1]) <= eps).astype(float)
         g = kern @ (mu.weights * g)
-    gaps_pin = _phi_matrix(phi, lam.points, mu.points)
+    gaps_pin = pairwise_value(phi, lam.points, mu.points)
     kern0 = (np.abs(gaps_pin - t[0]) <= eps).astype(float)
     m_x = kern0 @ (mu.weights * g)
     return float(lam.weights @ m_x ** 2)
@@ -216,7 +221,7 @@ def nested_composed_density(mu, phi, pin_x, k, mollifier, t, psi=None):
     pts, w = mu.points, mu.weights
     g = np.ones(len(pts))
     for link in range(k, 1, -1):
-        kern = mollifier(t[link - 1] - _phi_matrix(phi, pts, pts))
+        kern = mollifier(t[link - 1] - pairwise_value(phi, pts, pts))
         if psi is not None:
             kern = kern * np.asarray(psi(pts[:, None, :], pts[None, :, :]))
         g = kern @ (w * g)
@@ -402,3 +407,96 @@ def masked_bump_raw(u):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+# -- the distance phases as three separate classes, before they shared one
+#    Euclidean-family class written on its difference vector ----------------
+
+class Euclidean(PhaseFunction):
+    kind = "euclidean"
+
+    def value(self, x, y):
+        return _norm(x, y, np.subtract)
+
+    def grad_x(self, x, y):
+        return (x - y) / self.value(x, y)[..., None]
+
+    def grad_y(self, x, y):
+        return -self.grad_x(x, y)
+
+    def mixed_hessian(self, x, y):
+        r = self.value(x, y)[..., None]
+        u = (x - y) / r
+        eye = np.eye(x.shape[-1])
+        return (_outer(u) - eye) / r[..., None]
+
+    def forbidden(self, x, y):
+        return self.value(x, y) == 0.0
+
+    def forbidden_distance(self, x, y):
+        return self.value(x, y)
+
+
+class ScaledEuclidean(PhaseFunction):
+    kind = "scaled_euclidean"
+
+    def __init__(self, dimension_d: int, factor: float):
+        super().__init__(dimension_d)
+        if factor == 0.0:
+            raise DomainError("scale factor must be nonzero")
+        self.factor = float(factor)
+
+    def value(self, x, y):
+        return _norm(x, y, lambda a, b: a - self.factor * b)
+
+    def grad_x(self, x, y):
+        return (x - self.factor * y) / self.value(x, y)[..., None]
+
+    def grad_y(self, x, y):
+        return -self.factor * self.grad_x(x, y)
+
+    def mixed_hessian(self, x, y):
+        a = self.factor
+        r = self.value(x, y)[..., None]
+        u = (x - a * y) / r
+        eye = np.eye(x.shape[-1])
+        return a * (_outer(u) - eye) / r[..., None]
+
+    def forbidden(self, x, y):
+        return self.value(x, y) == 0.0
+
+    def forbidden_distance(self, x, y):
+        return self.value(x, y)
+
+
+class FlatTorus(PhaseFunction):
+    """Euclidean metric on the unit torus; matches Euclidean when |x-y|_inf < 1/2."""
+
+    kind = "flat_torus"
+
+    def value(self, x, y):
+        return _norm(x, y, lambda a, b: torus_wrap(a - b))
+
+    def grad_x(self, x, y):
+        return torus_wrap(x - y) / self.value(x, y)[..., None]
+
+    def grad_y(self, x, y):
+        return -self.grad_x(x, y)
+
+    def mixed_hessian(self, x, y):
+        r = self.value(x, y)[..., None]
+        u = torus_wrap(x - y) / r
+        eye = np.eye(x.shape[-1])
+        return (_outer(u) - eye) / r[..., None]
+
+    def forbidden(self, x, y):
+        w = torus_wrap(x - y)
+        on_cut = (np.abs(np.abs(w) - 0.5) == 0.0).any(axis=-1)
+        return (self.value(x, y) == 0.0) | on_cut
+
+    def forbidden_distance(self, x, y):
+        w = torus_wrap(x - y)
+        r = np.sqrt(_coord_sum(w, w, np.multiply))
+        cut_margin = functools.reduce(np.minimum, (0.5 - np.abs(w[..., j])
+                                                   for j in range(w.shape[-1])))
+        return np.minimum(r, cut_margin)

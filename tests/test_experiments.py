@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import re
 
 import pytest
 
@@ -407,3 +409,20 @@ seed = 4
     assert cli_main(["chain", "--config", chcfg, "--out", chout]) == 0
     summary = json.load(open(os.path.join(chout, "summary.json")))
     assert summary["mass"] == pytest.approx(1.0, abs=max(3 * summary["mass_stderr"], 5e-3))
+
+
+def test_readme_documents_every_config_key():
+    """Every key the package reads through a cfg_* accessor has a row in the
+    README's key table."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    source = ""
+    for path in glob.glob(os.path.join(root, "src", "pinlab", "*.py")):
+        with open(path) as fh:
+            source += fh.read()
+    keys = set(re.findall(r'cfg_\w+\(cfg,\s*f?"([^"]+)"', source))
+    keys.remove("decay_side_n_d{d}")
+    keys |= {"decay_side_n_d2", "decay_side_n_d3"}
+    assert len(keys) > 40 and "hinge_t_nodes" in keys
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    assert sorted(k for k in keys if f"`{k}`" not in readme) == []

@@ -294,6 +294,18 @@ def test_schur_dyadic_majorant_coincident_atoms_and_dyadic_distances():
         assert got >= 2.0 ** (999 * (2 - gamma)) * 0.2
 
 
+def test_schur_dyadic_majorant_overflow_names_coincident_atoms():
+    # atoms 0 and 2 coincide: at gamma = 1.5 the shells up to j = 998 still
+    # sum to a float; at gamma = 0.5 their weights pass the float range
+    pts = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
+    lam = FrostmanMeasure(pts, np.full(3, 1 / 3), exponent_s=0.0)
+    got = schur_dyadic_majorant(lam, 1.5)
+    assert_rel_close(got, loop_schur_dyadic_majorant(lam, 1.5))
+    assert got == pytest.approx(2.634e150, rel=1e-3)
+    with pytest.raises(DomainError, match=r"^atoms 0 and 2 coincide: .* d - gamma = 1\.5$"):
+        schur_dyadic_majorant(lam, 0.5)
+
+
 def test_schur_majorant_dominates():
     for gamma in (0.2, 0.8):
         for level in (4, 5, 6):

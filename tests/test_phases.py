@@ -1,5 +1,8 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinlab import (DomainError, FrostmanMeasure, build_cutoffs,
                     build_product_cantor, monge_ampere_det, natural_measure,
@@ -268,6 +271,13 @@ def _yb(x, y):
 _embed = SphereGeodesicChart._embed
 
 
+def _sphere_grad_y(x, y):
+    f = (_embed(x) * _embed(y)).sum(axis=-1)
+    jf = np.einsum("...kj,...k->...j", SphereGeodesicChart._jacobian(y), _embed(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -jf / np.sqrt(np.maximum(1.0 - f ** 2, 0.0))[..., None]
+
+
 @pytest.mark.parametrize("kind, method, reduction", [
     ("dot_product", "value", lambda x, y: (x * y).sum(axis=-1)),
     ("dot_product", "forbidden",
@@ -283,6 +293,9 @@ _embed = SphereGeodesicChart._embed
     ("flat_torus", "forbidden_distance",
      lambda x, y: np.minimum(np.sqrt((torus_wrap(x - y) ** 2).sum(axis=-1)),
                              (0.5 - np.abs(torus_wrap(x - y))).min(axis=-1))),
+    # grad_y is grad_x with the points swapped; these are the formulas it replaced
+    ("dot_product", "grad_y", lambda x, y: np.broadcast_arrays(x, y)[0].copy()),
+    ("sphere_geodesic_chart", "grad_y", _sphere_grad_y),
 ])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dot_and_sphere_methods_equal_last_axis_reductions_bitwise(kind, method, reduction, d):
@@ -298,3 +311,63 @@ def test_dot_and_sphere_methods_equal_last_axis_reductions_bitwise(kind, method,
         got, want = np.atleast_1d(fn(x, y)), np.atleast_1d(reduction(x, y))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+PRE_MERGE = {"euclidean": oracles.Euclidean, "scaled_euclidean": oracles.ScaledEuclidean,
+             "flat_torus": oracles.FlatTorus}
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a if a.dtype == bool else a.view(np.uint64)
+
+
+def _pre_merge_pairwise(old, A, B):
+    """What `pairwise_value` computed for the pre-merge classes: the GEMM
+    expansion for the euclidean kinds, `value` broadcast for the torus."""
+    if old.kind == "flat_torus":
+        return old.value(A[:, None, :], B[None, :, :])
+    Bs = getattr(old, "factor", 1.0) * B
+    r2 = (A ** 2).sum(axis=1)[:, None] + (Bs ** 2).sum(axis=1)[None, :]
+    r2 -= 2.0 * (A @ Bs.T)
+    return np.sqrt(np.maximum(r2, 0.0))
+
+
+@st.composite
+def distance_phase_cases(draw):
+    kind, params = draw(st.sampled_from(
+        [("euclidean", {}), ("flat_torus", {})]
+        + [("scaled_euclidean", {"factor": a}) for a in (1.0, 0.5, -1.7)]))
+    d = draw(st.integers(1, 3))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    X = np.array(draw(st.lists(COORDS, min_size=n * d, max_size=n * d))).reshape(n, d)
+    Y = np.array(draw(st.lists(COORDS, min_size=n * d, max_size=n * d))).reshape(n, d)
+    same = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    Y[same] = X[same]                     # pairs with x = y
+    extra = np.array(draw(st.lists(COORDS, min_size=m * d, max_size=m * d))).reshape(m, d)
+    return kind, params, d, X, Y, np.vstack([X, extra])
+
+
+@settings(max_examples=150)
+@given(case=distance_phase_cases())
+def test_distance_phases_equal_pre_merge_classes_bitwise(case):
+    """The Euclidean-family class reproduces the three classes it replaced bit
+    for bit on every map, on paired (n, d) points and broadcast (n, 1, d) x
+    (1, m, d) grids; only grad_y's 0/0 at x = y may differ in a NaN's sign."""
+    kind, params, d, X, Y, B = case
+    new, old = phase_function(kind, d, **params), PRE_MERGE[kind](d, **params)
+    with np.errstate(all="ignore"):
+        for x, y in ((X, Y), (X[:, None, :], B[None, :, :])):
+            for method in ("value", "grad_x", "grad_y", "mixed_hessian",
+                           "forbidden", "forbidden_distance"):
+                got = np.asarray(getattr(new, method)(x, y))
+                want = np.asarray(getattr(old, method)(x, y))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                keep = np.ones(got.shape, bool)
+                if method == "grad_y":
+                    keep = ~(np.isnan(got) & np.isnan(want))
+                assert np.array_equal(_bits(got)[keep], _bits(want)[keep]), method
+        got, want = pairwise_value(new, X, B), _pre_merge_pairwise(old, X, B)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
