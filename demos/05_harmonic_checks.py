@@ -26,10 +26,11 @@ for d, side in ((2, 1024), (3, 128)):
     print(f"d={d}: fitted decay slope {fit.slope:.3f} (theory {-(d - 1) / 2})")
 
 # 3. energy dichotomy for a 1-dimensional measure in the plane:
-#    gamma above/below d - s flips shell convergence
+#    gamma above/below d - s flips shell convergence; one call serves both
+#    gammas, sharing the deposit, the FFT and the atom-pair distances
 lam = segment_measure(8192)
-for gamma in (1.2, 0.8):
-    res = energy_integral(lam, gamma, 512)
+gammas = np.array([1.2, 0.8])
+for gamma, res in zip(gammas, energy_integral(lam, gammas, 512)):
     print(f"gamma={gamma}: shell profile {shell_profile_verdict(res.shell_increments)}, "
           f"fourier {res.fourier_value:.3f}, kernel {res.kernel_value:.3f}")
 

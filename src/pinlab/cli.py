@@ -23,7 +23,7 @@ from .experiments import (build_generator, build_phase, cfg_float, cfg_floats,
                           hinge_setup, load_config, parse_number,
                           regression_check, sweep_threshold, write_csv,
                           write_json, write_manifest)
-from .fractals import save_cells, save_measure
+from .fractals import save_cells, save_measure, segment_measure
 from .harmonic import (LPPartition, SpectralGrid, energy_integral,
                        oscillatory_G, radon_sobolev_ratio,
                        random_band_limited, surface_measure_decay)
@@ -243,15 +243,13 @@ def cmd_fourier(cfg, seed, out, jobs):
                       ["shell_or_eps", "value", "reference", "pass"], rows)
             names.append(name)
     if "energy" in which:
-        from .fractals import segment_measure
         lam = segment_measure(cfg_int(cfg, "segment_atoms", 4096))
         side = cfg_int(cfg, "energy_side_n", 512)
-        rows = []
-        for gamma in cfg_floats(cfg, "gammas", [1.2, 0.8]):
-            res = energy_integral(lam, gamma, side)
-            rows.append([gamma, res.fourier_value, res.kernel_value,
-                         float(res.shell_increments[-1] / res.shell_increments[-2]),
-                         float(res.shell_increments[-1] / res.shell_increments[0])])
+        gammas = cfg_floats(cfg, "gammas", [1.2, 0.8])
+        rows = [[gamma, res.fourier_value, res.kernel_value,
+                 float(res.shell_increments[-1] / res.shell_increments[-2]),
+                 float(res.shell_increments[-1] / res.shell_increments[0])]
+                for gamma, res in zip(gammas, energy_integral(lam, np.array(gammas), side))]
         write_csv(os.path.join(out, "energy_shells.csv"),
                   ["gamma", "fourier_value", "kernel_value",
                    "last_over_prev", "last_over_first"], rows)

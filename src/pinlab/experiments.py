@@ -160,6 +160,8 @@ def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
 
 def draw_pins(cfg, mu: FrostmanMeasure, seed: int, count: int):
     """Pin set per policy: distinct weight-biased atoms of mu, or a fixed point."""
+    if count < 1:
+        raise ConfigError(f"config key 'pins' must be >= 1, got {count}")
     policy = cfg_str(cfg, "pin_policy", "mu")
     if policy == "fixed":
         coords = cfg_floats(cfg, "pin")
@@ -234,6 +236,8 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     shrink_total = cfg_float(cfg, "shrink_total", 0.3)
     shrink_mode = cfg_str(cfg, "shrink_mode", "cumulative")
     hinge_pins = cfg_int(cfg, "hinge_pins", 48)
+    if hinge_pins < 1:
+        raise ConfigError("sweep needs hinge_pins >= 1")
     step_div = cfg_int(cfg, "t_step_divisor", 16)
 
     report = SweepReport()
@@ -322,7 +326,6 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     floor = cfg_float(cfg, "floor", 0.05)
     eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5, 2.0 ** -6])
     mc_samples = cfg_int(cfg, "mc_samples", 0)
-    step_div = cfg_int(cfg, "t_step_divisor", 16)
 
     frac, mu = build_generator(cfg, seed)
     phi = build_phase(cfg, mu.d)

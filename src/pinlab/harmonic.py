@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, ResolutionError
 from .fractals import FrostmanMeasure
-from .phases import pairwise_value
+from .phases import _norm, pairwise_value
 from .pinned import DEPOSIT_BLOCK, Mollifier, _periodic_deposit
 from .profiles import smooth_step
 from .rng import rng_for
@@ -219,7 +217,7 @@ def surface_measure_decay(d: int, side_n: int, radius: float = 0.25) -> DecayFit
 
 def riesz_constant(gamma: float, d: int) -> float:
     """c with int |g lambda^|^2 |xi|^-gamma = c * II |x-y|^(gamma-d) g g dl dl."""
-    return np.pi ** (gamma - d / 2.0) * gamma_fn((d - gamma) / 2.0) / gamma_fn(gamma / 2.0)
+    return np.pi ** (gamma - d / 2.0) * math.gamma((d - gamma) / 2.0) / math.gamma(gamma / 2.0)
 
 
 class EnergyResult(NamedTuple):
@@ -266,29 +264,35 @@ def _center_energy_exact(points, masses, gamma: float, r0: float = 1.0,
     return float((wu * ang_int).sum() / p)
 
 
-def _row_sums(points: np.ndarray, weights: np.ndarray, kernel) -> np.ndarray:
-    """sum_j weights[j] K[i, j] for every atom i, where the rows i0.. of K are
-    kernel(cdist(points[i0:i1], points), i0), in blocks of `DEPOSIT_BLOCK`
-    distances; kernel may overwrite the distances it gets."""
-    n = len(points)
-    out = np.empty(n)
-    rows = max(1, DEPOSIT_BLOCK // max(n, 1))
-    for i0 in range(0, n, rows):
-        out[i0:i0 + rows] = kernel(cdist(points[i0:i0 + rows], points), i0) @ weights
-    return out
+def _row_sums(points: np.ndarray, block_sums) -> np.ndarray:
+    """block_sums(dist, i0), one value (or a stack of them) per row, over
+    blocks of at most `DEPOSIT_BLOCK` distances from points[i0:i1] to every
+    point, joined along the last axis; block_sums may overwrite dist.  Squares
+    add in coordinate order, as in scipy's cdist: a GEMM expansion would blur
+    the dyadic distances `schur_dyadic_majorant` reads from the exponent."""
+    rows = max(1, DEPOSIT_BLOCK // len(points))
+    return np.concatenate([
+        block_sums(_norm(points[i0:i0 + rows, None], points[None], np.subtract), i0)
+        for i0 in range(0, len(points), rows)], axis=-1)
 
 
-def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
-    """sum_j w_j |x_i - x_j|^(gamma - d) over the atoms j at positive distance from x_i."""
-    d = points.shape[1]
-    # zero distances (the diagonal, coincident atoms) stay 0 and drop out
-    return _row_sums(points, weights,
-                     lambda dist, _: np.power(dist, gamma - d, out=dist, where=dist > 0))
+def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma) -> np.ndarray:
+    """sum_j w_j |x_i - x_j|^(gamma - d) over the atoms j at positive distance
+    from x_i; a 1-d array of gammas gives one row of sums per gamma from one
+    pass over the distances."""
+    expo = np.atleast_1d(np.asarray(gamma, float)) - points.shape[1]
+
+    def block_sums(dist, _):
+        # zero distances (diagonal, coincident atoms) drop out: inf^(gamma - d) = 0, gamma < d
+        dist[dist == 0.0] = np.inf
+        buf = np.empty_like(dist)
+        return np.stack([np.power(dist, e, out=buf) @ weights for e in expo])
+
+    return _row_sums(points, block_sums).reshape(np.shape(gamma) + (len(points),))
 
 
-def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
-                    g_values=None, pad: int = 4,
-                    sigma_cells: float = 1.0) -> EnergyResult:
+def energy_integral(lam: FrostmanMeasure, gamma, side_n: int,
+                    g_values=None, pad: int = 4, sigma_cells: float = 1.0):
     """Truncated energy int_{|xi|<=side_n/4} |g lambda^|^2 |xi|^-gamma, two ways.
 
     Fourier side: atoms deposited as Gaussian bumps on a pad-times-wider
@@ -296,10 +300,16 @@ def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
     exact Gaussian factor, and summed with the Riemann weight.  Kernel side:
     the Riesz-constant-weighted double sum over distinct atoms.  Dyadic shell
     increments of the Fourier sum are returned for the convergence
-    diagnostics.
+    diagnostics.  A scalar gamma gives one EnergyResult; a 1-d array of
+    gammas gives a list of them, sharing the deposit, the transform, the
+    shell masks and one pass over the atom-pair distances.
     """
-    if not (0.0 < gamma < lam.d):
-        raise DomainError(f"gamma {gamma} outside (0, {lam.d})")
+    gammas = np.atleast_1d(np.asarray(gamma, float))
+    if gammas.ndim != 1 or len(gammas) == 0:
+        raise DomainError(f"gamma must be a scalar or a nonempty 1-d array, got {gamma!r}")
+    for gm in gammas:
+        if not (0.0 < gm < lam.d):
+            raise DomainError(f"gamma {gm} outside (0, {lam.d})")
     if side_n < 16:
         raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
     d = lam.d
@@ -314,35 +324,35 @@ def energy_integral(lam: FrostmanMeasure, gamma: float, side_n: int,
     fn = np.sqrt(sum(x ** 2 for x in grids))
     sigma = sigma_cells / side_n
     decon = np.exp((2.0 * np.pi ** 2 * sigma ** 2) * fn ** 2)
-    power = (np.abs(hat) * decon) ** 2
     # rfft stores half the spectrum; double all columns but 0 and an even n_tot's Nyquist
     dup = np.full(hat.shape[-1], 2.0)
     dup[[0, -1] if n_tot % 2 == 0 else 0] = 1.0
-    power = power * dup
+    power = (np.abs(hat) * decon) ** 2 * dup
     cell = (1.0 / pad) ** d
-    m_hi = int(math.floor(math.log2(side_n / 4.0)))
-    radii, incs = [], []
-    for m in range(0, m_hi):
+    radii, shells = [], []
+    for m in range(0, int(math.floor(math.log2(side_n / 4.0)))):
         lo, hi = 2.0 ** m, 2.0 ** (m + 1)
         sel = (fn >= lo) & (fn < hi)
         radii.append(math.sqrt(lo * hi))
-        incs.append(float((power[sel] * fn[sel] ** (-gamma)).sum() * cell))
-    # |xi| < 1: the |xi|^-gamma singularity defeats the lattice Riemann sum;
-    # integrate it exactly from direct atom sums in polar coordinates (d = 2),
-    # falling back to a smooth quadratic-in-radius model otherwise
-    if d == 2:
-        low_part = _center_energy_exact(lam.points, masses, gamma)
-    else:
-        amp_zero = float(power.flat[0])
-        ring = (fn >= 0.75) & (fn < 1.25)
-        ring_mean = float(power[ring].mean()) if np.any(ring) else amp_zero
-        b_coef = ring_mean - amp_zero
-        low_part = 4.0 * np.pi * (amp_zero / (3.0 - gamma) + b_coef / (5.0 - gamma))
-    fourier_value = low_part + float(np.sum(incs))
-
-    kern = float(masses @ _riesz_row_sums(lam.points, masses, gamma))
-    kernel_value = riesz_constant(gamma, d) * kern
-    return EnergyResult(fourier_value, kernel_value, np.array(radii), np.array(incs))
+        shells.append((power[sel], fn[sel]))
+    results = []
+    for gm, row_sums in zip(gammas, _riesz_row_sums(lam.points, masses, gammas)):
+        incs = [float((p * f ** (-gm)).sum() * cell) for p, f in shells]
+        # |xi| < 1: the |xi|^-gamma singularity defeats the lattice Riemann sum;
+        # integrate it exactly from direct atom sums in polar coordinates (d = 2),
+        # falling back to a smooth quadratic-in-radius model otherwise
+        if d == 2:
+            low_part = _center_energy_exact(lam.points, masses, gm)
+        else:
+            amp_zero = float(power.flat[0])
+            ring = (fn >= 0.75) & (fn < 1.25)
+            ring_mean = float(power[ring].mean()) if np.any(ring) else amp_zero
+            b_coef = ring_mean - amp_zero
+            low_part = 4.0 * np.pi * (amp_zero / (3.0 - gm) + b_coef / (5.0 - gm))
+        results.append(EnergyResult(low_part + float(np.sum(incs)),
+                                    riesz_constant(gm, d) * float(masses @ row_sums),
+                                    np.array(radii), np.array(incs)))
+    return results[0] if np.ndim(gamma) == 0 else results
 
 
 def shell_profile_verdict(increments) -> str:
@@ -411,9 +421,9 @@ def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
                               f"shell weights 2^((j+1)(d - gamma)) up to j = {top} pass "
                               f"the float range at d - gamma = {d - gamma:g}")
         # shell -1 (in no ball) reads the trailing 0
-        return np.append(sums, 0.0)[shell]
+        return np.append(sums, 0.0)[shell] @ lam.weights
 
-    return float(_row_sums(lam.points, lam.weights, shell_sums).max(initial=0.0))
+    return float(_row_sums(lam.points, shell_sums).max(initial=0.0))
 
 
 # -- generalized Radon transform ----------------------------------------------

@@ -40,7 +40,7 @@ from scipy.sparse import csc_matrix
 from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
 from .phases import pairwise_value
-from .profiles import bump_l2_constant, bump_profile
+from .profiles import bump_profile
 from .rng import batches, rng_for
 
 #: Ceiling on chain-density grid nodes.
@@ -73,10 +73,6 @@ class Mollifier:
     @property
     def support_radius(self) -> float:
         return 2.0 * self.epsilon
-
-    def l2_norm_sq(self) -> float:
-        """int rho_eps^2 for the shipped profile (a tabulated constant / eps)."""
-        return bump_l2_constant() / self.epsilon
 
 
 def default_t_grid(phi_values, epsilon: float, step_divisor: int = STEP_DIVISOR):

@@ -6,10 +6,7 @@ so oscillatory-integral and Fourier-decay checks are not polluted by
 finite-smoothness artifacts.
 """
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.integrate import quad
 
 
 def smooth_step(u):
@@ -48,19 +45,15 @@ def bump_raw(u):
     return float(v) if v.ndim == 0 else v
 
 
-@lru_cache(maxsize=None)
 def bump_norm_constant() -> float:
-    """c such that c * bump_raw has unit integral."""
-    val, _ = quad(lambda u: float(bump_raw(u)), -2.0, 2.0, limit=200)
-    return 1.0 / val
+    """c such that c * bump_raw has unit integral, as `scipy.integrate.quad`
+    (limit 200) gives it; stored, so pinlab never imports scipy.integrate."""
+    return 1.1261418105217924
 
 
-@lru_cache(maxsize=None)
 def bump_l2_constant() -> float:
-    """Integral of the unit-mass profile squared; int rho_eps^2 = this / eps."""
-    c = bump_norm_constant()
-    val, _ = quad(lambda u: (c * float(bump_raw(u))) ** 2, -2.0, 2.0, limit=200)
-    return val
+    """int (c bump_raw)^2, c = bump_norm_constant(), stored: int rho_eps^2 = this / eps."""
+    return 0.33755840650484714
 
 
 def bump_profile(u):

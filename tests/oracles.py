@@ -12,9 +12,10 @@ phi and psi matrices were built once for all links.  The energy-integral
 pieces are the per-atom Gaussian deposit, the complex polar centre sum over
 the full circle of angles and the dense Riesz double sum, with the per-atom
 Schur row loop, as they were before the blocked real-arithmetic versions
-replaced them.  They touch every pair or tuple, or rebuild what the
-package shares, so they are slow and memory-hungry, but they are simple
-enough to trust.  The euclidean, scaled_euclidean and flat_torus phases
+replaced them, and `harmonic._row_sums` on scipy's `cdist` distances, as it
+was before pinlab stopped importing `scipy.spatial`.  They touch every pair
+or tuple, or rebuild what the package shares, so they are slow and
+memory-hungry, but they are simple enough to trust.  The euclidean, scaled_euclidean and flat_torus phases
 are here as the three separate classes they were before one
 Euclidean-family class, written on its difference vector, replaced them.
 """
@@ -23,6 +24,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from pinlab.errors import DomainError
 from pinlab.fractals import sample_points
@@ -293,6 +295,13 @@ def dense_riesz_double_sum(points, masses, gamma):
         block = np.where(dist > 0, dist, np.inf) ** (gamma - d)
         kern += float((masses[sl, None] * masses[None, :] * block).sum())
     return kern
+
+
+def cdist_row_sums(points, block_sums, block=1 << 20):
+    """`harmonic._row_sums` with each block's distances from scipy's cdist."""
+    rows = max(1, block // len(points))
+    return np.concatenate([block_sums(cdist(points[i0:i0 + rows], points), i0)
+                           for i0 in range(0, len(points), rows)], axis=-1)
 
 
 def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,

@@ -2,8 +2,12 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
+
+import pinlab
 
 from pinlab import ConfigError, DomainError, verdict_from_series
 from pinlab.cli import main as cli_main
@@ -205,6 +209,18 @@ epsilons = 2^-3
 ], ids=["epsilons", "edges", "t_assignment"])
 def test_cli_malformed_numbers_exit_2(tmp_path, capsys, command, body, message):
     cfg = write_cfg(tmp_path, "bad.cfg", body)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("hinge", "level = 4\ntarget_dim = 1.6\npins = 0\n",
+     "config error: config key 'pins' must be >= 1, got 0"),
+    ("sweep", "level = 4\nhinge_pins = 0\n", "config error: sweep needs hinge_pins >= 1"),
+], ids=["hinge", "sweep"])
+def test_cli_zero_pins_exit_2(tmp_path, capsys, command, body, message):
+    # both used to reach hinge_setup's 1 / len(pins) and exit 1 with a traceback
+    cfg = write_cfg(tmp_path, "zero.cfg", body)
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message + "\n"
 
@@ -426,3 +442,32 @@ def test_readme_documents_every_config_key():
     with open(os.path.join(root, "README.md")) as fh:
         readme = fh.read()
     assert sorted(k for k in keys if f"`{k}`" not in readme) == []
+
+
+def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
+    """pinlab's only scipy module is scipy.sparse: a fresh process that
+    imports the CLI and runs a sweep and the energy battery has not loaded
+    scipy.integrate, special, spatial, optimize or linalg."""
+    sweep = write_cfg(tmp_path, "sweep.cfg", "level = 3\ndims = 1.0 1.6\n"
+                      "epsilons = 2^-3 2^-4\npins = 2\nhinge_pins = 4\n")
+    energy = write_cfg(tmp_path, "energy.cfg", "which = energy\nsegment_atoms = 256\n"
+                       "energy_side_n = 64\n")
+    runs = [["sweep", "--config", sweep, "--out", str(tmp_path / "s")],
+            ["fourier", "--config", energy, "--out", str(tmp_path / "e")]]
+    code = (
+        "import json, sys\n"
+        "import pinlab.cli\n"
+        f"codes = [pinlab.cli.main(argv) for argv in {runs!r}]\n"
+        "heavy = ('scipy.integrate', 'scipy.special', 'scipy.spatial',\n"
+        "         'scipy.optimize', 'scipy.linalg')\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.startswith(heavy))]))\n")
+    src = os.path.dirname(os.path.dirname(pinlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (chunked_oscillatory_G, complex_center_energy,
+from oracles import (cdist_row_sums, chunked_oscillatory_G, complex_center_energy,
                      dense_riesz_double_sum, loop_deposit_gaussian,
                      loop_schur_dyadic_majorant, loop_schur_kernel_sup,
                      reference_energy_integral)
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
 from scipy.special import j0
 
-from pinlab import (DomainError, FrostmanMeasure, LPPartition, ResolutionError,
+from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
+                    ResolutionError,
                     SpectralGrid, build_cutoffs, build_product_cantor,
                     circle_measure,
                     energy_integral, l2_norm, lp_project, natural_measure,
@@ -24,7 +26,7 @@ from pinlab import (DomainError, FrostmanMeasure, LPPartition, ResolutionError,
                     uniform_grid_measure)
 from pinlab import harmonic
 from pinlab.harmonic import (ResolutionWarning, _center_energy_exact,
-                             _radon_direct, _riesz_row_sums, deposit_gaussian,
+                             _radon_direct, _riesz_row_sums, _row_sums, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
 
@@ -146,7 +148,8 @@ def test_energy_circle_closed_form():
 
 def test_energy_gamma_domain():
     mu = uniform_grid_measure(2, 16)
-    for gamma in (0.0, -0.3, 2.0, 2.5):
+    for gamma in (0.0, -0.3, 2.0, 2.5, np.array([1.0, 2.5]), np.array([]),
+                  np.ones((2, 1))):
         with pytest.raises(DomainError):
             energy_integral(mu, gamma, 64)
 
@@ -157,6 +160,22 @@ def test_energy_rejects_side_n_below_two_shells():
         with pytest.raises(ResolutionError):
             energy_integral(lam, 1.2, side)
     assert len(energy_integral(lam, 1.2, 16).shell_increments) == 2
+
+
+def assert_stacked_energy_matches_scalar_calls(lam, gammas, side, g_values=None):
+    stacked = energy_integral(lam, gammas, side, g_values=g_values)
+    assert isinstance(stacked, list) and len(stacked) == len(gammas)
+    for gamma, res in zip(gammas, stacked):
+        one = energy_integral(lam, float(gamma), side, g_values=g_values)
+        assert isinstance(one, EnergyResult)
+        assert res.fourier_value.hex() == one.fourier_value.hex()
+        assert res.shell_increments.tobytes() == one.shell_increments.tobytes()
+        assert res.shell_radii.tobytes() == one.shell_radii.tobytes()
+        assert abs(res.kernel_value - one.kernel_value) <= 1e-15 * abs(one.kernel_value)
+
+
+def test_energy_stacked_gammas_match_scalar_calls_on_segment():
+    assert_stacked_energy_matches_scalar_calls(segment_measure(1024), np.array([1.2, 0.8]), 128)
 
 
 def test_energy_memory_stays_blocked():
@@ -207,6 +226,50 @@ def test_riesz_row_sums_match_dense_kernel_and_schur_loop(cloud, frac, block):
                          dense_riesz_double_sum(pts, masses, gamma))
         lam = FrostmanMeasure(pts, w, exponent_s=0.0)
         assert_rel_close(schur_kernel_sup(lam, gamma), loop_schur_kernel_sup(lam, gamma))
+
+
+@settings(max_examples=15)
+@given(cloud=atom_clouds(), fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
+def test_energy_stacked_gammas_match_scalar_calls(cloud, fracs):
+    pts, w, g = cloud
+    lam = FrostmanMeasure(pts, w, exponent_s=0.0)
+    assert_stacked_energy_matches_scalar_calls(lam, np.array(fracs) * pts.shape[1], 16, g)
+
+
+def capture_blocks(store):
+    """A `_row_sums` block function that records each block's distances."""
+    def block_sums(dist, i0):
+        store.append((i0, dist.copy()))
+        return dist[:, 0]
+    return block_sums
+
+
+# the majorant's point set: atoms 0 and 1 coincide, the rest lie at dyadic distances
+DYADIC_PTS = np.array([[0.25, 0.5], [0.25, 0.5], [0.5, 0.5], [0.75, 0.5], [0.25, 1.5]])
+
+
+@settings(max_examples=40)
+@given(cloud=atom_clouds(), block=st.sampled_from([1, 7, 64, 1 << 20]))
+def test_row_sums_distances_match_cdist_bit_for_bit(cloud, block):
+    for pts, w in ((cloud[0], cloud[1]), (DYADIC_PTS, np.full(5, 0.2))):
+        got, want = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+            _row_sums(pts, capture_blocks(got))
+        cdist_row_sums(pts, capture_blocks(want), block)
+        assert [i0 for i0, _ in got] == [i0 for i0, _ in want]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+        # and so the kernels on them: Riesz sums, and the majorant that reads
+        # dyadic distances from the binary exponent
+        lam = FrostmanMeasure(pts, w, exponent_s=0.0)
+        gammas = np.array([0.3, 0.7]) * pts.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+            new = (_riesz_row_sums(pts, w, gammas), schur_dyadic_majorant(lam, pts.shape[1] - 0.5))
+            mp.setattr(harmonic, "_row_sums",
+                       lambda p, f: cdist_row_sums(p, f, block))
+            old = (_riesz_row_sums(pts, w, gammas), schur_dyadic_majorant(lam, pts.shape[1] - 0.5))
+        assert new[0].tobytes() == old[0].tobytes() and new[1] == old[1]
 
 
 def test_riesz_row_sums_drop_coincident_atoms():
@@ -266,10 +329,14 @@ def test_schur_kernel_sup_matches_row_loop_on_cantor_levels():
 def test_riesz_constant_gaussian_identity():
     # for the standard Gaussian pair the identity is closed-form on both sides
     for gamma in (0.6, 1.0, 1.4):
-        from scipy.special import gamma as G
-        fourier = np.pi * (2 * np.pi) ** (gamma / 2 - 1) * G(1 - gamma / 2)
-        kernel = (np.pi / 2) * (np.pi / 2) ** (-gamma / 2) * G(gamma / 2)
+        fourier = np.pi * (2 * np.pi) ** (gamma / 2 - 1) * gamma_fn(1 - gamma / 2)
+        kernel = (np.pi / 2) * (np.pi / 2) ** (-gamma / 2) * gamma_fn(gamma / 2)
         assert riesz_constant(gamma, 2) * kernel == pytest.approx(fourier, rel=1e-12)
+    # math.gamma in place of scipy.special.gamma: within a few ulp
+    for d in (1, 2, 3):
+        for gamma in np.linspace(0.05, 0.95, 7) * d:
+            want = np.pi ** (gamma - d / 2) * gamma_fn((d - gamma) / 2) / gamma_fn(gamma / 2)
+            assert riesz_constant(gamma, d) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -284,8 +351,7 @@ def test_schur_dyadic_majorant_matches_shell_loop(d):
 def test_schur_dyadic_majorant_coincident_atoms_and_dyadic_distances():
     # atoms 0 and 1 coincide, so their shells run to j = 998; the other
     # distances are the dyadic 1/4, 1/2 and 1, each on its ball's boundary
-    pts = np.array([[0.25, 0.5], [0.25, 0.5], [0.5, 0.5], [0.75, 0.5], [0.25, 1.5]])
-    lam = FrostmanMeasure(pts, np.array([0.1, 0.2, 0.3, 0.15, 0.25]), exponent_s=0.0)
+    lam = FrostmanMeasure(DYADIC_PTS, np.array([0.1, 0.2, 0.3, 0.15, 0.25]), exponent_s=0.0)
     for gamma in (1.2, 1.5, 1.9):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harmonic, "DEPOSIT_BLOCK", 7)

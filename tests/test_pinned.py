@@ -41,8 +41,11 @@ def test_mollifier_profile_constants():
     mass = quad(lambda u: float(bump_profile(u)), -2, 2, limit=200)[0]
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert float(bump_profile(2.0)) == 0.0 and float(bump_profile(-2.1)) == 0.0
-    assert bump_norm_constant() == pytest.approx(1.1261418105, abs=1e-8)
-    assert bump_l2_constant() == pytest.approx(0.3375584065, abs=1e-8)
+    # the stored constants are the floats quad returns, bit for bit
+    norm = 1.0 / quad(lambda u: float(bump_raw(u)), -2.0, 2.0, limit=200)[0]
+    assert bump_norm_constant().hex() == norm.hex() == "0x1.204ad466d96d8p+0"
+    l2 = quad(lambda u: (norm * float(bump_raw(u))) ** 2, -2.0, 2.0, limit=200)[0]
+    assert bump_l2_constant().hex() == l2.hex() == "0x1.59a8e931b6780p-2"
     moll = Mollifier(0.25)
     mass_eps = quad(lambda u: float(moll(u)), -0.5, 0.5, limit=200)[0]
     assert mass_eps == pytest.approx(1.0, abs=1e-10)
