@@ -8,7 +8,7 @@ separated-frequency oscillatory integral.
 
 import numpy as np
 
-from pinlab import (LPPartition, SpectralGrid, build_cutoffs, energy_integral,
+from pinlab import (LPPartition, build_cutoffs, energy_integral, freq_norms,
                     oscillatory_G, phase_function, radon_sobolev_ratio,
                     random_band_limited, segment_measure,
                     surface_measure_decay)
@@ -16,7 +16,7 @@ from pinlab.harmonic import shell_profile_verdict
 
 # 1. partition of unity across dyadic bands
 part = LPPartition(8)
-fn = SpectralGrid(2, 256, np.zeros((256, 256), complex)).freq_norms()
+fn = freq_norms(2, 256)
 dev = np.abs(part.partition_sum(fn[fn <= 2.0 ** 7]) - 1.0).max()
 print(f"LP partition: max deviation from 1 is {dev:.2e}")
 

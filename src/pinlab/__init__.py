@@ -20,7 +20,7 @@ from .fractals import (CellFractal, FrostmanMeasure, PointSample, ball_mass,
                        save_measure, segment_measure, uniform_grid_measure)
 from .phases import (CutoffPair, PhaseFunction, build_cutoffs,
                      monge_ampere_det, nondegeneracy_scan, phase_function)
-from .pinned import (ChainDensity, Mollifier, PinnedDensity, chain_density,
+from .pinned import (ChainDensity, Mollifier, chain_density,
                      composed_operator_density, cs_lower_bound,
                      default_t_grid, density_mass, l2_energy, measure_mollify,
                      pinned_density, support_measure)
@@ -28,9 +28,10 @@ from .configs import (ConfigCount, EdgeMap, chain_edge_map, chain_tuple_count,
                       config_count, hinge_count, hinge_count_integrated,
                       load_edge_map, pinned_lift, save_edge_map, star_edge_map)
 from .harmonic import (DecayFit, EnergyResult, LPPartition, SpectralGrid,
-                       energy_integral, l2_norm, lp_project, oscillatory_G,
-                       radon_apply, radon_sobolev_ratio, random_band_limited,
-                       riesz_constant, schur_dyadic_majorant, schur_kernel_sup,
+                       energy_integral, freq_norms, l2_norm, lp_project,
+                       oscillatory_G, radon_apply, radon_sobolev_ratio,
+                       random_band_limited, riesz_constant,
+                       schur_dyadic_majorant, schur_kernel_sup,
                        shell_profile_verdict, sobolev_norm,
                        surface_measure_decay)
 from .experiments import (ProbeReport, SweepReport, exceptional_probe,

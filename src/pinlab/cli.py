@@ -24,9 +24,9 @@ from .experiments import (build_generator, build_phase, cfg_float, cfg_floats,
                           regression_check, sweep_threshold, write_csv,
                           write_json, write_manifest)
 from .fractals import save_cells, save_measure, segment_measure
-from .harmonic import (LPPartition, SpectralGrid, energy_integral,
-                       oscillatory_G, radon_sobolev_ratio,
-                       random_band_limited, surface_measure_decay)
+from .harmonic import (LPPartition, energy_integral, freq_norms, oscillatory_G,
+                       radon_sobolev_ratio, random_band_limited,
+                       surface_measure_decay)
 from .phases import build_cutoffs
 from .pinned import (Mollifier, chain_density, cs_lower_bound, density_mass,
                      pinned_density, support_measure)
@@ -108,7 +108,7 @@ def cmd_pinned(cfg, seed, out, jobs):
             nu = pinned_density(mu, phi, pin, Mollifier(eps), mc_samples=mc,
                                 seed=seed + 17 * pi)
             rows.append([pi, eps, density_mass(nu), cs_lower_bound(nu),
-                         support_measure(nu, 0.0), nu.mass_stderr])
+                         support_measure(nu), nu.mass_stderr])
             if which == "all" or (which == "first" and pi == 0):
                 name = f"density_pin{pi}_eps{ei}.csv"
                 write_csv(os.path.join(out, name), ["t", "value", "stderr"],
@@ -136,7 +136,7 @@ def cmd_chain(cfg, seed, out, jobs):
               [f"t{i + 1}" for i in range(k)] + ["value", "stderr"], rows)
     write_json(os.path.join(out, "summary.json"), {
         "k": k, "epsilon": eps, "mass": density_mass(nu),
-        "mass_stderr": nu.mass_stderr, "support": support_measure(nu, 0.0),
+        "mass_stderr": nu.mass_stderr, "support": support_measure(nu),
         "cs_lower_bound": cs_lower_bound(nu),
     })
     return ["chain_density.csv"]
@@ -215,7 +215,7 @@ def cmd_fourier(cfg, seed, out, jobs):
         side = cfg_int(cfg, "lp_side_n", 256)
         j_max = cfg_int(cfg, "j_max", int(math.log2(side)) - 1)
         part = LPPartition(j_max)
-        fn = SpectralGrid(2, side, np.zeros((side, side), complex)).freq_norms()
+        fn = freq_norms(2, side)
         sel = fn <= 2.0 ** (j_max - 1)
         dev = np.abs(part.partition_sum(fn[sel]) - 1.0)
         write_csv(os.path.join(out, "lp_partition.csv"),

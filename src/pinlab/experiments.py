@@ -263,7 +263,7 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
                 return {"dim": _dim, "pin": pin_i, "eps": eps,
                         "mass": density_mass(nu),
                         "cs_lower_bound": cs_lower_bound(nu),
-                        "support": support_measure(nu, 0.0),
+                        "support": support_measure(nu),
                         "density": nu, "error": ""}
             except PinlabError as exc:
                 return {"dim": _dim, "pin": pin_i, "eps": eps, "mass": math.nan,
@@ -338,7 +338,7 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
         try:
             nu = pinned_density(mu, phi, pins[pin_i], Mollifier(eps),
                                 mc_samples=mc_samples, seed=seed + 13 * pin_i)
-            return pin_i, eps, support_measure(nu, 0.0), ""
+            return pin_i, eps, support_measure(nu), ""
         except PinlabError as exc:
             return pin_i, eps, math.nan, str(exc)
 

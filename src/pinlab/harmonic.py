@@ -55,11 +55,6 @@ class SpectralGrid:
         vals = np.fft.ifftn(hat) * n ** hat.ndim
         return cls(hat.ndim, n, vals)
 
-    def freq_norms(self) -> np.ndarray:
-        axes = [np.fft.fftfreq(self.side_n) * self.side_n] * self.dimension_d
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.sqrt(sum(g ** 2 for g in grids))
-
     def roundtrip_error(self) -> float:
         back = SpectralGrid.from_hat(self.hat()).values
         scale = max(float(np.abs(self.values).max()), 1e-300)
@@ -71,6 +66,14 @@ class SpectralGrid:
         return abs(phys - spec) / max(phys, 1e-300)
 
 
+def freq_norms(d: int, side_n: int) -> np.ndarray:
+    """|xi| at every integer frequency of the periodic grid of side_n^d nodes,
+    in FFT order."""
+    axes = [np.fft.fftfreq(side_n) * side_n] * d
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.sqrt(sum(g ** 2 for g in grids))
+
+
 def l2_norm(field: np.ndarray) -> float:
     """L2(dx) norm on the unit box."""
     return float(np.sqrt(np.mean(np.abs(field) ** 2)))
@@ -79,7 +82,7 @@ def l2_norm(field: np.ndarray) -> float:
 def sobolev_norm(field: np.ndarray, gamma: float) -> float:
     """H^gamma norm via the weight (1 + |xi|^2)^(gamma/2)."""
     g = SpectralGrid.from_values(field)
-    w = (1.0 + g.freq_norms() ** 2) ** (gamma / 2.0)
+    w = (1.0 + freq_norms(g.dimension_d, g.side_n) ** 2) ** (gamma / 2.0)
     return float(np.sqrt(np.sum((w * np.abs(g.hat())) ** 2)))
 
 
@@ -88,8 +91,7 @@ def random_band_limited(side_n: int, band: float, seed: int, d: int = 2) -> np.n
     rng = rng_for(seed, 8)
     shape = (side_n,) * d
     hat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    g = SpectralGrid(d, side_n, np.zeros(shape, complex))
-    hat[g.freq_norms() > band] = 0.0
+    hat[freq_norms(d, side_n) > band] = 0.0
     field = np.real(np.fft.ifftn(hat) * side_n ** d)
     return field / l2_norm(field)
 
@@ -136,7 +138,7 @@ class LPPartition:
 def lp_project(field: np.ndarray, partition: LPPartition, j: int) -> np.ndarray:
     """Frequency-side multiplier application of band j (0 = low band)."""
     g = SpectralGrid.from_values(field)
-    mult = partition.band_profile(g.freq_norms(), j)
+    mult = partition.band_profile(freq_norms(g.dimension_d, g.side_n), j)
     out = np.fft.ifftn(mult * np.fft.fftn(g.values))
     if np.isrealobj(field):
         return np.real(out)

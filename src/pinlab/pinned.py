@@ -7,26 +7,29 @@ mollification at scale eps evaluates as
 
 on a uniform t-grid.  Chain measures push forward (k+1)-tuples with
 consecutive gaps, mollified by the tensor product of 1-d bumps; a pinned
-density is the one-link case.  Every kernel is evaluated on support windows
-only: the bump vanishes outside (-2 eps, 2 eps), so each gap gets one window
-per axis of min(ceil(4 eps / dt) + 3, axis length) nodes, its start clamped
-into the axis (`_window_width`, `_window`), so that the window holds
-every grid node of the support and never leaves the grid.  Pinned densities
-and Monte Carlo chains deposit through `_deposit`: the k window kernels
-multiply into one tensor block per batch of rows, scattered into the grid
-with `np.bincount`, so work and memory grow with rows x window^k, not rows x
-grid.  Exact chains contract link by link from the last (`_chain_exact`):
-each link's windowed kernels over the atom pairs (y, z) form one sparse
-(y, node) x z matrix per block of y rows, multiplied into the flat partial
-sums, so work grows with atoms^2 x window, not atoms^2 x axis length.
-Either way every nonzero kernel value is the one a full (node x row) matrix
-would hold.  Monte Carlo mode averages equally weighted draws with one
-rule: stderr^2 = (mean of kernel^2 - mean^2) / draws per node, and the mass
-stderr is the std of the per-draw trapezoid masses over sqrt(draws).
-Everything downstream (mass, L2 energy, Cauchy-Schwarz support bounds) is a
-weighted grid sum with trapezoid weights; using the same weights everywhere
-makes the discrete Cauchy-Schwarz inequality exact, so `support_measure >=
-cs_lower_bound` holds literally, not just up to quadrature error.
+density is the one-link chain, so one type, `ChainDensity`, holds both and
+one rule checks their axes (`_check_axes`).  Every kernel is evaluated on
+support windows only: the bump vanishes outside (-2 eps, 2 eps), so each gap
+gets one window per axis of min(ceil(4 eps / dt) + 3, axis length) nodes,
+its start clamped into the axis (`_window_width`, `_window`), so that the
+window holds every grid node of the support and never leaves the grid.
+Pinned densities and Monte Carlo chains deposit through `_deposit`: the k
+window kernels multiply into one tensor block per batch of rows, scattered
+into the grid with `np.bincount`, so work and memory grow with rows x
+window^k, not rows x grid.  Exact chains contract link by link from the last
+(`_chain_exact`): each link's windowed kernels over the atom pairs (y, z)
+form one sparse (y, node) x z matrix per block of y rows, multiplied into
+the flat partial sums, so work grows with atoms^2 x window, not atoms^2 x
+axis length.  Either way every nonzero kernel value is the one a full (node
+x row) matrix would hold.  Monte Carlo mode averages equally weighted draws
+with one rule: stderr^2 = (mean of kernel^2 - mean^2) / draws per node, and
+the mass stderr is the std of the per-draw trapezoid masses over
+sqrt(draws).  Everything downstream (mass, L2 energy, Cauchy-Schwarz support
+bounds) is written once for every k, as grid sums with the axes' trapezoid
+weights contracted from the last axis (`_integrate`); using the same weights
+everywhere makes the discrete Cauchy-Schwarz inequality exact, so
+`support_measure >= cs_lower_bound` holds literally, not just up to
+quadrature error.
 """
 
 import functools
@@ -91,27 +94,11 @@ def _trapz_weights(n: int, dt: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PinnedDensity:
-    pin_x: np.ndarray
-    epsilon: float
-    t_grid: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray
-    mc_samples: int = 0
-    mass_stderr: float = 0.0
-
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
-
-    def trapz_weights(self) -> np.ndarray:
-        return _trapz_weights(len(self.t_grid), self.dt)
-
-
-@dataclass(frozen=True)
 class ChainDensity:
+    """Mollified density on the tensor grid of k uniform t-axes; a pinned
+    density is the one-link chain, its t-grid the only axis."""
+
     pin_x: np.ndarray
-    k: int
     epsilon: float
     t_axes: tuple          # k 1-d node arrays
     values: np.ndarray     # shape (len(ax_1), ..., len(ax_k))
@@ -119,20 +106,27 @@ class ChainDensity:
     mc_samples: int = 0
     mass_stderr: float = 0.0
 
+    @property
+    def k(self) -> int:
+        return len(self.t_axes)
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        return self.t_axes[0]
+
     def axis_weights(self):
         return [_trapz_weights(len(ax), float(ax[1] - ax[0])) for ax in self.t_axes]
 
-    def weight_grid(self) -> np.ndarray:
-        ws = self.axis_weights()
-        out = ws[0]
-        for w in ws[1:]:
-            out = np.multiply.outer(out, w)
-        return out
 
-
-def _check_resolution(dt: float, epsilon: float) -> None:
-    if dt > epsilon / 2.0:
-        raise ResolutionError(f"grid step {dt} too coarse for epsilon {epsilon}")
+def _check_axes(t_axes, epsilon: float) -> None:
+    """Each axis increasing and uniform (windows and trapezoid weights assume
+    one step), its step at most eps/2."""
+    for ax in t_axes:
+        dt = float(ax[1] - ax[0]) if len(ax) > 1 else 0.0
+        if dt > epsilon / 2.0:
+            raise ResolutionError(f"grid step {dt} too coarse for epsilon {epsilon}")
+        if dt <= 0 or np.abs(np.diff(ax) - dt).max() > 1e-6 * dt:
+            raise DomainError("t-axes must be increasing and uniformly spaced")
 
 
 def _window_width(ax, reach: float) -> int:
@@ -221,8 +215,8 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
 
 
 def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
-                   t_grid=None, mc_samples: int = 0, seed: int = 0) -> PinnedDensity:
-    """Mollified pinned density on a uniform t-grid.
+                   t_grid=None, mc_samples: int = 0, seed: int = 0) -> ChainDensity:
+    """Mollified pinned density on a uniform t-grid: the one-link chain.
 
     Exact mode (mc_samples = 0) sums over the measure's atoms; Monte Carlo
     mode averages over seeded draws and carries per-node standard errors.
@@ -242,85 +236,62 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
         weights = sample.weights
     if t_grid is None:
         t_grid = default_t_grid(phi_vals, eps)
-    t_grid = np.asarray(t_grid, float)
-    dt = float(t_grid[1] - t_grid[0])
-    _check_resolution(dt, eps)
-    if dt <= 0 or np.abs(np.diff(t_grid) - dt).max() > 1e-6 * dt:
-        raise DomainError("t_grid must be increasing and uniformly spaced")
-
-    values, stderr, mass_se = _deposit(phi_vals[:, None], weights, (t_grid,),
+    t_axes = (np.asarray(t_grid, float),)
+    _check_axes(t_axes, eps)
+    values, stderr, mass_se = _deposit(phi_vals[:, None], weights, t_axes,
                                        mollifier, mc_samples > 0)
-    return PinnedDensity(pin, eps, t_grid, values, stderr, mc_samples, mass_se)
+    return ChainDensity(pin, eps, t_axes, values, stderr, mc_samples, mass_se)
 
 
-def density_mass(nu) -> float:
+def _integrate(nu: ChainDensity, grid_values) -> float:
+    """Trapezoid integral of an array on nu's grid, contracted from the last axis."""
+    for w in reversed(nu.axis_weights()):
+        grid_values = grid_values @ w
+    return float(grid_values)
+
+
+def density_mass(nu: ChainDensity) -> float:
     """Trapezoid mass; raises CoverageError if the grid clips the support."""
-    if isinstance(nu, PinnedDensity):
-        vals = nu.values
-        edge = max(float(vals[0]), float(vals[-1]))
-        tw = nu.trapz_weights()
-        mass = float(vals @ tw)
-    else:
-        vals = nu.values
-        edge = 0.0
-        for ax in range(nu.k):
-            edge = max(edge, float(np.abs(np.take(vals, 0, axis=ax)).max()),
-                       float(np.abs(np.take(vals, -1, axis=ax)).max()))
-        mass = float((vals * nu.weight_grid()).sum())
+    edge = max(float(np.abs(np.take(nu.values, [0, -1], axis=ax)).max())
+               for ax in range(nu.k))
     if edge > 1e-9:
         raise CoverageError(f"density leaks past the grid boundary (edge value {edge:.3e})")
-    return mass
+    return _integrate(nu, nu.values)
 
 
-def l2_energy(pin_weights, densities, beta=None) -> float:
-    """sum_x lambda_w(x) * int beta(t) nu_x(t)^2 dt over a shared grid."""
+def l2_energy(pin_weights, densities) -> float:
+    """sum_x lambda_w(x) * int nu_x(t)^2 dt over a shared grid and epsilon."""
     pin_weights = np.asarray(pin_weights, float)
     if len(pin_weights) != len(densities):
         raise DomainError("one weight per density required")
     ref = densities[0]
     total = 0.0
     for w, nu in zip(pin_weights, densities):
-        if isinstance(nu, PinnedDensity):
-            if len(nu.t_grid) != len(ref.t_grid) or nu.epsilon != ref.epsilon:
-                raise DomainError("densities must share grid and epsilon")
-            b = 1.0 if beta is None else np.asarray(beta(nu.t_grid), float)
-            total += w * float((b * nu.values ** 2) @ nu.trapz_weights())
-        else:
-            b = 1.0 if beta is None else _beta_grid(beta, nu)
-            total += w * float((b * nu.values ** 2 * nu.weight_grid()).sum())
+        if nu.values.shape != ref.values.shape or nu.epsilon != ref.epsilon:
+            raise DomainError("densities must share grid and epsilon")
+        total += w * _integrate(nu, nu.values ** 2)
     return total
 
 
-def _beta_grid(beta, chain: ChainDensity) -> np.ndarray:
-    out = np.ones(chain.values.shape)
-    for ax, nodes in enumerate(chain.t_axes):
-        shape = [1] * chain.k
-        shape[ax] = len(nodes)
-        out = out * np.asarray(beta(nodes), float).reshape(shape)
-    return out
-
-
-def cs_lower_bound(nu, beta=None) -> float:
-    """mass^2 / int beta nu^2 -- a lower bound for the pinned set's measure.
+def cs_lower_bound(nu: ChainDensity) -> float:
+    """mass^2 / int nu^2 -- a lower bound for the pinned set's measure.
 
     Cauchy-Schwarz on the grid weights makes this a certified bound for
-    `support_measure(nu, 0)` whenever beta = 1 on the support.  Zero energy
-    returns +inf.
+    `support_measure(nu)`.  Zero energy returns +inf.
     """
     mass = density_mass(nu)
     if abs(mass - 1.0) > 0.05:
         raise DomainError(f"density mass {mass} further than 5% from 1")
-    energy = l2_energy([1.0], [nu], beta)
+    energy = l2_energy([1.0], [nu])
     if energy == 0.0:
         return math.inf
     return mass ** 2 / energy
 
 
-def support_measure(nu, threshold: float = 0.0) -> float:
-    """Grid-weight measure of {nu > threshold} (trapezoid convention)."""
-    if isinstance(nu, PinnedDensity):
-        return float(nu.trapz_weights()[nu.values > threshold].sum())
-    return float(nu.weight_grid()[nu.values > threshold].sum())
+def support_measure(nu: ChainDensity) -> float:
+    """Grid-weight measure of {nu > 0} (trapezoid convention)."""
+    weights = functools.reduce(np.multiply.outer, nu.axis_weights())
+    return float(weights[nu.values > 0].sum())
 
 
 def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
@@ -348,10 +319,8 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     t_axes = tuple(np.asarray(ax, float) for ax in t_axes)
     if len(t_axes) != k:
         raise DomainError("need one t-axis per link")
-    nodes = 1
-    for ax in t_axes:
-        _check_resolution(float(ax[1] - ax[0]), eps)
-        nodes *= len(ax)
+    _check_axes(t_axes, eps)
+    nodes = math.prod(len(ax) for ax in t_axes)
     if nodes > GRID_BUDGET:
         raise BudgetError(f"chain grid of {nodes} nodes exceeds budget {GRID_BUDGET}")
 
@@ -362,7 +331,7 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     else:
         values, stderr, mass_se = _chain_mc(mu, phi, pin, k, mollifier,
                                             t_axes, mc_samples, seed)
-    return ChainDensity(pin, k, eps, t_axes, values, stderr, mc_samples, mass_se)
+    return ChainDensity(pin, eps, t_axes, values, stderr, mc_samples, mass_se)
 
 
 def _pair_range(phi, mu):

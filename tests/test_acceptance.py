@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from pinlab import (EdgeMap, FrostmanMeasure, LPPartition, Mollifier,
-                    SpectralGrid, build_cutoffs, build_product_cantor,
-                    chain_density, circle_measure, composed_operator_density,
+                    build_cutoffs, build_product_cantor, chain_density,
+                    circle_measure, composed_operator_density,
                     cs_lower_bound, density_mass, energy_integral,
-                    hinge_count_integrated, natural_measure, oscillatory_G,
-                    phase_function, pinned_density, pinned_lift,
+                    freq_norms, hinge_count_integrated, natural_measure,
+                    oscillatory_G, phase_function, pinned_density, pinned_lift,
                     radon_sobolev_ratio, random_band_limited, star_edge_map,
                     support_measure, surface_measure_decay,
                     uniform_grid_measure, monge_ampere_det)
@@ -70,14 +70,14 @@ def test_criterion_02_cauchy_schwarz_literal():
         for eps in (2.0 ** -4, 2.0 ** -6):
             for pin in pins:
                 nu = pinned_density(mu, PHI, pin, Mollifier(eps))
-                worst = min(worst, support_measure(nu, 0.0) - cs_lower_bound(nu))
+                worst = min(worst, support_measure(nu) - cs_lower_bound(nu))
                 produced += 1
     circle = circle_measure(256)
     nu = pinned_density(circle, PHI, np.array([0.5, 0.5]), Mollifier(2.0 ** -5))
-    worst = min(worst, support_measure(nu, 0.0) - cs_lower_bound(nu))
+    worst = min(worst, support_measure(nu) - cs_lower_bound(nu))
     mc = pinned_density(uniform_grid_measure(2, 64), PHI, np.array([0.4, 0.6]),
                         Mollifier(2.0 ** -5), mc_samples=50_000, seed=5)
-    worst = min(worst, support_measure(mc, 0.0) - cs_lower_bound(mc))
+    worst = min(worst, support_measure(mc) - cs_lower_bound(mc))
     report(2, worst >= -1e-9,
            f"min(support - cs_bound) = {worst:.3e} over {produced + 2} densities")
 
@@ -101,7 +101,7 @@ def test_criterion_03_composed_operator_identity():
 
 def test_criterion_04_lp_partition_unity():
     part = LPPartition(9)
-    fn = SpectralGrid(2, 512, np.zeros((512, 512), complex)).freq_norms()
+    fn = freq_norms(2, 512)
     dev = np.abs(part.partition_sum(fn[fn <= 2.0 ** 8]) - 1.0).max()
     report(4, dev <= 1e-10, f"max |partition - 1| = {dev:.2e} on side 512, j_max 9")
 

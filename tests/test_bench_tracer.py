@@ -9,10 +9,13 @@ import inspect
 import os
 import types
 
+import numpy as np
 import pytest
 
-from pinlab import ChainDensity, PinnedDensity
+from pinlab import (Mollifier, chain_density, circle_measure, phase_function,
+                    pinned_density)
 
+PHI = phase_function("euclidean", 2)
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
 
@@ -41,6 +44,15 @@ def test_counters_read_existing_parameters(spans, name, params):
     assert params <= set(inspect.signature(spans._resolve(name)).parameters)
 
 
-def test_results_expose_the_counted_grids():
-    assert "t_grid" in PinnedDensity.__dataclass_fields__
-    assert "t_axes" in ChainDensity.__dataclass_fields__
+def test_results_expose_the_counted_grids(spans):
+    # the work counters read a pinned result's t_grid and a chain's t_axes
+    mu = circle_measure(32)
+    pin = np.array([0.5, 0.5])
+    nu = pinned_density(mu, PHI, pin, Mollifier(2.0 ** -3))
+    assert len(nu.t_grid) == len(nu.values)
+    assert spans._count_pinned({"mu": mu, "mc_samples": 0}, nu) == {
+        "kernel_evals": len(nu.values) * len(mu)}
+    ch = chain_density(mu, PHI, pin, 2, Mollifier(2.0 ** -3), mc_samples=16)
+    assert len(ch.t_axes) == 2
+    assert spans._count_chain({"mu": mu, "mc_samples": 16}, ch) == {
+        "kernel_evals": 16 * sum(ch.values.shape)}

@@ -18,7 +18,8 @@ from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
                     ResolutionError,
                     SpectralGrid, build_cutoffs, build_product_cantor,
                     circle_measure,
-                    energy_integral, l2_norm, lp_project, natural_measure,
+                    energy_integral, freq_norms, l2_norm, lp_project,
+                    natural_measure,
                     oscillatory_G, phase_function, radon_apply,
                     radon_sobolev_ratio, random_band_limited, riesz_constant,
                     schur_dyadic_majorant, schur_kernel_sup,
@@ -48,7 +49,9 @@ def test_spectral_grid_roundtrip_parseval():
 
 def test_lp_partition_sums_to_one():
     part = LPPartition(9)
-    fn = SpectralGrid(2, 512, np.zeros((512, 512), complex)).freq_norms()
+    assert np.array_equal(freq_norms(1, 4), [0.0, 1.0, 2.0, 1.0])
+    fn = freq_norms(2, 512)
+    assert fn.shape == (512, 512) and fn[3, -4] == 5.0
     sel = fn <= 2.0 ** 8
     dev = np.abs(part.partition_sum(fn[sel]) - 1.0)
     assert dev.max() <= 1e-10

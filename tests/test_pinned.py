@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,8 @@ from oracles import (dense_chain_exact, dense_chain_mc, dense_pinned_density,
                      loop_measure_mollify, masked_bump_raw, nested_composed_density)
 from scipy.integrate import quad
 
-from pinlab import (CoverageError, DomainError, FrostmanMeasure, Mollifier,
-                    ResolutionError, build_product_cantor, chain_density,
+from pinlab import (ChainDensity, CoverageError, DomainError, FrostmanMeasure,
+                    Mollifier, ResolutionError, build_product_cantor, chain_density,
                     circle_measure, composed_operator_density, cs_lower_bound,
                     density_mass, l2_energy, measure_mollify, natural_measure,
                     phase_function, pinned_density, support_measure,
@@ -32,8 +33,8 @@ def uniform_unit_density(n=801):
 
 
 def PinnedLike(t, values):
-    from pinlab.pinned import PinnedDensity
-    return PinnedDensity(np.zeros(2), 0.1, t, values, np.zeros(len(t)))
+    """A one-link density on the grid t with the given values."""
+    return ChainDensity(np.zeros(2), 0.1, (t,), values, np.zeros(len(t)))
 
 
 def test_mollifier_profile_constants():
@@ -132,7 +133,7 @@ def test_exact_deposition_matches_dense_oracle(mu, pin, eps, divisor, block):
     np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
     assert np.array_equal(nu.values > 0, ref > 0)
     ref_nu = PinnedLike(grid, ref)
-    assert support_measure(nu, 0.0) == support_measure(ref_nu, 0.0)
+    assert support_measure(nu) == support_measure(ref_nu)
     assert np.all(nu.stderr == 0.0) and nu.mass_stderr == 0.0
 
 
@@ -196,21 +197,33 @@ def test_resolution_and_empty_errors():
     with pytest.raises(ResolutionError):
         pinned_density(mu, PHI, np.array([0.5, 0.5]), Mollifier(eps), t_grid=grid)
     # support windows and trapezoid weights both assume one grid step
-    for bad in (np.linspace(0.0, 0.7, 400) ** 1.5, np.linspace(0.7, 0.0, 400)):
+    for bad in (np.linspace(0.0, 0.7, 400) ** 1.5, np.linspace(0.7, 0.0, 400),
+                np.array([0.25])):
         with pytest.raises(DomainError):
             pinned_density(mu, PHI, np.array([0.5, 0.5]), Mollifier(eps), t_grid=bad)
+    # the same check on every chain axis
+    cantor = natural_measure(build_product_cantor(2, 1 / 3, 3))
+    good = np.linspace(-0.5, 2.0, 161)
+    for bad in (np.linspace(0.0, 1.5, 300) ** 1.5, good[::-1]):
+        for axes in ((bad,), (good, bad)):
+            with pytest.raises(DomainError):
+                chain_density(cantor, PHI, cantor.points[11], len(axes),
+                              Mollifier(2.0 ** -3), t_axes=axes)
+    with pytest.raises(ResolutionError):
+        chain_density(cantor, PHI, cantor.points[11], 2, Mollifier(2.0 ** -3),
+                      t_axes=(good, good[::8]))
     with pytest.raises(DomainError):
         FrostmanMeasure(np.zeros((0, 2)), np.zeros(0), exponent_s=1.0)
 
 
 def test_uniform_density_energy_bound_support():
     nu = uniform_unit_density()
-    dt = nu.dt
+    dt = float(nu.t_grid[1] - nu.t_grid[0])
     assert density_mass(nu) == pytest.approx(1.0, abs=2 * dt)
     assert l2_energy([1.0], [nu]) == pytest.approx(1.0, abs=2 * dt)
     # indicator density: Cauchy-Schwarz equality, bound == support exactly
-    assert cs_lower_bound(nu) == pytest.approx(support_measure(nu, 0.0), abs=1e-12)
-    assert support_measure(nu, 0.0) == pytest.approx(1.0, abs=2 * dt)
+    assert cs_lower_bound(nu) == pytest.approx(support_measure(nu), abs=1e-12)
+    assert support_measure(nu) == pytest.approx(1.0, abs=2 * dt)
 
 
 def test_bump_density_energy_and_bound():
@@ -221,8 +234,8 @@ def test_bump_density_energy_and_bound():
     assert energy == pytest.approx(bump_l2_constant() / eps, rel=1e-6)
     bound = cs_lower_bound(nu)
     assert bound == pytest.approx(eps / bump_l2_constant(), rel=1e-5)
-    assert support_measure(nu, 0.0) <= 4 * eps
-    assert support_measure(nu, 0.0) >= bound - 1e-9
+    assert support_measure(nu) <= 4 * eps
+    assert support_measure(nu) >= bound - 1e-9
 
 
 def test_cauchy_schwarz_literal_many_densities():
@@ -232,7 +245,25 @@ def test_cauchy_schwarz_literal_many_densities():
     for eps in (2.0 ** -4, 2.0 ** -6):
         for pin in pins:
             nu = pinned_density(mu, PHI, pin, Mollifier(eps))
-            assert support_measure(nu, 0.0) >= cs_lower_bound(nu) - 1e-9
+            assert support_measure(nu) >= cs_lower_bound(nu) - 1e-9
+
+
+@given(mu=random_measures(), pin=PINS, k=st.integers(1, 2),
+       eps=st.sampled_from([2.0 ** -2, 2.0 ** -3, 2.0 ** -4]),
+       mc=st.sampled_from([0, 300]), seed=st.integers(0, 10_000))
+def test_cauchy_schwarz_bound_holds_literally(mu, pin, k, eps, mc, seed):
+    # the discrete Cauchy-Schwarz inequality on the grid weights, exact and
+    # Monte Carlo, pinned (k = 1) and chain (k = 2)
+    moll = Mollifier(eps)
+    if k == 1:
+        nu = pinned_density(mu, PHI, pin, moll, mc_samples=mc, seed=seed)
+    else:
+        nu = chain_density(mu, PHI, pin, k, moll, mc_samples=mc, seed=seed)
+    assert nu.k == k
+    assert support_measure(nu) - cs_lower_bound(nu) >= -1e-9
+    # the axis-by-axis contraction is the sum over the tensor weight grid
+    weights = functools.reduce(np.multiply.outer, nu.axis_weights())
+    assert density_mass(nu) == pytest.approx(float((nu.values * weights).sum()), rel=1e-12)
 
 
 def test_cs_bound_stabilizes_above_threshold():
@@ -270,6 +301,15 @@ def test_l2_energy_grid_mismatch():
     nu2 = pinned_density(mu, PHI, np.array([0.4, 0.5]), Mollifier(2.0 ** -5))
     with pytest.raises(DomainError):
         l2_energy([0.5, 0.5], [nu1, nu2])
+    # chains at two epsilons, and a pinned density beside a chain on its grid
+    cantor = natural_measure(build_product_cantor(2, 1 / 3, 3))
+    pin = cantor.points[11]
+    ch3 = chain_density(cantor, PHI, pin, 2, Mollifier(2.0 ** -3))
+    ch4 = chain_density(cantor, PHI, pin, 2, Mollifier(2.0 ** -4))
+    nu = pinned_density(cantor, PHI, pin, Mollifier(2.0 ** -3), t_grid=ch3.t_axes[0])
+    for pair in ([ch3, ch4], [nu, ch3]):
+        with pytest.raises(DomainError):
+            l2_energy([0.5, 0.5], pair)
 
 
 def test_chain_reduces_to_pinned_at_k1():
