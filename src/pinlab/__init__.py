@@ -27,9 +27,9 @@ from .pinned import (ChainDensity, Mollifier, chain_density,
 from .configs import (ConfigCount, EdgeMap, chain_edge_map, chain_tuple_count,
                       config_count, hinge_count, hinge_count_integrated,
                       load_edge_map, pinned_lift, save_edge_map, star_edge_map)
-from .harmonic import (DecayFit, EnergyResult, LPPartition, SpectralGrid,
-                       energy_integral, freq_norms, l2_norm, lp_project,
-                       oscillatory_G, radon_apply, radon_sobolev_ratio,
+from .harmonic import (DecayFit, EnergyResult, LPPartition, energy_integral,
+                       freq_norms, l2_norm, lp_project, oscillatory_G,
+                       radon_apply, radon_sobolev_ratio,
                        random_band_limited, riesz_constant,
                        schur_dyadic_majorant, schur_kernel_sup,
                        shell_profile_verdict, sobolev_norm,

@@ -72,35 +72,24 @@ def pinned_lift(em: EdgeMap) -> EdgeMap:
     """Double the configuration across the pinned vertex k+1.
 
     Vertices k+2..2k+1 mirror 1..k; edges into the pin are copied to the
-    mirror side through the pin, all other edges are copied verbatim.
+    mirror side through the pin, all other edges are copied verbatim: the
+    edges `lift_t_assignment` maps.
     """
-    k = em.vertex_count - 1
-    pin = k + 1
-    lifted = set()
-    for i, j in em.edges:
-        lifted.add((i, j))
-        if j == pin:
-            lifted.add((pin, pin + i))
-        else:
-            lifted.add((pin + i, pin + j))
-    return EdgeMap(2 * k + 1, frozenset(lifted))
+    lifted = lift_t_assignment(em, dict.fromkeys(em.edges, 0.0))
+    return EdgeMap(2 * em.vertex_count - 1, frozenset(lifted))
 
 
 def lift_t_assignment(em: EdgeMap, t_assignment: dict) -> dict:
-    """Extend an edge->gap map through `pinned_lift`: every mirrored edge
+    """Extend an edge->gap map through `pinned_lift`: (i, pin) is mirrored
+    to (pin, pin+i) and (i, j) to (pin+i, pin+j), and every mirrored edge
     inherits the gap of the edge it copies (the doubled-configuration event
     constrains both copies by the same gap vector)."""
-    k = em.vertex_count - 1
-    pin = k + 1
-    t_map = {tuple(sorted((int(i), int(j)))): float(v)
-             for (i, j), v in t_assignment.items()}
+    pin = em.vertex_count
     out = {}
-    for (i, j), v in t_map.items():
-        out[(i, j)] = v
-        if j == pin:
-            out[(pin, pin + i)] = v
-        else:
-            out[(pin + i, pin + j)] = v
+    for (i, j), v in t_assignment.items():
+        i, j = sorted((int(i), int(j)))
+        out[(i, j)] = float(v)
+        out[(pin, pin + i) if j == pin else (pin + i, pin + j)] = float(v)
     return out
 
 

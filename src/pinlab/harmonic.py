@@ -2,12 +2,15 @@
 
 Covers the dyadic frequency partition, sphere-measure Fourier decay, the
 fractal energy integral in both Fourier and kernel form (with the classical
-Riesz-kernel constant), the Schur-test kernel bound, the mollified averaging
-operator with its Sobolev ratios, and the separated-frequency oscillatory
-integral.
+Riesz-kernel constant; Mattila, Fourier Analysis and Hausdorff Dimension,
+2015, ch. 3), the Schur-test kernel bound, the mollified averaging operator
+with its Sobolev ratios, and the separated-frequency oscillatory integral.
+The energy's |xi| < 1 centre has one rule for d = 1..3 and every gamma:
+sphere integrals of exact atom sums at fixed nodes in |xi|^2, expanded in
+Legendre polynomials whose moments against |xi|^-gamma are closed forms.
 
 Grid conventions: fields live on [0,1)^d sampled at idx/n, treated
-periodically; `hat` returns Fourier coefficients (forward FFT / n^d), so
+periodically; their Fourier coefficients are the forward FFT / n^d, so
 discrete Parseval reads mean |f|^2 = sum |f_hat|^2.  Measure arrays (mass per
 cell) transform without normalization, so the zero mode is the total mass.
 """
@@ -31,40 +34,7 @@ class ResolutionWarning(UserWarning):
     """A requested frequency is beyond what the quadrature resolves."""
 
 
-# -- spectral grid ----------------------------------------------------------
-
-@dataclass
-class SpectralGrid:
-    """Complex field on the periodic grid idx/side_n in [0,1)^d."""
-
-    dimension_d: int
-    side_n: int
-    values: np.ndarray
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "SpectralGrid":
-        values = np.asarray(values)
-        return cls(values.ndim, values.shape[0], values.astype(complex))
-
-    def hat(self) -> np.ndarray:
-        return np.fft.fftn(self.values) / self.side_n ** self.dimension_d
-
-    @classmethod
-    def from_hat(cls, hat: np.ndarray) -> "SpectralGrid":
-        n = hat.shape[0]
-        vals = np.fft.ifftn(hat) * n ** hat.ndim
-        return cls(hat.ndim, n, vals)
-
-    def roundtrip_error(self) -> float:
-        back = SpectralGrid.from_hat(self.hat()).values
-        scale = max(float(np.abs(self.values).max()), 1e-300)
-        return float(np.abs(back - self.values).max()) / scale
-
-    def parseval_error(self) -> float:
-        phys = float(np.mean(np.abs(self.values) ** 2))
-        spec = float(np.sum(np.abs(self.hat()) ** 2))
-        return abs(phys - spec) / max(phys, 1e-300)
-
+# -- frequency grids ---------------------------------------------------------
 
 def freq_norms(d: int, side_n: int) -> np.ndarray:
     """|xi| at every integer frequency of the periodic grid of side_n^d nodes,
@@ -81,9 +51,10 @@ def l2_norm(field: np.ndarray) -> float:
 
 def sobolev_norm(field: np.ndarray, gamma: float) -> float:
     """H^gamma norm via the weight (1 + |xi|^2)^(gamma/2)."""
-    g = SpectralGrid.from_values(field)
-    w = (1.0 + freq_norms(g.dimension_d, g.side_n) ** 2) ** (gamma / 2.0)
-    return float(np.sqrt(np.sum((w * np.abs(g.hat())) ** 2)))
+    field = np.asarray(field)
+    hat = np.fft.fftn(field.astype(complex)) / field.size
+    w = (1.0 + freq_norms(field.ndim, field.shape[0]) ** 2) ** (gamma / 2.0)
+    return float(np.sqrt(np.sum((w * np.abs(hat)) ** 2)))
 
 
 def random_band_limited(side_n: int, band: float, seed: int, d: int = 2) -> np.ndarray:
@@ -137,9 +108,9 @@ class LPPartition:
 
 def lp_project(field: np.ndarray, partition: LPPartition, j: int) -> np.ndarray:
     """Frequency-side multiplier application of band j (0 = low band)."""
-    g = SpectralGrid.from_values(field)
-    mult = partition.band_profile(freq_norms(g.dimension_d, g.side_n), j)
-    out = np.fft.ifftn(mult * np.fft.fftn(g.values))
+    field = np.asarray(field)
+    mult = partition.band_profile(freq_norms(field.ndim, field.shape[0]), j)
+    out = np.fft.ifftn(mult * np.fft.fftn(field.astype(complex)))
     if np.isrealobj(field):
         return np.real(out)
     return out
@@ -239,31 +210,63 @@ def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int,
                              0, lambda u: np.exp(-0.5 * (u / sigma) ** 2))
 
 
-def _center_energy_exact(points, masses, gamma: float, r0: float = 1.0,
-                         n_rad: int = 48, n_ang: int = 128) -> float:
-    """int_{|xi| < r0} |g lambda^(xi)|^2 |xi|^-gamma dxi by polar quadrature.
+# |xi| < 1 of the energy integral: Gauss-Legendre nodes in v = |xi|^2, and
+# directions on half of S^(d-1) (32 angles in d = 2, 16 cos(theta) x 32 phi
+# in d = 3), exact to about 1e-13 for atoms in the unit box
+CENTER_NODES = 20
 
-    The transform is evaluated exactly as an atom sum; the radial weight
-    r^(1-gamma) is absorbed by the substitution u = r^(2-gamma).  Real masses
-    make the power even in xi, so only the angles in [0, pi) are evaluated, as
-    cosine and sine sums over blocks of frequencies, and their sum is doubled.
+
+def _sphere_directions(d: int):
+    """Directions on half of S^(d-1) and weights that integrate an even
+    function over the whole sphere: the point 1 (weight 2) in d = 1, a
+    half-circle trapezoid in d = 2, Gauss-Legendre in cos(theta) on [0, 1]
+    times a trapezoid in phi in d = 3."""
+    if d == 1:
+        return np.ones((1, 1)), np.array([2.0])
+    if d == 2:
+        th = (np.arange(32) + 0.5) * (np.pi / 32)
+        return np.stack([np.cos(th), np.sin(th)], axis=1), np.full(32, np.pi / 16)
+    if d == 3:
+        ct, cw = np.polynomial.legendre.leggauss(16)
+        ct = (ct + 1.0) / 2.0
+        st, ph = np.sqrt(1.0 - ct ** 2), np.arange(32) * (np.pi / 16)
+        dirs = np.stack([np.outer(st, np.cos(ph)), np.outer(st, np.sin(ph)),
+                         np.repeat(ct[:, None], 32, axis=1)], axis=-1)
+        return dirs.reshape(-1, 3), np.repeat(cw * (np.pi / 16), 32)
+    raise DomainError(f"the energy centre is implemented for d in 1..3, got d = {d}")
+
+
+def _center_energy(points, masses, gammas) -> list:
+    """int_{|xi| < 1} |g lambda^(xi)|^2 |xi|^-gamma dxi for each gamma, from
+    one pass over the atoms (d = 1..3, else DomainError).
+
+    In v = |xi|^2 the centre is 1/2 int_0^1 A(sqrt v) v^a dv, a = (d - 2 -
+    gamma)/2, where A(r), the sphere integral of |g lambda^|^2 at radius r,
+    is smooth in v.  A is taken at fixed Gauss-Legendre nodes in v, as exact
+    cosine and sine atom sums over blocks of frequencies (real masses make
+    |g lambda^|^2 even, so half the sphere's directions suffice), and
+    expanded in Legendre polynomials; each term integrates in closed form,
+    int_0^1 P_k(2v - 1) v^a dv = prod_{j<k} (a - j) / prod_{j=1..k+1} (a + j).
     """
-    assert n_ang % 2 == 0
-    p = 2.0 - gamma
-    gn, gw = np.polynomial.legendre.leggauss(n_rad)
-    u = (gn + 1.0) / 2.0 * r0 ** p
-    wu = gw / 2.0 * r0 ** p
-    r = u ** (1.0 / p)
-    th = (np.arange(n_ang // 2) + 0.5) * (2.0 * np.pi / n_ang)
-    xi_flat = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1).reshape(-1, 2)
-    power = np.empty(len(xi_flat))
+    d = points.shape[1]
+    dirs, dw = _sphere_directions(d)
+    x, w = np.polynomial.legendre.leggauss(CENTER_NODES)
+    xi = (np.sqrt((x + 1.0) / 2.0)[:, None, None] * dirs).reshape(-1, d)
+    power = np.empty(len(xi))
     rows = max(1, DEPOSIT_BLOCK // max(len(points), 1))
-    for i0 in range(0, len(xi_flat), rows):
-        ph = (xi_flat[i0:i0 + rows] @ points.T) * (2.0 * np.pi)
+    for i0 in range(0, len(xi), rows):
+        ph = (xi[i0:i0 + rows] @ points.T) * (2.0 * np.pi)
         re = np.cos(ph) @ masses
         power[i0:i0 + rows] = re ** 2 + (np.sin(ph, out=ph) @ masses) ** 2
-    ang_int = power.reshape(len(r), n_ang // 2).sum(axis=1) * (4.0 * np.pi / n_ang)
-    return float((wu * ang_int).sum() / p)
+    sphere = power.reshape(CENTER_NODES, len(dw)) @ dw
+    k = np.arange(CENTER_NODES)
+    coef = (k + 0.5) * (np.polynomial.legendre.legvander(x, CENTER_NODES - 1).T @ (w * sphere))
+    centres = []
+    for a in (d - 2.0 - np.asarray(gammas, float)) / 2.0:
+        moments = np.cumprod(np.append(1.0, a - k[:-1])) / np.cumprod(a + k + 1.0)
+        # one 1-d product per gamma, so a stack rounds as its scalar calls do
+        centres.append(0.5 * float(coef @ moments))
+    return centres
 
 
 def _row_sums(points: np.ndarray, block_sums) -> np.ndarray:
@@ -297,14 +300,16 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int,
                     g_values=None, pad: int = 4, sigma_cells: float = 1.0):
     """Truncated energy int_{|xi|<=side_n/4} |g lambda^|^2 |xi|^-gamma, two ways.
 
-    Fourier side: atoms deposited as Gaussian bumps on a pad-times-wider
-    periodic grid (frequency spacing 1/pad), transformed, deconvolved by the
-    exact Gaussian factor, and summed with the Riemann weight.  Kernel side:
-    the Riesz-constant-weighted double sum over distinct atoms.  Dyadic shell
-    increments of the Fourier sum are returned for the convergence
-    diagnostics.  A scalar gamma gives one EnergyResult; a 1-d array of
-    gammas gives a list of them, sharing the deposit, the transform, the
-    shell masks and one pass over the atom-pair distances.
+    Fourier side: the centre |xi| < 1, where the |xi|^-gamma singularity
+    defeats a lattice Riemann sum, from `_center_energy`; beyond it, atoms
+    deposited as Gaussian bumps on a pad-times-wider periodic grid (frequency
+    spacing 1/pad), transformed, deconvolved by the exact Gaussian factor,
+    and summed with the Riemann weight.  Kernel side: the Riesz-constant-
+    weighted double sum over distinct atoms.  Dyadic shell increments of the
+    Fourier sum are returned for the convergence diagnostics.  d = 1..3.  A
+    scalar gamma gives one EnergyResult; a 1-d array of gammas gives a list
+    of them, sharing the centre pass, the deposit, the transform, the shell
+    masks and one pass over the atom-pair distances.
     """
     gammas = np.atleast_1d(np.asarray(gamma, float))
     if gammas.ndim != 1 or len(gammas) == 0:
@@ -317,6 +322,7 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int,
     d = lam.d
     g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
     masses = lam.weights * g
+    centres = _center_energy(lam.points, masses, gammas)
     dens = deposit_gaussian(lam.points, masses, side_n, pad, sigma_cells)
     hat = np.fft.rfftn(dens)
     n_tot = pad * side_n
@@ -338,20 +344,9 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int,
         radii.append(math.sqrt(lo * hi))
         shells.append((power[sel], fn[sel]))
     results = []
-    for gm, row_sums in zip(gammas, _riesz_row_sums(lam.points, masses, gammas)):
+    for gm, centre, row_sums in zip(gammas, centres, _riesz_row_sums(lam.points, masses, gammas)):
         incs = [float((p * f ** (-gm)).sum() * cell) for p, f in shells]
-        # |xi| < 1: the |xi|^-gamma singularity defeats the lattice Riemann sum;
-        # integrate it exactly from direct atom sums in polar coordinates (d = 2),
-        # falling back to a smooth quadratic-in-radius model otherwise
-        if d == 2:
-            low_part = _center_energy_exact(lam.points, masses, gm)
-        else:
-            amp_zero = float(power.flat[0])
-            ring = (fn >= 0.75) & (fn < 1.25)
-            ring_mean = float(power[ring].mean()) if np.any(ring) else amp_zero
-            b_coef = ring_mean - amp_zero
-            low_part = 4.0 * np.pi * (amp_zero / (3.0 - gm) + b_coef / (5.0 - gm))
-        results.append(EnergyResult(low_part + float(np.sum(incs)),
+        results.append(EnergyResult(centre + float(np.sum(incs)),
                                     riesz_constant(gm, d) * float(masses @ row_sums),
                                     np.array(radii), np.array(incs)))
     return results[0] if np.ndim(gamma) == 0 else results

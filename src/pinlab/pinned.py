@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse import csc_matrix
 
 from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
@@ -267,7 +266,8 @@ def l2_energy(pin_weights, densities) -> float:
     ref = densities[0]
     total = 0.0
     for w, nu in zip(pin_weights, densities):
-        if nu.values.shape != ref.values.shape or nu.epsilon != ref.epsilon:
+        if (nu.values.shape != ref.values.shape or nu.epsilon != ref.epsilon
+                or not all(map(np.array_equal, nu.t_axes, ref.t_axes))):
             raise DomainError("densities must share grid and epsilon")
         total += w * _integrate(nu, nu.values ** 2)
     return total
@@ -377,6 +377,10 @@ def _window_kernels(gaps, weights, ax, mollifier: Mollifier):
     The entries are laid out column by column, each column's by (y, node),
     which is the CSC order itself: no format conversion is needed.
     """
+    # imported here: only the exact chain builds a sparse matrix, and the
+    # import would double the start-up time of every other run
+    from scipy.sparse import csc_matrix
+
     m, n = gaps.shape
     length = len(ax)
     reach = mollifier.support_radius

@@ -9,11 +9,12 @@ enumeration of exact `config_count` and the hand-written recursion of exact
 deposition, sorted prefix sums and the graph contraction `configs._contract`
 replaced them, plus exact `composed_operator_density` as it was before its
 phi and psi matrices were built once for all links.  The energy-integral
-pieces are the per-atom Gaussian deposit, the complex polar centre sum over
-the full circle of angles and the dense Riesz double sum, with the per-atom
-Schur row loop, as they were before the blocked real-arithmetic versions
-replaced them, and `harmonic._row_sums` on scipy's `cdist` distances, as it
-was before pinlab stopped importing `scipy.spatial`.  They touch every pair
+pieces are the per-atom Gaussian deposit and the dense Riesz double sum,
+with the per-atom Schur row loop, as they were before the blocked
+real-arithmetic versions replaced them, `harmonic._row_sums` on scipy's
+`cdist` distances, as it was before pinlab stopped importing
+`scipy.spatial`, and the |xi| < 1 energy centre as a power series in the
+pair distances, which needs no quadrature at all.  They touch every pair
 or tuple, or rebuild what the package shares, so they are slow and
 memory-hungry, but they are simple enough to trust.  The euclidean, scaled_euclidean and flat_torus phases
 are here as the three separate classes they were before one
@@ -259,26 +260,22 @@ def loop_deposit_gaussian(points, masses, side_n, pad=4, sigma_cells=1.0):
     return dens
 
 
-def complex_center_energy(points, masses, gamma, r0=1.0, n_rad=48, n_ang=128):
-    """int_{|xi| < r0} |lambda^(xi)|^2 |xi|^-gamma dxi by polar quadrature
-    over all n_ang angles, the transform taken as complex exponential sums."""
-    p = 2.0 - gamma
-    gn, gw = np.polynomial.legendre.leggauss(n_rad)
-    u = (gn + 1.0) / 2.0 * r0 ** p
-    wu = gw / 2.0 * r0 ** p
-    r = u ** (1.0 / p)
-    th = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
-    xi = np.stack([np.outer(r, np.cos(th)), np.outer(r, np.sin(th))], axis=-1)
-    xi_flat = xi.reshape(-1, 2)
-    power = np.empty(len(xi_flat))
-    chunk = max(1, 8_000_000 // max(len(points), 1))
-    for i0 in range(0, len(xi_flat), chunk):
-        sl = slice(i0, min(i0 + chunk, len(xi_flat)))
-        phase = xi_flat[sl] @ points.T
-        hat = np.exp(-2j * np.pi * phase) @ masses
-        power[sl] = np.abs(hat) ** 2
-    ang_int = power.reshape(len(r), n_ang).sum(axis=1) * (2.0 * np.pi / n_ang)
-    return float((wu * ang_int).sum() / p)
+def series_center_energy(points, masses, gamma, terms=60):
+    """int_{|xi| < 1} |lambda^(xi)|^2 |xi|^-gamma dxi in d = 1..3 from the pair
+    distances: sum_xy m_x m_y |S^(d-1)| sum_n (-1)^n s_n (2 pi |x - y|)^(2n) /
+    (d - gamma + 2n), where s_n are the series coefficients of the sphere
+    mean of e^(i z omega): cos z, J_0(z) and sin z / z.  The terms are built
+    by their ratios; 60 of them reach below 1e-30 for distances up to 2 sqrt(3)."""
+    d = points.shape[1]
+    z2 = (2.0 * np.pi) ** 2 * ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
+    area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+    term = np.ones_like(z2)
+    total = term / (d - gamma)
+    for n in range(1, terms):
+        ratio = {1: (2 * n - 1) * (2 * n), 2: 4 * n * n, 3: (2 * n) * (2 * n + 1)}[d]
+        term = term * (-z2 / ratio)
+        total = total + term / (d - gamma + 2 * n)
+    return area * float(masses @ total @ masses)
 
 
 def dense_riesz_double_sum(points, masses, gamma):
@@ -307,8 +304,8 @@ def cdist_row_sums(points, block_sums, block=1 << 20):
 def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
                               sigma_cells=1.0):
     """`energy_integral` built on the three reference pieces above: the
-    per-atom deposit, the complex full-circle centre sum (d = 2) and the
-    dense Riesz double sum."""
+    per-atom deposit, the pair-distance series centre and the dense Riesz
+    double sum."""
     d = lam.d
     g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
     masses = lam.weights * g
@@ -334,14 +331,7 @@ def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
         sel = (fn >= lo) & (fn < hi)
         radii.append(math.sqrt(lo * hi))
         incs.append(float((power[sel] * fn[sel] ** (-gamma)).sum() * cell))
-    if d == 2:
-        low_part = complex_center_energy(lam.points, masses, gamma)
-    else:
-        amp_zero = float(power.flat[0])
-        ring = (fn >= 0.75) & (fn < 1.25)
-        ring_mean = float(power[ring].mean()) if np.any(ring) else amp_zero
-        b_coef = ring_mean - amp_zero
-        low_part = 4.0 * np.pi * (amp_zero / (3.0 - gamma) + b_coef / (5.0 - gamma))
+    low_part = series_center_energy(lam.points, masses, gamma)
     kernel_value = riesz_constant(gamma, d) * dense_riesz_double_sum(lam.points, masses, gamma)
     return EnergyResult(low_part + float(np.sum(incs)), kernel_value,
                         np.array(radii), np.array(incs))

@@ -445,9 +445,9 @@ def test_readme_documents_every_config_key():
 
 
 def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
-    """pinlab's only scipy module is scipy.sparse: a fresh process that
-    imports the CLI and runs a sweep and the energy battery has not loaded
-    scipy.integrate, special, spatial, optimize or linalg."""
+    """A fresh process that imports the CLI and runs a sweep and the energy
+    battery has not loaded scipy.integrate, special, spatial, optimize,
+    linalg or sparse: only the exact chain imports scipy.sparse."""
     sweep = write_cfg(tmp_path, "sweep.cfg", "level = 3\ndims = 1.0 1.6\n"
                       "epsilons = 2^-3 2^-4\npins = 2\nhinge_pins = 4\n")
     energy = write_cfg(tmp_path, "energy.cfg", "which = energy\nsegment_atoms = 256\n"
@@ -459,7 +459,7 @@ def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
         "import pinlab.cli\n"
         f"codes = [pinlab.cli.main(argv) for argv in {runs!r}]\n"
         "heavy = ('scipy.integrate', 'scipy.special', 'scipy.spatial',\n"
-        "         'scipy.optimize', 'scipy.linalg')\n"
+        "         'scipy.optimize', 'scipy.linalg', 'scipy.sparse')\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules\n"
         "                                if m.startswith(heavy))]))\n")
     src = os.path.dirname(os.path.dirname(pinlab.__file__))

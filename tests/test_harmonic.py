@@ -6,28 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (cdist_row_sums, chunked_oscillatory_G, complex_center_energy,
-                     dense_riesz_double_sum, loop_deposit_gaussian,
-                     loop_schur_dyadic_majorant, loop_schur_kernel_sup,
-                     reference_energy_integral)
+from oracles import (cdist_row_sums, chunked_oscillatory_G, dense_riesz_double_sum,
+                     loop_deposit_gaussian, loop_schur_dyadic_majorant,
+                     loop_schur_kernel_sup, reference_energy_integral,
+                     series_center_energy)
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import j0
 
 from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
-                    ResolutionError,
-                    SpectralGrid, build_cutoffs, build_product_cantor,
+                    ResolutionError, build_cutoffs, build_product_cantor,
                     circle_measure,
                     energy_integral, freq_norms, l2_norm, lp_project,
                     natural_measure,
                     oscillatory_G, phase_function, radon_apply,
                     radon_sobolev_ratio, random_band_limited, riesz_constant,
                     schur_dyadic_majorant, schur_kernel_sup,
-                    segment_measure, surface_measure_decay,
+                    segment_measure, sobolev_norm, surface_measure_decay,
                     uniform_grid_measure)
 from pinlab import harmonic
-from pinlab.harmonic import (ResolutionWarning, _center_energy_exact,
-                             _radon_direct, _riesz_row_sums, _row_sums, deposit_gaussian,
+from pinlab.harmonic import (ResolutionWarning, _center_energy, _radon_direct,
+                             _riesz_row_sums, _row_sums, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
 
@@ -37,14 +36,12 @@ SEGMENT_SHELLS_12 = [2.7319, 2.2345, 1.9590, 1.7076, 1.4869, 1.2945, 1.1269, 0.9
 SEGMENT_SHELLS_08 = [3.1303, 3.3919, 3.9192, 4.5067, 5.1778, 5.9479, 6.8324, 7.8483]
 
 
-def test_spectral_grid_roundtrip_parseval():
-    g = SpectralGrid.from_values(random_band_limited(128, 40.0, seed=7))
-    assert g.roundtrip_error() < 1e-10
-    assert g.parseval_error() < 1e-10
-    gc = SpectralGrid(2, 64, (random_band_limited(64, 20.0, seed=1)
-                              + 1j * random_band_limited(64, 20.0, seed=2)))
-    assert gc.roundtrip_error() < 1e-10
-    assert gc.parseval_error() < 1e-10
+def test_sobolev_norm_at_zero_is_l2_norm():
+    # Parseval: the spectral sum of |f^|^2 is the grid mean of |f|^2
+    real = random_band_limited(128, 40.0, seed=7)
+    cplx = random_band_limited(64, 20.0, seed=1) + 1j * random_band_limited(64, 20.0, seed=2)
+    for f in (real, cplx):
+        assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-10)
 
 
 def test_lp_partition_sums_to_one():
@@ -298,13 +295,35 @@ def test_deposit_gaussian_matches_per_atom_loop(cloud, side, pad, block):
 
 
 @settings(max_examples=30)
-@given(cloud=atom_clouds(dims=(2,)), gamma=st.floats(0.1, 1.9), block=small_blocks)
-def test_center_energy_half_ring_matches_complex_full_circle(cloud, gamma, block):
+@given(cloud=atom_clouds(), fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+       block=small_blocks)
+def test_center_energy_matches_pair_distance_series(cloud, fracs, block):
     pts, w, g = cloud
+    gammas = np.array(fracs) * pts.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
-        got = _center_energy_exact(pts, w * g, gamma)
-    assert_rel_close(got, complex_center_energy(pts, w * g, gamma))
+        got = _center_energy(pts, w * g, gammas)
+    assert_rel_close(got, [series_center_energy(pts, w * g, gm) for gm in gammas])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_center_energy_two_atoms_across_the_box(d):
+    # the unit box's diagonal, sqrt(d), is the largest distance between atoms
+    pts, masses = np.array([[0.0] * d, [1.0] * d]), np.array([0.3, 0.7])
+    gammas = np.linspace(0.1, 0.95, 7) * d
+    assert_rel_close(_center_energy(pts, masses, gammas),
+                     [series_center_energy(pts, masses, gm) for gm in gammas])
+    # one atom: |lambda^|^2 = 1, so the centre is |S^(d-1)| / (d - gamma)
+    area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+    assert_rel_close(_center_energy(pts[:1], np.ones(1), gammas), area / (d - gammas))
+
+
+def test_energy_centre_rejects_four_dimensions():
+    lam = FrostmanMeasure(np.full((2, 4), 0.5), np.full(2, 0.5), exponent_s=0.0)
+    with pytest.raises(DomainError):
+        _center_energy(lam.points, lam.weights, [1.0])
+    with pytest.raises(DomainError):
+        energy_integral(lam, 1.0, 16)
 
 
 @settings(max_examples=20)

@@ -310,6 +310,14 @@ def test_l2_energy_grid_mismatch():
     for pair in ([ch3, ch4], [nu, ch3]):
         with pytest.raises(DomainError):
             l2_energy([0.5, 0.5], pair)
+    # one pin on a grid and on the same grid shifted by 0.1: same shape and epsilon
+    grid = np.arange(0.0, 0.6, 2.0 ** -8)
+    moll = Mollifier(2.0 ** -4)
+    on_grid, shifted = (pinned_density(mu, PHI, np.array([0.5, 0.5]), moll, t_grid=g)
+                        for g in (grid, grid + 0.1))
+    assert on_grid.values.shape == shifted.values.shape
+    with pytest.raises(DomainError):
+        l2_energy([0.5, 0.5], [on_grid, shifted])
 
 
 def test_chain_reduces_to_pinned_at_k1():
