@@ -89,6 +89,14 @@ def cfg_int(cfg, key, default=None) -> int:
     return int(val)
 
 
+def cfg_mc_samples(cfg) -> int:
+    """`mc_samples`, checked before the sweep's or probe's cells turn errors into rows."""
+    val = cfg_int(cfg, "mc_samples", 0)
+    if val < 0:
+        raise ConfigError(f"config key 'mc_samples' must be >= 0, got {val}")
+    return val
+
+
 def cfg_str(cfg, key, default=None) -> str:
     if key not in cfg:
         if default is None:
@@ -231,7 +239,7 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     if len(eps_list) < 2:
         raise ConfigError("sweep needs >= 2 epsilon values")
     n_pins = cfg_int(cfg, "pins", 12)
-    mc_samples = cfg_int(cfg, "mc_samples", 0)
+    mc_samples = cfg_mc_samples(cfg)
     stable_tol = cfg_float(cfg, "stable_tol", 0.2)
     shrink_total = cfg_float(cfg, "shrink_total", 0.3)
     shrink_mode = cfg_str(cfg, "shrink_mode", "cumulative")
@@ -325,7 +333,7 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
         raise ConfigError("exceptional_probe needs >= 50 pins")
     floor = cfg_float(cfg, "floor", 0.05)
     eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5, 2.0 ** -6])
-    mc_samples = cfg_int(cfg, "mc_samples", 0)
+    mc_samples = cfg_mc_samples(cfg)
 
     frac, mu = build_generator(cfg, seed)
     phi = build_phase(cfg, mu.d)

@@ -106,6 +106,7 @@ class PointSample:
     points: np.ndarray
     weights: np.ndarray
     seed: int
+    atoms: np.ndarray | None = None     # the drawn atoms; None when jittered
 
     def __post_init__(self):
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -272,8 +273,9 @@ def sample_points(mu: FrostmanMeasure, count: int, seed: int) -> PointSample:
     if mu.mode == "cell_uniform" and mu.cell_side > 0:
         jitter = rng.uniform(-0.5, 0.5, size=pts.shape) * mu.cell_side
         pts = pts + jitter
+        idx = None
     w = np.full(count, 1.0 / count)
-    return PointSample(pts, w, seed)
+    return PointSample(pts, w, seed, idx)
 
 
 # -- serialization ----------------------------------------------------------

@@ -16,17 +16,21 @@ window holds every grid node of the support and never leaves the grid.
 Pinned densities and Monte Carlo chains deposit through `_deposit`: the k
 window kernels multiply into one tensor block per batch of rows, scattered
 into the grid with `np.bincount`, so work and memory grow with rows x
-window^k, not rows x grid.  Exact chains contract link by link from the last
-(`_chain_exact`): each link's windowed kernels over the atom pairs (y, z)
-form one sparse (y, node) x z matrix per block of y rows, multiplied into
-the flat partial sums, so work grows with atoms^2 x window, not atoms^2 x
-axis length.  Either way every nonzero kernel value is the one a full (node
-x row) matrix would hold.  Monte Carlo mode averages equally weighted draws
-with one rule: stderr^2 = (mean of kernel^2 - mean^2) / draws per node, and
-the mass stderr is the std of the per-draw trapezoid masses over
-sqrt(draws).  Everything downstream (mass, L2 energy, Cauchy-Schwarz support
-bounds) is written once for every k, as grid sums with the axes' trapezoid
-weights contracted from the last axis (`_integrate`); using the same weights
+window^k, not rows x grid.  A batch holds at most WINDOW_BLOCK kernel
+entries, so that its temporaries stay in a per-core L2 cache.  Exact chains
+contract link by link from the last (`_chain_exact`): each link's windowed
+kernels over the atom pairs (y, z) form one sparse (y, node) x z matrix per
+block of y rows, multiplied into the flat partial sums, so work grows with
+atoms^2 x window, not atoms^2 x axis length.  Either way every nonzero
+kernel value is the one a full (node x row) matrix would hold.  Monte Carlo
+mode deposits each distinct atom drawn once, weighted count / draws, so its
+work grows with min(draws, atoms); jittered draws and chains are one row
+each.  With row weights w_r: stderr^2 = (sum_r w_r kernel_r^2 - values^2) /
+draws per node, and the mass stderr is the weighted std of the rows'
+trapezoid masses m_r, sqrt(sum_r w_r (m_r - sum_s w_s m_s)^2 / draws).
+Everything downstream (mass, L2 energy, Cauchy-Schwarz support bounds) is
+written once for every k, as grid sums with the axes' trapezoid weights
+contracted from the last axis (`_integrate`); using the same weights
 everywhere makes the discrete Cauchy-Schwarz inequality exact, so
 `support_measure >= cs_lower_bound` holds literally, not just up to
 quadrature error.
@@ -53,9 +57,13 @@ GRID_BUDGET = 2_000_000
 #: mass contract (1 within 1e-6 in exact mode) needs the finer default.
 STEP_DIVISOR = 16
 
-#: Kernel entries per block of deposit windows, and entries per block of
-#: `harmonic`'s energy sums; bounds the temporaries of each block.
+#: Kernel entries per block of the exact chain's and periodic deposit's
+#: windows and of `harmonic`'s sums; bounds the temporaries of each block.
 DEPOSIT_BLOCK = 1 << 20
+
+#: Kernel entries per block of `_deposit`'s windows: 256 KiB per float
+#: temporary, so that the dozen passes over a block stay in a 2 MiB L2 cache.
+WINDOW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -169,15 +177,16 @@ def _tensor_block(idx, vals, shape):
     return block.reshape(rows, -1), flat.ravel()
 
 
-def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
+def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
     """(values, stderr, mass_stderr) of sum_r weights[r] prod_i rho_eps(t_i - gaps[r, i])
     on the tensor grid of the k uniform `t_axes`, for gap vectors of shape (n, k).
 
     Row r's window on axis i is `_window`'s; blocks of at most
-    DEPOSIT_BLOCK kernel entries are scattered with one `np.bincount`.  With
-    `mc` the rows are n equally weighted draws: the same pass scatters the
-    squared kernels and takes each draw's trapezoid mass, for the stderrs of
-    the module rule.
+    WINDOW_BLOCK kernel entries are scattered with one `np.bincount` each.
+    `draws` = 0 is exact.  Otherwise the rows are the outcomes of that many
+    Monte Carlo draws, each weighted by its share of them: the same pass
+    scatters the weighted squared kernels and takes each row's trapezoid
+    mass, for the stderrs of the module rule.
     """
     n = len(gaps)
     reach = mollifier.support_radius
@@ -188,7 +197,7 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
     values = np.zeros(size)
     sq = np.zeros(size)
     per_mass = np.ones(n)
-    rows = max(1, DEPOSIT_BLOCK // math.prod(len(off) for off in offsets))
+    rows = max(1, WINDOW_BLOCK // math.prod(len(off) for off in offsets))
     for r0 in range(0, n, rows):
         sl = slice(r0, r0 + rows)
         idx, kern = [], []
@@ -199,7 +208,7 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
             kern.append(mollifier(u))
         block, flat = _tensor_block(idx, kern, shape)
         values += np.bincount(flat, (block * weights[sl, None]).ravel(), size)
-        if mc:
+        if draws:
             for f, j, tw in zip(kern, idx, tws):
                 per_mass[sl] *= (f * tw[j]).sum(axis=1)
             # in place: with one link, block is kern[0], not read after this
@@ -207,10 +216,11 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, mc: bool = False):
             block *= weights[sl, None]
             sq += np.bincount(flat, block.ravel(), size)
     values = values.reshape(shape)
-    if not mc:
+    if not draws:
         return values, np.zeros(shape), 0.0
-    stderr = np.sqrt(np.maximum(sq.reshape(shape) - values ** 2, 0.0) / n)
-    return values, stderr, float(per_mass.std() / np.sqrt(n))
+    stderr = np.sqrt(np.maximum(sq.reshape(shape) - values ** 2, 0.0) / draws)
+    spread = weights @ (per_mass - weights @ per_mass) ** 2
+    return values, stderr, float(np.sqrt(spread / draws))
 
 
 def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
@@ -219,26 +229,30 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
 
     Exact mode (mc_samples = 0) sums over the measure's atoms; Monte Carlo
     mode averages over seeded draws and carries per-node standard errors.
-    Each atom or draw is deposited onto its support window only (`_deposit`
-    with one link).
+    Each atom, distinct drawn atom or jittered draw is deposited onto its
+    support window only (`_deposit` with one link).
     """
     if len(mu) == 0:
         raise DomainError("empty measure")
+    if mc_samples < 0:
+        raise DomainError(f"mc_samples must be >= 0, got {mc_samples}")
     pin = np.asarray(pin_x, float)
     eps = mollifier.epsilon
     if mc_samples == 0:
-        phi_vals = np.asarray(phi.value(pin[None, :], mu.points))
-        weights = mu.weights
+        points, weights = mu.points, mu.weights
     else:
         sample = sample_points(mu, mc_samples, seed)
-        phi_vals = np.asarray(phi.value(pin[None, :], sample.points))
-        weights = sample.weights
+        points, weights = sample.points, sample.weights
+        if sample.atoms is not None:
+            atoms, counts = np.unique(sample.atoms, return_counts=True)
+            points, weights = mu.points[atoms], counts / mc_samples
+    phi_vals = np.asarray(phi.value(pin[None, :], points))
     if t_grid is None:
         t_grid = default_t_grid(phi_vals, eps)
     t_axes = (np.asarray(t_grid, float),)
     _check_axes(t_axes, eps)
     values, stderr, mass_se = _deposit(phi_vals[:, None], weights, t_axes,
-                                       mollifier, mc_samples > 0)
+                                       mollifier, mc_samples)
     return ChainDensity(pin, eps, t_axes, values, stderr, mc_samples, mass_se)
 
 
@@ -307,6 +321,8 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     """
     if k < 1:
         raise DomainError("k must be >= 1")
+    if mc_samples < 0:
+        raise DomainError(f"mc_samples must be >= 0, got {mc_samples}")
     pin = np.asarray(pin_x, float)
     eps = mollifier.epsilon
     if t_axes is None:
@@ -407,7 +423,7 @@ def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):
         for i in range(k):
             gaps[start:start + size, i] = np.asarray(phi.value(prev, chain_pts[:, i]))
             prev = chain_pts[:, i]
-    return _deposit(gaps, np.full(mc_samples, 1.0 / mc_samples), t_axes, mollifier, True)
+    return _deposit(gaps, np.full(mc_samples, 1.0 / mc_samples), t_axes, mollifier, mc_samples)
 
 
 def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,

@@ -225,6 +225,38 @@ def test_cli_zero_pins_exit_2(tmp_path, capsys, command, body, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    ("sweep", "config error: config key 'mc_samples' must be >= 0, got -5"),
+    ("probe", "config error: config key 'mc_samples' must be >= 0, got -5"),
+    ("chain", "config error: mc_samples must be >= 0, got -5"),
+    ("pinned", "config error: mc_samples must be >= 0, got -5"),
+], ids=["sweep", "probe", "chain", "pinned"])
+def test_cli_negative_mc_samples_exit_2(tmp_path, capsys, command, message):
+    # sweep and probe used to write ERROR rows and exit 0, chain to exit 1
+    # with a traceback, pinned to exit 2 without naming the key
+    cfg = write_cfg(tmp_path, "neg.cfg", "level = 3\ntarget_dim = 1.6\npins = 50\n"
+                    "dims = 1.0 1.6\nmc_samples = -5\n")
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_cli_probe_jobs_invariance(tmp_path):
+    # Monte Carlo atom draws, grouped per distinct atom, on a two-thread pool
+    cfg = write_cfg(tmp_path, "probe.cfg", "generator = subdivision\nbase_b = 2\n"
+                    "keep_m = 3\nlevel = 4\npins = 50\nepsilons = 2^-4 2^-5\n"
+                    "mc_samples = 512\n")
+    outs = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"j{jobs}")
+        assert cli_main(["probe", "--config", cfg, "--out", out, "--jobs", jobs,
+                         "--seed", "7"]) == 0
+        outs.append([open(os.path.join(out, name), "rb").read()
+                     for name in ("probe_rows.csv", "summary.json")])
+    assert outs[0] == outs[1]
+    supports = {line.split(b",")[2] for line in outs[0][0].splitlines()[1:]}
+    assert len(supports) > 10
+
+
 @pytest.mark.parametrize("body, message", [
     (COUNT_CFG.replace("epsilons = 2^-3", "epsilons = 0"),
      "config error: need eps > 0 and samples >= 0, got eps=0.0, samples=0"),

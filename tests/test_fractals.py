@@ -178,6 +178,8 @@ def test_determinism_bit_identical():
     assert np.array_equal(s1.points, s2.points)
     s3 = sample_points(mu, 1000, seed=10)
     assert not np.array_equal(s1.points, s3.points)
+    # atom draws record their atoms; jittered draws record none
+    assert np.array_equal(mu.points[s1.atoms], s1.points)
 
 
 def test_cell_uniform_sampling_jitters_inside_cells():
@@ -185,6 +187,7 @@ def test_cell_uniform_sampling_jitters_inside_cells():
     mu = natural_measure(f, mode="cell_uniform")
     s = sample_points(mu, 500, seed=4)
     centers = natural_measure(f).points
+    assert s.atoms is None
     for p in s.points[:50]:
         d = np.abs(centers - p).max(axis=1).min()
         assert d <= f.cell_side / 2 + 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from unittest import mock
 
@@ -13,8 +14,8 @@ from pinlab import (ChainDensity, CoverageError, DomainError, FrostmanMeasure,
                     Mollifier, ResolutionError, build_product_cantor, chain_density,
                     circle_measure, composed_operator_density, cs_lower_bound,
                     density_mass, l2_energy, measure_mollify, natural_measure,
-                    phase_function, pinned_density, support_measure,
-                    uniform_grid_measure)
+                    phase_function, pinned_density, sample_points,
+                    support_measure, uniform_grid_measure)
 from pinlab import pinned as pinned_module
 from pinlab.pinned import default_t_grid
 from pinlab.profiles import (bump_l2_constant, bump_norm_constant, bump_profile,
@@ -107,9 +108,9 @@ def test_annulus_density_monte_carlo_vs_oracle():
 
 
 @st.composite
-def random_measures(draw, max_atoms=300):
+def random_measures(draw, max_atoms=300, min_atoms=1):
     """Atoms in the unit square with positive weights summing to 1."""
-    n = draw(st.integers(1, max_atoms))
+    n = draw(st.integers(min_atoms, max_atoms))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w = rng.uniform(0.05, 1.0, n)
     return FrostmanMeasure(rng.uniform(0.0, 1.0, (n, 2)), w / w.sum(), exponent_s=2.0)
@@ -118,7 +119,7 @@ def random_measures(draw, max_atoms=300):
 PINS = st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)).map(np.array)
 EPSILONS = st.sampled_from([2.0 ** -k for k in range(2, 9)])
 # small blocks split the windows of a few hundred atoms into many blocks
-BLOCKS = st.sampled_from([pinned_module.DEPOSIT_BLOCK, 500])
+BLOCKS = st.sampled_from([pinned_module.WINDOW_BLOCK, 500])
 
 
 @given(mu=random_measures(), pin=PINS, eps=EPSILONS,
@@ -127,7 +128,7 @@ def test_exact_deposition_matches_dense_oracle(mu, pin, eps, divisor, block):
     phi_vals = np.asarray(PHI.value(pin[None, :], mu.points))
     grid = default_t_grid(phi_vals, eps, divisor)
     moll = Mollifier(eps)
-    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
         nu = pinned_density(mu, PHI, pin, moll, t_grid=grid)
     ref, _, _, _ = dense_pinned_density(mu, PHI, pin, moll, t_grid=grid)
     np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
@@ -141,7 +142,7 @@ def test_exact_deposition_matches_dense_oracle(mu, pin, eps, divisor, block):
        samples=st.integers(2, 600), seed=st.integers(0, 10_000), block=BLOCKS)
 def test_monte_carlo_deposition_matches_dense_oracle(mu, pin, eps, samples, seed, block):
     moll = Mollifier(eps)
-    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
         nu = pinned_density(mu, PHI, pin, moll, mc_samples=samples, seed=seed)
     ref, ref_se, ref_mass_se, grid = dense_pinned_density(mu, PHI, pin, moll,
                                                           mc_samples=samples, seed=seed)
@@ -156,6 +157,54 @@ def test_monte_carlo_deposition_matches_dense_oracle(mu, pin, eps, samples, seed
     # the std of per-draw masses that all lie within ~1e-7 of 1: each mass
     # carries ~1e-16 of rounding, the floor of any comparison
     assert nu.mass_stderr == pytest.approx(ref_mass_se, rel=1e-9, abs=1e-15)
+
+
+@settings(max_examples=20)
+@given(mu=random_measures(max_atoms=3000, min_atoms=1200), pin=PINS, eps=EPSILONS)
+def test_exact_deposition_over_default_blocks_matches_dense_oracle(mu, pin, eps):
+    # a window of the default grid holds 67 nodes, so WINDOW_BLOCK // 67 = 489
+    # rows per block, and 1200 atoms or more fill at least three blocks
+    assert pinned_module.WINDOW_BLOCK // 67 * 2 < len(mu)
+    moll = Mollifier(eps)
+    nu = pinned_density(mu, PHI, pin, moll)
+    ref, _, _, grid = dense_pinned_density(mu, PHI, pin, moll)
+    assert np.array_equal(nu.t_grid, grid)
+    np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(nu.values > 0, ref > 0)
+
+
+@given(mu=random_measures(max_atoms=200), pin=PINS, eps=EPSILONS,
+       per_atom=st.sampled_from([0.5, 4.0]), seed=st.integers(0, 10_000),
+       jitter=st.booleans(), block=BLOCKS)
+def test_grouped_monte_carlo_matches_per_draw_oracle(mu, pin, eps, per_atom, seed,
+                                                     jitter, block):
+    # atom draws deposit each distinct atom once, weighted count / draws;
+    # cell-uniform draws are jittered and stay one row per draw
+    if jitter:
+        mu = dataclasses.replace(mu, mode="cell_uniform", cell_side=0.01)
+    samples = max(2, int(per_atom * len(mu)))
+    moll = Mollifier(eps)
+    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
+        nu = pinned_density(mu, PHI, pin, moll, mc_samples=samples, seed=seed)
+    ref, ref_se, _, grid = dense_pinned_density(mu, PHI, pin, moll,
+                                                mc_samples=samples, seed=seed)
+    assert np.array_equal(nu.t_grid, grid)
+    # count / draws times a kernel rounds apart from count terms of 1 / draws
+    # by an ulp, which below the smallest normal double is no longer ~1e-16
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=tiny)
+    assert np.array_equal(nu.values > 0, ref > 0)
+    floor = 1e-12 * float((ref ** 2).max()) / samples
+    np.testing.assert_allclose(nu.stderr ** 2, ref_se ** 2, rtol=1e-12, atol=floor)
+    # the dense oracle sums each draw's mass in another order, ~1e-16 apart
+    # on a std of ~1e-8 (see above); the deposit's own masses of the
+    # ungrouped draws agree bit for bit, so their spreads agree to rounding
+    sample = sample_points(mu, samples, seed)
+    assert (sample.atoms is None) == jitter
+    gaps = np.asarray(PHI.value(pin[None, :], sample.points))[:, None]
+    _, _, per_draw_mass_se = pinned_module._deposit(gaps, sample.weights, (grid,),
+                                                    moll, samples)
+    assert nu.mass_stderr == pytest.approx(per_draw_mass_se, rel=1e-12, abs=0.0)
 
 
 @given(mu=random_measures(), pin=PINS, eps=EPSILONS, mc=st.sampled_from([0, 64, 500]))
@@ -380,7 +429,7 @@ def test_chain_monte_carlo_deposition_matches_dense_oracle(mu, pin, k, eps, node
     # narrower than one window and every window on them is clamped
     moll = Mollifier(eps)
     axes = tuple(t0 + eps / 4 * np.arange(n) for t0, n in zip(starts[:k], nodes[:k]))
-    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
         ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes, mc_samples=samples, seed=seed)
     ref, ref_se, ref_mass_se = dense_chain_mc(mu, PHI, pin, k, moll, axes, samples, seed)
     np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
