@@ -225,6 +225,8 @@ def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,
     """Trapezoid t-integral of beta(t) * hinge_count(t) over the node grid."""
     _check_eps_samples(eps, samples)
     t_nodes = np.asarray(t_nodes, float)
+    if t_nodes.ndim != 1 or len(t_nodes) < 2:
+        raise DomainError(f"need a 1-d grid of >= 2 t-nodes, got shape {t_nodes.shape}")
     tw = _trapz_weights(len(t_nodes), float(t_nodes[1] - t_nodes[0]))
     bvals = np.asarray(beta(t_nodes), float) if beta is not None else np.ones(len(t_nodes))
     if samples == 0:

@@ -157,12 +157,15 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
 def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
     """(lam, beta, t_nodes) of an integrated hinge count: the uniform pin
     measure on lam_points, and the plateau beta over the range of the
-    observed `gaps` with `hinge_t_nodes` t-nodes reaching 0.05 past it."""
+    observed `gaps` with `hinge_t_nodes` (>= 2) t-nodes reaching 0.05 past it."""
+    n_t = cfg_int(cfg, "hinge_t_nodes", 96)
+    if n_t < 2:
+        raise ConfigError(f"config key 'hinge_t_nodes' must be >= 2, got {n_t}")
     lam = FrostmanMeasure(lam_points, np.full(len(lam_points), 1.0 / len(lam_points)),
                           exponent_s=mu.exponent_s)
     t_lo, t_hi = float(np.min(gaps)), float(np.max(gaps))
     beta = build_cutoffs(phi, (0.0, 1.0), 0.05, (t_lo, t_hi)).beta
-    t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, cfg_int(cfg, "hinge_t_nodes", 96))
+    t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, n_t)
     return lam, beta, t_nodes
 
 

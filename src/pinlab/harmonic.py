@@ -25,9 +25,9 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .fractals import FrostmanMeasure
 from .phases import _norm, pairwise_value
-from .pinned import DEPOSIT_BLOCK, Mollifier, _periodic_deposit
+from .pinned import Mollifier, _periodic_deposit
 from .profiles import smooth_step
-from .rng import rng_for
+from .rng import rng_for, row_blocks
 
 
 class ResolutionWarning(UserWarning):
@@ -59,6 +59,8 @@ def sobolev_norm(field: np.ndarray, gamma: float) -> float:
 
 def random_band_limited(side_n: int, band: float, seed: int, d: int = 2) -> np.ndarray:
     """Real unit-L2-norm field with flat random spectrum supported in |xi| <= band."""
+    if side_n < 1:
+        raise DomainError(f"side_n must be >= 1, got {side_n}")
     rng = rng_for(seed, 8)
     shape = (side_n,) * d
     hat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -152,6 +154,8 @@ def surface_measure_decay(d: int, side_n: int, radius: float = 0.25) -> DecayFit
     """
     if d not in (2, 3):
         raise DomainError("surface decay is implemented for d in {2, 3}")
+    if side_n < 16:
+        raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
     flagged = side_n < (256 if d == 2 else 64)
     mass = rasterize_sphere_shell(d, side_n, radius)
     hat = np.fft.rfftn(mass)
@@ -253,11 +257,10 @@ def _center_energy(points, masses, gammas) -> list:
     x, w = np.polynomial.legendre.leggauss(CENTER_NODES)
     xi = (np.sqrt((x + 1.0) / 2.0)[:, None, None] * dirs).reshape(-1, d)
     power = np.empty(len(xi))
-    rows = max(1, DEPOSIT_BLOCK // max(len(points), 1))
-    for i0 in range(0, len(xi), rows):
-        ph = (xi[i0:i0 + rows] @ points.T) * (2.0 * np.pi)
+    for sl in row_blocks(len(xi), len(points)):
+        ph = (xi[sl] @ points.T) * (2.0 * np.pi)
         re = np.cos(ph) @ masses
-        power[i0:i0 + rows] = re ** 2 + (np.sin(ph, out=ph) @ masses) ** 2
+        power[sl] = re ** 2 + (np.sin(ph, out=ph) @ masses) ** 2
     sphere = power.reshape(CENTER_NODES, len(dw)) @ dw
     k = np.arange(CENTER_NODES)
     coef = (k + 0.5) * (np.polynomial.legendre.legvander(x, CENTER_NODES - 1).T @ (w * sphere))
@@ -270,15 +273,14 @@ def _center_energy(points, masses, gammas) -> list:
 
 
 def _row_sums(points: np.ndarray, block_sums) -> np.ndarray:
-    """block_sums(dist, i0), one value (or a stack of them) per row, over
-    blocks of at most `DEPOSIT_BLOCK` distances from points[i0:i1] to every
-    point, joined along the last axis; block_sums may overwrite dist.  Squares
+    """block_sums(dist, i0), one value (or a stack of them) per row, over the
+    distances from each of the `row_blocks` points[i0:i1] to every point,
+    joined along the last axis; block_sums may overwrite dist.  Squares
     add in coordinate order, as in scipy's cdist: a GEMM expansion would blur
     the dyadic distances `schur_dyadic_majorant` reads from the exponent."""
-    rows = max(1, DEPOSIT_BLOCK // len(points))
     return np.concatenate([
-        block_sums(_norm(points[i0:i0 + rows, None], points[None], np.subtract), i0)
-        for i0 in range(0, len(points), rows)], axis=-1)
+        block_sums(_norm(points[sl, None], points[None], np.subtract), sl.start)
+        for sl in row_blocks(len(points), len(points))], axis=-1)
 
 
 def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma) -> np.ndarray:
@@ -435,6 +437,8 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
     flat_torus.  Other phases and psi-weighted calls use `_radon_direct`.
     """
     fields = [np.asarray(f) for f in fields]
+    if not fields:
+        raise DomainError("radon_apply_stack needs at least one field")
     n = fields[0].shape[0]
     for f in fields:
         if f.ndim != 2 or f.shape != (n, n):
@@ -478,13 +482,8 @@ def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
         fmat = fmat.real.astype(float)
     moll = Mollifier(eps)
     out = np.zeros((n * n, len(fields)), dtype=complex if any_complex else float)
-    rows = max(1, 4_000_000 // (n * n))
-    for i0 in range(0, n * n, rows):
-        sl = slice(i0, min(i0 + rows, n * n))
-        vals = pairwise_value(phi, pts[sl], pts)
-        vals -= t
-        np.negative(vals, out=vals)
-        kern = moll(vals)
+    for sl in row_blocks(n * n, n * n):
+        kern = moll(t - pairwise_value(phi, pts[sl], pts))
         if psi is not None:
             kern = kern * np.asarray(psi(pts[sl][:, None, :], pts[None, :, :]))
         out[sl] = kern @ fmat * h ** 2
@@ -534,8 +533,8 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
     for one triple (s scalar, xi and zeta of shape (2,)) or m stacked ones (s,
     xi, zeta of shapes (m,), (m, 2), (m, 2); m values).  G = sum_x u_x (K_s v)_x
     with u = w e^(-2 pi i x.xi), v = w e^(2 pi i y.zeta), K_s = psi e^(2 pi i s
-    (phi - t)): per block of at most DEPOSIT_BLOCK (x, y) pairs, 2 pi (phi - t)
-    and psi are tabulated once; per distinct s, psi cos and psi sin take one
+    (phi - t)): per block of x rows (`row_blocks`), 2 pi (phi - t) and psi
+    are tabulated once; per distinct s, psi cos and psi sin take one
     GEMM each with v's stacked real and imaginary columns.  DomainError for
     other shapes, a quad_n outside the integers 1..64, a non-finite input or
     e_bounds lo >= hi; a ResolutionWarning for each triple with a frequency
@@ -566,9 +565,8 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
     v = w2[:, None] * np.exp(2j * np.pi * (pts @ zeta.T))
     groups = [np.flatnonzero(s == sv) for sv in np.unique(s)]
     acc = np.zeros(len(s), complex)
-    rows = max(1, DEPOSIT_BLOCK // len(pts))
-    for i0 in range(0, len(pts), rows):
-        x, y = pts[i0:i0 + rows, None, :], pts[None, :, :]
+    for sl in row_blocks(len(pts), len(pts)):
+        x, y = pts[sl, None, :], pts[None, :, :]
         phase = (np.asarray(phi.value(x, y)) - t) * (2.0 * np.pi)
         ps = 1.0 if psi is None else np.asarray(psi(x, y))
         for idx in groups:
@@ -576,5 +574,5 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
             vc = np.hstack([v[:, idx].real, v[:, idx].imag])
             a, b = (np.cos(arg) * ps) @ vc, (np.sin(arg, out=arg) * ps) @ vc
             kv = (a[:, :k] - b[:, k:]) + 1j * (a[:, k:] + b[:, :k])
-            acc[idx] += (u[i0:i0 + rows, idx] * kv).sum(axis=0)
+            acc[idx] += (u[sl, idx] * kv).sum(axis=0)
     return complex(acc[0]) if single else acc

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .fractals import FrostmanMeasure
 from .profiles import plateau, smooth_step
-from .rng import batches, rng_for
+from .rng import batches, rng_for, row_blocks
 
 
 class PhaseEval(NamedTuple):
@@ -281,38 +281,30 @@ class SphereGeodesicChart(PhaseFunction):
         return _norm(x, y, np.subtract)
 
 
-def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray,
-                   chunk: int = 4_000_000) -> np.ndarray:
+def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """phi(a, b) for all rows of A against all rows of B, (len(A), len(B)).
 
     The euclidean and scaled_euclidean kinds go through a GEMM expansion of
     |a - factor b|^2, which is several times faster than broadcast subtraction
-    at grid scale, and dot_product is one GEMM; other kinds, the flat torus
-    among them, fall back to broadcasting `value`.  Dispatch reads `phi.kind`,
-    never the class: FlatTorus subclasses Euclidean but has no such expansion.
+    at grid scale, and dot_product is one GEMM; each is one product over all
+    of A, formed in place, so its bits do not depend on any block size.  Other
+    kinds, the flat torus among them, broadcast `value` over `row_blocks` of A.
+    Dispatch reads `phi.kind`, never the class: FlatTorus subclasses Euclidean
+    but has no such expansion.
     """
     A = np.asarray(A, float)
     B = np.asarray(B, float)
-    out = np.empty((len(A), len(B)))
-    rows = max(1, chunk // max(len(B), 1))
     if phi.kind in ("euclidean", "scaled_euclidean"):
         Bs = phi.factor * B
-        b2 = (Bs ** 2).sum(axis=1)
-        for i0 in range(0, len(A), rows):
-            sl = slice(i0, min(i0 + rows, len(A)))
-            r2 = (A[sl] ** 2).sum(axis=1)[:, None] + b2[None, :]
-            r2 -= 2.0 * (A[sl] @ Bs.T)
-            np.maximum(r2, 0.0, out=r2)
-            np.sqrt(r2, out=r2)
-            out[sl] = r2
-        return out
+        out = A @ Bs.T
+        out *= -2.0
+        out += (A ** 2).sum(axis=1)[:, None] + (Bs ** 2).sum(axis=1)[None, :]
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
     if phi.kind == "dot_product":
-        for i0 in range(0, len(A), rows):
-            sl = slice(i0, min(i0 + rows, len(A)))
-            out[sl] = A[sl] @ B.T
-        return out
-    for i0 in range(0, len(A), rows):
-        sl = slice(i0, min(i0 + rows, len(A)))
+        return A @ B.T
+    out = np.empty((len(A), len(B)))
+    for sl in row_blocks(len(A), len(B)):
         out[sl] = np.asarray(phi.value(A[sl][:, None, :], B[None, :, :]))
     return out
 

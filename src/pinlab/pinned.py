@@ -16,18 +16,19 @@ window holds every grid node of the support and never leaves the grid.
 Pinned densities and Monte Carlo chains deposit through `_deposit`: the k
 window kernels multiply into one tensor block per batch of rows, scattered
 into the grid with `np.bincount`, so work and memory grow with rows x
-window^k, not rows x grid.  A batch holds at most WINDOW_BLOCK kernel
-entries, so that its temporaries stay in a per-core L2 cache.  Exact chains
-contract link by link from the last (`_chain_exact`): each link's windowed
-kernels over the atom pairs (y, z) form one sparse (y, node) x z matrix per
-block of y rows, multiplied into the flat partial sums, so work grows with
-atoms^2 x window, not atoms^2 x axis length.  Either way every nonzero
-kernel value is the one a full (node x row) matrix would hold.  Monte Carlo
-mode deposits each distinct atom drawn once, weighted count / draws, so its
-work grows with min(draws, atoms); jittered draws and chains are one row
-each.  With row weights w_r: stderr^2 = (sum_r w_r kernel_r^2 - values^2) /
-draws per node, and the mass stderr is the weighted std of the rows'
-trapezoid masses m_r, sqrt(sum_r w_r (m_r - sum_s w_s m_s)^2 / draws).
+window^k, not rows x grid.  Exact chains contract link by link from the last
+(`_chain_exact`): each link's windowed kernels over the atom pairs (y, z)
+form one sparse (y, node) x z matrix per block of y rows, multiplied into
+the flat partial sums, so work grows with atoms^2 x window, not atoms^2 x
+axis length.  Either way every nonzero kernel value is the one a full
+(node x row) matrix would hold, and every blocked loop walks
+`rng.row_blocks`: a block holds at most `rng.BLOCK` entries, or one row.
+Monte Carlo mode deposits each distinct atom drawn once, weighted count /
+draws, so its work grows with min(draws, atoms); jittered draws and chains
+are one row each.  With row weights w_r: stderr^2 = (sum_r w_r kernel_r^2
+- values^2) / draws per node, and the mass stderr is the weighted std of
+the rows' trapezoid masses m_r, sqrt(sum_r w_r (m_r - sum_s w_s m_s)^2 /
+draws).
 Everything downstream (mass, L2 energy, Cauchy-Schwarz support bounds) is
 written once for every k, as grid sums with the axes' trapezoid weights
 contracted from the last axis (`_integrate`); using the same weights
@@ -47,7 +48,7 @@ from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
 from .phases import pairwise_value
 from .profiles import bump_profile
-from .rng import batches, rng_for
+from .rng import batches, rng_for, row_blocks
 
 #: Ceiling on chain-density grid nodes.
 GRID_BUDGET = 2_000_000
@@ -56,14 +57,6 @@ GRID_BUDGET = 2_000_000
 #: a uniform grid with aliasing error ~3e-6 at eps/8, ~1e-7 at eps/16; the
 #: mass contract (1 within 1e-6 in exact mode) needs the finer default.
 STEP_DIVISOR = 16
-
-#: Kernel entries per block of the exact chain's and periodic deposit's
-#: windows and of `harmonic`'s sums; bounds the temporaries of each block.
-DEPOSIT_BLOCK = 1 << 20
-
-#: Kernel entries per block of `_deposit`'s windows: 256 KiB per float
-#: temporary, so that the dozen passes over a block stay in a 2 MiB L2 cache.
-WINDOW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,8 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
     """(values, stderr, mass_stderr) of sum_r weights[r] prod_i rho_eps(t_i - gaps[r, i])
     on the tensor grid of the k uniform `t_axes`, for gap vectors of shape (n, k).
 
-    Row r's window on axis i is `_window`'s; blocks of at most
-    WINDOW_BLOCK kernel entries are scattered with one `np.bincount` each.
+    Row r's window on axis i is `_window`'s; each of the `row_blocks` is
+    scattered with one `np.bincount`.
     `draws` = 0 is exact.  Otherwise the rows are the outcomes of that many
     Monte Carlo draws, each weighted by its share of them: the same pass
     scatters the weighted squared kernels and takes each row's trapezoid
@@ -197,9 +190,7 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
     values = np.zeros(size)
     sq = np.zeros(size)
     per_mass = np.ones(n)
-    rows = max(1, WINDOW_BLOCK // math.prod(len(off) for off in offsets))
-    for r0 in range(0, n, rows):
-        sl = slice(r0, r0 + rows)
+    for sl in row_blocks(n, math.prod(len(off) for off in offsets)):
         idx, kern = [], []
         for i, (ax, off) in enumerate(zip(t_axes, offsets)):
             c = gaps[sl, i]
@@ -275,8 +266,8 @@ def density_mass(nu: ChainDensity) -> float:
 def l2_energy(pin_weights, densities) -> float:
     """sum_x lambda_w(x) * int nu_x(t)^2 dt over a shared grid and epsilon."""
     pin_weights = np.asarray(pin_weights, float)
-    if len(pin_weights) != len(densities):
-        raise DomainError("one weight per density required")
+    if not densities or len(pin_weights) != len(densities):
+        raise DomainError("need at least one density and one weight per density")
     ref = densities[0]
     total = 0.0
     for w, nu in zip(pin_weights, densities):
@@ -374,10 +365,9 @@ def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
         phi_aa = pairwise_value(phi, mu.points, mu.points)
     for ax in reversed(t_axes[1:]):
         out = np.empty((n, len(ax) * g.shape[1]))
-        rows = max(1, DEPOSIT_BLOCK // (n * _window_width(ax, reach)))
-        for y0 in range(0, n, rows):
-            kern = _window_kernels(phi_aa[y0:y0 + rows], w, ax, mollifier)
-            out[y0:y0 + rows] = (kern @ g).reshape(-1, out.shape[1])
+        for sl in row_blocks(n, n * _window_width(ax, reach)):
+            kern = _window_kernels(phi_aa[sl], w, ax, mollifier)
+            out[sl] = (kern @ g).reshape(-1, out.shape[1])
         g = out.reshape(n, -1)
     phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
     values = _window_kernels(phi_pin[None, :], w, t_axes[0], mollifier) @ g
@@ -439,6 +429,8 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
     t = np.atleast_1d(np.asarray(t, float))
     if len(t) != k:
         raise DomainError("need one gap value per link")
+    if mc_samples < 0:
+        raise DomainError(f"mc_samples must be >= 0, got {mc_samples}")
     pin = np.asarray(pin_x, float)
     if mc_samples == 0:
         pts, w = mu.points, mu.weights
@@ -476,21 +468,20 @@ def _periodic_deposit(points, masses, h, n_grid, reach, shift, kernel):
     Node i of an axis sits at (i + shift) h.  Each atom p puts the tensor
     product of kernel(node - p_j) on the 2 reach + 1 nodes around its cell on
     every axis, wrapped mod n_grid and scaled to sum to the atom's mass;
-    blocks of at most DEPOSIT_BLOCK entries are scattered by `np.bincount`.
+    each of the `row_blocks` of atoms is scattered by one `np.bincount`.
     Returns the mass per cell, shape (n_grid,) * d.
     """
     offsets = np.arange(-reach, reach + 1)
     n, d = points.shape
     shape = (n_grid,) * d
     dens = np.zeros(n_grid ** d)
-    rows = max(1, DEPOSIT_BLOCK // len(offsets) ** d)
-    for r0 in range(0, n, rows):
-        p = points[r0:r0 + rows]
+    for sl in row_blocks(n, len(offsets) ** d):
+        p = points[sl]
         idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
         vals = kernel((idx + shift) * h - p[:, :, None])
         block, flat = _tensor_block(list(idx.transpose(1, 0, 2) % n_grid),
                                     list(vals.transpose(1, 0, 2)), shape)
-        block *= (masses[r0:r0 + rows] / block.sum(axis=1))[:, None]
+        block *= (masses[sl] / block.sum(axis=1))[:, None]
         dens += np.bincount(flat, block.ravel(), n_grid ** d)
     return dens.reshape(shape)
 

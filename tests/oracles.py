@@ -169,7 +169,7 @@ def dense_window_mass(lam, mu, phi, t_nodes, eps):
     """(n_pins, n_t) matrix of sum_y mu_y 1[|phi(x,y) - t| <= eps]."""
     t_nodes = np.asarray(t_nodes, float)
     out = np.empty((len(lam), len(t_nodes)))
-    gaps = pairwise_value(phi, lam.points, mu.points, 2_000_000)
+    gaps = pairwise_value(phi, lam.points, mu.points)
     chunk = max(1, 4_000_000 // max(len(mu), 1))
     for i0 in range(0, len(t_nodes), chunk):
         sl = slice(i0, min(i0 + chunk, len(t_nodes)))

@@ -344,6 +344,14 @@ def test_hinge_count_integrated_rejects_bad_eps(eps):
         hinge_count_integrated(mu, mu, PHI, None, eps, np.linspace(0, 1, 11))
 
 
+@pytest.mark.parametrize("t_nodes", [[], [0.5], 0.5])
+def test_hinge_count_integrated_needs_two_t_nodes(t_nodes):
+    # one node used to raise IndexError at t_nodes[1]
+    mu = uniform_grid_measure(2, 4)
+    with pytest.raises(DomainError, match=r"^need a 1-d grid of >= 2 t-nodes"):
+        hinge_count_integrated(mu, mu, PHI, None, 0.1, t_nodes)
+
+
 # -- exact counts by contraction against tuple enumeration -----------------
 
 NAMED_PATTERNS = {

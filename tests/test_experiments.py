@@ -225,6 +225,17 @@ def test_cli_zero_pins_exit_2(tmp_path, capsys, command, body, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("command", ["hinge", "sweep"])
+@pytest.mark.parametrize("n_t", [1, 0, -1])
+def test_cli_too_few_hinge_t_nodes_exit_2(tmp_path, capsys, command, n_t):
+    # 1 and 0 used to raise IndexError at t_nodes[1], -1 a numpy ValueError
+    cfg = write_cfg(tmp_path, "few.cfg", "level = 3\ntarget_dim = 1.6\npins = 4\n"
+                    f"dims = 1.0 1.6\nepsilons = 2^-3 2^-4\nhinge_t_nodes = {n_t}\n")
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config key 'hinge_t_nodes' must be >= 2, got {n_t}\n")
+
+
 @pytest.mark.parametrize("command, message", [
     ("sweep", "config error: config key 'mc_samples' must be >= 0, got -5"),
     ("probe", "config error: config key 'mc_samples' must be >= 0, got -5"),
@@ -278,6 +289,23 @@ def test_cli_config_count_bad_eps_or_samples_exit_2(tmp_path, capsys, body, mess
 ], ids=["side_n_one_shell", "no_atoms"])
 def test_cli_fourier_bad_energy_input_exit_2(tmp_path, capsys, key, message):
     cfg = write_cfg(tmp_path, "bad.cfg", f"which = energy\n{key}\n")
+    assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("which = decay\ndecay_side_n_d2 = 8\n",
+     "config error: side_n 8 gives fewer than two shells; need side_n >= 16"),
+    ("which = decay\ndecay_side_n_d3 = 15\n",
+     "config error: side_n 15 gives fewer than two shells; need side_n >= 16"),
+    ("which = radon\nn_fields = 0\n",
+     "config error: radon_apply_stack needs at least one field"),
+    ("which = radon\nradon_side_n = 0\n", "config error: side_n must be >= 1, got 0"),
+], ids=["decay_d2", "decay_d3", "no_fields", "radon_side_zero"])
+def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
+    # each used to end in a traceback with exit 1: np.polyfit's TypeError or
+    # LinAlgError, an IndexError and a ZeroDivisionError
+    cfg = write_cfg(tmp_path, "bad.cfg", body)
     assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message + "\n"
 

@@ -25,6 +25,7 @@ from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
                     segment_measure, sobolev_norm, surface_measure_decay,
                     uniform_grid_measure)
 from pinlab import harmonic
+from pinlab import rng as rng_module
 from pinlab.harmonic import (ResolutionWarning, _center_energy, _radon_direct,
                              _riesz_row_sums, _row_sums, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
@@ -220,7 +221,7 @@ def test_riesz_row_sums_match_dense_kernel_and_schur_loop(cloud, frac, block):
     pts, w, g = cloud
     gamma = frac * pts.shape[1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+        mp.setattr(rng_module, "BLOCK", block)
         masses = w * g
         assert_rel_close(masses @ _riesz_row_sums(pts, masses, gamma),
                          dense_riesz_double_sum(pts, masses, gamma))
@@ -254,7 +255,7 @@ def test_row_sums_distances_match_cdist_bit_for_bit(cloud, block):
     for pts, w in ((cloud[0], cloud[1]), (DYADIC_PTS, np.full(5, 0.2))):
         got, want = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+            mp.setattr(rng_module, "BLOCK", block)
             _row_sums(pts, capture_blocks(got))
         cdist_row_sums(pts, capture_blocks(want), block)
         assert [i0 for i0, _ in got] == [i0 for i0, _ in want]
@@ -264,7 +265,7 @@ def test_row_sums_distances_match_cdist_bit_for_bit(cloud, block):
         lam = FrostmanMeasure(pts, w, exponent_s=0.0)
         gammas = np.array([0.3, 0.7]) * pts.shape[1]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+            mp.setattr(rng_module, "BLOCK", block)
             new = (_riesz_row_sums(pts, w, gammas), schur_dyadic_majorant(lam, pts.shape[1] - 0.5))
             mp.setattr(harmonic, "_row_sums",
                        lambda p, f: cdist_row_sums(p, f, block))
@@ -286,7 +287,7 @@ def test_deposit_gaussian_matches_per_atom_loop(cloud, side, pad, block):
     if pts.shape[1] == 3:
         side = min(side, 12)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+        mp.setattr(rng_module, "BLOCK", block)
         got = deposit_gaussian(pts, w * g, side, pad)
     want = loop_deposit_gaussian(pts, w * g, side, pad)
     assert got.shape == want.shape
@@ -301,7 +302,7 @@ def test_center_energy_matches_pair_distance_series(cloud, fracs, block):
     pts, w, g = cloud
     gammas = np.array(fracs) * pts.shape[1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harmonic, "DEPOSIT_BLOCK", block)
+        mp.setattr(rng_module, "BLOCK", block)
         got = _center_energy(pts, w * g, gammas)
     assert_rel_close(got, [series_center_energy(pts, w * g, gm) for gm in gammas])
 
@@ -376,7 +377,7 @@ def test_schur_dyadic_majorant_coincident_atoms_and_dyadic_distances():
     lam = FrostmanMeasure(DYADIC_PTS, np.array([0.1, 0.2, 0.3, 0.15, 0.25]), exponent_s=0.0)
     for gamma in (1.2, 1.5, 1.9):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harmonic, "DEPOSIT_BLOCK", 7)
+            mp.setattr(rng_module, "BLOCK", 7)
             got = schur_dyadic_majorant(lam, gamma)
         assert_rel_close(got, loop_schur_dyadic_majorant(lam, gamma))
         assert got >= 2.0 ** (999 * (2 - gamma)) * 0.2
@@ -616,12 +617,12 @@ def frequency_stacks(draw):
 @settings(max_examples=40)
 @given(kind=OSC_PHASES, weighted=st.booleans(), quad_n=st.integers(4, 24),
        t=st.floats(0.0, 0.7), stack=frequency_stacks(),
-       block=st.sampled_from([harmonic.DEPOSIT_BLOCK, 64, 1000]))
+       block=st.sampled_from([rng_module.BLOCK, 64, 1000]))
 def test_oscillatory_stack_matches_chunked_oracle(kind, weighted, quad_n, t, stack, block):
     phi = phase_function(kind[0], 2, **kind[1])
     psi = build_cutoffs(phi, (0.15, 0.85), 0.05, (0.1, 1.0)).psi if weighted else None
     s, xi, zeta = stack
-    with warnings.catch_warnings(), mock.patch.object(harmonic, "DEPOSIT_BLOCK", block):
+    with warnings.catch_warnings(), mock.patch.object(rng_module, "BLOCK", block):
         warnings.simplefilter("ignore", ResolutionWarning)
         got = oscillatory_G(phi, psi, s, xi, zeta, t=t, quad_n=quad_n)
         single = oscillatory_G(phi, psi, s[0], xi[0], zeta[0], t=t, quad_n=quad_n)

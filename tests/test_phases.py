@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import oracles
 import pytest
@@ -9,6 +11,7 @@ from pinlab import (DomainError, FrostmanMeasure, build_cutoffs,
                     nondegeneracy_scan, phase_function, uniform_grid_measure)
 from pinlab.phases import (SphereGeodesicChart, bordered_matrix,
                            monge_ampere_det_many, pairwise_value, torus_wrap)
+from pinlab import rng as rng_module
 from pinlab.rng import rng_for
 
 KINDS = [("euclidean", {}), ("scaled_euclidean", {"factor": 3.0}),
@@ -371,3 +374,39 @@ def test_distance_phases_equal_pre_merge_classes_bitwise(case):
                 assert np.array_equal(_bits(got)[keep], _bits(want)[keep]), method
         got, want = pairwise_value(new, X, B), _pre_merge_pairwise(old, X, B)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), d=st.integers(1, 3), n=st.integers(0, 30),
+       m=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_pairwise_value_bits_do_not_depend_on_block(kind, d, n, m, seed):
+    """The GEMM kinds form one product over all rows and the value kinds
+    broadcast `value` per row block, so no kind's bits move with rng.BLOCK,
+    and the value kinds equal the broadcast `value` itself."""
+    name, params = kind
+    phi = phase_function(name, d, **params)
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.25, 0.75) if name == "sphere_geodesic_chart" else (0.05, 0.95)
+    A, B = rng.uniform(lo, hi, (n, d)), rng.uniform(lo, hi, (m, d))
+    outs = []
+    for block in (1, 7, 64, rng_module.BLOCK):
+        with mock.patch.object(rng_module, "BLOCK", block):
+            outs.append(pairwise_value(phi, A, B))
+    assert all(o.shape == (n, m) and o.tobytes() == outs[-1].tobytes() for o in outs)
+    if name in ("flat_torus", "sphere_geodesic_chart"):
+        want = np.asarray(phi.value(A[:, None, :], B[None, :, :]))
+        assert want.tobytes() == outs[-1].tobytes()
+
+
+@pytest.mark.parametrize("n, per_row, sizes", [
+    (0, 3, []),
+    (10, 3, [10]),
+    (20, 7, [9, 9, 2]),
+    (3, 100, [1, 1, 1]),     # a row wider than the budget is a block of its own
+    (70, 0, [64, 6]),
+])
+def test_row_blocks_cover_every_row_once(n, per_row, sizes):
+    with mock.patch.object(rng_module, "BLOCK", 64):
+        blocks = list(rng_module.row_blocks(n, per_row))
+    assert [sl.stop - sl.start for sl in blocks] == sizes
+    assert [i for sl in blocks for i in range(n)[sl]] == list(range(n))

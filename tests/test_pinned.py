@@ -17,6 +17,7 @@ from pinlab import (ChainDensity, CoverageError, DomainError, FrostmanMeasure,
                     phase_function, pinned_density, sample_points,
                     support_measure, uniform_grid_measure)
 from pinlab import pinned as pinned_module
+from pinlab import rng as rng_module
 from pinlab.pinned import default_t_grid
 from pinlab.profiles import (bump_l2_constant, bump_norm_constant, bump_profile,
                              bump_raw)
@@ -119,7 +120,7 @@ def random_measures(draw, max_atoms=300, min_atoms=1):
 PINS = st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)).map(np.array)
 EPSILONS = st.sampled_from([2.0 ** -k for k in range(2, 9)])
 # small blocks split the windows of a few hundred atoms into many blocks
-BLOCKS = st.sampled_from([pinned_module.WINDOW_BLOCK, 500])
+BLOCKS = st.sampled_from([rng_module.BLOCK, 500])
 
 
 @given(mu=random_measures(), pin=PINS, eps=EPSILONS,
@@ -128,7 +129,7 @@ def test_exact_deposition_matches_dense_oracle(mu, pin, eps, divisor, block):
     phi_vals = np.asarray(PHI.value(pin[None, :], mu.points))
     grid = default_t_grid(phi_vals, eps, divisor)
     moll = Mollifier(eps)
-    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
+    with mock.patch.object(rng_module, "BLOCK", block):
         nu = pinned_density(mu, PHI, pin, moll, t_grid=grid)
     ref, _, _, _ = dense_pinned_density(mu, PHI, pin, moll, t_grid=grid)
     np.testing.assert_allclose(nu.values, ref, rtol=1e-12, atol=0.0)
@@ -142,7 +143,7 @@ def test_exact_deposition_matches_dense_oracle(mu, pin, eps, divisor, block):
        samples=st.integers(2, 600), seed=st.integers(0, 10_000), block=BLOCKS)
 def test_monte_carlo_deposition_matches_dense_oracle(mu, pin, eps, samples, seed, block):
     moll = Mollifier(eps)
-    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
+    with mock.patch.object(rng_module, "BLOCK", block):
         nu = pinned_density(mu, PHI, pin, moll, mc_samples=samples, seed=seed)
     ref, ref_se, ref_mass_se, grid = dense_pinned_density(mu, PHI, pin, moll,
                                                           mc_samples=samples, seed=seed)
@@ -162,9 +163,9 @@ def test_monte_carlo_deposition_matches_dense_oracle(mu, pin, eps, samples, seed
 @settings(max_examples=20)
 @given(mu=random_measures(max_atoms=3000, min_atoms=1200), pin=PINS, eps=EPSILONS)
 def test_exact_deposition_over_default_blocks_matches_dense_oracle(mu, pin, eps):
-    # a window of the default grid holds 67 nodes, so WINDOW_BLOCK // 67 = 489
+    # a window of the default grid holds 67 nodes, so BLOCK // 67 = 489
     # rows per block, and 1200 atoms or more fill at least three blocks
-    assert pinned_module.WINDOW_BLOCK // 67 * 2 < len(mu)
+    assert rng_module.BLOCK // 67 * 2 < len(mu)
     moll = Mollifier(eps)
     nu = pinned_density(mu, PHI, pin, moll)
     ref, _, _, grid = dense_pinned_density(mu, PHI, pin, moll)
@@ -184,7 +185,7 @@ def test_grouped_monte_carlo_matches_per_draw_oracle(mu, pin, eps, per_atom, see
         mu = dataclasses.replace(mu, mode="cell_uniform", cell_side=0.01)
     samples = max(2, int(per_atom * len(mu)))
     moll = Mollifier(eps)
-    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
+    with mock.patch.object(rng_module, "BLOCK", block):
         nu = pinned_density(mu, PHI, pin, moll, mc_samples=samples, seed=seed)
     ref, ref_se, _, grid = dense_pinned_density(mu, PHI, pin, moll,
                                                 mc_samples=samples, seed=seed)
@@ -429,7 +430,7 @@ def test_chain_monte_carlo_deposition_matches_dense_oracle(mu, pin, k, eps, node
     # narrower than one window and every window on them is clamped
     moll = Mollifier(eps)
     axes = tuple(t0 + eps / 4 * np.arange(n) for t0, n in zip(starts[:k], nodes[:k]))
-    with mock.patch.object(pinned_module, "WINDOW_BLOCK", block):
+    with mock.patch.object(rng_module, "BLOCK", block):
         ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes, mc_samples=samples, seed=seed)
     ref, ref_se, ref_mass_se = dense_chain_mc(mu, PHI, pin, k, moll, axes, samples, seed)
     np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
@@ -455,12 +456,23 @@ def test_chain_exact_windows_match_dense_oracle(mu, pin, k, eps, nodes, starts, 
     # row, one of 1000 a few rows with a ragged last block
     moll = Mollifier(eps)
     axes = tuple(t0 + eps / 4 * np.arange(n) for t0, n in zip(starts[:k], nodes[:k]))
-    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+    with mock.patch.object(rng_module, "BLOCK", block):
         ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes)
     ref = dense_chain_exact(mu, PHI, pin, k, moll, axes)
     np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
     assert np.array_equal(ch.values > 0, ref > 0)
     assert np.all(ch.stderr == 0.0) and ch.mass_stderr == 0.0
+
+
+def test_empty_energy_and_negative_composed_samples_raise_domain_error():
+    # l2_energy([], []) used to raise a bare IndexError, and mc_samples = -5
+    # to return -0.0
+    with pytest.raises(DomainError, match=r"^need at least one density and one weight per density$"):
+        l2_energy([], [])
+    mu = natural_measure(build_product_cantor(2, 1 / 3, 2))
+    with pytest.raises(DomainError, match=r"^mc_samples must be >= 0, got -5$"):
+        composed_operator_density(mu, PHI, [0.5, 0.5], 2, Mollifier(0.1), [0.3, 0.3],
+                                  mc_samples=-5)
 
 
 def test_composed_equals_chain_exact_mode():
@@ -537,7 +549,7 @@ def test_measure_mollify_point_mass_and_conservation():
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2), n_atoms=st.integers(1, 50),
        theta=st.sampled_from([2.0 ** -3, 2.0 ** -4, 2.0 ** -5]), extra=st.integers(0, 40),
-       block=st.sampled_from([64, 1000, pinned_module.DEPOSIT_BLOCK]))
+       block=st.sampled_from([64, 1000, rng_module.BLOCK]))
 def test_measure_mollify_matches_per_atom_loop(seed, d, n_atoms, theta, extra, block):
     # grids from the coarsest allowed (h = theta / 4) up; atoms anywhere in
     # [0, 1)^d, so windows wrap around the torus
@@ -545,7 +557,7 @@ def test_measure_mollify_matches_per_atom_loop(seed, d, n_atoms, theta, extra, b
     w = rng.uniform(0.05, 1.0, n_atoms)
     mu = FrostmanMeasure(rng.uniform(0.0, 1.0, (n_atoms, d)), w / w.sum(), exponent_s=float(d))
     grid_n = int(round(4 / theta)) + extra
-    with mock.patch.object(pinned_module, "DEPOSIT_BLOCK", block):
+    with mock.patch.object(rng_module, "BLOCK", block):
         dens, h = measure_mollify(mu, theta, grid_n)
     ref, ref_h = loop_measure_mollify(mu, theta, grid_n)
     assert h == ref_h
