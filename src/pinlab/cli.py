@@ -210,6 +210,10 @@ def cmd_fourier(cfg, seed, out, jobs):
     """Harmonic battery: LP partition, sphere decay, energy dichotomy,
     Radon Sobolev ratios, oscillatory decay.  `which` selects subsets."""
     which = set(cfg_str(cfg, "which", "lp decay energy").split())
+    unknown = sorted(which - {"lp", "decay", "energy", "radon", "osc"})
+    if unknown:
+        raise ConfigError(f"config key 'which' has unknown parts {' '.join(unknown)}; "
+                          "choose from lp decay energy radon osc")
     names = []
     if "lp" in which:
         side = cfg_int(cfg, "lp_side_n", 256)

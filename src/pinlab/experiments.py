@@ -176,6 +176,8 @@ def draw_pins(cfg, mu: FrostmanMeasure, seed: int, count: int):
     policy = cfg_str(cfg, "pin_policy", "mu")
     if policy == "fixed":
         coords = cfg_floats(cfg, "pin")
+        if len(coords) != mu.d:
+            raise ConfigError(f"config key 'pin' needs d = {mu.d} coordinates, got {len(coords)}")
         return np.tile(np.asarray(coords, float), (count, 1))
     if policy != "mu":
         raise ConfigError(f"unknown pin_policy {policy!r}")

@@ -39,9 +39,27 @@ class ResolutionWarning(UserWarning):
 def freq_norms(d: int, side_n: int) -> np.ndarray:
     """|xi| at every integer frequency of the periodic grid of side_n^d nodes,
     in FFT order."""
-    axes = [np.fft.fftfreq(side_n) * side_n] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.sqrt(sum(g ** 2 for g in grids))
+    return np.sqrt(sum(k ** 2 for k in np.ix_(*[np.fft.fftfreq(side_n) * side_n] * d)))
+
+
+def _rfft_shells(d: int, side_n: int, pad: int):
+    """|xi| on the rfftn layout of the (pad side_n)^d periodic grid, at
+    frequency spacing 1/pad (pad a power of two, so the scaling is exact),
+    and a (geometric mid, mask) pair for each dyadic shell 2^m <= |xi| <
+    2^(m+1) below side_n/4.  ResolutionError for fewer than two shells."""
+    if side_n < 16:
+        raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
+    n = pad * side_n
+    axes = [np.fft.fftfreq(n) * n] * (d - 1) + [np.arange(n // 2 + 1.0)]
+    fn = np.sqrt(sum(k ** 2 for k in np.ix_(*axes)))
+    fn /= pad
+    return fn, [(math.sqrt(2.0 ** m * 2.0 ** (m + 1)), (fn >= 2.0 ** m) & (fn < 2.0 ** (m + 1)))
+                for m in range(int(math.floor(math.log2(side_n / 4.0))))]
+
+
+def _square_grid(axis: np.ndarray) -> np.ndarray:
+    """The points (axis[i], axis[j]) in row-major (i, j) order, shape (m^2, 2)."""
+    return np.stack([np.repeat(axis, len(axis)), np.tile(axis, len(axis))], axis=1)
 
 
 def l2_norm(field: np.ndarray) -> float:
@@ -57,15 +75,15 @@ def sobolev_norm(field: np.ndarray, gamma: float) -> float:
     return float(np.sqrt(np.sum((w * np.abs(hat)) ** 2)))
 
 
-def random_band_limited(side_n: int, band: float, seed: int, d: int = 2) -> np.ndarray:
-    """Real unit-L2-norm field with flat random spectrum supported in |xi| <= band."""
+def random_band_limited(side_n: int, band: float, seed: int) -> np.ndarray:
+    """Real unit-L2-norm side_n^2 field, flat random spectrum in |xi| <= band."""
     if side_n < 1:
         raise DomainError(f"side_n must be >= 1, got {side_n}")
     rng = rng_for(seed, 8)
-    shape = (side_n,) * d
+    shape = (side_n, side_n)
     hat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    hat[freq_norms(d, side_n) > band] = 0.0
-    field = np.real(np.fft.ifftn(hat) * side_n ** d)
+    hat[freq_norms(2, side_n) > band] = 0.0
+    field = np.real(np.fft.ifftn(hat) * side_n ** 2)
     return field / l2_norm(field)
 
 
@@ -102,10 +120,7 @@ class LPPartition:
         return self.alpha(np.asarray(xi_norm, float) / 2.0 ** j)
 
     def partition_sum(self, xi_norm):
-        total = self.alpha0(xi_norm)
-        for j in range(1, self.j_max + 1):
-            total = total + self.alpha(np.asarray(xi_norm, float) / 2.0 ** j)
-        return total
+        return sum(self.band_profile(xi_norm, j) for j in range(self.j_max + 1))
 
 
 def lp_project(field: np.ndarray, partition: LPPartition, j: int) -> np.ndarray:
@@ -127,25 +142,27 @@ class DecayFit(NamedTuple):
     flagged: bool
 
 
-def rasterize_sphere_shell(d: int, side_n: int, radius: float = 0.25) -> np.ndarray:
-    """Unit-mass thin spherical shell on the grid (mass-exact normalization).
+SHELL_RADIUS = 0.25     # of the sphere about the box centre in `surface_measure_decay`
+
+
+def rasterize_sphere_shell(d: int, side_n: int) -> np.ndarray:
+    """Unit-mass thin shell of the sphere |x - 1/2| = SHELL_RADIUS (mass-exact).
 
     Cells are weighted by a tent profile across the 2-cell shell width; a
     hard indicator leaves lattice-quantization spikes that bias the decay
     maxima upward at high frequency.
     """
     h = 1.0 / side_n
-    axes = [(np.arange(side_n) + 0.5) * h] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(sum((g - 0.5) ** 2 for g in grids))
-    mass = np.maximum(0.0, 1.0 - np.abs(r - radius) / h)
+    offsets = (np.arange(side_n) + 0.5) * h - 0.5
+    r = np.sqrt(sum(g ** 2 for g in np.ix_(*[offsets] * d)))
+    mass = np.maximum(0.0, 1.0 - np.abs(r - SHELL_RADIUS) / h)
     total = mass.sum()
     if total == 0:
         raise DomainError("shell missed every grid cell")
     return mass / total
 
 
-def surface_measure_decay(d: int, side_n: int, radius: float = 0.25) -> DecayFit:
+def surface_measure_decay(d: int, side_n: int) -> DecayFit:
     """Fourier decay of the sphere measure: per-dyadic-shell max and log slope.
 
     The fit runs over shells inside [8, side_n/4] for d = 2 and [4, side_n/4]
@@ -154,33 +171,19 @@ def surface_measure_decay(d: int, side_n: int, radius: float = 0.25) -> DecayFit
     """
     if d not in (2, 3):
         raise DomainError("surface decay is implemented for d in {2, 3}")
-    if side_n < 16:
-        raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
+    fn, shells = _rfft_shells(d, side_n, 1)
     flagged = side_n < (256 if d == 2 else 64)
-    mass = rasterize_sphere_shell(d, side_n, radius)
-    hat = np.fft.rfftn(mass)
-    # frequency norms for the rfft layout
-    axes = [np.fft.fftfreq(side_n) * side_n] * (d - 1) + [np.arange(side_n // 2 + 1).astype(float)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    fn = np.sqrt(sum(g ** 2 for g in grids))
-    m_hi = int(math.floor(math.log2(side_n / 4)))
-    radii, maxima, mids = [], [], []
-    amag = np.abs(hat)
-    for m in range(0, m_hi):
-        lo, hi = 2.0 ** m, 2.0 ** (m + 1)
-        sel = (fn >= lo) & (fn < hi)
-        if not np.any(sel):
-            continue
+    amag = np.abs(np.fft.rfftn(rasterize_sphere_shell(d, side_n)))
+    radii, maxima = [], []
+    for _, sel in shells:
         vals = amag[sel]
         k = int(np.argmax(vals))
         # abscissa = frequency where the max is attained: the extremum drifts
         # inside the shell, and pinning it to the shell midpoint biases slopes
         radii.append(float(fn[sel][k]))
         maxima.append(float(vals[k]))
-        mids.append(math.sqrt(lo * hi))
-    radii = np.array(radii)
-    maxima = np.array(maxima)
-    mids = np.array(mids)
+    radii, maxima = np.array(radii), np.array(maxima)
+    mids = np.array([mid for mid, _ in shells])
     r_lo = 8.0 if d == 2 else 4.0
     keep = (mids >= r_lo) & (mids <= side_n / 4)
     if keep.sum() < 2:
@@ -204,13 +207,17 @@ class EnergyResult(NamedTuple):
     shell_increments: np.ndarray
 
 
-def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int,
-                     pad: int = 4, sigma_cells: float = 1.0) -> np.ndarray:
-    """Deposit atoms on the pad*side_n grid (cell 1/side_n) as unit-mass
+# energy deposit: a PAD-times-wider grid (PAD a power of two), bumps SIGMA_CELLS cells wide
+PAD = 4
+SIGMA_CELLS = 1.0
+
+
+def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int) -> np.ndarray:
+    """Deposit atoms on the PAD*side_n grid (cell 1/side_n) as unit-mass
     Gaussian bumps, each a tensor product on its window of wrapped nodes."""
     h = 1.0 / side_n
-    sigma = sigma_cells * h
-    return _periodic_deposit(points, masses, h, pad * side_n, int(math.ceil(5.0 * sigma_cells)),
+    sigma = SIGMA_CELLS * h
+    return _periodic_deposit(points, masses, h, PAD * side_n, int(math.ceil(5.0 * SIGMA_CELLS)),
                              0, lambda u: np.exp(-0.5 * (u / sigma) ** 2))
 
 
@@ -298,14 +305,13 @@ def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma) -> np.ndarra
     return _row_sums(points, block_sums).reshape(np.shape(gamma) + (len(points),))
 
 
-def energy_integral(lam: FrostmanMeasure, gamma, side_n: int,
-                    g_values=None, pad: int = 4, sigma_cells: float = 1.0):
+def energy_integral(lam: FrostmanMeasure, gamma, side_n: int, g_values=None):
     """Truncated energy int_{|xi|<=side_n/4} |g lambda^|^2 |xi|^-gamma, two ways.
 
     Fourier side: the centre |xi| < 1, where the |xi|^-gamma singularity
     defeats a lattice Riemann sum, from `_center_energy`; beyond it, atoms
-    deposited as Gaussian bumps on a pad-times-wider periodic grid (frequency
-    spacing 1/pad), transformed, deconvolved by the exact Gaussian factor,
+    deposited as Gaussian bumps on a PAD-times-wider periodic grid (frequency
+    spacing 1/PAD), transformed, deconvolved by the exact Gaussian factor,
     and summed with the Riemann weight.  Kernel side: the Riesz-constant-
     weighted double sum over distinct atoms.  Dyadic shell increments of the
     Fourier sum are returned for the convergence diagnostics.  d = 1..3.  A
@@ -319,38 +325,30 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int,
     for gm in gammas:
         if not (0.0 < gm < lam.d):
             raise DomainError(f"gamma {gm} outside (0, {lam.d})")
-    if side_n < 16:
-        raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
     d = lam.d
     g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
     masses = lam.weights * g
+    # the centre comes first: it rejects d >= 4 before a (PAD side_n)^d grid is built
     centres = _center_energy(lam.points, masses, gammas)
-    dens = deposit_gaussian(lam.points, masses, side_n, pad, sigma_cells)
-    hat = np.fft.rfftn(dens)
-    n_tot = pad * side_n
-    axes = [np.fft.fftfreq(n_tot) * n_tot / pad] * (d - 1) + \
-           [np.arange(n_tot // 2 + 1) / pad]
-    grids = np.meshgrid(*axes, indexing="ij")
-    fn = np.sqrt(sum(x ** 2 for x in grids))
-    sigma = sigma_cells / side_n
-    decon = np.exp((2.0 * np.pi ** 2 * sigma ** 2) * fn ** 2)
-    # rfft stores half the spectrum; double all columns but 0 and an even n_tot's Nyquist
-    dup = np.full(hat.shape[-1], 2.0)
-    dup[[0, -1] if n_tot % 2 == 0 else 0] = 1.0
-    power = (np.abs(hat) * decon) ** 2 * dup
-    cell = (1.0 / pad) ** d
-    radii, shells = [], []
-    for m in range(0, int(math.floor(math.log2(side_n / 4.0)))):
-        lo, hi = 2.0 ** m, 2.0 ** (m + 1)
-        sel = (fn >= lo) & (fn < hi)
-        radii.append(math.sqrt(lo * hi))
-        shells.append((power[sel], fn[sel]))
+    fn, shells = _rfft_shells(d, side_n, PAD)
+    power = np.abs(np.fft.rfftn(deposit_gaussian(lam.points, masses, side_n)))
+    decon = fn ** 2
+    decon *= 2.0 * np.pi ** 2 * (SIGMA_CELLS / side_n) ** 2
+    power *= np.exp(decon, out=decon)
+    power **= 2
+    # rfft stores half the spectrum: double all columns but 0 and the Nyquist
+    # column, which the even PAD * side_n always has
+    power[..., 1:-1] *= 2.0
+    radii = np.array([mid for mid, _ in shells])
+    shells = [(power[sel], fn[sel]) for _, sel in shells]
+    del fn, power, decon
+    cell = (1.0 / PAD) ** d
     results = []
     for gm, centre, row_sums in zip(gammas, centres, _riesz_row_sums(lam.points, masses, gammas)):
         incs = [float((p * f ** (-gm)).sum() * cell) for p, f in shells]
         results.append(EnergyResult(centre + float(np.sum(incs)),
                                     riesz_constant(gm, d) * float(masses @ row_sums),
-                                    np.array(radii), np.array(incs)))
+                                    radii.copy(), np.array(incs)))
     return results[0] if np.ndim(gamma) == 0 else results
 
 
@@ -456,8 +454,7 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
         k, size = np.arange(n), n
     else:
         k, size = np.arange(1 - n, n), 2 * n
-    gx, gy = np.meshgrid(k * h, k * h, indexing="ij")
-    dist = phi.value(np.stack([gx, gy], axis=-1), np.zeros(2))
+    dist = np.asarray(phi.value(_square_grid(k * h), np.zeros(2))).reshape(len(k), len(k))
     kern = np.zeros((size, size))
     kern[np.ix_(k % size, k % size)] = Mollifier(eps)(t - dist) * h ** 2
     stack = np.stack(fields)
@@ -473,9 +470,7 @@ def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
     """T_eps,t by direct quadrature over the (n^2 x n^2) pair matrix."""
     n = fields[0].shape[0]
     h = 1.0 / n
-    axis = np.arange(n) * h
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = _square_grid(np.arange(n) * h)
     any_complex = any(np.iscomplexobj(f) for f in fields)
     fmat = np.stack([f.ravel() for f in fields], axis=1)
     if not any_complex:
@@ -523,9 +518,9 @@ def radon_sobolev_ratio(phi, psi, t: float, eps_list, fields, gamma: float = 0.5
 
 # -- oscillatory integral -----------------------------------------------------
 
-def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
-                  quad_n: int = 48, e_bounds=(0.0, 1.0)):
-    """Tensor Gauss-Legendre quadrature of the separated-frequency integral
+def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
+    """Tensor Gauss-Legendre quadrature over the unit box of the
+    separated-frequency integral
 
         G(s, xi, zeta) = II exp(2 pi i ((phi(x,y) - t) s + y.zeta - x.xi))
                             psi(x, y) dx dy        (d = 2 only)
@@ -536,8 +531,8 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
     (phi - t)): per block of x rows (`row_blocks`), 2 pi (phi - t) and psi
     are tabulated once; per distinct s, psi cos and psi sin take one
     GEMM each with v's stacked real and imaginary columns.  DomainError for
-    other shapes, a quad_n outside the integers 1..64, a non-finite input or
-    e_bounds lo >= hi; a ResolutionWarning for each triple with a frequency
+    other shapes, a quad_n outside the integers 1..64 or a non-finite input;
+    a ResolutionWarning for each triple with a frequency
     beyond quad_n/4 (its value is quadrature-limited).
     """
     single = np.ndim(s) == 0
@@ -548,18 +543,15 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0,
                           f"got s {s.shape}, xi {xi.shape}, zeta {zeta.shape}")
     if not isinstance(quad_n, (int, np.integer)) or not 1 <= quad_n <= 64:
         raise DomainError(f"quad_n must be an integer in 1..64, got {quad_n!r}")
-    lo, hi = float(e_bounds[0]), float(e_bounds[1])
-    finite = np.isfinite(np.concatenate([s, xi.ravel(), zeta.ravel(), [t, lo, hi]])).all()
-    if not (finite and lo < hi):
-        raise DomainError(f"need finite inputs and e_bounds lo < hi, got e_bounds ({lo}, {hi})")
+    if not np.isfinite(np.concatenate([s, xi.ravel(), zeta.ravel(), [t]])).all():
+        raise DomainError("oscillatory_G needs finite s, xi, zeta and t")
     tops = np.maximum(np.abs(np.hstack([xi, zeta])).max(axis=1), np.abs(s))
     for top in tops[tops > quad_n / 4.0]:
         warnings.warn(f"frequency {top} beyond quad_n/4 = {quad_n / 4}; "
                       "result is quadrature-limited", ResolutionWarning, stacklevel=2)
     gn, gw = np.polynomial.legendre.leggauss(quad_n)
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gn
-    wts = 0.5 * (hi - lo) * gw
-    pts = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes, wts = 0.5 + 0.5 * gn, 0.5 * gw
+    pts = _square_grid(nodes)
     w2 = np.outer(wts, wts).ravel()
     u = w2[:, None] * np.exp(-2j * np.pi * (pts @ xi.T))
     v = w2[:, None] * np.exp(2j * np.pi * (pts @ zeta.T))

@@ -423,8 +423,9 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
 
     Evaluates g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
     psi(y, z) g_i(z) innermost-out and returns g_0(pin).  Exact mode uses the
-    atoms, N^2 per link; mc_samples > 0 replaces each layer's sum with an
-    independent weighted draw (unbiased by independence across layers).
+    atoms, N^2 per link; mc_samples > 0 draws mc_samples chains (z_1, ..,
+    z_k) from mu^k and averages the product of their k link kernels, an
+    unbiased estimate of the chain sum.
     """
     t = np.atleast_1d(np.asarray(t, float))
     if len(t) != k:
@@ -454,7 +455,7 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
                              np.asarray(phi.value(layers[link - 2], layers[link - 1])))
             if psi is not None:
                 kern = kern * np.asarray(psi(layers[link - 2], layers[link - 1]))
-            g = np.full(size, float(np.mean(kern * g)))
+            g = kern * g
         kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], layers[0])))
         if psi is not None:
             kern0 = kern0 * np.asarray(psi(pin[None, :], layers[0]))
@@ -468,7 +469,8 @@ def _periodic_deposit(points, masses, h, n_grid, reach, shift, kernel):
     Node i of an axis sits at (i + shift) h.  Each atom p puts the tensor
     product of kernel(node - p_j) on the 2 reach + 1 nodes around its cell on
     every axis, wrapped mod n_grid and scaled to sum to the atom's mass;
-    each of the `row_blocks` of atoms is scattered by one `np.bincount`.
+    each of the `row_blocks` of atoms is scattered by one unbuffered
+    `np.add.at`, so a window that wraps onto itself adds every repeat.
     Returns the mass per cell, shape (n_grid,) * d.
     """
     offsets = np.arange(-reach, reach + 1)
@@ -482,7 +484,7 @@ def _periodic_deposit(points, masses, h, n_grid, reach, shift, kernel):
         block, flat = _tensor_block(list(idx.transpose(1, 0, 2) % n_grid),
                                     list(vals.transpose(1, 0, 2)), shape)
         block *= (masses[sl] / block.sum(axis=1))[:, None]
-        dens += np.bincount(flat, block.ravel(), n_grid ** d)
+        np.add.at(dens, flat, block.ravel())
     return dens.reshape(shape)
 
 

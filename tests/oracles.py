@@ -301,6 +301,29 @@ def cdist_row_sums(points, block_sums, block=1 << 20):
                            for i0 in range(0, len(points), rows)], axis=-1)
 
 
+def meshgrid_freq_norms(d, side_n):
+    """`harmonic.freq_norms` from full meshgrid copies of the axes."""
+    axes = [np.fft.fftfreq(side_n) * side_n] * d
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.sqrt(sum(g ** 2 for g in grids))
+
+
+def meshgrid_rfft_shells(d, side_n, pad):
+    """|xi| on the rfftn layout of the (pad side_n)^d grid, from full meshgrid
+    copies of axes scaled by 1/pad, and one (geometric mid, mask) pair per
+    dyadic shell, built one shell at a time."""
+    n_tot = pad * side_n
+    axes = [np.fft.fftfreq(n_tot) * n_tot / pad] * (d - 1) + \
+           [np.arange(n_tot // 2 + 1) / pad]
+    grids = np.meshgrid(*axes, indexing="ij")
+    fn = np.sqrt(sum(x ** 2 for x in grids))
+    shells = []
+    for m in range(0, int(math.floor(math.log2(side_n / 4.0)))):
+        lo, hi = 2.0 ** m, 2.0 ** (m + 1)
+        shells.append((math.sqrt(lo * hi), (fn >= lo) & (fn < hi)))
+    return fn, shells
+
+
 def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
                               sigma_cells=1.0):
     """`energy_integral` built on the three reference pieces above: the
@@ -312,10 +335,7 @@ def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
     dens = loop_deposit_gaussian(lam.points, masses, side_n, pad, sigma_cells)
     hat = np.fft.rfftn(dens)
     n_tot = pad * side_n
-    axes = [np.fft.fftfreq(n_tot) * n_tot / pad] * (d - 1) + \
-           [np.arange(n_tot // 2 + 1) / pad]
-    grids = np.meshgrid(*axes, indexing="ij")
-    fn = np.sqrt(sum(x ** 2 for x in grids))
+    fn, shells = meshgrid_rfft_shells(d, side_n, pad)
     sigma = sigma_cells / side_n
     decon = np.exp((2.0 * np.pi ** 2 * sigma ** 2) * fn ** 2)
     power = (np.abs(hat) * decon) ** 2
@@ -325,12 +345,8 @@ def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
         dup[-1] = 1.0
     power = power * dup
     cell = (1.0 / pad) ** d
-    radii, incs = [], []
-    for m in range(0, int(math.floor(math.log2(side_n / 4.0)))):
-        lo, hi = 2.0 ** m, 2.0 ** (m + 1)
-        sel = (fn >= lo) & (fn < hi)
-        radii.append(math.sqrt(lo * hi))
-        incs.append(float((power[sel] * fn[sel] ** (-gamma)).sum() * cell))
+    radii = [mid for mid, _ in shells]
+    incs = [float((power[sel] * fn[sel] ** (-gamma)).sum() * cell) for _, sel in shells]
     low_part = series_center_energy(lam.points, masses, gamma)
     kernel_value = riesz_constant(gamma, d) * dense_riesz_double_sum(lam.points, masses, gamma)
     return EnergyResult(low_part + float(np.sum(incs)), kernel_value,

@@ -310,6 +310,27 @@ def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_cli_fourier_unknown_part_exit_2(tmp_path, capsys):
+    # unknown parts used to be skipped: exit 0 with only manifest.json written
+    cfg = write_cfg(tmp_path, "typo.cfg", "which = energi lp osc-typo\n")
+    out = tmp_path / "o"
+    assert cli_main(["fourier", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: config key 'which' has unknown parts "
+                                       "energi osc-typo; choose from lp decay energy radon osc\n")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("pin", ["0.5", "0.5 0.5 0.5"], ids=["short", "long"])
+def test_cli_fixed_pin_of_wrong_length_exit_2(tmp_path, capsys, pin):
+    # in d = 2 one coordinate used to exit 0 with distances |x_1 - y_1|, and
+    # three to exit 1 with an IndexError
+    cfg = write_cfg(tmp_path, "pin.cfg", "level = 3\ntarget_dim = 1.6\npins = 2\n"
+                    f"pin_policy = fixed\npin = {pin}\n")
+    assert cli_main(["pinned", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("config error: config key 'pin' needs d = 2 "
+                                       f"coordinates, got {len(pin.split())}\n")
+
+
 def test_cli_fourier_osc_bad_quad_n_exit_2(tmp_path, capsys):
     # quad_n = 0 used to escape as a numpy ValueError traceback with exit 1
     cfg = write_cfg(tmp_path, "bad.cfg", "which = osc\nquad_n = 0\n")

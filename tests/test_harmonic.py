@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (cdist_row_sums, chunked_oscillatory_G, dense_riesz_double_sum,
                      loop_deposit_gaussian, loop_schur_dyadic_majorant,
-                     loop_schur_kernel_sup, reference_energy_integral,
-                     series_center_energy)
+                     loop_schur_kernel_sup, meshgrid_freq_norms, meshgrid_rfft_shells,
+                     reference_energy_integral, series_center_energy)
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import j0
@@ -27,7 +27,7 @@ from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
 from pinlab import harmonic
 from pinlab import rng as rng_module
 from pinlab.harmonic import (ResolutionWarning, _center_energy, _radon_direct,
-                             _riesz_row_sums, _row_sums, deposit_gaussian,
+                             _rfft_shells, _riesz_row_sums, _row_sums, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
 
@@ -53,6 +53,21 @@ def test_lp_partition_sums_to_one():
     sel = fn <= 2.0 ** 8
     dev = np.abs(part.partition_sum(fn[sel]) - 1.0)
     assert dev.max() <= 1e-10
+
+
+# d = 3 at pad 4 stops at side 24: at side 96 the meshgrid oracle would hold
+# three 384^2 x 193 copies of over 200 MiB each
+@pytest.mark.parametrize("d, side_n, pad", [
+    (d, side_n, pad) for d in (1, 2, 3) for side_n in (16, 24, 96, 128) for pad in (1, 4)
+    if d < 3 or pad * side_n <= 128])
+def test_open_grids_match_meshgrid_bit_for_bit(d, side_n, pad):
+    assert freq_norms(d, side_n).tobytes() == meshgrid_freq_norms(d, side_n).tobytes()
+    fn, shells = _rfft_shells(d, side_n, pad)
+    want_fn, want_shells = meshgrid_rfft_shells(d, side_n, pad)
+    assert fn.shape == want_fn.shape and fn.tobytes() == want_fn.tobytes()
+    assert len(shells) == len(want_shells) == int(np.log2(side_n / 4))
+    for (mid, sel), (want_mid, want_sel) in zip(shells, want_shells):
+        assert mid == want_mid and np.array_equal(sel, want_sel) and sel.any()
 
 
 def test_lp_band_support_annulus():
@@ -188,7 +203,19 @@ def test_energy_memory_stays_blocked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 2 ** 20
+    # 161 MiB with meshgrid frequency grids and every array held to the end
+    assert peak < 144 * 2 ** 20
+
+
+def test_surface_decay_memory_uses_open_grids():
+    tracemalloc.start()
+    try:
+        surface_measure_decay(3, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 97 MiB with meshgrid copies of the shell and frequency grids
+    assert peak < 80 * 2 ** 20
 
 
 # -- blocked energy pieces against the per-atom, complex and dense oracles ----
@@ -280,16 +307,15 @@ def test_riesz_row_sums_drop_coincident_atoms():
 
 
 @settings(max_examples=30)
-@given(cloud=atom_clouds(), side=st.integers(6, 24), pad=st.sampled_from([2, 4]),
-       block=small_blocks)
-def test_deposit_gaussian_matches_per_atom_loop(cloud, side, pad, block):
+@given(cloud=atom_clouds(), side=st.integers(6, 24), block=small_blocks)
+def test_deposit_gaussian_matches_per_atom_loop(cloud, side, block):
     pts, w, g = cloud
     if pts.shape[1] == 3:
         side = min(side, 12)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK", block)
-        got = deposit_gaussian(pts, w * g, side, pad)
-    want = loop_deposit_gaussian(pts, w * g, side, pad)
+        got = deposit_gaussian(pts, w * g, side)
+    want = loop_deposit_gaussian(pts, w * g, side)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert got.sum() == pytest.approx((w * g).sum(), rel=1e-12)
@@ -585,12 +611,10 @@ def test_oscillatory_warning_and_caps():
     (np.nan, [1.0, 0.0], [1.0, 0.0], {}),
     ([1.0, 2.0], [[1.0, 0.0], [np.inf, 0.0]], [[1.0, 0.0], [1.0, 0.0]], {}),
     (1.0, [1.0, 0.0], [1.0, np.nan], {}),
-    (1.0, [1.0, 0.0], [1.0, 0.0], {"e_bounds": (1.0, 0.0)}),
-    (1.0, [1.0, 0.0], [1.0, 0.0], {"e_bounds": (0.5, 0.5)}),
     ([1.0, 2.0], [[1.0, 0.0]] * 3, [[1.0, 0.0]] * 2, {}),
     ([1.0, 2.0], [1.0, 0.0], [1.0, 0.0], {}),
 ], ids=["quad_n_zero", "quad_n_65", "quad_n_float", "s_nan", "xi_inf", "zeta_nan",
-        "bounds_reversed", "bounds_empty", "xi_length", "unstacked_xi"])
+        "xi_length", "unstacked_xi"])
 def test_oscillatory_rejects_bad_inputs(s, xi, zeta, kwargs):
     phi, cuts = oscillatory_cutoffs()
     with pytest.raises(DomainError):

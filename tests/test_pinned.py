@@ -506,6 +506,21 @@ def test_composed_monte_carlo_vs_chain_sampling():
     assert direct == pytest.approx(exact, abs=max(4 * float(ch.stderr[1, 1, 1]), 0.05 * scale))
 
 
+@pytest.mark.parametrize("level, ratio, pin_atom, eps, t, samples, seed, rel", [
+    (4, 2.0 ** (-2 / 1.6), 3, 2.0 ** -3, [0.3, 0.4], 200_000, 0, 0.025),
+    (3, 1 / 3, 7, 2.0 ** -2, [0.5, 0.4, 0.6], 60_000, 2, 0.04),
+], ids=["k2", "k3"])
+def test_composed_monte_carlo_is_unbiased(level, ratio, pin_atom, eps, t, samples, seed, rel):
+    # each draw carries the product of its chain's link kernels; a product of
+    # per-link means read 6-7% low for k = 2 and 12-14% low for k = 3
+    mu = natural_measure(build_product_cantor(2, ratio, level))
+    moll = Mollifier(eps)
+    exact = composed_operator_density(mu, PHI, mu.points[pin_atom], len(t), moll, t)
+    mc = composed_operator_density(mu, PHI, mu.points[pin_atom], len(t), moll, t,
+                                   mc_samples=samples, seed=seed)
+    assert mc == pytest.approx(exact, rel=rel)
+
+
 def smooth_weight(a, b):
     """A positive psi(y, z), so no sum can cancel."""
     return 1.5 + np.sin(3.0 * (np.asarray(a) - np.asarray(b)).sum(-1))
