@@ -7,14 +7,16 @@ constrained pairs.  The first vertex always carries the pin measure lambda,
 remaining vertices carry mu, except in `config_count` where measures are
 assigned per vertex.
 
-Every count but the exact hinge (windowed prefix sums, `_window_mass`) goes
-through one counter, `_event_mass`, given one measure per vertex and the
-links (i, j, t).  Exact mode builds each indicator matrix 1[|phi - t| <= eps]
-once per (measure pair, t) and contracts them with `_contract`.  Monte Carlo
-mode draws one atom per vertex, in vertex order, from the Philox stream
-(seed, stream id, batch) -- 5 for `hinge_count`, 6 for `chain_tuple_count`,
-7 for `config_count` -- and returns the hit rate with stderr
-sqrt(mean (1 - mean) / samples).
+Every count but the exact hinge goes through one counter, `_event_mass`,
+given one measure per vertex and the links (i, j, t).  Exact mode builds
+each indicator matrix 1[|phi - t| <= eps] once per (measure pair, t) and
+contracts them with `_contract`.  Monte Carlo mode draws one atom per
+vertex, in vertex order, from the Philox stream (seed, stream id, batch) --
+5 for `hinge_count`, 6 for `chain_tuple_count`, 7 for `config_count` -- and
+returns the hit rate with stderr sqrt(mean (1 - mean) / samples).  The
+exact hinge sorts each pin's gaps once (`sort_gaps`) and takes every
+window's mass as a difference of prefix sums (`_window_mass`), so one sort
+serves every eps and t.
 """
 
 from dataclasses import dataclass
@@ -174,7 +176,7 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
     """
     _check_eps_samples(eps, samples)
     if samples == 0:
-        inner = _window_mass(lam, mu, phi, np.array([t]), eps)[:, 0]
+        inner = _window_mass(sort_gaps(lam, mu, phi), np.array([t]), eps)[:, 0]
         mass, se = float(lam.weights @ inner ** 2), 0.0
     else:
         mass, se = _event_mass([lam, mu, mu], [(0, 1, t), (0, 2, t)], phi, eps,
@@ -182,24 +184,34 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
     return ConfigCount(eps, {"t": t}, mass / eps ** 2, se / eps ** 2, samples)
 
 
-def _window_mass(lam, mu, phi, t_nodes, eps):
-    """(n_pins, n_t) matrix of sum_y mu_y 1[|phi(x,y) - t| <= eps].
-
-    Each pin's gaps are sorted once, with prefix sums of their weights.  The
-    rounded difference fl(g - t) is monotone in g, so every window is a
-    contiguous run of sorted gaps; its ends come from a binary search that
-    applies the membership test itself, so ties and rounding at the window
-    edges count exactly as the closed-interval test does.
-    """
-    t_nodes = np.asarray(t_nodes, float)
+def sort_gaps(lam: FrostmanMeasure, mu: FrostmanMeasure, phi):
+    """(sorted gaps, prefix): each pin's gaps phi(x, y) over mu's atoms,
+    sorted, and the prefix sums of their weights in that order, with a
+    leading 0.  They do not depend on eps or t, so a caller that counts
+    windows at several eps sorts once."""
     gaps = pairwise_value(phi, lam.points, mu.points)
     order = np.argsort(gaps, axis=1)
     gaps = np.take_along_axis(gaps, order, axis=1)
     prefix = np.zeros((len(lam), len(mu) + 1))
     np.cumsum(mu.weights[order], axis=1, out=prefix[:, 1:])
+    return gaps, prefix
+
+
+def _window_mass(sorted_gaps, t_nodes, eps):
+    """(n_pins, n_t) matrix of sum_y mu_y 1[|phi(x,y) - t| <= eps] from the
+    pins' `sort_gaps`.
+
+    The rounded difference fl(g - t) is monotone in g, so every window is a
+    contiguous run of sorted gaps and its mass a difference of prefix sums;
+    its ends come from a binary search that applies the membership test
+    itself, so ties and rounding at the window edges count exactly as the
+    closed-interval test does.
+    """
+    gaps, prefix = sorted_gaps
+    t_nodes = np.asarray(t_nodes, float)
     lo = _first_passing(gaps, t_nodes, lambda diff: diff >= -eps)
     hi = _first_passing(gaps, t_nodes, lambda diff: diff > eps)
-    rows = np.arange(len(lam))[:, None]
+    rows = np.arange(len(gaps))[:, None]
     return prefix[rows, hi] - prefix[rows, lo]
 
 
@@ -221,8 +233,12 @@ def _first_passing(sorted_gaps, t_nodes, test):
 
 def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,
                            eps: float, t_nodes, samples: int = 0,
-                           seed: int = 0) -> float:
-    """Trapezoid t-integral of beta(t) * hinge_count(t) over the node grid."""
+                           seed: int = 0, sorted_gaps=None) -> float:
+    """Trapezoid t-integral of beta(t) * hinge_count(t) over the node grid.
+
+    Exact mode counts windows over `sort_gaps(lam, mu, phi)`; a caller that
+    integrates at several eps passes that once as `sorted_gaps`.
+    """
     _check_eps_samples(eps, samples)
     t_nodes = np.asarray(t_nodes, float)
     if t_nodes.ndim != 1 or len(t_nodes) < 2:
@@ -230,7 +246,9 @@ def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,
     tw = _trapz_weights(len(t_nodes), float(t_nodes[1] - t_nodes[0]))
     bvals = np.asarray(beta(t_nodes), float) if beta is not None else np.ones(len(t_nodes))
     if samples == 0:
-        inner = _window_mass(lam, mu, phi, t_nodes, eps)
+        if sorted_gaps is None:
+            sorted_gaps = sort_gaps(lam, mu, phi)
+        inner = _window_mass(sorted_gaps, t_nodes, eps)
         per_t = lam.weights @ inner ** 2
         return float((per_t * bvals) @ tw) / eps ** 2
     total = 0.0

@@ -26,14 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .configs import hinge_count_integrated
+from .configs import hinge_count_integrated, sort_gaps
 from .errors import ConfigError, DomainError, PinlabError, RegressionMismatch
 from .fractals import (FrostmanMeasure, build_product_cantor,
                        build_subdivision_fractal, circle_measure,
                        natural_measure, uniform_grid_measure)
 from .phases import build_cutoffs, phase_function
 from .pinned import (Mollifier, cs_lower_bound, default_t_grid, density_mass,
-                     l2_energy, pinned_density, support_measure)
+                     l2_energy, monte_carlo_rows, pinned_density,
+                     support_measure)
 from .rng import parallel_map, rng_for
 
 
@@ -231,9 +232,9 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
 
     For every target dimension and pin: the cs lower bound and support of the
     mollified pinned density along the epsilon schedule; per (dim, eps) the
-    pin-averaged L2 energy and the integrated hinge count.  Verdicts classify
-    the median-over-pins cs trajectory.  Module errors abort the affected
-    cell only.
+    pin-averaged L2 energy and the integrated hinge count, whose pins' gaps
+    are sorted once per dimension.  Verdicts classify the median-over-pins
+    cs trajectory.  Module errors abort the affected cell only.
     """
     seed = cfg_int(cfg, "seed", 0) if seed is None else seed
     d = cfg_int(cfg, "d", 2)
@@ -252,6 +253,8 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     if hinge_pins < 1:
         raise ConfigError("sweep needs hinge_pins >= 1")
     step_div = cfg_int(cfg, "t_step_divisor", 16)
+    if step_div < 1:
+        raise ConfigError(f"config key 't_step_divisor' must be >= 1, got {step_div}")
 
     report = SweepReport()
     threshold = (d + 1) / 2.0
@@ -293,15 +296,18 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
         lam_idx = rng_for(seed, 10).choice(len(mu), size=min(hinge_pins, len(mu)),
                                            replace=False)
         lam, beta, t_nodes = hinge_setup(cfg, phi, mu, mu.points[lam_idx], ref_vals)
+        lam_gaps = sort_gaps(lam, mu, phi)
         for eps in eps_list:
             dens = [c["density"] for c in cells if c["eps"] == eps and c["density"] is not None]
             energy = l2_energy(np.full(len(dens), 1.0 / len(dens)), dens) if dens else math.nan
             try:
-                hinge = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes)
+                hinge = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes,
+                                               sorted_gaps=lam_gaps)
             except PinlabError:
                 hinge = math.nan
             report.energy_rows.append({"dim": dim, "eps": eps,
                                        "l2_energy": energy, "hinge_integrated": hinge})
+        del lam_gaps    # (pins x atoms) x 2: free it before the next dim's densities
 
         series = []
         for eps in eps_list:
@@ -330,7 +336,9 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     """Empirical CDF of pinned-support estimates over many pins.
 
     Flags pins whose support estimate falls below the configured floor;
-    persistent pins stay below the floor at every epsilon.
+    persistent pins stay below the floor at every epsilon.  One task per pin
+    draws its Monte Carlo sample once and deposits it at every epsilon; the
+    rows come out by epsilon, then pin, whatever `jobs` is.
     """
     seed = cfg_int(cfg, "seed", 0) if seed is None else seed
     n_pins = cfg_int(cfg, "pins", 50)
@@ -346,18 +354,24 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     report = ProbeReport(floor=floor)
     below = np.zeros(len(pins), dtype=int)
 
-    def one(args):
-        pin_i, eps = args
-        try:
-            nu = pinned_density(mu, phi, pins[pin_i], Mollifier(eps),
-                                mc_samples=mc_samples, seed=seed + 13 * pin_i)
-            return pin_i, eps, support_measure(nu), ""
-        except PinlabError as exc:
-            return pin_i, eps, math.nan, str(exc)
+    def one(pin_i):
+        # the pin's sample does not depend on eps: draw and group it once
+        rows = monte_carlo_rows(mu, mc_samples, seed + 13 * pin_i) if mc_samples else None
+        out = []
+        for eps in eps_list:
+            try:
+                nu = pinned_density(mu, phi, pins[pin_i], Mollifier(eps),
+                                    mc_samples=mc_samples, rows=rows)
+                out.append((support_measure(nu), ""))
+            except PinlabError as exc:
+                out.append((math.nan, str(exc)))
+        return out
 
-    tasks = [(pi, eps) for eps in eps_list for pi in range(len(pins))]
-    for pin_i, eps, sup, err in parallel_map(one, tasks, jobs):
-        report.rows.append({"eps": eps, "pin": pin_i, "support": sup, "error": err})
+    per_pin = parallel_map(one, range(len(pins)), jobs)
+    for ei, eps in enumerate(eps_list):
+        for pin_i, cells in enumerate(per_pin):
+            sup, err = cells[ei]
+            report.rows.append({"eps": eps, "pin": pin_i, "support": sup, "error": err})
     for eps in eps_list:
         sups = np.array([r["support"] for r in report.rows if r["eps"] == eps])
         flags = sups < floor

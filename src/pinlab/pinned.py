@@ -11,8 +11,10 @@ density is the one-link chain, so one type, `ChainDensity`, holds both and
 one rule checks their axes (`_check_axes`).  Every kernel is evaluated on
 support windows only: the bump vanishes outside (-2 eps, 2 eps), so each gap
 gets one window per axis of min(ceil(4 eps / dt) + 3, axis length) nodes,
-its start clamped into the axis (`_window_width`, `_window`), so that the
-window holds every grid node of the support and never leaves the grid.
+its start clamped into the axis (`_window_width`), so that the window holds
+every grid node of the support and never leaves the grid.  One evaluator,
+`_window_bumps`, writes a block's window nodes and rho_eps values, bit for
+bit the mollifier's, into scratch arrays reused across blocks.
 Pinned densities and Monte Carlo chains deposit through `_deposit`: the k
 window kernels multiply into one tensor block per batch of rows, scattered
 into the grid with `np.bincount`, so work and memory grow with rows x
@@ -24,11 +26,12 @@ axis length.  Either way every nonzero kernel value is the one a full
 (node x row) matrix would hold, and every blocked loop walks
 `rng.row_blocks`: a block holds at most `rng.BLOCK` entries, or one row.
 Monte Carlo mode deposits each distinct atom drawn once, weighted count /
-draws, so its work grows with min(draws, atoms); jittered draws and chains
-are one row each.  With row weights w_r: stderr^2 = (sum_r w_r kernel_r^2
-- values^2) / draws per node, and the mass stderr is the weighted std of
-the rows' trapezoid masses m_r, sqrt(sum_r w_r (m_r - sum_s w_s m_s)^2 /
-draws).
+draws (`monte_carlo_rows`), so its work grows with min(draws, atoms);
+jittered draws and chains are one row each, and a caller that deposits one
+sample at several eps draws and groups it once.  With row weights w_r:
+stderr^2 = (sum_r w_r kernel_r^2 - values^2) / draws per node, and the mass
+stderr is the weighted std of the rows' trapezoid masses m_r,
+sqrt(sum_r w_r (m_r - sum_s w_s m_s)^2 / draws).
 Everything downstream (mass, L2 energy, Cauchy-Schwarz support bounds) is
 written once for every k, as grid sums with the axes' trapezoid weights
 contracted from the last axis (`_integrate`); using the same weights
@@ -42,13 +45,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
 from .phases import pairwise_value
-from .profiles import bump_profile
-from .rng import batches, rng_for, row_blocks
+from .profiles import bump_norm_constant, bump_profile
+from .rng import batches, block_rows, rng_for, row_blocks
 
 #: Ceiling on chain-density grid nodes.
 GRID_BUDGET = 2_000_000
@@ -66,8 +68,8 @@ class Mollifier:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def __call__(self, u):
         """rho_eps(u) = bump_profile(u / eps) / eps."""
@@ -137,19 +139,37 @@ def _window_width(ax, reach: float) -> int:
     return min(int(math.ceil(2.0 * reach / float(ax[1] - ax[0]))) + 3, len(ax))
 
 
-def _window(gaps, ax, width: int, reach: float):
-    """Each gap's support window of `width` nodes on the uniform axis `ax`.
+def _window_bumps(gaps, ax, width: int, mollifier: Mollifier, nodes, kern):
+    """Each gap's support window of `width` nodes on the uniform axis `ax`
+    and the mollifier on it, written into the flat scratch arrays `nodes`
+    (any integer type) and `kern`.
 
-    Returns the first node, floor((gap - reach - t0) / dt) clamped into
-    [0, len - width] so that the window never leaves the axis, and the
-    offsets ax[first + o] - gap, o < width, of shape gaps.shape + (width,).
-    Every node within `reach` of the gap lies in the window.
+    Returns their leading (len(gaps), width) views: node first + o and
+    rho_eps(ax[first + o] - gap), o < width, where first = floor((gap -
+    reach - t0) / dt) is clamped into [0, len - width] so that the window
+    never leaves the axis; every node within reach = 2 eps of the gap lies
+    in it.  The kernel takes `Mollifier.__call__`'s operations in their
+    order, in place, so each value is bit for bit mollifier(ax[first + o] -
+    gap): one division by 2 eps gives the bump values that / eps, then / 2,
+    give.
     """
+    rows = len(gaps)
+    nodes = nodes[:rows * width].reshape(rows, width)
+    kern = kern[:rows * width].reshape(rows, width)
+    eps = mollifier.epsilon
     dt = float(ax[1] - ax[0])
-    first = np.clip(np.floor((gaps - reach - ax[0]) / dt), 0, len(ax) - width)
-    first = first.astype(np.int64)
-    # each window is one contiguous run of ax
-    return first, sliding_window_view(ax, width)[first] - gaps[..., None]
+    first = np.clip(np.floor((gaps - 2.0 * eps - ax[0]) / dt), 0, len(ax) - width)
+    np.add(first.astype(np.int64)[:, None], np.arange(width), out=nodes)
+    np.take(ax, nodes, out=kern, mode="clip")
+    kern -= gaps[:, None]
+    kern /= 2.0 * eps
+    with np.errstate(divide="ignore", over="ignore"):
+        np.square(kern, out=kern)
+        np.maximum(np.subtract(1.0, kern, out=kern), 0.0, out=kern)
+        np.exp(np.divide(-1.0, kern, out=kern), out=kern)
+    kern *= bump_norm_constant()
+    kern /= eps
+    return nodes, kern
 
 
 def _tensor_block(idx, vals, shape):
@@ -174,7 +194,8 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
     """(values, stderr, mass_stderr) of sum_r weights[r] prod_i rho_eps(t_i - gaps[r, i])
     on the tensor grid of the k uniform `t_axes`, for gap vectors of shape (n, k).
 
-    Row r's window on axis i is `_window`'s; each of the `row_blocks` is
+    Row r's window on axis i is `_window_bumps`', written into scratch
+    arrays sized for the largest of the `row_blocks`; each block is
     scattered with one `np.bincount`.
     `draws` = 0 is exact.  Otherwise the rows are the outcomes of that many
     Monte Carlo draws, each weighted by its share of them: the same pass
@@ -184,28 +205,34 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
     n = len(gaps)
     reach = mollifier.support_radius
     shape = tuple(len(ax) for ax in t_axes)
-    offsets = [np.arange(_window_width(ax, reach)) for ax in t_axes]
+    widths = [_window_width(ax, reach) for ax in t_axes]
+    per_row = math.prod(widths)
     tws = [_trapz_weights(len(ax), float(ax[1] - ax[0])) for ax in t_axes]
     size = math.prod(shape)
     values = np.zeros(size)
     sq = np.zeros(size)
     per_mass = np.ones(n)
-    for sl in row_blocks(n, math.prod(len(off) for off in offsets)):
-        idx, kern = [], []
-        for i, (ax, off) in enumerate(zip(t_axes, offsets)):
-            c = gaps[sl, i]
-            first, u = _window(c, ax, len(off), reach)
-            idx.append(first[:, None] + off)
-            kern.append(mollifier(u))
+    rows = min(n, block_rows(per_row))
+    node_bufs = [np.empty(rows * w, np.int64) for w in widths]
+    kern_bufs = [np.empty(rows * w) for w in widths]
+    scratch = np.empty(rows * per_row)
+    for sl in row_blocks(n, per_row):
+        idx, kern = zip(*[_window_bumps(gaps[sl, i], ax, w, mollifier, nb, kb)
+                          for i, (ax, w, nb, kb)
+                          in enumerate(zip(t_axes, widths, node_bufs, kern_bufs))])
         block, flat = _tensor_block(idx, kern, shape)
-        values += np.bincount(flat, (block * weights[sl, None]).ravel(), size)
+        tmp = scratch[:block.size].reshape(block.shape)
+        np.multiply(block, weights[sl, None], out=tmp)
+        values += np.bincount(flat, tmp.ravel(), size)
         if draws:
             for f, j, tw in zip(kern, idx, tws):
-                per_mass[sl] *= (f * tw[j]).sum(axis=1)
-            # in place: with one link, block is kern[0], not read after this
-            np.square(block, out=block)
-            block *= weights[sl, None]
-            sq += np.bincount(flat, block.ravel(), size)
+                part = scratch[:f.size].reshape(f.shape)
+                np.take(tw, j, out=part, mode="clip")
+                part *= f
+                per_mass[sl] *= part.sum(axis=1)
+            np.square(block, out=tmp)
+            tmp *= weights[sl, None]
+            sq += np.bincount(flat, tmp.ravel(), size)
     values = values.reshape(shape)
     if not draws:
         return values, np.zeros(shape), 0.0
@@ -214,14 +241,28 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
     return values, stderr, float(np.sqrt(spread / draws))
 
 
+def monte_carlo_rows(mu: FrostmanMeasure, mc_samples: int, seed: int):
+    """(points, weights) of the rows a Monte Carlo pinned density deposits
+    for `sample_points(mu, mc_samples, seed)`: each distinct atom drawn once,
+    weighted count / draws, or each jittered draw at 1 / draws."""
+    sample = sample_points(mu, mc_samples, seed)
+    if sample.atoms is None:
+        return sample.points, sample.weights
+    atoms, counts = np.unique(sample.atoms, return_counts=True)
+    return mu.points[atoms], counts / mc_samples
+
+
 def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
-                   t_grid=None, mc_samples: int = 0, seed: int = 0) -> ChainDensity:
+                   t_grid=None, mc_samples: int = 0, seed: int = 0,
+                   rows=None) -> ChainDensity:
     """Mollified pinned density on a uniform t-grid: the one-link chain.
 
     Exact mode (mc_samples = 0) sums over the measure's atoms; Monte Carlo
     mode averages over seeded draws and carries per-node standard errors.
     Each atom, distinct drawn atom or jittered draw is deposited onto its
-    support window only (`_deposit` with one link).
+    support window only (`_deposit` with one link).  `rows`, if given, is
+    `monte_carlo_rows(mu, mc_samples, seed)` computed beforehand, so that a
+    caller depositing one sample at several eps draws it once.
     """
     if len(mu) == 0:
         raise DomainError("empty measure")
@@ -232,11 +273,7 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
     if mc_samples == 0:
         points, weights = mu.points, mu.weights
     else:
-        sample = sample_points(mu, mc_samples, seed)
-        points, weights = sample.points, sample.weights
-        if sample.atoms is not None:
-            atoms, counts = np.unique(sample.atoms, return_counts=True)
-            points, weights = mu.points[atoms], counts / mc_samples
+        points, weights = rows if rows is not None else monte_carlo_rows(mu, mc_samples, seed)
     phi_vals = np.asarray(phi.value(pin[None, :], points))
     if t_grid is None:
         t_grid = default_t_grid(phi_vals, eps)
@@ -355,30 +392,39 @@ def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
     g_k = 1 and g_{i-1}(y, t_i, ...) = sum_z w_z rho_eps(t_i - phi(y, z))
     g_i(z, ...), then the pin link contracts g_1 the same way with
     phi(pin, z).  Each link's kernel is one sparse matrix per block of y
-    rows (`_window_kernels`), multiplied into the flat g.
+    rows (`_window_kernels`), multiplied into the flat g; every block's
+    matrix is built in one pair of scratch arrays, sized for the largest
+    block of any link.
     """
     n = len(mu)
     w = mu.weights
-    reach = mollifier.support_radius
+    widths = [_window_width(ax, mollifier.support_radius) for ax in t_axes]
+    cap = max(min(n, block_rows(n * wd)) * n * wd for wd in widths)
+    # int32 indices when they fit, so that scipy neither scans nor copies them
+    itype = np.int32 if max(n * max(map(len, t_axes)), cap) < 2 ** 31 else np.int64
+    nodes, kern = np.empty(cap, itype), np.empty(cap)
     g = np.ones((n, 1))
     if k > 1:
         phi_aa = pairwise_value(phi, mu.points, mu.points)
-    for ax in reversed(t_axes[1:]):
+    for ax, wd in zip(reversed(t_axes[1:]), reversed(widths[1:])):
         out = np.empty((n, len(ax) * g.shape[1]))
-        for sl in row_blocks(n, n * _window_width(ax, reach)):
-            kern = _window_kernels(phi_aa[sl], w, ax, mollifier)
-            out[sl] = (kern @ g).reshape(-1, out.shape[1])
+        for sl in row_blocks(n, n * wd):
+            links = _window_kernels(phi_aa[sl], w, ax, wd, mollifier, nodes, kern)
+            out[sl] = (links @ g).reshape(-1, out.shape[1])
         g = out.reshape(n, -1)
     phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
-    values = _window_kernels(phi_pin[None, :], w, t_axes[0], mollifier) @ g
+    values = _window_kernels(phi_pin[None, :], w, t_axes[0], widths[0], mollifier,
+                             nodes, kern) @ g
     return values.reshape(tuple(len(ax) for ax in t_axes))
 
 
-def _window_kernels(gaps, weights, ax, mollifier: Mollifier):
+def _window_kernels(gaps, weights, ax, width: int, mollifier: Mollifier, nodes, kern):
     """(rows * len(ax), n) sparse matrix whose entry at row y * len(ax) + node,
     column z, is weights[z] rho_eps(ax[node] - gaps[y, z]), for `gaps` of
-    shape (rows, n); only the nodes of each pair's clamped support window
-    (`_window`) are stored.
+    shape (rows, n); only the `width` nodes of each pair's clamped support
+    window (`_window_bumps`) are stored.  Its indices and data are views of the
+    flat scratch arrays `nodes` and `kern`, so it is valid until their next
+    use.
 
     The entries are laid out column by column, each column's by (y, node),
     which is the CSC order itself: no format conversion is needed.
@@ -389,18 +435,14 @@ def _window_kernels(gaps, weights, ax, mollifier: Mollifier):
 
     m, n = gaps.shape
     length = len(ax)
-    reach = mollifier.support_radius
-    width = _window_width(ax, reach)
-    by_col = np.ascontiguousarray(gaps.T)
-    first, u = _window(by_col, ax, width, reach)
-    kern = mollifier(u)
-    kern *= weights[:, None, None]
-    # int32 indices when they fit, so that scipy neither scans nor copies them
-    itype = np.int32 if max(m * length, n * m * width) < 2 ** 31 else np.int64
-    first = first.astype(itype) + (length * np.arange(m)).astype(itype)
-    indices = (first[:, :, None] + np.arange(width, dtype=itype)).ravel()
-    indptr = np.arange(n + 1, dtype=itype) * (m * width)
-    return csc_matrix((kern.ravel(), indices, indptr), shape=(m * length, n))
+    idx, vals = _window_bumps(gaps.T.ravel(), ax, width, mollifier, nodes, kern)
+    # the window of pair (y, z) is [z, y]: column z, rows from y * length
+    by_pair = idx.reshape(n, m, width)
+    by_pair += (length * np.arange(m, dtype=idx.dtype))[:, None]
+    by_col = vals.reshape(n, m * width)
+    by_col *= weights[:, None]
+    indptr = np.arange(n + 1, dtype=idx.dtype) * (m * width)
+    return csc_matrix((vals.ravel(), idx.ravel(), indptr), shape=(m * length, n))
 
 
 def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):

@@ -32,9 +32,15 @@ def batches(total: int):
         yield i, start, min(BATCH, total - start)
 
 
+def block_rows(per_row: int) -> int:
+    """Rows per block of `row_blocks`: max(1, BLOCK // per_row), so that a
+    caller can size its scratch arrays for the largest block."""
+    return max(1, BLOCK // max(per_row, 1))
+
+
 def row_blocks(n: int, per_row: int):
-    """Yield slices covering range(n), each of at most max(1, BLOCK // per_row) rows."""
-    rows = max(1, BLOCK // max(per_row, 1))
+    """Yield slices covering range(n), each of at most `block_rows(per_row)` rows."""
+    rows = block_rows(per_row)
     for start in range(0, n, rows):
         yield slice(start, min(start + rows, n))
 

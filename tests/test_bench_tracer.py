@@ -56,3 +56,32 @@ def test_results_expose_the_counted_grids(spans):
     assert len(ch.t_axes) == 2
     assert spans._count_chain({"mu": mu, "mc_samples": 16}, ch) == {
         "kernel_evals": 16 * sum(ch.values.shape)}
+
+
+def test_counters_accept_the_sweep_and_probe_calls(spans):
+    # the sweep passes its pins' sorted gaps to hinge_count_integrated with
+    # a scalar eps, and the probe passes each pin's drawn rows to
+    # pinned_density: the traced wrappers bind those calls and count them
+    from unittest import mock
+
+    from pinlab import configs, experiments, pinned
+
+    tracer = spans.Tracer()
+    hinge = tracer.wrap("configs.hinge_count_integrated", configs.hinge_count_integrated,
+                        spans._count_hinge_integrated)
+    dens = tracer.wrap("pinned.pinned_density", pinned.pinned_density, spans._count_pinned)
+    sweep_cfg = {"d": "2", "dims": "1.0 1.8", "epsilons": "2^-3 2^-4", "level": "3",
+                 "pins": "2", "hinge_pins": "4", "hinge_t_nodes": "8"}
+    probe_cfg = {"d": "2", "generator": "circle", "n_atoms": "64", "pins": "50",
+                 "epsilons": "2^-4 2^-5", "mc_samples": "32"}
+    with mock.patch.object(experiments, "hinge_count_integrated", hinge), \
+            mock.patch.object(experiments, "pinned_density", dens):
+        experiments.sweep_threshold(sweep_cfg, seed=7)
+        experiments.exceptional_probe(probe_cfg, seed=7, jobs=2)
+    out = tracer.summary()
+    assert out["configs.hinge_count_integrated.calls"] == 2 * 2
+    # 4 calls of 4 pins x 8 t-nodes x 64 atoms
+    assert out["configs.hinge_count_integrated.window_tests"] == 4 * 4 * 8 * 64
+    assert 0 < out["configs.hinge_count_integrated.hit_share"] < 1
+    assert out["pinned.pinned_density.calls"] == 2 * 2 * 2 + 50 * 2
+    assert out["pinned.pinned_density.kernel_evals"] > 0

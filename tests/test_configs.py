@@ -14,7 +14,7 @@ from pinlab import (BudgetError, DomainError, EdgeMap, FrostmanMeasure,
                     load_edge_map, natural_measure, phase_function,
                     pinned_lift, save_edge_map, star_edge_map,
                     uniform_grid_measure)
-from pinlab.configs import _window_mass
+from pinlab.configs import _window_mass, sort_gaps
 from pinlab.rng import rng_for
 
 PHI = phase_function("euclidean", 2)
@@ -100,7 +100,7 @@ def test_window_mass_matches_dense_oracle(seed, n_pins, n_atoms, n_t, eps):
                           exponent_s=2.0)
     t_nodes = np.linspace(-0.1, 1.5, n_t)
     # window masses are differences of prefix sums of weights that add to 1
-    np.testing.assert_allclose(_window_mass(lam, mu, PHI, t_nodes, eps),
+    np.testing.assert_allclose(_window_mass(sort_gaps(lam, mu, PHI), t_nodes, eps),
                                dense_window_mass(lam, mu, PHI, t_nodes, eps),
                                rtol=0.0, atol=1e-12)
 
@@ -112,7 +112,7 @@ def test_window_mass_ties_on_grid_measure_exact():
     step = 1.0 / 16
     t_nodes = step * np.arange(24)
     for eps in (step, 2 * step, 3 * step):
-        new = _window_mass(mu, mu, PHI, t_nodes, eps)
+        new = _window_mass(sort_gaps(mu, mu, PHI), t_nodes, eps)
         assert np.array_equal(new, dense_window_mass(mu, mu, PHI, t_nodes, eps))
 
 
@@ -123,7 +123,7 @@ def test_window_mass_memory_scales_with_pins_times_atoms():
     t_nodes = np.linspace(-0.05, 1.5, 96)
     tracemalloc.start()
     try:
-        _window_mass(lam, mu, PHI, t_nodes, 2.0 ** -5)
+        _window_mass(sort_gaps(lam, mu, PHI), t_nodes, 2.0 ** -5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,14 +4,18 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import pinlab
 
-from pinlab import ConfigError, DomainError, verdict_from_series
+from pinlab import (ConfigError, DomainError, Mollifier, pinned_density,
+                    support_measure, verdict_from_series)
+from pinlab import experiments
 from pinlab.cli import main as cli_main
-from pinlab.experiments import (cfg_float, cfg_floats, cfg_int,
+from pinlab.experiments import (build_generator, build_phase, cfg_float,
+                                cfg_floats, cfg_int, draw_pins,
                                 exceptional_probe, parse_config_text,
                                 sweep_threshold)
 
@@ -109,6 +113,30 @@ def test_sweep_jobs_invariance():
     assert r1.verdicts == r2.verdicts
 
 
+def test_sweep_sorts_hinge_gaps_once_per_dim_with_per_eps_values():
+    # every hoisted count equals a call that sorts its own gaps, bit for bit
+    cfg = sweep_cfg()
+    calls, sorts = [], []
+    hinge, sort = experiments.hinge_count_integrated, experiments.sort_gaps
+
+    def spy_hinge(*args, **kwargs):
+        calls.append((args, kwargs, hinge(*args, **kwargs)))
+        return calls[-1][2]
+
+    def spy_sort(*args):
+        sorts.append(args)
+        return sort(*args)
+
+    with mock.patch.object(experiments, "hinge_count_integrated", spy_hinge), \
+            mock.patch.object(experiments, "sort_gaps", spy_sort):
+        rep = sweep_threshold(cfg)
+    assert len(sorts) == 2 and len(calls) == 2 * 3
+    for args, kwargs, value in calls:
+        assert kwargs.pop("sorted_gaps") is not None
+        assert hinge(*args, **kwargs) == value
+    assert [r["hinge_integrated"] for r in rep.energy_rows] == [c[2] for c in calls]
+
+
 def probe_cfg(**over):
     cfg = {"generator": "circle", "n_atoms": "256", "d": "2",
            "pin_policy": "fixed", "pin": "0.5 0.5", "pins": "50",
@@ -130,6 +158,27 @@ def test_probe_lebesgue_square_flags_nothing():
     rep = exceptional_probe(cfg)
     assert all(v == 0.0 for v in rep.flagged_fraction.values())
     assert rep.persistent_pins == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mc_samples", [0, 300])
+def test_probe_rows_equal_per_pin_and_eps_densities(jobs, mc_samples):
+    # one task per pin draws its sample once; the rows are still those of
+    # one pinned_density call per (pin, eps), in eps-then-pin order
+    cfg = probe_cfg(generator="subdivision", base_b="2", keep_m="3", level="4",
+                    pin_policy="mu", epsilons="2^-4 2^-5 2^-6",
+                    mc_samples=mc_samples)
+    rep = exceptional_probe(cfg, seed=7, jobs=jobs)
+    _, mu = build_generator(cfg, 7)
+    phi = build_phase(cfg, mu.d)
+    pins = draw_pins(cfg, mu, 7, 50)
+    want = [{"eps": eps, "pin": pi, "error": "",
+             "support": support_measure(pinned_density(
+                 mu, phi, pins[pi], Mollifier(eps), mc_samples=mc_samples,
+                 seed=7 + 13 * pi))}
+            for eps in cfg_floats(cfg, "epsilons") for pi in range(len(pins))]
+    assert rep.rows == want
+    assert len({r["support"] for r in rep.rows}) > 10
 
 
 def test_probe_needs_fifty_pins():
@@ -249,6 +298,26 @@ def test_cli_negative_mc_samples_exit_2(tmp_path, capsys, command, message):
                     "dims = 1.0 1.6\nmc_samples = -5\n")
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("command, key", [("chain", "epsilon"), ("pinned", "epsilons")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_epsilon_exit_2(tmp_path, capsys, command, key, value):
+    # these used to end in a ValueError traceback with exit 1
+    cfg = write_cfg(tmp_path, "eps.cfg", f"level = 3\ntarget_dim = 1.6\npins = 2\n"
+                    f"mc_samples = 0\n{key} = {value}\n")
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: epsilon must be positive and finite, got {value}\n")
+
+
+@pytest.mark.parametrize("divisor", [0, -2])
+def test_cli_sweep_step_divisor_below_one_exit_2(tmp_path, capsys, divisor):
+    # 0 used to raise ZeroDivisionError in default_t_grid, with exit 1
+    cfg = write_cfg(tmp_path, "div.cfg", f"level = 3\nt_step_divisor = {divisor}\n")
+    assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config key 't_step_divisor' must be >= 1, got {divisor}\n")
 
 
 def test_cli_probe_jobs_invariance(tmp_path):

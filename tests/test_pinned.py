@@ -208,6 +208,66 @@ def test_grouped_monte_carlo_matches_per_draw_oracle(mu, pin, eps, per_atom, see
     assert nu.mass_stderr == pytest.approx(per_draw_mass_se, rel=1e-12, abs=0.0)
 
 
+@given(gaps=st.lists(st.floats(-1.0, 2.0), max_size=40), eps=EPSILONS | st.floats(2e-3, 0.3),
+       start=st.floats(-0.5, 1.0), nodes=st.integers(2, 8) | st.integers(2, 400),
+       divisor=st.sampled_from([2, 3, 5, 16]), itype=st.sampled_from([np.int32, np.int64]))
+def test_window_bumps_match_mollifier_bitwise(gaps, eps, start, nodes, divisor, itype):
+    # gaps past both ends of the axis clamp their windows to it; with few
+    # nodes (or a coarse step) a window spans the whole axis
+    dt = eps / divisor
+    ax = start + dt * np.arange(nodes)
+    g = np.array(gaps + [ax[0] - 3 * eps, ax[0], ax[-1], ax[-1] + 3 * eps])
+    width = pinned_module._window_width(ax, 2 * eps)
+    moll = Mollifier(eps)
+    # scratch longer than needed, filled with garbage the evaluator overwrites
+    idx_buf, kern_buf = np.full(len(g) * width + 5, -7, itype), np.full(len(g) * width + 5, np.nan)
+    idx, kern = pinned_module._window_bumps(g, ax, width, moll, idx_buf, kern_buf)
+    first = np.clip(np.floor((g - 2 * eps - ax[0]) / dt), 0, nodes - width).astype(int)
+    assert idx.dtype == itype and kern.shape == (len(g), width)
+    assert np.array_equal(idx, first[:, None] + np.arange(width))
+    assert np.array_equal(kern, moll(ax[first[:, None] + np.arange(width)] - g[:, None]))
+    # every node of a gap's support lies in its window
+    inside = np.abs(ax[None, :] - g[:, None]) < 2 * eps
+    assert all(set(np.flatnonzero(row)) <= set(w) for row, w in zip(inside, idx))
+    if width == nodes:
+        assert np.all(idx == np.arange(nodes))
+
+
+@given(mu=random_measures(max_atoms=60), pin=PINS, eps=EPSILONS | st.floats(2e-3, 0.3),
+       k=st.integers(1, 2), draws=st.integers(1, 500), nodes=st.integers(2, 120))
+def test_deposit_in_one_row_blocks_matches_mollifier_bitwise(mu, pin, eps, k, draws, nodes):
+    # with one row per block, the weighted, squared and per-row-mass passes
+    # equal a row-by-row deposit of the mollifier's own values, bit for bit;
+    # short axes clamp the windows or make them as wide as the axis
+    gaps = np.stack([np.asarray(PHI.value(pin[None, :], np.roll(mu.points, i, axis=0)))
+                     for i in range(k)], axis=1)
+    lo = float(gaps.min()) - eps
+    axes = tuple(lo + (eps / 4) * np.arange(nodes + i) for i in range(k))
+    moll = Mollifier(eps)
+    with mock.patch.object(rng_module, "BLOCK", 1):
+        values, stderr, mass_se = pinned_module._deposit(gaps, mu.weights, axes, moll, draws)
+    shape = tuple(map(len, axes))
+    want_v, want_sq = np.zeros(shape), np.zeros(shape)
+    per_mass = np.ones(len(mu))
+    for r, row in enumerate(gaps):
+        kern, idx = [], []
+        for ax, c in zip(axes, row):
+            width = pinned_module._window_width(ax, 2 * eps)
+            first = int(np.clip(np.floor((c - 2 * eps - ax[0]) / (ax[1] - ax[0])), 0,
+                                len(ax) - width))
+            idx.append(np.arange(first, first + width))
+            kern.append(moll(ax[idx[-1]] - c))
+            per_mass[r] *= (kern[-1] * pinned_module._trapz_weights(
+                len(ax), float(ax[1] - ax[0]))[idx[-1]]).sum()
+        prod = functools.reduce(np.multiply.outer, kern)
+        want_v[np.ix_(*idx)] += prod * mu.weights[r]
+        want_sq[np.ix_(*idx)] += prod ** 2 * mu.weights[r]
+    assert np.array_equal(values, want_v)
+    assert np.array_equal(stderr, np.sqrt(np.maximum(want_sq - want_v ** 2, 0.0) / draws))
+    spread = mu.weights @ (per_mass - mu.weights @ per_mass) ** 2
+    assert mass_se == float(np.sqrt(spread / draws))
+
+
 @given(mu=random_measures(), pin=PINS, eps=EPSILONS, mc=st.sampled_from([0, 64, 500]))
 def test_deposition_conserves_mass(mu, pin, eps, mc):
     nu = pinned_density(mu, PHI, pin, Mollifier(eps), mc_samples=mc, seed=4)
