@@ -18,11 +18,11 @@ from .configs import (EdgeMap, config_count, hinge_count,
                       save_edge_map)
 from .errors import (BudgetError, ConfigError, DomainError, PinlabError,
                      RegressionMismatch)
-from .experiments import (build_generator, build_phase, cfg_float, cfg_floats,
-                          cfg_int, cfg_str, draw_pins, exceptional_probe,
-                          hinge_setup, load_config, parse_number,
-                          regression_check, sweep_threshold, write_csv,
-                          write_json, write_manifest)
+from .experiments import (build_generator, build_phase, cfg_count, cfg_float,
+                          cfg_floats, cfg_int, cfg_str, draw_pins,
+                          exceptional_probe, hinge_setup, load_config,
+                          parse_number, regression_check, sweep_threshold,
+                          write_csv, write_json, write_manifest)
 from .fractals import save_cells, save_measure, segment_measure
 from .harmonic import (LPPartition, energy_integral, freq_norms, oscillatory_G,
                        radon_sobolev_ratio, random_band_limited,
@@ -216,8 +216,8 @@ def cmd_fourier(cfg, seed, out, jobs):
                           "choose from lp decay energy radon osc")
     names = []
     if "lp" in which:
-        side = cfg_int(cfg, "lp_side_n", 256)
-        j_max = cfg_int(cfg, "j_max", int(math.log2(side)) - 1)
+        side = cfg_count(cfg, "lp_side_n", 256, 2)
+        j_max = cfg_count(cfg, "j_max", int(math.log2(side)) - 1, 0)
         part = LPPartition(j_max)
         fn = freq_norms(2, side)
         sel = fn <= 2.0 ** (j_max - 1)

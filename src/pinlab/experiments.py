@@ -90,11 +90,13 @@ def cfg_int(cfg, key, default=None) -> int:
     return int(val)
 
 
-def cfg_mc_samples(cfg) -> int:
-    """`mc_samples`, checked before the sweep's or probe's cells turn errors into rows."""
-    val = cfg_int(cfg, "mc_samples", 0)
-    if val < 0:
-        raise ConfigError(f"config key 'mc_samples' must be >= 0, got {val}")
+def cfg_count(cfg, key, default, least=1) -> int:
+    """An integer config key that must be at least `least`, checked where it
+    is read: before a sweep's or probe's cells turn errors into rows, and
+    before a size reaches a division or a logarithm."""
+    val = cfg_int(cfg, key, default)
+    if val < least:
+        raise ConfigError(f"config key {key!r} must be >= {least}, got {val}")
     return val
 
 
@@ -131,10 +133,10 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
     family = cfg_str(cfg, "generator", "product_cantor")
     mode = cfg_str(cfg, "measure_mode", "atoms")
     if family == "circle":
-        return None, circle_measure(cfg_int(cfg, "n_atoms", 512),
+        return None, circle_measure(cfg_count(cfg, "n_atoms", 512),
                                     radius=cfg_float(cfg, "radius", 0.25))
     if family == "uniform":
-        return None, uniform_grid_measure(d, cfg_int(cfg, "per_side", 32),
+        return None, uniform_grid_measure(d, cfg_count(cfg, "per_side", 32),
                                           cfg_float(cfg, "box_lo", 0.0),
                                           cfg_float(cfg, "box_hi", 1.0))
     if family == "product_cantor":
@@ -142,6 +144,9 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
             a = cfg_float(cfg, "ratio_a")
         else:
             dim = target_dim if target_dim is not None else cfg_float(cfg, "target_dim")
+            if not dim > 0:
+                key = "target_dim" if target_dim is None else "dims"
+                raise ConfigError(f"config key {key!r} must be > 0, got {dim}")
             if dim >= d:
                 frac = build_subdivision_fractal(d, 2, 2 ** d, level, seed)
                 return frac, natural_measure(frac, mode)
@@ -159,9 +164,7 @@ def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
     """(lam, beta, t_nodes) of an integrated hinge count: the uniform pin
     measure on lam_points, and the plateau beta over the range of the
     observed `gaps` with `hinge_t_nodes` (>= 2) t-nodes reaching 0.05 past it."""
-    n_t = cfg_int(cfg, "hinge_t_nodes", 96)
-    if n_t < 2:
-        raise ConfigError(f"config key 'hinge_t_nodes' must be >= 2, got {n_t}")
+    n_t = cfg_count(cfg, "hinge_t_nodes", 96, 2)
     lam = FrostmanMeasure(lam_points, np.full(len(lam_points), 1.0 / len(lam_points)),
                           exponent_s=mu.exponent_s)
     t_lo, t_hi = float(np.min(gaps)), float(np.max(gaps))
@@ -233,8 +236,10 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     For every target dimension and pin: the cs lower bound and support of the
     mollified pinned density along the epsilon schedule; per (dim, eps) the
     pin-averaged L2 energy and the integrated hinge count, whose pins' gaps
-    are sorted once per dimension.  Verdicts classify the median-over-pins
-    cs trajectory.  Module errors abort the affected cell only.
+    are sorted once per dimension.  One task per pin draws its Monte Carlo
+    sample once and deposits it at every epsilon; rows come out by epsilon,
+    then pin.  Verdicts classify the median-over-pins cs trajectory.  Module
+    errors abort the affected cell only.
     """
     seed = cfg_int(cfg, "seed", 0) if seed is None else seed
     d = cfg_int(cfg, "d", 2)
@@ -245,16 +250,14 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     if len(eps_list) < 2:
         raise ConfigError("sweep needs >= 2 epsilon values")
     n_pins = cfg_int(cfg, "pins", 12)
-    mc_samples = cfg_mc_samples(cfg)
+    mc_samples = cfg_count(cfg, "mc_samples", 0, 0)
     stable_tol = cfg_float(cfg, "stable_tol", 0.2)
     shrink_total = cfg_float(cfg, "shrink_total", 0.3)
     shrink_mode = cfg_str(cfg, "shrink_mode", "cumulative")
     hinge_pins = cfg_int(cfg, "hinge_pins", 48)
     if hinge_pins < 1:
         raise ConfigError("sweep needs hinge_pins >= 1")
-    step_div = cfg_int(cfg, "t_step_divisor", 16)
-    if step_div < 1:
-        raise ConfigError(f"config key 't_step_divisor' must be >= 1, got {step_div}")
+    step_div = cfg_count(cfg, "t_step_divisor", 16)
 
     report = SweepReport()
     threshold = (d + 1) / 2.0
@@ -269,25 +272,28 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
         pins = draw_pins(cfg, mu, seed, n_pins)
         ref_vals = np.asarray(phi.value(pins[:, None, :], mu.points[None, :, :]))
 
-        def cell(args, _mu=mu, _phi=phi, _ref=ref_vals, _dim=dim):
-            pin_i, eps = args
-            try:
-                grid = default_t_grid(_ref, eps, step_div)
-                nu = pinned_density(_mu, _phi, pins[pin_i], Mollifier(eps),
-                                    t_grid=grid, mc_samples=mc_samples,
-                                    seed=seed + 17 * pin_i)
-                return {"dim": _dim, "pin": pin_i, "eps": eps,
-                        "mass": density_mass(nu),
-                        "cs_lower_bound": cs_lower_bound(nu),
-                        "support": support_measure(nu),
-                        "density": nu, "error": ""}
-            except PinlabError as exc:
-                return {"dim": _dim, "pin": pin_i, "eps": eps, "mass": math.nan,
-                        "cs_lower_bound": math.nan, "support": math.nan,
-                        "density": None, "error": str(exc)}
+        def one(pin_i, _mu=mu, _phi=phi, _ref=ref_vals, _dim=dim):
+            # the pin's sample does not depend on eps: draw and group it once
+            rows = monte_carlo_rows(_mu, mc_samples, seed + 17 * pin_i) if mc_samples else None
+            out = []
+            for eps in eps_list:
+                try:
+                    grid = default_t_grid(_ref, eps, step_div)
+                    nu = pinned_density(_mu, _phi, pins[pin_i], Mollifier(eps),
+                                        t_grid=grid, mc_samples=mc_samples, rows=rows)
+                    out.append({"dim": _dim, "pin": pin_i, "eps": eps,
+                                "mass": density_mass(nu),
+                                "cs_lower_bound": cs_lower_bound(nu),
+                                "support": support_measure(nu),
+                                "density": nu, "error": ""})
+                except PinlabError as exc:
+                    out.append({"dim": _dim, "pin": pin_i, "eps": eps, "mass": math.nan,
+                                "cs_lower_bound": math.nan, "support": math.nan,
+                                "density": None, "error": str(exc)})
+            return out
 
-        tasks = [(pi, eps) for eps in eps_list for pi in range(len(pins))]
-        cells = parallel_map(cell, tasks, jobs)
+        per_pin = parallel_map(one, range(len(pins)), jobs)
+        cells = [c[ei] for ei in range(len(eps_list)) for c in per_pin]
         for c in cells:
             row = {k: c[k] for k in ("dim", "pin", "eps", "mass",
                                      "cs_lower_bound", "support", "error")}
@@ -346,7 +352,7 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
         raise ConfigError("exceptional_probe needs >= 50 pins")
     floor = cfg_float(cfg, "floor", 0.05)
     eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5, 2.0 ** -6])
-    mc_samples = cfg_mc_samples(cfg)
+    mc_samples = cfg_count(cfg, "mc_samples", 0, 0)
 
     frac, mu = build_generator(cfg, seed)
     phi = build_phase(cfg, mu.d)

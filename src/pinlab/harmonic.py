@@ -293,16 +293,23 @@ def _row_sums(points: np.ndarray, block_sums) -> np.ndarray:
 def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma) -> np.ndarray:
     """sum_j w_j |x_i - x_j|^(gamma - d) over the atoms j at positive distance
     from x_i; a 1-d array of gammas gives one row of sums per gamma from one
-    pass over the distances."""
+    pass over the distances.  The distances are symmetric to the bit, as
+    (a - b)^2 = (b - a)^2, so the pass covers one triangle: each `row_blocks`
+    block meets only the columns from its own start on, adds K w to its own
+    rows and w^T K, over the columns past the block, to the later rows."""
     expo = np.atleast_1d(np.asarray(gamma, float)) - points.shape[1]
-
-    def block_sums(dist, _):
+    n = len(points)
+    sums = np.zeros((len(expo), n))
+    for sl in row_blocks(n, n):
+        dist = _norm(points[sl, None], points[None, sl.start:], np.subtract)
         # zero distances (diagonal, coincident atoms) drop out: inf^(gamma - d) = 0, gamma < d
         dist[dist == 0.0] = np.inf
-        buf = np.empty_like(dist)
-        return np.stack([np.power(dist, e, out=buf) @ weights for e in expo])
-
-    return _row_sums(points, block_sums).reshape(np.shape(gamma) + (len(points),))
+        kern = np.empty_like(dist)
+        for row, e in zip(sums, expo):
+            np.power(dist, e, out=kern)
+            row[sl] += kern @ weights[sl.start:]
+            row[sl.stop:] += weights[sl] @ kern[:, sl.stop - sl.start:]
+    return sums.reshape(np.shape(gamma) + (n,))
 
 
 def energy_integral(lam: FrostmanMeasure, gamma, side_n: int, g_values=None):
@@ -528,9 +535,12 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
     for one triple (s scalar, xi and zeta of shape (2,)) or m stacked ones (s,
     xi, zeta of shapes (m,), (m, 2), (m, 2); m values).  G = sum_x u_x (K_s v)_x
     with u = w e^(-2 pi i x.xi), v = w e^(2 pi i y.zeta), K_s = psi e^(2 pi i s
-    (phi - t)): per block of x rows (`row_blocks`), 2 pi (phi - t) and psi
-    are tabulated once; per distinct s, psi cos and psi sin take one
-    GEMM each with v's stacked real and imaginary columns.  DomainError for
+    (phi - t)).  A first blocked pass of psi keeps the x nodes whose psi row
+    is not identically zero and the y nodes whose psi column is not (every
+    node without psi); the sum runs over kept rows x kept columns only.  Per
+    block of kept x rows (`row_blocks`), 2 pi (phi - t) and psi are
+    tabulated once; per distinct s, psi cos and psi sin take one GEMM each
+    with v's stacked real and imaginary columns.  DomainError for
     other shapes, a quad_n outside the integers 1..64 or a non-finite input;
     a ResolutionWarning for each triple with a frequency
     beyond quad_n/4 (its value is quadrature-limited).
@@ -553,12 +563,22 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
     nodes, wts = 0.5 + 0.5 * gn, 0.5 * gw
     pts = _square_grid(nodes)
     w2 = np.outer(wts, wts).ravel()
-    u = w2[:, None] * np.exp(-2j * np.pi * (pts @ xi.T))
-    v = w2[:, None] * np.exp(2j * np.pi * (pts @ zeta.T))
+    keep_x = keep_y = slice(None)
+    if psi is not None:
+        # pairs where psi vanishes add nothing: drop its all-zero rows and columns
+        keep_x, keep_y = np.zeros(len(pts), bool), np.zeros(len(pts), bool)
+        for sl in row_blocks(len(pts), len(pts)):
+            nz = np.broadcast_to(np.asarray(psi(pts[sl, None, :], pts[None, :, :])),
+                                 (sl.stop - sl.start, len(pts))) != 0
+            keep_x[sl] = nz.any(axis=1)
+            keep_y |= nz.any(axis=0)
+    px, py = pts[keep_x], pts[keep_y]
+    u = w2[keep_x, None] * np.exp(-2j * np.pi * (px @ xi.T))
+    v = w2[keep_y, None] * np.exp(2j * np.pi * (py @ zeta.T))
     groups = [np.flatnonzero(s == sv) for sv in np.unique(s)]
     acc = np.zeros(len(s), complex)
-    for sl in row_blocks(len(pts), len(pts)):
-        x, y = pts[sl, None, :], pts[None, :, :]
+    for sl in row_blocks(len(px), len(py)):
+        x, y = px[sl, None, :], py[None, :, :]
         phase = (np.asarray(phi.value(x, y)) - t) * (2.0 * np.pi)
         ps = 1.0 if psi is None else np.asarray(psi(x, y))
         for idx in groups:

@@ -10,7 +10,8 @@ import pytest
 
 import pinlab
 
-from pinlab import (ConfigError, DomainError, Mollifier, pinned_density,
+from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
+                    default_t_grid, density_mass, pinned_density,
                     support_measure, verdict_from_series)
 from pinlab import experiments
 from pinlab.cli import main as cli_main
@@ -135,6 +136,48 @@ def test_sweep_sorts_hinge_gaps_once_per_dim_with_per_eps_values():
         assert kwargs.pop("sorted_gaps") is not None
         assert hinge(*args, **kwargs) == value
     assert [r["hinge_integrated"] for r in rep.energy_rows] == [c[2] for c in calls]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_draws_each_pins_sample_once(jobs):
+    # one sample_points call per (dim, pin), not per (dim, pin, eps)
+    cfg = sweep_cfg(mc_samples=300)
+    draws = []
+    sample = pinlab.pinned.sample_points
+
+    def spy(mu, count, seed):
+        draws.append((mu.points.tobytes(), count, seed))
+        return sample(mu, count, seed)
+
+    with mock.patch.object(pinlab.pinned, "sample_points", spy):
+        sweep_threshold(cfg, jobs=jobs)
+    assert len(draws) == len(set(draws)) == 2 * 4
+    assert sorted(seed for _, _, seed in draws) == sorted([3, 20, 37, 54] * 2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mc_samples", [0, 300])
+def test_sweep_rows_equal_per_pin_and_eps_densities(jobs, mc_samples):
+    # the rows are those of one pinned_density call per (pin, eps), drawing
+    # its own sample, in eps-then-pin order per dim
+    cfg = sweep_cfg(mc_samples=mc_samples)
+    rep = sweep_threshold(cfg, jobs=jobs)
+    want = []
+    for dim in cfg_floats(cfg, "dims"):
+        _, mu = build_generator(cfg, 3, target_dim=dim)
+        phi = build_phase(cfg, 2)
+        pins = draw_pins(cfg, mu, 3, 4)
+        ref = phi.value(pins[:, None, :], mu.points[None, :, :])
+        for eps in cfg_floats(cfg, "epsilons"):
+            for pi, pin in enumerate(pins):
+                nu = pinned_density(mu, phi, pin, Mollifier(eps),
+                                    t_grid=default_t_grid(ref, eps, 16),
+                                    mc_samples=mc_samples, seed=3 + 17 * pi)
+                want.append({"dim": dim, "pin": pi, "eps": eps, "mass": density_mass(nu),
+                             "cs_lower_bound": cs_lower_bound(nu),
+                             "support": support_measure(nu), "error": ""})
+    assert rep.rows == want
+    assert len({r["cs_lower_bound"] for r in rep.rows}) == len(want)
 
 
 def probe_cfg(**over):
@@ -377,6 +420,24 @@ def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, "bad.cfg", body)
     assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("gen", "level = 3\ntarget_dim = 0\n", "config key 'target_dim' must be > 0, got 0.0"),
+    ("sweep", "level = 3\ndims = 0 1.6\n", "config key 'dims' must be > 0, got 0.0"),
+    ("gen", "generator = circle\nn_atoms = 0\n", "config key 'n_atoms' must be >= 1, got 0"),
+    ("gen", "generator = uniform\nper_side = 0\n",
+     "config key 'per_side' must be >= 1, got 0"),
+    ("fourier", "which = lp\nlp_side_n = 0\n", "config key 'lp_side_n' must be >= 2, got 0"),
+    ("fourier", "which = lp\nj_max = -1\n", "config key 'j_max' must be >= 0, got -1"),
+], ids=["target_dim", "dims", "n_atoms", "per_side", "lp_side_n", "j_max"])
+def test_cli_zero_sizes_exit_2(tmp_path, capsys, command, body, message):
+    # the first five used to end in a traceback with exit 1 (four
+    # ZeroDivisionErrors and a math domain error); j_max = -1 exited 0 with
+    # the empty partition's deviation 1.0
+    cfg = write_cfg(tmp_path, "zero.cfg", body)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_cli_fourier_unknown_part_exit_2(tmp_path, capsys):

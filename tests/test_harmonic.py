@@ -300,6 +300,31 @@ def test_row_sums_distances_match_cdist_bit_for_bit(cloud, block):
         assert new[0].tobytes() == old[0].tobytes() and new[1] == old[1]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n, rows_per_block", [(101, 7), (257, 10), (63, 1)])
+def test_riesz_triangle_matches_cdist_rows_and_dense_sum(d, n, rows_per_block):
+    # odd atom counts, blocks that do not divide n, and a third of the atoms
+    # repeated, whose zero distances must drop out
+    rng = np.random.default_rng(1000 * d + n)
+    pts = rng.random((n, d))
+    pts[n - n // 3:] = pts[:n // 3]
+    w = rng.random(n) + 0.05
+    gammas = np.array([0.2, 0.55, 0.9]) * d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "BLOCK", rows_per_block * n)
+        got = _riesz_row_sums(pts, w, gammas)
+
+    def block_sums(dist, _):
+        dist[dist == 0.0] = np.inf
+        return np.stack([dist ** (gm - d) @ w for gm in gammas])
+
+    want = cdist_row_sums(pts, block_sums)
+    assert got.shape == (3, n) and np.isfinite(got).all()
+    assert_rel_close(got, want)
+    for gm, row in zip(gammas, got):
+        assert_rel_close(w @ row, dense_riesz_double_sum(pts, w, gm))
+
+
 def test_riesz_row_sums_drop_coincident_atoms():
     pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.75, 0.5]])
     rows = _riesz_row_sums(pts, np.ones(3), 1.0)
@@ -562,9 +587,16 @@ def oscillatory_cutoffs():
 
 def test_oscillatory_zero_cutoff():
     phi, _ = oscillatory_cutoffs()
-    val = oscillatory_G(phi, lambda x, y: np.zeros(np.broadcast_shapes(
-        x.shape[:-1], y.shape[:-1])), 1.0, [4.0, 0.0], [4.0, 0.0], quad_n=24)
+
+    def zero(x, y):
+        return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+
+    val = oscillatory_G(phi, zero, 1.0, [4.0, 0.0], [4.0, 0.0], quad_n=24)
     assert val == 0.0
+    # every node is dropped, and a stack still returns its m exact zeros
+    vals = oscillatory_G(phi, zero, [1.0, 2.0], [[4.0, 0.0], [1.0, 0.0]],
+                         [[4.0, 0.0], [0.0, 1.0]], quad_n=24)
+    assert vals.dtype == complex and vals.tolist() == [0.0, 0.0]
 
 
 def test_oscillatory_volume_at_zero_phase():
@@ -660,6 +692,68 @@ def test_oscillatory_stack_matches_chunked_oracle(kind, weighted, quad_n, t, sta
     want = [chunked_oscillatory_G(phi, psi, *triple, t=t, quad_n=quad_n)
             for triple in zip(s, xi, zeta)]
     assert np.abs(got - want).max() <= 1e-12 * mass
+
+
+def irregular_psi(psi):
+    """psi times two masks that vanish on irregular sets of x and of y nodes,
+    so that the zero rows and columns of the product form no box."""
+    def masked(x, y):
+        keep_x = np.sin(37.0 * x[..., 0] + 91.0 * x[..., 1]) < 0.3
+        keep_y = np.cos(53.0 * y[..., 0] - 29.0 * y[..., 1]) < 0.5
+        return psi(x, y) * keep_x * keep_y
+    return masked
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+@pytest.mark.parametrize("quad_n", [17, 24])
+def test_oscillatory_irregular_psi_support_matches_chunked_oracle(block, quad_n):
+    phi, cuts = oscillatory_cutoffs()
+    psi = irregular_psi(cuts.psi)
+    s = np.array([4.0, 1.0, 4.0, 2.5])
+    xi = np.array([[4.0, 0.0], [3.0, -1.0], [1.0, 2.0], [0.5, 0.0]])
+    zeta = np.array([[4.0, 0.0], [1.0, 0.0], [-2.0, 1.0], [0.0, 3.0]])
+    with warnings.catch_warnings(), mock.patch.object(rng_module, "BLOCK", block):
+        warnings.simplefilter("ignore", ResolutionWarning)
+        got = oscillatory_G(phi, psi, s, xi, zeta, t=0.3, quad_n=quad_n)
+    mass = chunked_oscillatory_G(phi, lambda x, y: np.abs(psi(x, y)), 0.0, [0.0, 0.0],
+                                 [0.0, 0.0], quad_n=quad_n).real
+    want = [chunked_oscillatory_G(phi, psi, *triple, t=0.3, quad_n=quad_n)
+            for triple in zip(s, xi, zeta)]
+    assert np.abs(got - want).max() <= 1e-12 * mass
+    assert np.abs(want).min() > 1e-6 * mass
+
+
+def test_oscillatory_cli_triples_evaluate_only_kept_pairs():
+    # the phase is tabulated on the x nodes whose psi row is somewhere
+    # nonzero times the y nodes whose psi column is: about a quarter of the
+    # 2304^2 pairs at the CLI's cutoffs
+    phi = phase_function("euclidean", 2)
+    # psi reads a phase object of its own, so the spy sees only the tabulation
+    psi = build_cutoffs(phase_function("euclidean", 2), (0.15, 0.85), 0.05, (0.1, 1.0)).psi
+    gn, _ = np.polynomial.legendre.leggauss(48)
+    g1, g2 = np.meshgrid(0.5 + 0.5 * gn, 0.5 + 0.5 * gn, indexing="ij")
+    pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
+    rows, cols = np.zeros(len(pts), bool), np.zeros(len(pts), bool)
+    for i0 in range(0, len(pts), 256):
+        nz = psi(pts[i0:i0 + 256, None, :], pts[None, :, :]) != 0
+        rows[i0:i0 + 256] = nz.any(axis=1)
+        cols |= nz.any(axis=0)
+    shapes = []
+    value = phi.value
+
+    def spy(x, y):
+        shapes.append(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+        return value(x, y)
+
+    s = np.array([4.0, 1.0, 1.0, 2.0])
+    xi = np.array([[4.0, 0.0], [16.0, 0.0], [1.0, 0.0], [16.0, 0.0]])
+    zeta = np.array([[4.0, 0.0], [1.0, 0.0], [16.0, 0.0], [1.0, 0.0]])
+    with warnings.catch_warnings(), mock.patch.object(phi, "value", spy):
+        warnings.simplefilter("ignore", ResolutionWarning)
+        oscillatory_G(phi, psi, s, xi, zeta, quad_n=48)
+    kept = int(rows.sum()) * int(cols.sum())
+    assert sum(int(np.prod(sh)) for sh in shapes) == kept
+    assert 0.24 < kept / len(pts) ** 2 < 0.26
 
 
 def test_oscillatory_stack_memory_stays_blocked():
