@@ -18,18 +18,18 @@ from .configs import (EdgeMap, config_count, hinge_count,
                       save_edge_map)
 from .errors import (BudgetError, ConfigError, DomainError, PinlabError,
                      RegressionMismatch)
-from .experiments import (build_generator, build_phase, cfg_count, cfg_float,
-                          cfg_floats, cfg_int, cfg_str, draw_pins,
+from .experiments import (build_generator, build_phase, draw_pins,
                           exceptional_probe, hinge_setup, load_config,
-                          parse_number, regression_check, sweep_threshold,
-                          write_csv, write_json, write_manifest)
+                          parse_number, read_key, regression_check,
+                          sweep_threshold, write_csv, write_json,
+                          write_manifest)
 from .fractals import save_cells, save_measure, segment_measure
 from .harmonic import (LPPartition, energy_integral, freq_norms, oscillatory_G,
                        radon_sobolev_ratio, random_band_limited,
                        surface_measure_decay)
 from .phases import build_cutoffs
 from .pinned import (Mollifier, chain_density, cs_lower_bound, density_mass,
-                     pinned_density, support_measure)
+                     monte_carlo_rows, pinned_density, support_measure)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -59,13 +59,13 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg_int(cfg, "seed", 0)
+        seed = read_key(cfg if args.seed is None else {"seed": str(args.seed)}, "seed")
+        rtol = read_key(cfg, "regression_rtol")
         os.makedirs(args.out, exist_ok=True)
         handler = _COMMANDS[args.command]
         csv_names = handler(cfg, seed, args.out, args.jobs)
         write_manifest(args.out, args.command, cfg, seed)
-        regression_check(args.out, csv_names, args.regression_freeze,
-                         rtol=cfg_float(cfg, "regression_rtol", 1e-9))
+        regression_check(args.out, csv_names, args.regression_freeze, rtol=rtol)
         return 0
     except RegressionMismatch as exc:
         print(f"regression mismatch: {exc}", file=sys.stderr)
@@ -96,17 +96,19 @@ def cmd_gen(cfg, seed, out, jobs):
 
 def cmd_pinned(cfg, seed, out, jobs):
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, mu.d)
-    pins = draw_pins(cfg, mu, seed, cfg_int(cfg, "pins", 8))
-    eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5])
-    mc = cfg_int(cfg, "mc_samples", 0)
-    which = cfg_str(cfg, "write_densities", "first")
+    pins = draw_pins(cfg, mu, seed, read_key(cfg, "pins", "8"))
+    phi = build_phase(cfg, mu.d, pins, mu.points)
+    eps_list = read_key(cfg, "epsilons", "2^-4 2^-5")
+    mc = read_key(cfg, "mc_samples")
+    which = read_key(cfg, "write_densities")
     rows = []
     names = ["pinned_summary.csv"]
     for pi, pin in enumerate(pins):
+        # the pin's sample does not depend on eps: draw and group it once
+        sample = monte_carlo_rows(mu, mc, seed + 17 * pi) if mc else None
         for ei, eps in enumerate(eps_list):
             nu = pinned_density(mu, phi, pin, Mollifier(eps), mc_samples=mc,
-                                seed=seed + 17 * pi)
+                                rows=sample)
             rows.append([pi, eps, density_mass(nu), cs_lower_bound(nu),
                          support_measure(nu), nu.mass_stderr])
             if which == "all" or (which == "first" and pi == 0):
@@ -122,12 +124,12 @@ def cmd_pinned(cfg, seed, out, jobs):
 
 def cmd_chain(cfg, seed, out, jobs):
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, mu.d)
     pins = draw_pins(cfg, mu, seed, 1)
-    k = cfg_int(cfg, "k", 2)
-    eps = cfg_float(cfg, "epsilon", 2.0 ** -3)
+    phi = build_phase(cfg, mu.d, pins, mu.points)
+    k = read_key(cfg, "k")
+    eps = read_key(cfg, "epsilon")
     nu = chain_density(mu, phi, pins[0], k, Mollifier(eps),
-                       mc_samples=cfg_int(cfg, "mc_samples", 4096), seed=seed)
+                       mc_samples=read_key(cfg, "mc_samples", "4096"), seed=seed)
     grid = np.meshgrid(*nu.t_axes, indexing="ij")
     flat = [g.ravel() for g in grid]
     rows = [list(map(float, tup)) + [float(v), float(s)]
@@ -144,11 +146,11 @@ def cmd_chain(cfg, seed, out, jobs):
 
 def cmd_hinge(cfg, seed, out, jobs):
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, mu.d)
-    lam_pins = draw_pins(cfg, mu, seed, cfg_int(cfg, "pins", 48))
-    eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
-    t_mid = cfg_float(cfg, "t", 0.5)
-    samples = cfg_int(cfg, "mc_samples", 0)
+    lam_pins = draw_pins(cfg, mu, seed, read_key(cfg, "pins", "48"))
+    phi = build_phase(cfg, mu.d, lam_pins, mu.points)
+    eps_list = read_key(cfg, "epsilons", "2^-3 2^-4 2^-5")
+    t_mid = read_key(cfg, "t")
+    samples = read_key(cfg, "mc_samples")
     gaps = phi.value(lam_pins[:, None, :], mu.points[None, :, :])
     lam, beta, t_nodes = hinge_setup(cfg, phi, mu, lam_pins, gaps)
     rows = []
@@ -171,29 +173,21 @@ def _parse_pair(tok, key):
     return i, j
 
 
-def _parse_edges(cfg):
-    toks = cfg_str(cfg, "edges").split()
-    edges = frozenset(_parse_pair(tok, "edges") for tok in toks)
-    if not edges:
-        raise ConfigError("config key 'edges' lists no edge")
-    vertices = cfg_int(cfg, "vertices", max(max(e) for e in edges))
-    return EdgeMap(vertices, edges)
-
-
 def cmd_config_count(cfg, seed, out, jobs):
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, mu.d)
-    em = _parse_edges(cfg)
+    phi = build_phase(cfg, mu.d, mu.points)
+    edges = frozenset(_parse_pair(tok, "edges") for tok in read_key(cfg, "edges"))
+    em = EdgeMap(read_key(cfg, "vertices", str(max(max(e) for e in edges))), edges)
     t_map = {}
-    for tok in cfg_str(cfg, "t_assignment").split():
+    for tok in read_key(cfg, "t_assignment"):
         pair, sep, val = tok.partition(":")
         if not sep:
             raise ConfigError(f"config key 't_assignment': bad token {tok!r}, "
                               "expected i-j:t")
         t_map[_parse_pair(pair, "t_assignment")] = parse_number(val, "t_assignment")
-    eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -3])
-    samples = cfg_int(cfg, "mc_samples", 0)
-    if cfg_str(cfg, "lift", "0") == "1":
+    eps_list = read_key(cfg, "epsilons", "2^-3")
+    samples = read_key(cfg, "mc_samples")
+    if read_key(cfg, "lift"):
         t_map = lift_t_assignment(em, t_map)
         em = pinned_lift(em)
         save_edge_map(em, os.path.join(out, "edge_map_lifted.txt"))
@@ -209,15 +203,11 @@ def cmd_config_count(cfg, seed, out, jobs):
 def cmd_fourier(cfg, seed, out, jobs):
     """Harmonic battery: LP partition, sphere decay, energy dichotomy,
     Radon Sobolev ratios, oscillatory decay.  `which` selects subsets."""
-    which = set(cfg_str(cfg, "which", "lp decay energy").split())
-    unknown = sorted(which - {"lp", "decay", "energy", "radon", "osc"})
-    if unknown:
-        raise ConfigError(f"config key 'which' has unknown parts {' '.join(unknown)}; "
-                          "choose from lp decay energy radon osc")
+    which = read_key(cfg, "which")
     names = []
     if "lp" in which:
-        side = cfg_count(cfg, "lp_side_n", 256, 2)
-        j_max = cfg_count(cfg, "j_max", int(math.log2(side)) - 1, 0)
+        side = read_key(cfg, "lp_side_n")
+        j_max = read_key(cfg, "j_max", str(int(math.log2(side)) - 1))
         part = LPPartition(j_max)
         fn = freq_norms(2, side)
         sel = fn <= 2.0 ** (j_max - 1)
@@ -232,7 +222,7 @@ def cmd_fourier(cfg, seed, out, jobs):
         # (shell_or_eps = 0) carries the fitted and theoretical slopes
         tol = {2: 0.05, 3: 0.1}
         for d in (2, 3):
-            side = cfg_int(cfg, f"decay_side_n_d{d}", 512 if d == 2 else 128)
+            side = read_key(cfg, f"decay_side_n_d{d}")
             fit = surface_measure_decay(d, side)
             anchor = fit.shell_max[-1] / fit.shell_radii[-1] ** fit.slope
             rows = []
@@ -247,9 +237,9 @@ def cmd_fourier(cfg, seed, out, jobs):
                       ["shell_or_eps", "value", "reference", "pass"], rows)
             names.append(name)
     if "energy" in which:
-        lam = segment_measure(cfg_int(cfg, "segment_atoms", 4096))
-        side = cfg_int(cfg, "energy_side_n", 512)
-        gammas = cfg_floats(cfg, "gammas", [1.2, 0.8])
+        lam = segment_measure(read_key(cfg, "segment_atoms"))
+        side = read_key(cfg, "energy_side_n")
+        gammas = read_key(cfg, "gammas")
         rows = [[gamma, res.fourier_value, res.kernel_value,
                  float(res.shell_increments[-1] / res.shell_increments[-2]),
                  float(res.shell_increments[-1] / res.shell_increments[0])]
@@ -259,12 +249,12 @@ def cmd_fourier(cfg, seed, out, jobs):
                    "last_over_prev", "last_over_first"], rows)
         names.append("energy_shells.csv")
     if "radon" in which:
-        side = cfg_int(cfg, "radon_side_n", 128)
+        side = read_key(cfg, "radon_side_n")
         phi = build_phase(cfg, 2)
-        eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6])
-        fields = [random_band_limited(side, cfg_float(cfg, "radon_band", 1.45), seed + fi)
-                  for fi in range(cfg_int(cfg, "n_fields", 5))]
-        rows_raw, summary = radon_sobolev_ratio(phi, None, cfg_float(cfg, "t", 0.5),
+        eps_list = read_key(cfg, "epsilons", "2^-3 2^-4 2^-5 2^-6")
+        fields = [random_band_limited(side, read_key(cfg, "radon_band"), seed + fi)
+                  for fi in range(read_key(cfg, "n_fields"))]
+        rows_raw, summary = radon_sobolev_ratio(phi, None, read_key(cfg, "t"),
                                                 eps_list, fields)
         rows = []
         for fi in sorted(summary):
@@ -287,7 +277,7 @@ def cmd_fourier(cfg, seed, out, jobs):
         vals = np.abs(oscillatory_G(phi, cuts.psi, np.array([s for _, _, s in triples]),
                                     np.array([[2.0 ** k, 0.0] for _, k, _ in triples]),
                                     np.array([[2.0 ** j, 0.0] for j, _, _ in triples]),
-                                    quad_n=cfg_int(cfg, "quad_n", 48)))
+                                    quad_n=read_key(cfg, "quad_n")))
         rows = [[j, k, s, v, v / vals[0]] for (j, k, s), v in zip(triples, vals)]
         write_csv(os.path.join(out, "oscillatory_decay.csv"),
                   ["j", "k", "s", "abs_G", "ratio_to_matched"], rows)

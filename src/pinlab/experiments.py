@@ -1,7 +1,8 @@
 """Experiment orchestration: configs, threshold sweeps, exceptional-set probes.
 
 Configuration files are flat `key = value` text (one key per line, `#`
-comments).  Every run echoes its resolved configuration, seed, and library
+comments); `KEYS` gives every key's kind, domain and default, and `read_key`
+reads them.  Every run echoes its resolved configuration, seed, and library
 versions into a manifest; data files are byte-reproducible functions of
 (config, seed).
 
@@ -54,11 +55,85 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class Key:
+    """One config key: how its text is read, which values it takes and the
+    config text that stands in when it is missing (None: none)."""
+    kind: str                   # int, float, numbers, word or words
+    domain: str                 # "[lo, hi)"-style interval, or the allowed words
+    default: str | None = None
+    least: int = 1              # fewest values of a list
+
+
+#: Every key the package reads.  A number must lie in its interval (an open
+#: infinite end admits every finite value; below 2^53 every integer parses
+#: exactly); a word must be one of the listed words, or anything when the
+#: domain is "any".  Lists are space- or comma-separated.
+KEYS = {
+    "seed": Key("int", "[0, 2^53)", "0"),
+    "regression_rtol": Key("float", "[0, inf)", "1e-9"),
+    "generator": Key("word", "product_cantor subdivision uniform circle", "product_cantor"),
+    "d": Key("int", "[1, inf)", "2"),
+    "level": Key("int", "[1, inf)", "5"),
+    "ratio_a": Key("float", "(0, 0.5)"),
+    "target_dim": Key("float", "(0, inf)"),
+    "base_b": Key("int", "[2, inf)", "2"),
+    "keep_m": Key("int", "[1, inf)", "3"),
+    "measure_mode": Key("word", "atoms cell_uniform", "atoms"),
+    "per_side": Key("int", "[1, inf)", "32"),
+    "box_lo": Key("float", "(-inf, inf)", "0"),
+    "box_hi": Key("float", "(-inf, inf)", "1"),
+    "n_atoms": Key("int", "[1, inf)", "512"),
+    "radius": Key("float", "(0, inf)", "0.25"),
+    "phase": Key("word", "euclidean scaled_euclidean dot_product flat_torus "
+                 "sphere_geodesic_chart", "euclidean"),
+    "phase_factor": Key("float", "(-inf, inf)", "3"),
+    "cap_radius": Key("float", "(0, 1)", "0.75"),
+    "pin_policy": Key("word", "mu fixed", "mu"),
+    "pin": Key("numbers", "(-inf, inf)"),
+    "pins": Key("int", "[1, inf)"),
+    "epsilons": Key("numbers", "(0, inf)"),
+    "mc_samples": Key("int", "[0, inf)", "0"),
+    "write_densities": Key("word", "any", "first"),
+    "k": Key("int", "[1, inf)", "2"),
+    "epsilon": Key("float", "(0, inf)", "2^-3"),
+    "t": Key("float", "(0, inf)", "0.5"),
+    "hinge_t_nodes": Key("int", "[2, inf)", "96"),
+    "edges": Key("words", "any"),
+    "vertices": Key("int", "[1, inf)"),
+    "t_assignment": Key("words", "any"),
+    "lift": Key("int", "[0, 1]", "0"),
+    "which": Key("words", "lp decay energy radon osc", "lp decay energy"),
+    "lp_side_n": Key("int", "[2, inf)", "256"),
+    "j_max": Key("int", "[0, inf)"),
+    "decay_side_n_d2": Key("int", "[16, inf)", "512"),
+    "decay_side_n_d3": Key("int", "[16, inf)", "128"),
+    "segment_atoms": Key("int", "[1, inf)", "4096"),
+    "energy_side_n": Key("int", "[16, inf)", "512"),
+    "gammas": Key("numbers", "(0, 2)", "1.2 0.8"),
+    "radon_side_n": Key("int", "[1, inf)", "128"),
+    "radon_band": Key("float", "(0, inf)", "1.45"),
+    "n_fields": Key("int", "[1, inf)", "5"),
+    "quad_n": Key("int", "[1, 64]", "48"),
+    "dims": Key("numbers", "(0, inf)", "1.0 1.6 1.8", least=2),
+    "hinge_pins": Key("int", "[1, inf)", "48"),
+    "t_step_divisor": Key("int", "[1, inf)", "16"),
+    "stable_tol": Key("float", "[0, inf)", "0.2"),
+    "shrink_total": Key("float", "[0, 1)", "0.3"),
+    "shrink_mode": Key("word", "cumulative per_step", "cumulative"),
+    "floor": Key("float", "[0, inf)", "0.05"),
+}
+
+
 def load_config(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        cfg = parse_config_text(fh.read())
+    for key in cfg:
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    return cfg
 
 
 def parse_number(tok: str, key: str) -> float:
@@ -75,96 +150,85 @@ def parse_number(tok: str, key: str) -> float:
     return val
 
 
-def cfg_float(cfg, key, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    return parse_number(cfg[key], key)
+def read_key(cfg, key, default=None):
+    """Config `key` read by its KEYS row, `default` (config text) replacing the
+    row's: one value, or a list for the kinds numbers and words.  A missing
+    key, too few values or one outside the domain is a ConfigError naming it."""
+    row = KEYS[key]
+    text = cfg.get(key, row.default if default is None else default)
+    if text is None:
+        raise ConfigError(f"missing config key {key!r}")
+    many = row.kind in ("numbers", "words")
+    toks = text.replace(",", " ").split() if many else [text]
+    if len(toks) < row.least:
+        raise ConfigError(f"config key {key!r} needs at least {row.least} "
+                          f"value(s), got {len(toks)}")
+    vals = [_read_token(row, key, tok) for tok in toks]
+    return vals if many else vals[0]
 
 
-def cfg_int(cfg, key, default=None) -> int:
-    val = cfg_float(cfg, key, default)
-    if not math.isfinite(val) or val != int(val):
-        raise ConfigError(f"config key {key!r} must be an integer")
-    return int(val)
+def _read_token(row: Key, key: str, tok: str):
+    if row.kind in ("word", "words"):
+        if row.domain == "any" or tok in row.domain.split():
+            return tok
+        raise ConfigError(f"config key {key!r} must be one of {row.domain}, got {tok!r}")
+    val = parse_number(tok, key)
+    lo, hi = (parse_number(end, key) for end in row.domain[1:-1].split(","))
+    if ((lo < val) if row.domain[0] == "(" else (lo <= val)) and \
+            ((val < hi) if row.domain[-1] == ")" else (val <= hi)) and \
+            (row.kind != "int" or val.is_integer()):
+        return int(val) if row.kind == "int" else val
+    what = "an integer" if row.kind == "int" else "a number"
+    raise ConfigError(f"config key {key!r} must be {what} in {row.domain}, got {tok!r}")
 
 
-def cfg_count(cfg, key, default, least=1) -> int:
-    """An integer config key that must be at least `least`, checked where it
-    is read: before a sweep's or probe's cells turn errors into rows, and
-    before a size reaches a division or a logarithm."""
-    val = cfg_int(cfg, key, default)
-    if val < least:
-        raise ConfigError(f"config key {key!r} must be >= {least}, got {val}")
-    return val
-
-
-def cfg_str(cfg, key, default=None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    return cfg[key]
-
-
-def cfg_floats(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return list(default)
-    return [parse_number(tok, key) for tok in cfg[key].replace(",", " ").split()]
-
-
-def build_phase(cfg, d: int):
-    kind = cfg_str(cfg, "phase", "euclidean")
+def build_phase(cfg, d: int, *points):
+    """The configured phase in dimension d, its domain checked once on each
+    (n, d) array of `points` it will be evaluated on (a sphere chart's cap
+    must hold them all)."""
+    kind = read_key(cfg, "phase")
     params = {}
     if kind == "scaled_euclidean":
-        params["factor"] = cfg_float(cfg, "phase_factor", 3.0)
+        params["factor"] = read_key(cfg, "phase_factor")
     if kind == "sphere_geodesic_chart":
-        params["cap_radius"] = cfg_float(cfg, "cap_radius", 0.75)
-    return phase_function(kind, d, **params)
+        params["cap_radius"] = read_key(cfg, "cap_radius")
+    phi = phase_function(kind, d, **params)
+    for p in points:
+        phi.check_domain(p, p)
+    return phi
 
 
 def build_generator(cfg, seed: int, target_dim: float | None = None):
     """(CellFractal | None, FrostmanMeasure) per the generator spec in the config."""
-    d = cfg_int(cfg, "d", 2)
-    level = cfg_int(cfg, "level", 5)
-    family = cfg_str(cfg, "generator", "product_cantor")
-    mode = cfg_str(cfg, "measure_mode", "atoms")
+    d = read_key(cfg, "d")
+    family = read_key(cfg, "generator")
     if family == "circle":
-        return None, circle_measure(cfg_count(cfg, "n_atoms", 512),
-                                    radius=cfg_float(cfg, "radius", 0.25))
+        return None, circle_measure(read_key(cfg, "n_atoms"), radius=read_key(cfg, "radius"))
     if family == "uniform":
-        return None, uniform_grid_measure(d, cfg_count(cfg, "per_side", 32),
-                                          cfg_float(cfg, "box_lo", 0.0),
-                                          cfg_float(cfg, "box_hi", 1.0))
+        return None, uniform_grid_measure(d, read_key(cfg, "per_side"),
+                                          read_key(cfg, "box_lo"), read_key(cfg, "box_hi"))
+    level, mode = read_key(cfg, "level"), read_key(cfg, "measure_mode")
     if family == "product_cantor":
         if target_dim is None and "ratio_a" in cfg:
-            a = cfg_float(cfg, "ratio_a")
+            a = read_key(cfg, "ratio_a")
         else:
-            dim = target_dim if target_dim is not None else cfg_float(cfg, "target_dim")
-            if not dim > 0:
-                key = "target_dim" if target_dim is None else "dims"
-                raise ConfigError(f"config key {key!r} must be > 0, got {dim}")
+            dim = target_dim if target_dim is not None else read_key(cfg, "target_dim")
             if dim >= d:
                 frac = build_subdivision_fractal(d, 2, 2 ** d, level, seed)
                 return frac, natural_measure(frac, mode)
             a = 2.0 ** (-d / dim)
         frac = build_product_cantor(d, a, level)
-    elif family == "subdivision":
-        frac = build_subdivision_fractal(d, cfg_int(cfg, "base_b", 2),
-                                         cfg_int(cfg, "keep_m", 3), level, seed)
-    else:
-        raise ConfigError(f"unknown generator {family!r}")
+    else:   # subdivision
+        frac = build_subdivision_fractal(d, read_key(cfg, "base_b"),
+                                         read_key(cfg, "keep_m"), level, seed)
     return frac, natural_measure(frac, mode)
 
 
 def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
     """(lam, beta, t_nodes) of an integrated hinge count: the uniform pin
     measure on lam_points, and the plateau beta over the range of the
-    observed `gaps` with `hinge_t_nodes` (>= 2) t-nodes reaching 0.05 past it."""
-    n_t = cfg_count(cfg, "hinge_t_nodes", 96, 2)
+    observed `gaps` with `hinge_t_nodes` t-nodes reaching 0.05 past it."""
+    n_t = read_key(cfg, "hinge_t_nodes")
     lam = FrostmanMeasure(lam_points, np.full(len(lam_points), 1.0 / len(lam_points)),
                           exponent_s=mu.exponent_s)
     t_lo, t_hi = float(np.min(gaps)), float(np.max(gaps))
@@ -175,16 +239,11 @@ def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
 
 def draw_pins(cfg, mu: FrostmanMeasure, seed: int, count: int):
     """Pin set per policy: distinct weight-biased atoms of mu, or a fixed point."""
-    if count < 1:
-        raise ConfigError(f"config key 'pins' must be >= 1, got {count}")
-    policy = cfg_str(cfg, "pin_policy", "mu")
-    if policy == "fixed":
-        coords = cfg_floats(cfg, "pin")
+    if read_key(cfg, "pin_policy") == "fixed":
+        coords = read_key(cfg, "pin")
         if len(coords) != mu.d:
             raise ConfigError(f"config key 'pin' needs d = {mu.d} coordinates, got {len(coords)}")
         return np.tile(np.asarray(coords, float), (count, 1))
-    if policy != "mu":
-        raise ConfigError(f"unknown pin_policy {policy!r}")
     rng = rng_for(seed, 9)
     count = min(count, len(mu))
     idx = rng.choice(len(mu), size=count, replace=False, p=mu.weights)
@@ -241,23 +300,18 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     then pin.  Verdicts classify the median-over-pins cs trajectory.  Module
     errors abort the affected cell only.
     """
-    seed = cfg_int(cfg, "seed", 0) if seed is None else seed
-    d = cfg_int(cfg, "d", 2)
-    dims = cfg_floats(cfg, "dims", [1.0, 1.6, 1.8])
-    if len(dims) < 2:
-        raise ConfigError("sweep needs >= 2 target dims")
-    eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7])
+    seed = read_key(cfg, "seed") if seed is None else seed
+    d = read_key(cfg, "d")
+    dims = read_key(cfg, "dims")
+    eps_list = read_key(cfg, "epsilons", "2^-4 2^-5 2^-6 2^-7")
     if len(eps_list) < 2:
-        raise ConfigError("sweep needs >= 2 epsilon values")
-    n_pins = cfg_int(cfg, "pins", 12)
-    mc_samples = cfg_count(cfg, "mc_samples", 0, 0)
-    stable_tol = cfg_float(cfg, "stable_tol", 0.2)
-    shrink_total = cfg_float(cfg, "shrink_total", 0.3)
-    shrink_mode = cfg_str(cfg, "shrink_mode", "cumulative")
-    hinge_pins = cfg_int(cfg, "hinge_pins", 48)
-    if hinge_pins < 1:
-        raise ConfigError("sweep needs hinge_pins >= 1")
-    step_div = cfg_count(cfg, "t_step_divisor", 16)
+        raise ConfigError(f"config key 'epsilons' needs at least 2 values in a sweep, "
+                          f"got {len(eps_list)}")
+    n_pins = read_key(cfg, "pins", "12")
+    mc_samples = read_key(cfg, "mc_samples")
+    rule = [read_key(cfg, k) for k in ("stable_tol", "shrink_total", "shrink_mode")]
+    hinge_pins = read_key(cfg, "hinge_pins")
+    step_div = read_key(cfg, "t_step_divisor")
 
     report = SweepReport()
     threshold = (d + 1) / 2.0
@@ -268,8 +322,8 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
             "exceptional_bound": d + 1 - dim,
         }
         frac, mu = build_generator(cfg, seed, target_dim=dim)
-        phi = build_phase(cfg, d)
         pins = draw_pins(cfg, mu, seed, n_pins)
+        phi = build_phase(cfg, d, pins, mu.points)
         ref_vals = np.asarray(phi.value(pins[:, None, :], mu.points[None, :, :]))
 
         def one(pin_i, _mu=mu, _phi=phi, _ref=ref_vals, _dim=dim):
@@ -323,8 +377,7 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
         if any(math.isnan(s) for s in series):
             report.verdicts[dim] = "ERROR"
         else:
-            report.verdicts[dim] = verdict_from_series(series, stable_tol,
-                                                       shrink_total, shrink_mode)
+            report.verdicts[dim] = verdict_from_series(series, *rule)
     return report
 
 
@@ -346,17 +399,17 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     draws its Monte Carlo sample once and deposits it at every epsilon; the
     rows come out by epsilon, then pin, whatever `jobs` is.
     """
-    seed = cfg_int(cfg, "seed", 0) if seed is None else seed
-    n_pins = cfg_int(cfg, "pins", 50)
+    seed = read_key(cfg, "seed") if seed is None else seed
+    n_pins = read_key(cfg, "pins", "50")
     if n_pins < 50:
-        raise ConfigError("exceptional_probe needs >= 50 pins")
-    floor = cfg_float(cfg, "floor", 0.05)
-    eps_list = cfg_floats(cfg, "epsilons", [2.0 ** -4, 2.0 ** -5, 2.0 ** -6])
-    mc_samples = cfg_count(cfg, "mc_samples", 0, 0)
+        raise ConfigError(f"config key 'pins' must be at least 50 in a probe, got {n_pins}")
+    floor = read_key(cfg, "floor")
+    eps_list = read_key(cfg, "epsilons", "2^-4 2^-5 2^-6")
+    mc_samples = read_key(cfg, "mc_samples")
 
     frac, mu = build_generator(cfg, seed)
-    phi = build_phase(cfg, mu.d)
     pins = draw_pins(cfg, mu, seed, n_pins)
+    phi = build_phase(cfg, mu.d, pins, mu.points)
     report = ProbeReport(floor=floor)
     below = np.zeros(len(pins), dtype=int)
 

@@ -187,10 +187,12 @@ def _probe_frostman_constant(mu: FrostmanMeasure, f: CellFractal) -> float:
     return best
 
 
-def uniform_grid_measure(d: int, per_side: int, lo: float = 0.0, hi: float = 1.0) -> FrostmanMeasure:
-    """Lebesgue atoms: per_side^d equal-weight cell centers tiling [lo, hi]^d."""
-    side = (hi - lo) / per_side
-    axis = lo + (np.arange(per_side) + 0.5) * side
+def uniform_grid_measure(d: int, per_side: int, box_lo=0.0, box_hi=1.0) -> FrostmanMeasure:
+    """Lebesgue atoms: per_side^d equal-weight cell centers tiling [box_lo, box_hi]^d."""
+    if not box_lo < box_hi:
+        raise DomainError(f"need box_lo < box_hi, got {box_lo} and {box_hi}")
+    side = (box_hi - box_lo) / per_side
+    axis = box_lo + (np.arange(per_side) + 0.5) * side
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     w = np.full(len(pts), 1.0 / len(pts))

@@ -478,6 +478,7 @@ def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
     n = fields[0].shape[0]
     h = 1.0 / n
     pts = _square_grid(np.arange(n) * h)
+    phi.check_domain(pts, pts)
     any_complex = any(np.iscomplexobj(f) for f in fields)
     fmat = np.stack([f.ravel() for f in fields], axis=1)
     if not any_complex:
@@ -562,6 +563,7 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
     gn, gw = np.polynomial.legendre.leggauss(quad_n)
     nodes, wts = 0.5 + 0.5 * gn, 0.5 * gw
     pts = _square_grid(nodes)
+    phi.check_domain(pts, pts)
     w2 = np.outer(wts, wts).ravel()
     keep_x = keep_y = slice(None)
     if psi is not None:

@@ -231,7 +231,7 @@ class SphereGeodesicChart(PhaseFunction):
         for p in (x, y):
             q = np.asarray(p, float) - 0.5
             if np.any(np.sqrt((q ** 2).sum(axis=-1)) > self.cap_radius + 1e-12):
-                raise DomainError(f"point outside the chart cap radius {self.cap_radius}")
+                raise DomainError(f"point outside the chart cap: cap_radius {self.cap_radius}")
 
     @staticmethod
     def _embed(p):

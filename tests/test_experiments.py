@@ -1,12 +1,15 @@
-import glob
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinlab
 
@@ -15,9 +18,8 @@ from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
                     support_measure, verdict_from_series)
 from pinlab import experiments
 from pinlab.cli import main as cli_main
-from pinlab.experiments import (build_generator, build_phase, cfg_float,
-                                cfg_floats, cfg_int, draw_pins,
-                                exceptional_probe, parse_config_text,
+from pinlab.experiments import (KEYS, build_generator, build_phase, draw_pins,
+                                exceptional_probe, parse_config_text, read_key,
                                 sweep_threshold)
 
 
@@ -30,16 +32,16 @@ epsilons = 2^-3 2^-4
 ratio_a = 0.25
 """)
     assert cfg["phase"] == "euclidean"
-    assert cfg_int(cfg, "level") == 5
-    assert cfg_floats(cfg, "epsilons") == [0.125, 0.0625]
-    assert cfg_float(cfg, "ratio_a") == 0.25
-    assert cfg_float(cfg, "missing", 1.5) == 1.5
+    assert read_key(cfg, "level") == 5
+    assert read_key(cfg, "epsilons") == [0.125, 0.0625]
+    assert read_key(cfg, "ratio_a") == 0.25
+    assert read_key(cfg, "target_dim", "1.5") == 1.5
     with pytest.raises(ConfigError):
-        cfg_float(cfg, "missing")
+        read_key(cfg, "target_dim")
     with pytest.raises(ConfigError):
         parse_config_text("just a line without equals")
     with pytest.raises(ConfigError):
-        cfg_int(parse_config_text("level = 2.5"), "level")
+        read_key(parse_config_text("level = 2.5"), "level")
 
 
 def test_verdict_rule_pure_function():
@@ -163,12 +165,12 @@ def test_sweep_rows_equal_per_pin_and_eps_densities(jobs, mc_samples):
     cfg = sweep_cfg(mc_samples=mc_samples)
     rep = sweep_threshold(cfg, jobs=jobs)
     want = []
-    for dim in cfg_floats(cfg, "dims"):
+    for dim in read_key(cfg, "dims"):
         _, mu = build_generator(cfg, 3, target_dim=dim)
         phi = build_phase(cfg, 2)
         pins = draw_pins(cfg, mu, 3, 4)
         ref = phi.value(pins[:, None, :], mu.points[None, :, :])
-        for eps in cfg_floats(cfg, "epsilons"):
+        for eps in read_key(cfg, "epsilons"):
             for pi, pin in enumerate(pins):
                 nu = pinned_density(mu, phi, pin, Mollifier(eps),
                                     t_grid=default_t_grid(ref, eps, 16),
@@ -219,7 +221,7 @@ def test_probe_rows_equal_per_pin_and_eps_densities(jobs, mc_samples):
              "support": support_measure(pinned_density(
                  mu, phi, pins[pi], Mollifier(eps), mc_samples=mc_samples,
                  seed=7 + 13 * pi))}
-            for eps in cfg_floats(cfg, "epsilons") for pi in range(len(pins))]
+            for eps in read_key(cfg, "epsilons") for pi in range(len(pins))]
     assert rep.rows == want
     assert len({r["support"] for r in rep.rows}) > 10
 
@@ -307,8 +309,9 @@ def test_cli_malformed_numbers_exit_2(tmp_path, capsys, command, body, message):
 
 @pytest.mark.parametrize("command, body, message", [
     ("hinge", "level = 4\ntarget_dim = 1.6\npins = 0\n",
-     "config error: config key 'pins' must be >= 1, got 0"),
-    ("sweep", "level = 4\nhinge_pins = 0\n", "config error: sweep needs hinge_pins >= 1"),
+     "config error: config key 'pins' must be an integer in [1, inf), got '0'"),
+    ("sweep", "level = 4\nhinge_pins = 0\n",
+     "config error: config key 'hinge_pins' must be an integer in [1, inf), got '0'"),
 ], ids=["hinge", "sweep"])
 def test_cli_zero_pins_exit_2(tmp_path, capsys, command, body, message):
     # both used to reach hinge_setup's 1 / len(pins) and exit 1 with a traceback
@@ -325,22 +328,19 @@ def test_cli_too_few_hinge_t_nodes_exit_2(tmp_path, capsys, command, n_t):
                     f"dims = 1.0 1.6\nepsilons = 2^-3 2^-4\nhinge_t_nodes = {n_t}\n")
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"config error: config key 'hinge_t_nodes' must be >= 2, got {n_t}\n")
+        f"config error: config key 'hinge_t_nodes' must be an integer in [2, inf), "
+        f"got '{n_t}'\n")
 
 
-@pytest.mark.parametrize("command, message", [
-    ("sweep", "config error: config key 'mc_samples' must be >= 0, got -5"),
-    ("probe", "config error: config key 'mc_samples' must be >= 0, got -5"),
-    ("chain", "config error: mc_samples must be >= 0, got -5"),
-    ("pinned", "config error: mc_samples must be >= 0, got -5"),
-], ids=["sweep", "probe", "chain", "pinned"])
-def test_cli_negative_mc_samples_exit_2(tmp_path, capsys, command, message):
+@pytest.mark.parametrize("command", ["sweep", "probe", "chain", "pinned"])
+def test_cli_negative_mc_samples_exit_2(tmp_path, capsys, command):
     # sweep and probe used to write ERROR rows and exit 0, chain to exit 1
     # with a traceback, pinned to exit 2 without naming the key
     cfg = write_cfg(tmp_path, "neg.cfg", "level = 3\ntarget_dim = 1.6\npins = 50\n"
                     "dims = 1.0 1.6\nmc_samples = -5\n")
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == ("config error: config key 'mc_samples' must be "
+                                       "an integer in [0, inf), got '-5'\n")
 
 
 @pytest.mark.parametrize("command, key", [("chain", "epsilon"), ("pinned", "epsilons")])
@@ -351,7 +351,7 @@ def test_cli_non_finite_epsilon_exit_2(tmp_path, capsys, command, key, value):
                     f"mc_samples = 0\n{key} = {value}\n")
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"config error: epsilon must be positive and finite, got {value}\n")
+        f"config error: config key {key!r} must be a number in (0, inf), got {value!r}\n")
 
 
 @pytest.mark.parametrize("divisor", [0, -2])
@@ -360,7 +360,8 @@ def test_cli_sweep_step_divisor_below_one_exit_2(tmp_path, capsys, divisor):
     cfg = write_cfg(tmp_path, "div.cfg", f"level = 3\nt_step_divisor = {divisor}\n")
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"config error: config key 't_step_divisor' must be >= 1, got {divisor}\n")
+        f"config error: config key 't_step_divisor' must be an integer in [1, inf), "
+        f"got '{divisor}'\n")
 
 
 def test_cli_probe_jobs_invariance(tmp_path):
@@ -382,11 +383,11 @@ def test_cli_probe_jobs_invariance(tmp_path):
 
 @pytest.mark.parametrize("body, message", [
     (COUNT_CFG.replace("epsilons = 2^-3", "epsilons = 0"),
-     "config error: need eps > 0 and samples >= 0, got eps=0.0, samples=0"),
+     "config error: config key 'epsilons' must be a number in (0, inf), got '0'"),
     (COUNT_CFG.replace("epsilons = 2^-3", "epsilons = -0.1"),
-     "config error: need eps > 0 and samples >= 0, got eps=-0.1, samples=0"),
+     "config error: config key 'epsilons' must be a number in (0, inf), got '-0.1'"),
     (COUNT_CFG + "mc_samples = -5\n",
-     "config error: need eps > 0 and samples >= 0, got eps=0.125, samples=-5"),
+     "config error: config key 'mc_samples' must be an integer in [0, inf), got '-5'"),
 ], ids=["eps_zero", "eps_negative", "samples_negative"])
 def test_cli_config_count_bad_eps_or_samples_exit_2(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, "bad.cfg", body)
@@ -396,8 +397,9 @@ def test_cli_config_count_bad_eps_or_samples_exit_2(tmp_path, capsys, body, mess
 
 @pytest.mark.parametrize("key, message", [
     ("energy_side_n = 8",
-     "config error: side_n 8 gives fewer than two shells; need side_n >= 16"),
-    ("segment_atoms = 0", "config error: need n_atoms >= 1, got 0"),
+     "config error: config key 'energy_side_n' must be an integer in [16, inf), got '8'"),
+    ("segment_atoms = 0",
+     "config error: config key 'segment_atoms' must be an integer in [1, inf), got '0'"),
 ], ids=["side_n_one_shell", "no_atoms"])
 def test_cli_fourier_bad_energy_input_exit_2(tmp_path, capsys, key, message):
     cfg = write_cfg(tmp_path, "bad.cfg", f"which = energy\n{key}\n")
@@ -407,12 +409,13 @@ def test_cli_fourier_bad_energy_input_exit_2(tmp_path, capsys, key, message):
 
 @pytest.mark.parametrize("body, message", [
     ("which = decay\ndecay_side_n_d2 = 8\n",
-     "config error: side_n 8 gives fewer than two shells; need side_n >= 16"),
+     "config error: config key 'decay_side_n_d2' must be an integer in [16, inf), got '8'"),
     ("which = decay\ndecay_side_n_d3 = 15\n",
-     "config error: side_n 15 gives fewer than two shells; need side_n >= 16"),
+     "config error: config key 'decay_side_n_d3' must be an integer in [16, inf), got '15'"),
     ("which = radon\nn_fields = 0\n",
-     "config error: radon_apply_stack needs at least one field"),
-    ("which = radon\nradon_side_n = 0\n", "config error: side_n must be >= 1, got 0"),
+     "config error: config key 'n_fields' must be an integer in [1, inf), got '0'"),
+    ("which = radon\nradon_side_n = 0\n",
+     "config error: config key 'radon_side_n' must be an integer in [1, inf), got '0'"),
 ], ids=["decay_d2", "decay_d3", "no_fields", "radon_side_zero"])
 def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
     # each used to end in a traceback with exit 1: np.polyfit's TypeError or
@@ -423,13 +426,18 @@ def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
 
 
 @pytest.mark.parametrize("command, body, message", [
-    ("gen", "level = 3\ntarget_dim = 0\n", "config key 'target_dim' must be > 0, got 0.0"),
-    ("sweep", "level = 3\ndims = 0 1.6\n", "config key 'dims' must be > 0, got 0.0"),
-    ("gen", "generator = circle\nn_atoms = 0\n", "config key 'n_atoms' must be >= 1, got 0"),
+    ("gen", "level = 3\ntarget_dim = 0\n",
+     "config key 'target_dim' must be a number in (0, inf), got '0'"),
+    ("sweep", "level = 3\ndims = 0 1.6\n",
+     "config key 'dims' must be a number in (0, inf), got '0'"),
+    ("gen", "generator = circle\nn_atoms = 0\n",
+     "config key 'n_atoms' must be an integer in [1, inf), got '0'"),
     ("gen", "generator = uniform\nper_side = 0\n",
-     "config key 'per_side' must be >= 1, got 0"),
-    ("fourier", "which = lp\nlp_side_n = 0\n", "config key 'lp_side_n' must be >= 2, got 0"),
-    ("fourier", "which = lp\nj_max = -1\n", "config key 'j_max' must be >= 0, got -1"),
+     "config key 'per_side' must be an integer in [1, inf), got '0'"),
+    ("fourier", "which = lp\nlp_side_n = 0\n",
+     "config key 'lp_side_n' must be an integer in [2, inf), got '0'"),
+    ("fourier", "which = lp\nj_max = -1\n",
+     "config key 'j_max' must be an integer in [0, inf), got '-1'"),
 ], ids=["target_dim", "dims", "n_atoms", "per_side", "lp_side_n", "j_max"])
 def test_cli_zero_sizes_exit_2(tmp_path, capsys, command, body, message):
     # the first five used to end in a traceback with exit 1 (four
@@ -445,8 +453,8 @@ def test_cli_fourier_unknown_part_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "typo.cfg", "which = energi lp osc-typo\n")
     out = tmp_path / "o"
     assert cli_main(["fourier", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("config error: config key 'which' has unknown parts "
-                                       "energi osc-typo; choose from lp decay energy radon osc\n")
+    assert capsys.readouterr().err == ("config error: config key 'which' must be one of "
+                                       "lp decay energy radon osc, got 'energi'\n")
     assert os.listdir(out) == []
 
 
@@ -465,7 +473,8 @@ def test_cli_fourier_osc_bad_quad_n_exit_2(tmp_path, capsys):
     # quad_n = 0 used to escape as a numpy ValueError traceback with exit 1
     cfg = write_cfg(tmp_path, "bad.cfg", "which = osc\nquad_n = 0\n")
     assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "config error: quad_n must be an integer in 1..64, got 0\n"
+    assert capsys.readouterr().err == ("config error: config key 'quad_n' must be an "
+                                       "integer in [1, 64], got '0'\n")
 
 
 def test_cli_fourier_osc_deterministic(tmp_path):
@@ -503,10 +512,10 @@ def test_cli_chain_over_grid_budget_exit_3(tmp_path, capsys):
 def test_config_number_edge_cases():
     for bad in ("2^x", "-2^0.5", "0^-1", "10^400", "1.5.2"):
         with pytest.raises(ConfigError):
-            cfg_float({"v": bad}, "v")
+            read_key({"box_lo": bad}, "box_lo")
     with pytest.raises(ConfigError):
-        cfg_int({"seed": "nan"}, "seed")
-    assert cfg_floats({"e": "2^-2, 0.5"}, "e") == [0.25, 0.5]
+        read_key({"seed": "nan"}, "seed")
+    assert read_key({"epsilons": "2^-2, 0.5"}, "epsilons") == [0.25, 0.5]
 
 
 def test_cli_regression_freeze_and_mismatch(tmp_path):
@@ -638,21 +647,143 @@ seed = 4
     assert summary["mass"] == pytest.approx(1.0, abs=max(3 * summary["mass_stderr"], 5e-3))
 
 
-def test_readme_documents_every_config_key():
-    """Every key the package reads through a cfg_* accessor has a row in the
-    README's key table."""
+def test_readme_key_table_is_keys():
+    """The README's key table has one row per KEYS entry and no other, each
+    giving the entry's kind and domain, and its default where it has one."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    source = ""
-    for path in glob.glob(os.path.join(root, "src", "pinlab", "*.py")):
-        with open(path) as fh:
-            source += fh.read()
-    keys = set(re.findall(r'cfg_\w+\(cfg,\s*f?"([^"]+)"', source))
-    keys.remove("decay_side_n_d{d}")
-    keys |= {"decay_side_n_d2", "decay_side_n_d3"}
-    assert len(keys) > 40 and "hinge_t_nodes" in keys
     with open(os.path.join(root, "README.md")) as fh:
-        readme = fh.read()
-    assert sorted(k for k in keys if f"`{k}`" not in readme) == []
+        rows = [[c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+                for line in fh if line.startswith("| `")]
+    rows = [r for r in rows if len(r) == 6]
+    table = {r[0].strip("`"): r for r in rows}
+    assert len(table) == len(rows) and sorted(table) == sorted(KEYS)
+    for key, (_, _, kind, domain, default, _) in table.items():
+        row = KEYS[key]
+        least = f", at least {row.least} values" if row.least > 1 else ""
+        assert (kind, domain) == (row.kind, f"`{row.domain}`{least}"), key
+        assert row.default is None or default == f"`{row.default}`", key
+
+
+def _bounds(row):
+    lo, hi = (experiments.parse_number(end, "end") for end in row.domain[1:-1].split(","))
+    return lo, hi, row.domain[0] == "(", row.domain[-1] == ")"
+
+
+NUMERIC_KEYS = sorted(k for k, row in KEYS.items() if row.kind in ("int", "float", "numbers"))
+
+
+def _text(row, token):
+    """Config text holding `token`, padded with the default's first values
+    when the list needs more than one."""
+    return " ".join([token] + (row.default or "").split()[:row.least - 1])
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_key_value_inside_domain_comes_back_unchanged(key, data):
+    row = KEYS[key]
+    lo, hi, open_lo, open_hi = _bounds(row)
+    if row.kind == "int":
+        val = data.draw(st.integers(int(max(lo, -1e9)), int(min(hi, 1e9))))
+        token = str(val)
+    else:
+        val = data.draw(st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi,
+                                  allow_nan=False, allow_infinity=False))
+        token = repr(val)
+    got = read_key({key: _text(row, token)}, key)
+    assert (got[0] if row.kind == "numbers" else got) == val
+    assert type(val) is type(got[0] if row.kind == "numbers" else got)
+
+
+def _outside(row):
+    """NaN, both infinities and the nearest value past each finite bound."""
+    lo, hi, open_lo, open_hi = _bounds(row)
+
+    def past(end, way):
+        return end + way if row.kind == "int" else float(np.nextafter(end, way * math.inf))
+
+    out = [math.nan, math.inf, -math.inf]
+    if math.isfinite(lo):
+        out.append(lo if open_lo else past(lo, -1))
+    if math.isfinite(hi):
+        out.append(hi if open_hi else past(hi, 1))
+    return out
+
+
+@pytest.mark.parametrize("key, val", [(k, v) for k in NUMERIC_KEYS for v in _outside(KEYS[k])])
+def test_key_value_outside_domain_is_a_config_error_naming_it(key, val):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        read_key({key: _text(KEYS[key], repr(float(val)))}, key)
+
+
+@pytest.mark.parametrize("command, body, argv, key", [
+    ("pinned", "phase = scaled_euclidean\nphase_factor = nan\n", [], "phase_factor"),
+    ("pinned", "mc_samples = 64\nseed = -1\n", [], "seed"),
+    ("pinned", "mc_samples = 64\n", ["--seed", "-1"], "seed"),
+    ("hinge", "regression_rtol = nan\n", [], "regression_rtol"),
+    ("probe", "pins = 50\nfloor = nan\n", [], "floor"),
+    ("sweep", "stable_tol = nan\n", [], "stable_tol"),
+    ("sweep", "shrink_total = 5\n", [], "shrink_total"),
+    ("hinge", "t = nan\n", [], "t"),
+    ("fourier", "which = radon\nradon_band = -1\n", [], "radon_band"),
+    ("fourier", "which = radon\nt = nan\n", [], "t"),
+    ("sweep", "epsilons = 2^-3 -0.0625\n", [], "epsilons"),
+    ("pinned", "mc_sample = 64\n", [], "mc_sample"),
+    ("config-count", COUNT_CFG + "lift = 2\n", [], "lift"),
+    ("sweep", "d = -1\n", [], "d"),
+    ("pinned", "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
+    ("fourier", "which = osc\nquad_n = 8\nphase = sphere_geodesic_chart\n"
+     "cap_radius = 0.1\n", [], "cap_radius"),
+    ("fourier", "which = radon\nradon_side_n = 16\nepsilons = 2^-3\n"
+     "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
+    ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\nbox_hi = 0\n", [], "box_hi"),
+], ids=["phase_factor_nan", "seed_key", "seed_flag", "rtol_nan", "floor_nan",
+        "stable_tol_nan", "shrink_total_5", "hinge_t_nan", "radon_band", "radon_t_nan",
+        "negative_eps", "typo", "lift_2", "d_negative", "cap_measure", "cap_osc",
+        "cap_radon", "box"])
+def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, body,
+                                                     argv, key):
+    # each used to exit 0, exit 1 with a traceback, or exit 2 without the key
+    cfg = write_cfg(tmp_path, "bad.cfg", "level = 3\ntarget_dim = 1.6\n" + body)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{key}\b", err), err
+
+
+def test_cli_pinned_draws_each_pins_sample_once(tmp_path):
+    # one sample_points call per pin, not per (pin, eps); the CSVs are those
+    # of one pinned_density call per (pin, eps) drawing its own sample
+    cfg = write_cfg(tmp_path, "p.cfg", PINNED_CFG + "mc_samples = 300\nwrite_densities = all\n")
+    draws = []
+    sample = pinlab.pinned.sample_points
+
+    def spy(mu, count, seed):
+        draws.append(seed)
+        return sample(mu, count, seed)
+
+    out = tmp_path / "o"
+    with mock.patch.object(pinlab.pinned, "sample_points", spy):
+        assert cli_main(["pinned", "--config", cfg, "--out", str(out)]) == 0
+    assert draws == [11, 28, 45]
+    cfg = experiments.load_config(cfg)
+    _, mu = build_generator(cfg, 11)
+    pins = draw_pins(cfg, mu, 11, 3)
+    want, rows = tmp_path / "want.csv", []
+    for pi, pin in enumerate(pins):
+        for ei, eps in enumerate([2.0 ** -4, 2.0 ** -5]):
+            nu = pinned_density(mu, build_phase(cfg, 2), pin, Mollifier(eps),
+                                mc_samples=300, seed=11 + 17 * pi)
+            rows.append([pi, eps, density_mass(nu), cs_lower_bound(nu),
+                         support_measure(nu), nu.mass_stderr])
+            experiments.write_csv(want, ["t", "value", "stderr"],
+                                  [[float(t), float(v), float(s)] for t, v, s in
+                                   zip(nu.t_grid, nu.values, nu.stderr)])
+            assert (out / f"density_pin{pi}_eps{ei}.csv").read_bytes() == want.read_bytes()
+    experiments.write_csv(want, ["pin", "eps", "mass", "cs_lower_bound", "support",
+                                 "mass_stderr"], rows)
+    assert (out / "pinned_summary.csv").read_bytes() == want.read_bytes()
 
 
 def test_cli_run_loads_no_heavy_scipy_module(tmp_path):

@@ -158,6 +158,14 @@ def test_frostman_fit_degenerate_scales():
         frostman_exponent_fit(mu, [0.1, 0.1, 0.1], probes=4, seed=0)
 
 
+@pytest.mark.parametrize("box_lo, box_hi", [(1.0, 0.0), (0.5, 0.5)])
+def test_uniform_grid_needs_box_lo_below_box_hi(box_lo, box_hi):
+    # box_hi < box_lo used to mirror the atoms, box_hi = box_lo to stack them
+    with pytest.raises(DomainError, match="box_lo < box_hi"):
+        uniform_grid_measure(2, 4, box_lo, box_hi)
+    assert np.array_equal(uniform_grid_measure(1, 2, 0.25, 0.75).points[:, 0], [0.375, 0.625])
+
+
 def test_box_dimension_exact():
     assert box_dimension_estimate(build_product_cantor(2, 1 / 3, 4)) == pytest.approx(
         2 * np.log(2) / np.log(3), abs=1e-9)
