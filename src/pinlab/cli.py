@@ -18,9 +18,9 @@ from .configs import (EdgeMap, config_count, hinge_count,
                       save_edge_map)
 from .errors import (BudgetError, ConfigError, DomainError, PinlabError,
                      RegressionMismatch)
-from .experiments import (build_generator, build_phase, draw_pins,
-                          exceptional_probe, hinge_setup, load_config,
-                          parse_number, read_key, regression_check,
+from .experiments import (build_generator, build_phase, exceptional_probe,
+                          hinge_setup, load_config, parse_number, pin_table,
+                          pinned_setup, read_key, regression_check,
                           sweep_threshold, write_csv, write_json,
                           write_manifest)
 from .fractals import save_cells, save_measure, segment_measure
@@ -29,7 +29,7 @@ from .harmonic import (LPPartition, energy_integral, freq_norms, oscillatory_G,
                        surface_measure_decay)
 from .phases import build_cutoffs
 from .pinned import (Mollifier, chain_density, cs_lower_bound, density_mass,
-                     monte_carlo_rows, pinned_density, support_measure)
+                     support_measure)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -95,22 +95,22 @@ def cmd_gen(cfg, seed, out, jobs):
 
 
 def cmd_pinned(cfg, seed, out, jobs):
-    frac, mu = build_generator(cfg, seed)
-    pins = draw_pins(cfg, mu, seed, read_key(cfg, "pins", "8"))
-    phi = build_phase(cfg, mu.d, pins, mu.points)
+    mu, pins, phi = pinned_setup(cfg, seed, read_key(cfg, "pins", "8"))
     eps_list = read_key(cfg, "epsilons", "2^-4 2^-5")
-    mc = read_key(cfg, "mc_samples")
+    table = pin_table(mu, pins, phi, eps_list,
+                      lambda nu: (nu, [density_mass(nu), cs_lower_bound(nu),
+                                       support_measure(nu), nu.mass_stderr]),
+                      read_key(cfg, "mc_samples"), seed, 17, jobs=jobs)
     which = read_key(cfg, "write_densities")
     rows = []
     names = ["pinned_summary.csv"]
-    for pi, pin in enumerate(pins):
-        # the pin's sample does not depend on eps: draw and group it once
-        sample = monte_carlo_rows(mu, mc, seed + 17 * pi) if mc else None
+    for pi in range(len(pins)):
         for ei, eps in enumerate(eps_list):
-            nu = pinned_density(mu, phi, pin, Mollifier(eps), mc_samples=mc,
-                                rows=sample)
-            rows.append([pi, eps, density_mass(nu), cs_lower_bound(nu),
-                         support_measure(nu), nu.mass_stderr])
+            val, exc = table[ei][pi]
+            if exc is not None:
+                raise exc
+            nu, summary = val
+            rows.append([pi, eps] + summary)
             if which == "all" or (which == "first" and pi == 0):
                 name = f"density_pin{pi}_eps{ei}.csv"
                 write_csv(os.path.join(out, name), ["t", "value", "stderr"],
@@ -123,9 +123,7 @@ def cmd_pinned(cfg, seed, out, jobs):
 
 
 def cmd_chain(cfg, seed, out, jobs):
-    frac, mu = build_generator(cfg, seed)
-    pins = draw_pins(cfg, mu, seed, 1)
-    phi = build_phase(cfg, mu.d, pins, mu.points)
+    mu, pins, phi = pinned_setup(cfg, seed, 1)
     k = read_key(cfg, "k")
     eps = read_key(cfg, "epsilon")
     nu = chain_density(mu, phi, pins[0], k, Mollifier(eps),
@@ -145,9 +143,7 @@ def cmd_chain(cfg, seed, out, jobs):
 
 
 def cmd_hinge(cfg, seed, out, jobs):
-    frac, mu = build_generator(cfg, seed)
-    lam_pins = draw_pins(cfg, mu, seed, read_key(cfg, "pins", "48"))
-    phi = build_phase(cfg, mu.d, lam_pins, mu.points)
+    mu, lam_pins, phi = pinned_setup(cfg, seed, read_key(cfg, "pins", "48"))
     eps_list = read_key(cfg, "epsilons", "2^-3 2^-4 2^-5")
     t_mid = read_key(cfg, "t")
     samples = read_key(cfg, "mc_samples")

@@ -190,6 +190,9 @@ def build_phase(cfg, d: int, *points):
     params = {}
     if kind == "scaled_euclidean":
         params["factor"] = read_key(cfg, "phase_factor")
+        if params["factor"] == 0:     # an interval cannot say "nonzero"
+            raise ConfigError(f"config key 'phase_factor' must be nonzero, "
+                              f"got {cfg['phase_factor']!r}")
     if kind == "sphere_geodesic_chart":
         params["cap_radius"] = read_key(cfg, "cap_radius")
     phi = phase_function(kind, d, **params)
@@ -250,6 +253,41 @@ def draw_pins(cfg, mu: FrostmanMeasure, seed: int, count: int):
     return mu.points[idx]
 
 
+def pinned_setup(cfg, seed: int, count: int, target_dim: float | None = None):
+    """(mu, pins, phi) of a pinned run: the configured measure, `count` pins
+    drawn from it per policy and the phase, its domain checked on both."""
+    _, mu = build_generator(cfg, seed, target_dim)
+    pins = draw_pins(cfg, mu, seed, count)
+    return mu, pins, build_phase(cfg, mu.d, pins, mu.points)
+
+
+def pin_table(mu, pins, phi, eps_list, measure, mc_samples: int, seed: int,
+              stride: int, grid=None, jobs: int = 1):
+    """Cells [eps index][pin index] of `(measure(nu), None)`, nu the pin's
+    pinned density at eps on `grid(eps)` (default: its own grid), or of
+    `(None, exc)` when a PinlabError aborts the cell.
+
+    One task per pin draws its Monte Carlo sample once, with seed
+    `seed + stride * pin`, and deposits it at every eps; the cells come out
+    the same whatever `jobs` is.
+    """
+    def one(pin_i):
+        rows = monte_carlo_rows(mu, mc_samples, seed + stride * pin_i) if mc_samples else None
+        out = []
+        for eps in eps_list:
+            try:
+                nu = pinned_density(mu, phi, pins[pin_i], Mollifier(eps),
+                                    t_grid=None if grid is None else grid(eps),
+                                    mc_samples=mc_samples, rows=rows)
+                out.append((measure(nu), None))
+            except PinlabError as exc:
+                out.append((None, exc))
+        return out
+
+    per_pin = parallel_map(one, range(len(pins)), jobs)
+    return [[cells[ei] for cells in per_pin] for ei in range(len(eps_list))]
+
+
 # -- verdict rule -------------------------------------------------------------
 
 def verdict_from_series(values, stable_tol: float = 0.2, shrink_total: float = 0.3,
@@ -295,10 +333,10 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     For every target dimension and pin: the cs lower bound and support of the
     mollified pinned density along the epsilon schedule; per (dim, eps) the
     pin-averaged L2 energy and the integrated hinge count, whose pins' gaps
-    are sorted once per dimension.  One task per pin draws its Monte Carlo
-    sample once and deposits it at every epsilon; rows come out by epsilon,
-    then pin.  Verdicts classify the median-over-pins cs trajectory.  Module
-    errors abort the affected cell only.
+    are sorted once per dimension.  Each dimension runs one `pin_table`;
+    rows come out by epsilon, then pin.  Verdicts classify the
+    median-over-pins cs trajectory.  Module errors abort the affected cell
+    only, and the energy averages the pins whose cell survived.
     """
     seed = read_key(cfg, "seed") if seed is None else seed
     d = read_key(cfg, "d")
@@ -321,44 +359,26 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
             "above_threshold": dim > threshold,
             "exceptional_bound": d + 1 - dim,
         }
-        frac, mu = build_generator(cfg, seed, target_dim=dim)
-        pins = draw_pins(cfg, mu, seed, n_pins)
-        phi = build_phase(cfg, d, pins, mu.points)
+        mu, pins, phi = pinned_setup(cfg, seed, n_pins, target_dim=dim)
         ref_vals = np.asarray(phi.value(pins[:, None, :], mu.points[None, :, :]))
-
-        def one(pin_i, _mu=mu, _phi=phi, _ref=ref_vals, _dim=dim):
-            # the pin's sample does not depend on eps: draw and group it once
-            rows = monte_carlo_rows(_mu, mc_samples, seed + 17 * pin_i) if mc_samples else None
-            out = []
-            for eps in eps_list:
-                try:
-                    grid = default_t_grid(_ref, eps, step_div)
-                    nu = pinned_density(_mu, _phi, pins[pin_i], Mollifier(eps),
-                                        t_grid=grid, mc_samples=mc_samples, rows=rows)
-                    out.append({"dim": _dim, "pin": pin_i, "eps": eps,
-                                "mass": density_mass(nu),
-                                "cs_lower_bound": cs_lower_bound(nu),
-                                "support": support_measure(nu),
-                                "density": nu, "error": ""})
-                except PinlabError as exc:
-                    out.append({"dim": _dim, "pin": pin_i, "eps": eps, "mass": math.nan,
-                                "cs_lower_bound": math.nan, "support": math.nan,
-                                "density": None, "error": str(exc)})
-            return out
-
-        per_pin = parallel_map(one, range(len(pins)), jobs)
-        cells = [c[ei] for ei in range(len(eps_list)) for c in per_pin]
-        for c in cells:
-            row = {k: c[k] for k in ("dim", "pin", "eps", "mass",
-                                     "cs_lower_bound", "support", "error")}
-            report.rows.append(row)
+        table = pin_table(mu, pins, phi, eps_list,
+                          lambda nu: (nu, density_mass(nu), cs_lower_bound(nu),
+                                      support_measure(nu)),
+                          mc_samples, seed, 17, jobs=jobs,
+                          grid=lambda eps: default_t_grid(ref_vals, eps, step_div))
 
         lam_idx = rng_for(seed, 10).choice(len(mu), size=min(hinge_pins, len(mu)),
                                            replace=False)
         lam, beta, t_nodes = hinge_setup(cfg, phi, mu, mu.points[lam_idx], ref_vals)
         lam_gaps = sort_gaps(lam, mu, phi)
-        for eps in eps_list:
-            dens = [c["density"] for c in cells if c["eps"] == eps and c["density"] is not None]
+        series = []
+        for eps, cells in zip(eps_list, table):
+            for pin_i, (val, exc) in enumerate(cells):
+                _, mass, cs, sup = val or (None, math.nan, math.nan, math.nan)
+                report.rows.append({"dim": dim, "pin": pin_i, "eps": eps, "mass": mass,
+                                    "cs_lower_bound": cs, "support": sup,
+                                    "error": str(exc or "")})
+            dens = [val[0] for val, _ in cells if val]
             energy = l2_energy(np.full(len(dens), 1.0 / len(dens)), dens) if dens else math.nan
             try:
                 hinge = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes,
@@ -367,13 +387,10 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
                 hinge = math.nan
             report.energy_rows.append({"dim": dim, "eps": eps,
                                        "l2_energy": energy, "hinge_integrated": hinge})
+            cs_vals = [val[2] for val, _ in cells if val and not math.isnan(val[2])]
+            series.append(np.median(cs_vals) if cs_vals else math.nan)
         del lam_gaps    # (pins x atoms) x 2: free it before the next dim's densities
 
-        series = []
-        for eps in eps_list:
-            vals = [c["cs_lower_bound"] for c in cells
-                    if c["eps"] == eps and not math.isnan(c["cs_lower_bound"])]
-            series.append(np.median(vals) if vals else math.nan)
         if any(math.isnan(s) for s in series):
             report.verdicts[dim] = "ERROR"
         else:
@@ -395,47 +412,30 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     """Empirical CDF of pinned-support estimates over many pins.
 
     Flags pins whose support estimate falls below the configured floor;
-    persistent pins stay below the floor at every epsilon.  One task per pin
-    draws its Monte Carlo sample once and deposits it at every epsilon; the
-    rows come out by epsilon, then pin, whatever `jobs` is.
+    persistent pins stay below the floor at every epsilon.  The rows are
+    those of one `pin_table`, by epsilon, then pin.
     """
     seed = read_key(cfg, "seed") if seed is None else seed
     n_pins = read_key(cfg, "pins", "50")
-    if n_pins < 50:
-        raise ConfigError(f"config key 'pins' must be at least 50 in a probe, got {n_pins}")
     floor = read_key(cfg, "floor")
     eps_list = read_key(cfg, "epsilons", "2^-4 2^-5 2^-6")
     mc_samples = read_key(cfg, "mc_samples")
 
-    frac, mu = build_generator(cfg, seed)
-    pins = draw_pins(cfg, mu, seed, n_pins)
-    phi = build_phase(cfg, mu.d, pins, mu.points)
+    mu, pins, phi = pinned_setup(cfg, seed, n_pins)
+    if len(pins) < 50:      # mu pins are distinct atoms: at most len(mu) of them
+        raise ConfigError(f"config key 'pins' gives {len(pins)} pins ({n_pins} asked, "
+                          f"{len(mu)} atoms); a probe needs at least 50")
+    table = pin_table(mu, pins, phi, eps_list, support_measure, mc_samples, seed, 13,
+                      jobs=jobs)
     report = ProbeReport(floor=floor)
     below = np.zeros(len(pins), dtype=int)
-
-    def one(pin_i):
-        # the pin's sample does not depend on eps: draw and group it once
-        rows = monte_carlo_rows(mu, mc_samples, seed + 13 * pin_i) if mc_samples else None
-        out = []
-        for eps in eps_list:
-            try:
-                nu = pinned_density(mu, phi, pins[pin_i], Mollifier(eps),
-                                    mc_samples=mc_samples, rows=rows)
-                out.append((support_measure(nu), ""))
-            except PinlabError as exc:
-                out.append((math.nan, str(exc)))
-        return out
-
-    per_pin = parallel_map(one, range(len(pins)), jobs)
-    for ei, eps in enumerate(eps_list):
-        for pin_i, cells in enumerate(per_pin):
-            sup, err = cells[ei]
-            report.rows.append({"eps": eps, "pin": pin_i, "support": sup, "error": err})
-    for eps in eps_list:
-        sups = np.array([r["support"] for r in report.rows if r["eps"] == eps])
-        flags = sups < floor
+    for eps, cells in zip(eps_list, table):
+        rows = [{"eps": eps, "pin": pin_i, "support": math.nan if exc else sup,
+                 "error": str(exc or "")} for pin_i, (sup, exc) in enumerate(cells)]
+        report.rows += rows
+        flags = np.array([r["support"] for r in rows]) < floor
         report.flagged_fraction[eps] = float(np.mean(flags))
-        below += flags.astype(int)
+        below += flags
     report.persistent_pins = [int(i) for i in np.nonzero(below == len(eps_list))[0]]
     return report
 

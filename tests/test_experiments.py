@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import pinlab
 
 from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
-                    default_t_grid, density_mass, pinned_density,
+                    default_t_grid, density_mass, l2_energy, pinned_density,
                     support_measure, verdict_from_series)
 from pinlab import experiments
 from pinlab.cli import main as cli_main
@@ -140,48 +141,6 @@ def test_sweep_sorts_hinge_gaps_once_per_dim_with_per_eps_values():
     assert [r["hinge_integrated"] for r in rep.energy_rows] == [c[2] for c in calls]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_draws_each_pins_sample_once(jobs):
-    # one sample_points call per (dim, pin), not per (dim, pin, eps)
-    cfg = sweep_cfg(mc_samples=300)
-    draws = []
-    sample = pinlab.pinned.sample_points
-
-    def spy(mu, count, seed):
-        draws.append((mu.points.tobytes(), count, seed))
-        return sample(mu, count, seed)
-
-    with mock.patch.object(pinlab.pinned, "sample_points", spy):
-        sweep_threshold(cfg, jobs=jobs)
-    assert len(draws) == len(set(draws)) == 2 * 4
-    assert sorted(seed for _, _, seed in draws) == sorted([3, 20, 37, 54] * 2)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("mc_samples", [0, 300])
-def test_sweep_rows_equal_per_pin_and_eps_densities(jobs, mc_samples):
-    # the rows are those of one pinned_density call per (pin, eps), drawing
-    # its own sample, in eps-then-pin order per dim
-    cfg = sweep_cfg(mc_samples=mc_samples)
-    rep = sweep_threshold(cfg, jobs=jobs)
-    want = []
-    for dim in read_key(cfg, "dims"):
-        _, mu = build_generator(cfg, 3, target_dim=dim)
-        phi = build_phase(cfg, 2)
-        pins = draw_pins(cfg, mu, 3, 4)
-        ref = phi.value(pins[:, None, :], mu.points[None, :, :])
-        for eps in read_key(cfg, "epsilons"):
-            for pi, pin in enumerate(pins):
-                nu = pinned_density(mu, phi, pin, Mollifier(eps),
-                                    t_grid=default_t_grid(ref, eps, 16),
-                                    mc_samples=mc_samples, seed=3 + 17 * pi)
-                want.append({"dim": dim, "pin": pi, "eps": eps, "mass": density_mass(nu),
-                             "cs_lower_bound": cs_lower_bound(nu),
-                             "support": support_measure(nu), "error": ""})
-    assert rep.rows == want
-    assert len({r["cs_lower_bound"] for r in rep.rows}) == len(want)
-
-
 def probe_cfg(**over):
     cfg = {"generator": "circle", "n_atoms": "256", "d": "2",
            "pin_policy": "fixed", "pin": "0.5 0.5", "pins": "50",
@@ -205,30 +164,15 @@ def test_probe_lebesgue_square_flags_nothing():
     assert rep.persistent_pins == []
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("mc_samples", [0, 300])
-def test_probe_rows_equal_per_pin_and_eps_densities(jobs, mc_samples):
-    # one task per pin draws its sample once; the rows are still those of
-    # one pinned_density call per (pin, eps), in eps-then-pin order
-    cfg = probe_cfg(generator="subdivision", base_b="2", keep_m="3", level="4",
-                    pin_policy="mu", epsilons="2^-4 2^-5 2^-6",
-                    mc_samples=mc_samples)
-    rep = exceptional_probe(cfg, seed=7, jobs=jobs)
-    _, mu = build_generator(cfg, 7)
-    phi = build_phase(cfg, mu.d)
-    pins = draw_pins(cfg, mu, 7, 50)
-    want = [{"eps": eps, "pin": pi, "error": "",
-             "support": support_measure(pinned_density(
-                 mu, phi, pins[pi], Mollifier(eps), mc_samples=mc_samples,
-                 seed=7 + 13 * pi))}
-            for eps in read_key(cfg, "epsilons") for pi in range(len(pins))]
-    assert rep.rows == want
-    assert len({r["support"] for r in rep.rows}) > 10
-
-
-def test_probe_needs_fifty_pins():
-    with pytest.raises(ConfigError):
-        exceptional_probe(probe_cfg(pins="10"))
+@pytest.mark.parametrize("over, message", [
+    ({"pins": "10"}, "gives 10 pins (10 asked, 256 atoms); a probe needs at least 50"),
+    # mu pins are distinct atoms: 60 asked of 20 atoms draws 20
+    ({"pins": "60", "n_atoms": "20", "pin_policy": "mu"},
+     "gives 20 pins (60 asked, 20 atoms); a probe needs at least 50"),
+], ids=["asked", "drawn"])
+def test_probe_needs_fifty_pins(over, message):
+    with pytest.raises(ConfigError, match=f"config key 'pins' {re.escape(message)}"):
+        exceptional_probe(probe_cfg(**over))
 
 
 def write_cfg(tmp_path, name, body):
@@ -364,21 +308,32 @@ def test_cli_sweep_step_divisor_below_one_exit_2(tmp_path, capsys, divisor):
         f"got '{divisor}'\n")
 
 
-def test_cli_probe_jobs_invariance(tmp_path):
-    # Monte Carlo atom draws, grouped per distinct atom, on a two-thread pool
-    cfg = write_cfg(tmp_path, "probe.cfg", "generator = subdivision\nbase_b = 2\n"
-                    "keep_m = 3\nlevel = 4\npins = 50\nepsilons = 2^-4 2^-5\n"
-                    "mc_samples = 512\n")
+SUBDIVISION_CFG = "generator = subdivision\nbase_b = 2\nkeep_m = 3\nlevel = 4\n"
+
+
+@pytest.mark.parametrize("command, body, rows_file, distinct", [
+    ("probe", SUBDIVISION_CFG + "pins = 50\nepsilons = 2^-4 2^-5\n", "probe_rows.csv", 10),
+    ("pinned", SUBDIVISION_CFG + "pins = 6\nepsilons = 2^-4 2^-5\nwrite_densities = all\n",
+     "pinned_summary.csv", 11),
+    ("sweep", "level = 4\ndims = 1.0 1.8\nepsilons = 2^-4 2^-5\npins = 4\n",
+     "sweep_rows.csv", 15),
+], ids=["probe", "pinned", "sweep"])
+def test_cli_pin_table_jobs_invariance(tmp_path, command, body, rows_file, distinct):
+    # Monte Carlo atom draws, grouped per distinct atom, on a two-thread pool:
+    # every CSV (each pinned density too) and the summary are byte-identical
+    cfg = write_cfg(tmp_path, "run.cfg", body + "mc_samples = 512\n")
     outs = []
     for jobs in ("1", "2"):
-        out = str(tmp_path / f"j{jobs}")
-        assert cli_main(["probe", "--config", cfg, "--out", out, "--jobs", jobs,
+        out = tmp_path / f"j{jobs}"
+        assert cli_main([command, "--config", cfg, "--out", str(out), "--jobs", jobs,
                          "--seed", "7"]) == 0
-        outs.append([open(os.path.join(out, name), "rb").read()
-                     for name in ("probe_rows.csv", "summary.json")])
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.name != "manifest.json"})
     assert outs[0] == outs[1]
-    supports = {line.split(b",")[2] for line in outs[0][0].splitlines()[1:]}
-    assert len(supports) > 10
+    assert (command == "pinned") == ("density_pin5_eps1.csv" in outs[0])
+    supports = {row["support"] for row in
+                csv.DictReader(outs[0][rows_file].decode().splitlines())}
+    assert len(supports) > distinct
 
 
 @pytest.mark.parametrize("body, message", [
@@ -719,10 +674,12 @@ def test_key_value_outside_domain_is_a_config_error_naming_it(key, val):
 
 @pytest.mark.parametrize("command, body, argv, key", [
     ("pinned", "phase = scaled_euclidean\nphase_factor = nan\n", [], "phase_factor"),
+    ("pinned", "phase = scaled_euclidean\nphase_factor = 0\n", [], "phase_factor"),
     ("pinned", "mc_samples = 64\nseed = -1\n", [], "seed"),
     ("pinned", "mc_samples = 64\n", ["--seed", "-1"], "seed"),
     ("hinge", "regression_rtol = nan\n", [], "regression_rtol"),
     ("probe", "pins = 50\nfloor = nan\n", [], "floor"),
+    ("probe", "generator = circle\nn_atoms = 20\npins = 60\n", [], "pins"),
     ("sweep", "stable_tol = nan\n", [], "stable_tol"),
     ("sweep", "shrink_total = 5\n", [], "shrink_total"),
     ("hinge", "t = nan\n", [], "t"),
@@ -738,10 +695,10 @@ def test_key_value_outside_domain_is_a_config_error_naming_it(key, val):
     ("fourier", "which = radon\nradon_side_n = 16\nepsilons = 2^-3\n"
      "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
     ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\nbox_hi = 0\n", [], "box_hi"),
-], ids=["phase_factor_nan", "seed_key", "seed_flag", "rtol_nan", "floor_nan",
-        "stable_tol_nan", "shrink_total_5", "hinge_t_nan", "radon_band", "radon_t_nan",
-        "negative_eps", "typo", "lift_2", "d_negative", "cap_measure", "cap_osc",
-        "cap_radon", "box"])
+], ids=["phase_factor_nan", "phase_factor_zero", "seed_key", "seed_flag", "rtol_nan",
+        "floor_nan", "probe_pins_capped", "stable_tol_nan", "shrink_total_5", "hinge_t_nan",
+        "radon_band", "radon_t_nan", "negative_eps", "typo", "lift_2", "d_negative",
+        "cap_measure", "cap_osc", "cap_radon", "box"])
 def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, body,
                                                      argv, key):
     # each used to exit 0, exit 1 with a traceback, or exit 2 without the key
@@ -752,10 +709,37 @@ def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, 
     assert re.search(rf"\b{key}\b", err), err
 
 
-def test_cli_pinned_draws_each_pins_sample_once(tmp_path):
-    # one sample_points call per pin, not per (pin, eps); the CSVs are those
-    # of one pinned_density call per (pin, eps) drawing its own sample
-    cfg = write_cfg(tmp_path, "p.cfg", PINNED_CFG + "mc_samples = 300\nwrite_densities = all\n")
+#: The three callers of `experiments.pin_table`: config text (seed included)
+#: and the Monte Carlo seed stride of each.
+TABLE_RUNS = {
+    "pinned": (PINNED_CFG + "write_densities = all\n", 17),
+    "sweep": ("d = 2\ndims = 1.0 1.8\nepsilons = 2^-3 2^-4 2^-5\nlevel = 4\npins = 4\n"
+              "seed = 3\n", 17),
+    "probe": (SUBDIVISION_CFG + "pins = 50\nepsilons = 2^-4 2^-5 2^-6\nseed = 7\n", 13),
+}
+
+
+def _table_setups(cfg):
+    """(dim, mu, pins, phi) per target dimension of a pin-table run, built
+    step by step; dim is None outside a sweep."""
+    seed = read_key(cfg, "seed")
+    for dim in read_key(cfg, "dims") if "dims" in cfg else [None]:
+        _, mu = build_generator(cfg, seed, target_dim=dim)
+        yield dim, mu, draw_pins(cfg, mu, seed, read_key(cfg, "pins")), build_phase(cfg, 2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mc_samples", [0, 300])
+@pytest.mark.parametrize("command", ["pinned", "sweep", "probe"])
+def test_pin_table_rows_are_one_density_per_pin_and_eps(tmp_path, command, mc_samples,
+                                                        jobs):
+    # one sample_points call per pin, seeded seed + stride * pin, not one per
+    # (pin, eps); yet every row, and every pinned density CSV, is that of one
+    # pinned_density call per (pin, eps) drawing its own sample
+    body, stride = TABLE_RUNS[command]
+    path = write_cfg(tmp_path, "t.cfg", body + f"mc_samples = {mc_samples}\n")
+    cfg = experiments.load_config(path)
+    seed = read_key(cfg, "seed")
     draws = []
     sample = pinlab.pinned.sample_points
 
@@ -765,25 +749,80 @@ def test_cli_pinned_draws_each_pins_sample_once(tmp_path):
 
     out = tmp_path / "o"
     with mock.patch.object(pinlab.pinned, "sample_points", spy):
-        assert cli_main(["pinned", "--config", cfg, "--out", str(out)]) == 0
-    assert draws == [11, 28, 45]
-    cfg = experiments.load_config(cfg)
-    _, mu = build_generator(cfg, 11)
-    pins = draw_pins(cfg, mu, 11, 3)
-    want, rows = tmp_path / "want.csv", []
-    for pi, pin in enumerate(pins):
-        for ei, eps in enumerate([2.0 ** -4, 2.0 ** -5]):
-            nu = pinned_density(mu, build_phase(cfg, 2), pin, Mollifier(eps),
-                                mc_samples=300, seed=11 + 17 * pi)
-            rows.append([pi, eps, density_mass(nu), cs_lower_bound(nu),
-                         support_measure(nu), nu.mass_stderr])
-            experiments.write_csv(want, ["t", "value", "stderr"],
-                                  [[float(t), float(v), float(s)] for t, v, s in
-                                   zip(nu.t_grid, nu.values, nu.stderr)])
-            assert (out / f"density_pin{pi}_eps{ei}.csv").read_bytes() == want.read_bytes()
-    experiments.write_csv(want, ["pin", "eps", "mass", "cs_lower_bound", "support",
-                                 "mass_stderr"], rows)
-    assert (out / "pinned_summary.csv").read_bytes() == want.read_bytes()
+        assert cli_main([command, "--config", path, "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+    rows, want_draws = [], []
+    for dim, mu, pins, phi in _table_setups(cfg):
+        ref = phi.value(pins[:, None, :], mu.points[None, :, :])
+        want_draws += [seed + stride * pi for pi in range(len(pins))] if mc_samples else []
+        for ei, eps in enumerate(read_key(cfg, "epsilons")):
+            for pi, pin in enumerate(pins):
+                grid = None if dim is None else default_t_grid(ref, eps, 16)
+                nu = pinned_density(mu, phi, pin, Mollifier(eps), t_grid=grid,
+                                    mc_samples=mc_samples, seed=seed + stride * pi)
+                mass, cs, sup = density_mass(nu), cs_lower_bound(nu), support_measure(nu)
+                rows.append({"pinned": [pi, eps, mass, cs, sup, nu.mass_stderr],
+                             "sweep": [dim, pi, eps, mass, cs, sup, ""],
+                             "probe": [eps, pi, sup, ""]}[command])
+                if command == "pinned":
+                    name = f"density_pin{pi}_eps{ei}.csv"
+                    experiments.write_csv(tmp_path / name, ["t", "value", "stderr"],
+                                          [[float(t), float(v), float(s)] for t, v, s in
+                                           zip(nu.t_grid, nu.values, nu.stderr)])
+                    assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert sorted(draws) == sorted(want_draws)
+    if command == "pinned":
+        rows.sort(key=lambda r: r[0])     # pin, then eps
+    name = {"pinned": "pinned_summary.csv", "sweep": "sweep_rows.csv",
+            "probe": "probe_rows.csv"}[command]
+    got = (out / name).read_text()
+    experiments.write_csv(tmp_path / name, got.splitlines()[0].split(","), rows)
+    assert got == (tmp_path / name).read_text()
+    # the rows differ from pin to pin: every cs bound, or > 10 probe supports
+    col, least = {"pinned": (3, len(rows)), "sweep": (4, len(rows)), "probe": (2, 11)}[command]
+    assert len({r[col] for r in rows}) >= least
+
+
+@pytest.mark.parametrize("command", ["pinned", "sweep", "probe"])
+def test_pin_table_failed_cell_stays_in_its_cell(tmp_path, capsys, command):
+    # pinned_density fails at (pin 1, first eps), the first failure by eps,
+    # and at (pin 0, second eps), the first by pin
+    path = write_cfg(tmp_path, "t.cfg", TABLE_RUNS[command][0])
+    cfg = experiments.load_config(path)
+    dim, mu, pins, phi = next(_table_setups(cfg))
+    eps_list = read_key(cfg, "epsilons")
+    bad = {(1, eps_list[0]): "no density at pin 1, eps 0",
+           (0, eps_list[1]): "no density at pin 0, eps 1"}
+    real = experiments.pinned_density
+
+    def failing(mu, phi, pin_x, mollifier, **kwargs):
+        for (pi, eps), message in bad.items():
+            if np.array_equal(pin_x, pins[pi]) and mollifier.epsilon == eps:
+                raise DomainError(message)
+        return real(mu, phi, pin_x, mollifier, **kwargs)
+
+    with mock.patch.object(experiments, "pinned_density", failing):
+        if command == "pinned":
+            assert cli_main([command, "--config", path, "--out", str(tmp_path / "o"),
+                             "--jobs", "2"]) == 2
+            assert capsys.readouterr().err == "config error: no density at pin 0, eps 1\n"
+            return
+        run = sweep_threshold if command == "sweep" else exceptional_probe
+        rep = run(cfg, jobs=2)
+    failed = {(r["pin"], r["eps"]): r for r in rep.rows
+              if r.get("dim", dim) == dim and r["error"]}
+    assert {k: r["error"] for k, r in failed.items()} == bad
+    assert all(math.isnan(r["support"]) for r in failed.values())
+    assert sum(1 for r in rep.rows if r["error"]) == 2
+    if command == "sweep":
+        # the energy at each failed eps averages the other pins' densities
+        ref = phi.value(pins[:, None, :], mu.points[None, :, :])
+        for (pi, eps) in bad:
+            dens = [pinned_density(mu, phi, pin, Mollifier(eps),
+                                   t_grid=default_t_grid(ref, eps, 16))
+                    for pj, pin in enumerate(pins) if pj != pi]
+            row, = (r for r in rep.energy_rows if (r["dim"], r["eps"]) == (dim, eps))
+            assert row["l2_energy"] == l2_energy(np.full(len(dens), 1.0 / len(dens)), dens)
 
 
 def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
