@@ -336,9 +336,15 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
     are sorted once per dimension.  Each dimension runs one `pin_table`;
     rows come out by epsilon, then pin.  Verdicts classify the
     median-over-pins cs trajectory.  Module errors abort the affected cell
-    only, and the energy averages the pins whose cell survived.
+    only, and the energy averages the pins whose cell survived.  Only the
+    product Cantor set is built on the target dimension, so any other
+    generator is a ConfigError.
     """
     seed = read_key(cfg, "seed") if seed is None else seed
+    family = read_key(cfg, "generator")
+    if family != "product_cantor":
+        raise ConfigError(f"config key 'generator' must be product_cantor in a sweep, "
+                          f"got {family!r}")
     d = read_key(cfg, "d")
     dims = read_key(cfg, "dims")
     eps_list = read_key(cfg, "epsilons", "2^-4 2^-5 2^-6 2^-7")

@@ -19,12 +19,16 @@ Pinned densities and Monte Carlo chains deposit through `_deposit`: the k
 window kernels multiply into one tensor block per batch of rows, scattered
 into the grid with `np.bincount`, so work and memory grow with rows x
 window^k, not rows x grid.  Exact chains contract link by link from the last
-(`_chain_exact`): each link's windowed kernels over the atom pairs (y, z)
-form one sparse (y, node) x z matrix per block of y rows, multiplied into
-the flat partial sums, so work grows with atoms^2 x window, not atoms^2 x
-axis length.  Either way every nonzero kernel value is the one a full
-(node x row) matrix would hold, and every blocked loop walks
-`rng.row_blocks`: a block holds at most `rng.BLOCK` entries, or one row.
+(`_chain_exact`), in numpy alone.  The last link, where the partial sum is
+1, is a pinned density from every atom, scattered with `np.bincount`; on a
+pair table symmetric to the bit it evaluates one triangle and adds each
+pair's window to the later row as well (`np.add.at`).  Each link before it
+scatters a block's windows into a dense (atom x (y, node)) kernel and takes
+one GEMM with the partial sums.  So kernel evaluations grow with atoms^2 x
+window (half that on a symmetric table), not atoms^2 x axis length.  Either
+way every nonzero kernel value is the one a full (node x row) matrix would
+hold, and every blocked loop walks `rng.row_blocks`: a block holds at most
+`rng.BLOCK` window entries, or one row.
 Monte Carlo mode deposits each distinct atom drawn once, weighted count /
 draws (`monte_carlo_rows`), so its work grows with min(draws, atoms);
 jittered draws and chains are one row each, and a caller that deposits one
@@ -353,9 +357,10 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
         raise DomainError(f"mc_samples must be >= 0, got {mc_samples}")
     pin = np.asarray(pin_x, float)
     eps = mollifier.epsilon
+    phi_aa = None
     if t_axes is None:
         phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
-        pair_lo, pair_hi = _pair_range(phi, mu)
+        pair_lo, pair_hi, phi_aa = _pair_range(phi, mu)
         lo = min(float(phi_pin.min()), pair_lo)
         hi = max(float(phi_pin.max()), pair_hi)
         axis = default_t_grid(np.array([lo, hi]), eps, step_divisor=4)
@@ -369,7 +374,7 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
         raise BudgetError(f"chain grid of {nodes} nodes exceeds budget {GRID_BUDGET}")
 
     if mc_samples == 0:
-        values = _chain_exact(mu, phi, pin, k, mollifier, t_axes)
+        values = _chain_exact(mu, phi, pin, k, mollifier, t_axes, phi_aa)
         stderr = np.zeros(values.shape)
         mass_se = 0.0
     else:
@@ -379,70 +384,102 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
 
 
 def _pair_range(phi, mu):
-    """(min, max) of phi over the pairs of every atom, or of every
-    (len // 1024)-th one beyond 1024 atoms."""
+    """(min, max, table) of phi over the pairs of every atom, or of every
+    (len // 1024)-th one beyond 1024 atoms; the table is returned when it
+    holds every atom (up to 2047 atoms), else None."""
     pts = mu.points if len(mu) <= 1024 else mu.points[:: len(mu) // 1024]
     m = pairwise_value(phi, pts, pts)
-    return float(m.min()), float(m.max())
+    return float(m.min()), float(m.max()), m if len(pts) == len(mu) else None
 
 
-def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
+def _chain_exact(mu, phi, pin, k, mollifier, t_axes, phi_aa=None) -> np.ndarray:
     """Exact chain values, contracted link by link from the last.
 
     g_k = 1 and g_{i-1}(y, t_i, ...) = sum_z w_z rho_eps(t_i - phi(y, z))
     g_i(z, ...), then the pin link contracts g_1 the same way with
-    phi(pin, z).  Each link's kernel is one sparse matrix per block of y
-    rows (`_window_kernels`), multiplied into the flat g; every block's
-    matrix is built in one pair of scratch arrays, sized for the largest
-    block of any link.
+    phi(pin, z).  The last link, where g = 1, is a pinned density from
+    every atom (`_last_link`); each link before it is one GEMM with g per
+    block of rows (`_outer_link`).  `phi_aa`, the (atom x atom) table of phi,
+    is computed here unless the caller already holds it.
     """
-    n = len(mu)
     w = mu.weights
     widths = [_window_width(ax, mollifier.support_radius) for ax in t_axes]
-    cap = max(min(n, block_rows(n * wd)) * n * wd for wd in widths)
-    # int32 indices when they fit, so that scipy neither scans nor copies them
-    itype = np.int32 if max(n * max(map(len, t_axes)), cap) < 2 ** 31 else np.int64
-    nodes, kern = np.empty(cap, itype), np.empty(cap)
-    g = np.ones((n, 1))
-    if k > 1:
-        phi_aa = pairwise_value(phi, mu.points, mu.points)
-    for ax, wd in zip(reversed(t_axes[1:]), reversed(widths[1:])):
-        out = np.empty((n, len(ax) * g.shape[1]))
-        for sl in row_blocks(n, n * wd):
-            links = _window_kernels(phi_aa[sl], w, ax, wd, mollifier, nodes, kern)
-            out[sl] = (links @ g).reshape(-1, out.shape[1])
-        g = out.reshape(n, -1)
-    phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
-    values = _window_kernels(phi_pin[None, :], w, t_axes[0], widths[0], mollifier,
-                             nodes, kern) @ g
+    phi_pin = np.asarray(phi.value(pin[None, :], mu.points))[None, :]
+    if k == 1:
+        values = _last_link(phi_pin, w, t_axes[0], widths[0], mollifier, False)
+    else:
+        if phi_aa is None:
+            phi_aa = pairwise_value(phi, mu.points, mu.points)
+        g = _last_link(phi_aa, w, t_axes[-1], widths[-1], mollifier,
+                       np.array_equal(phi_aa, phi_aa.T))
+        for ax, wd in zip(reversed(t_axes[1:-1]), reversed(widths[1:-1])):
+            g = _outer_link(phi_aa, w, ax, wd, mollifier, g)
+        values = _outer_link(phi_pin, w, t_axes[0], widths[0], mollifier, g)
     return values.reshape(tuple(len(ax) for ax in t_axes))
 
 
-def _window_kernels(gaps, weights, ax, width: int, mollifier: Mollifier, nodes, kern):
-    """(rows * len(ax), n) sparse matrix whose entry at row y * len(ax) + node,
-    column z, is weights[z] rho_eps(ax[node] - gaps[y, z]), for `gaps` of
-    shape (rows, n); only the `width` nodes of each pair's clamped support
-    window (`_window_bumps`) are stored.  Its indices and data are views of the
-    flat scratch arrays `nodes` and `kern`, so it is valid until their next
-    use.
+def _link_windows(gaps, ax, width: int, mollifier: Mollifier, triangle: bool = False):
+    """Yield (sl, idx, vals) for each of the `row_blocks` of `gaps` (rows, n):
+    the windows (`_window_bumps`) of the pairs (y, z), y in sl and z >= y0,
+    shaped (n - y0, block rows, width), column by column, in two scratch
+    arrays reused across blocks; y0 = sl.start with `triangle`, else 0."""
+    m_all, n = gaps.shape
+    cap = min(m_all, block_rows(n * width)) * n * width
+    nodes, kern = np.empty(cap, np.int64), np.empty(cap)
+    for sl in row_blocks(m_all, n * width):
+        y0 = sl.start if triangle else 0
+        idx, vals = _window_bumps(gaps[sl, y0:].T.ravel(), ax, width, mollifier, nodes, kern)
+        shape = (n - y0, sl.stop - sl.start, width)
+        yield sl, idx.reshape(shape), vals.reshape(shape)
 
-    The entries are laid out column by column, each column's by (y, node),
-    which is the CSC order itself: no format conversion is needed.
+
+def _last_link(gaps, weights, ax, width: int, mollifier: Mollifier, triangle: bool):
+    """(rows, len(ax)) sums sum_z weights[z] rho_eps(ax - gaps[y, z]) over
+    each pair's window, for `gaps` of shape (rows, n).
+
+    Each block of `_link_windows` is scattered by one `np.bincount`.  With
+    `triangle` (gaps square and symmetric to the bit) a block meets only
+    the columns from its own first row on: a pair (y, z) past the block is
+    the pair (z, y) too, with the same window, so one `np.add.at` adds it,
+    weighted weights[y], to the later row z.
     """
-    # imported here: only the exact chain builds a sparse matrix, and the
-    # import would double the start-up time of every other run
-    from scipy.sparse import csc_matrix
-
-    m, n = gaps.shape
+    m_all, n = gaps.shape
     length = len(ax)
-    idx, vals = _window_bumps(gaps.T.ravel(), ax, width, mollifier, nodes, kern)
-    # the window of pair (y, z) is [z, y]: column z, rows from y * length
-    by_pair = idx.reshape(n, m, width)
-    by_pair += (length * np.arange(m, dtype=idx.dtype))[:, None]
-    by_col = vals.reshape(n, m * width)
-    by_col *= weights[:, None]
-    indptr = np.arange(n + 1, dtype=idx.dtype) * (m * width)
-    return csc_matrix((vals.ravel(), idx.ravel(), indptr), shape=(m * length, n))
+    out = np.zeros(m_all * length)
+    for sl, idx, vals in _link_windows(gaps, ax, width, mollifier, triangle):
+        m = sl.stop - sl.start
+        if triangle:
+            later = length * np.arange(sl.stop, n)[:, None, None]
+            np.add.at(out, (idx[m:] + later).ravel(), (vals[m:] * weights[sl, None]).ravel())
+        vals *= weights[n - len(vals):, None, None]     # columns z >= y0
+        idx += (length * np.arange(m))[:, None]
+        out[sl.start * length:sl.stop * length] += np.bincount(idx.ravel(), vals.ravel(),
+                                                               m * length)
+    return out.reshape(m_all, length)
+
+
+def _outer_link(gaps, weights, ax, width: int, mollifier: Mollifier, g):
+    """(rows, len(ax) * M) sums sum_z weights[z] rho_eps(ax - gaps[y, z]) g[z]
+    for `gaps` of shape (rows, n) and g of shape (n, M).
+
+    Each block of `_link_windows` is scattered into a dense (n, block rows x
+    len(ax)) kernel, zero off the windows, whose transpose takes one GEMM
+    with g.
+    """
+    m_all, n = gaps.shape
+    length = len(ax)
+    out = np.empty((m_all, length * g.shape[1]))
+    dense = np.zeros(n * min(m_all, block_rows(n * width)) * length)
+    for sl, idx, vals in _link_windows(gaps, ax, width, mollifier):
+        m = sl.stop - sl.start
+        # the window of pair (y, z) is [z, y]: row z, columns from y * len(ax)
+        idx += (np.arange(n) * (m * length))[:, None, None] + (length * np.arange(m))[:, None]
+        vals *= weights[:, None, None]
+        block = dense[:n * m * length]
+        block[idx.ravel()] = vals.ravel()
+        out[sl] = (block.reshape(n, m * length).T @ g).reshape(m, -1)
+        block[idx.ravel()] = 0.0
+    return out
 
 
 def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):

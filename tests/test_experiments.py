@@ -308,6 +308,19 @@ def test_cli_sweep_step_divisor_below_one_exit_2(tmp_path, capsys, divisor):
         f"got '{divisor}'\n")
 
 
+@pytest.mark.parametrize("generator", ["subdivision", "circle", "uniform"])
+def test_cli_sweep_refuses_generator_that_ignores_target_dim(tmp_path, capsys, generator):
+    # each used to exit 0, writing one measure's rows under every target
+    # dimension while summary.json annotated them as below and above (d+1)/2
+    cfg = write_cfg(tmp_path, "gen.cfg", f"generator = {generator}\nlevel = 4\n"
+                    "dims = 1.0 1.8\nepsilons = 2^-3 2^-4\npins = 2\n")
+    out = tmp_path / "o"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: config key 'generator' must be "
+                                       f"product_cantor in a sweep, got {generator!r}\n")
+    assert os.listdir(out) == []
+
+
 SUBDIVISION_CFG = "generator = subdivision\nbase_b = 2\nkeep_m = 3\nlevel = 4\n"
 
 
@@ -826,15 +839,18 @@ def test_pin_table_failed_cell_stays_in_its_cell(tmp_path, capsys, command):
 
 
 def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
-    """A fresh process that imports the CLI and runs a sweep and the energy
-    battery has not loaded scipy.integrate, special, spatial, optimize,
-    linalg or sparse: only the exact chain imports scipy.sparse."""
+    """A fresh process that imports the CLI and runs a sweep, the energy
+    battery and an exact chain has not loaded scipy.integrate, special,
+    spatial, optimize, linalg or sparse."""
     sweep = write_cfg(tmp_path, "sweep.cfg", "level = 3\ndims = 1.0 1.6\n"
                       "epsilons = 2^-3 2^-4\npins = 2\nhinge_pins = 4\n")
     energy = write_cfg(tmp_path, "energy.cfg", "which = energy\nsegment_atoms = 256\n"
                        "energy_side_n = 64\n")
+    chain = write_cfg(tmp_path, "chain.cfg", "level = 3\ntarget_dim = 1.6\nk = 3\n"
+                      "mc_samples = 0\n")
     runs = [["sweep", "--config", sweep, "--out", str(tmp_path / "s")],
-            ["fourier", "--config", energy, "--out", str(tmp_path / "e")]]
+            ["fourier", "--config", energy, "--out", str(tmp_path / "e")],
+            ["chain", "--config", chain, "--out", str(tmp_path / "c")]]
     code = (
         "import json, sys\n"
         "import pinlab.cli\n"
@@ -850,5 +866,5 @@ def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert loaded == []

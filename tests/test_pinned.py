@@ -24,6 +24,7 @@ from pinlab.profiles import (bump_l2_constant, bump_norm_constant, bump_profile,
 from pinlab.rng import rng_for
 
 PHI = phase_function("euclidean", 2)
+SCALED = phase_function("scaled_euclidean", 2, factor=1.7)
 
 
 def uniform_unit_density(n=801):
@@ -513,15 +514,60 @@ def test_chain_monte_carlo_deposition_matches_dense_oracle(mu, pin, k, eps, node
 def test_chain_exact_windows_match_dense_oracle(mu, pin, k, eps, nodes, starts, block):
     # axes of 2..18 nodes at step eps/4 are narrower than one 19-node window,
     # so every window on them is clamped; a block of 64 entries holds one y
-    # row, one of 1000 a few rows with a ragged last block
+    # row, one of 1000 a few rows with a ragged last block.  The Euclidean
+    # pair table is symmetric, so its last link walks one triangle; the
+    # scaled one is not, and walks full rows
     moll = Mollifier(eps)
     axes = tuple(t0 + eps / 4 * np.arange(n) for t0, n in zip(starts[:k], nodes[:k]))
-    with mock.patch.object(rng_module, "BLOCK", block):
-        ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes)
-    ref = dense_chain_exact(mu, PHI, pin, k, moll, axes)
+    for phi in (PHI, SCALED):
+        with mock.patch.object(rng_module, "BLOCK", block):
+            ch = chain_density(mu, phi, pin, k, moll, t_axes=axes)
+        ref = dense_chain_exact(mu, phi, pin, k, moll, axes)
+        np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(ch.values > 0, ref > 0)
+        assert np.all(ch.stderr == 0.0) and ch.mass_stderr == 0.0
+
+
+@pytest.mark.parametrize("phi, triangle", [(PHI, True), (SCALED, False)],
+                         ids=["euclidean", "scaled_euclidean"])
+def test_chain_exact_evaluates_one_triangle_of_a_symmetric_pair_table(phi, triangle):
+    # 64 atoms and a one-row block: the k = 2 chain's last link evaluates
+    # the windows of row y against columns z >= y only when phi is symmetric
+    mu = natural_measure(build_product_cantor(2, 0.3, 3))
+    n = len(mu)
+    seen = []
+    spy = pinned_module._window_bumps
+
+    def counted(gaps, *args):
+        seen.append(len(gaps))
+        return spy(gaps, *args)
+
+    with mock.patch.object(rng_module, "BLOCK", 1), \
+            mock.patch.object(pinned_module, "_window_bumps", counted):
+        ch = chain_density(mu, phi, mu.points[5], 2, Mollifier(2.0 ** -3))
+    assert seen[:-1] == ([n - y for y in range(n)] if triangle else [n] * n)
+    assert seen[-1] == n       # the pin link
+    ref = dense_chain_exact(mu, phi, mu.points[5], 2, Mollifier(2.0 ** -3), ch.t_axes)
     np.testing.assert_allclose(ch.values, ref, rtol=1e-12, atol=0.0)
-    assert np.array_equal(ch.values > 0, ref > 0)
-    assert np.all(ch.stderr == 0.0) and ch.mass_stderr == 0.0
+
+
+@pytest.mark.parametrize("atoms, shapes", [
+    (1000, [(1000, 1000)]), (1500, [(1500, 1500)]), (2100, [(1050, 1050), (2100, 2100)])])
+def test_chain_exact_computes_the_pair_table_once(atoms, shapes):
+    # up to 2047 atoms the default axes' pair sample (every n // 1024-th
+    # atom beyond 1024) is the whole table, and the exact chain reuses it
+    mu = circle_measure(atoms, radius=0.25)
+    spy = pinned_module.pairwise_value
+    seen = []
+
+    def counted(phi, a, b):
+        seen.append((len(a), len(b)))
+        return spy(phi, a, b)
+
+    with mock.patch.object(pinned_module, "pairwise_value", counted), \
+            mock.patch.object(pinned_module, "_link_windows", lambda *a: iter(())):
+        chain_density(mu, PHI, mu.points[0], 2, Mollifier(2.0 ** -3))
+    assert seen == shapes
 
 
 def test_empty_energy_and_negative_composed_samples_raise_domain_error():
