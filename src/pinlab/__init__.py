@@ -22,16 +22,14 @@ from .phases import (CutoffPair, PhaseFunction, build_cutoffs,
                      monge_ampere_det, nondegeneracy_scan, phase_function)
 from .pinned import (ChainDensity, Mollifier, chain_density,
                      composed_operator_density, cs_lower_bound,
-                     default_t_grid, density_mass, l2_energy, measure_mollify,
-                     pinned_density, support_measure)
+                     default_t_grid, density_mass, l2_energy, pinned_density,
+                     support_measure)
 from .configs import (ConfigCount, EdgeMap, chain_edge_map, chain_tuple_count,
                       config_count, hinge_count, hinge_count_integrated,
                       load_edge_map, pinned_lift, save_edge_map, star_edge_map)
 from .harmonic import (DecayFit, EnergyResult, LPPartition, energy_integral,
-                       freq_norms, l2_norm, lp_project, oscillatory_G,
-                       radon_apply, radon_sobolev_ratio,
+                       freq_norms, l2_norm, oscillatory_G, radon_sobolev_ratio,
                        random_band_limited, riesz_constant,
-                       schur_dyadic_majorant, schur_kernel_sup,
                        shell_profile_verdict, sobolev_norm,
                        surface_measure_decay)
 from .experiments import (ProbeReport, SweepReport, exceptional_probe,

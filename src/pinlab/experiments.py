@@ -105,7 +105,7 @@ KEYS = {
     "lift": Key("int", "[0, 1]", "0"),
     "which": Key("words", "lp decay energy radon osc", "lp decay energy"),
     "lp_side_n": Key("int", "[2, inf)", "256"),
-    "j_max": Key("int", "[0, inf)"),
+    "j_max": Key("int", "[0, 1023]"),
     "decay_side_n_d2": Key("int", "[16, inf)", "512"),
     "decay_side_n_d3": Key("int", "[16, inf)", "128"),
     "segment_atoms": Key("int", "[1, inf)", "4096"),
@@ -464,13 +464,11 @@ def write_json(path, payload) -> None:
 
 
 def write_manifest(out_dir, command: str, cfg: dict, seed: int) -> None:
-    import scipy
     payload = {
         "command": command,
         "config": dict(sorted(cfg.items())),
         "seed": seed,
-        "versions": {"pinlab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"pinlab": __version__, "numpy": np.__version__},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     write_json(os.path.join(out_dir, "manifest.json"), payload)

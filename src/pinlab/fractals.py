@@ -199,20 +199,29 @@ def uniform_grid_measure(d: int, per_side: int, box_lo=0.0, box_hi=1.0) -> Frost
     return FrostmanMeasure(pts, w, exponent_s=float(d), cell_side=side, mode="atoms")
 
 
-def circle_measure(n_atoms: int, center=(0.5, 0.5), radius: float = 0.25) -> FrostmanMeasure:
-    """Uniform atoms on a circle; a 1-dimensional measure in the plane."""
+#: Centre of `circle_measure`'s circle and ends of `segment_measure`'s segment.
+CIRCLE_CENTER = (0.5, 0.5)
+SEGMENT_ENDS = ((0.25, 0.5), (0.75, 0.5))
+
+
+def circle_measure(n_atoms: int, radius: float = 0.25) -> FrostmanMeasure:
+    """Uniform atoms on the circle about CIRCLE_CENTER; a 1-dimensional
+    measure in the plane."""
     th = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
-    pts = np.stack([center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=1)
+    cx, cy = CIRCLE_CENTER
+    pts = np.stack([cx + radius * np.cos(th), cy + radius * np.sin(th)], axis=1)
     w = np.full(n_atoms, 1.0 / n_atoms)
     return FrostmanMeasure(pts, w, exponent_s=1.0)
 
 
-def segment_measure(n_atoms: int, p0=(0.25, 0.5), p1=(0.75, 0.5)) -> FrostmanMeasure:
-    """Uniform atoms on a segment; a 1-dimensional measure in the plane."""
+def segment_measure(n_atoms: int) -> FrostmanMeasure:
+    """Uniform atoms on the segment SEGMENT_ENDS; a 1-dimensional measure in
+    the plane."""
     if n_atoms < 1:
         raise DomainError(f"need n_atoms >= 1, got {n_atoms}")
     u = (np.arange(n_atoms) + 0.5) / n_atoms
-    pts = np.outer(1.0 - u, np.asarray(p0, float)) + np.outer(u, np.asarray(p1, float))
+    p0, p1 = np.asarray(SEGMENT_ENDS, float)
+    pts = np.outer(1.0 - u, p0) + np.outer(u, p1)
     w = np.full(n_atoms, 1.0 / n_atoms)
     return FrostmanMeasure(pts, w, exponent_s=1.0)
 

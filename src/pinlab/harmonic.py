@@ -3,8 +3,8 @@
 Covers the dyadic frequency partition, sphere-measure Fourier decay, the
 fractal energy integral in both Fourier and kernel form (with the classical
 Riesz-kernel constant; Mattila, Fourier Analysis and Hausdorff Dimension,
-2015, ch. 3), the Schur-test kernel bound, the mollified averaging operator
-with its Sobolev ratios, and the separated-frequency oscillatory integral.
+2015, ch. 3), the mollified averaging operator with its Sobolev ratios, and
+the separated-frequency oscillatory integral.
 The energy's |xi| < 1 centre has one rule for d = 1..3 and every gamma:
 sphere integrals of exact atom sums at fixed nodes in |xi|^2, expanded in
 Legendre polynomials whose moments against |xi|^-gamma are closed forms.
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .fractals import FrostmanMeasure
 from .phases import _norm, pairwise_value
-from .pinned import Mollifier, _periodic_deposit
+from .pinned import Mollifier, _tensor_block
 from .profiles import smooth_step
 from .rng import rng_for, row_blocks
 
@@ -123,16 +123,6 @@ class LPPartition:
         return sum(self.band_profile(xi_norm, j) for j in range(self.j_max + 1))
 
 
-def lp_project(field: np.ndarray, partition: LPPartition, j: int) -> np.ndarray:
-    """Frequency-side multiplier application of band j (0 = low band)."""
-    field = np.asarray(field)
-    mult = partition.band_profile(freq_norms(field.ndim, field.shape[0]), j)
-    out = np.fft.ifftn(mult * np.fft.fftn(field.astype(complex)))
-    if np.isrealobj(field):
-        return np.real(out)
-    return out
-
-
 # -- sphere measure decay ----------------------------------------------------
 
 class DecayFit(NamedTuple):
@@ -213,12 +203,33 @@ SIGMA_CELLS = 1.0
 
 
 def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int) -> np.ndarray:
-    """Deposit atoms on the PAD*side_n grid (cell 1/side_n) as unit-mass
-    Gaussian bumps, each a tensor product on its window of wrapped nodes."""
+    """Mass per cell of the atoms deposited as unit-mass Gaussian bumps on the
+    periodic grid of (PAD side_n)^d cells of side h = 1/side_n, node i at i h.
+
+    Each atom p puts the tensor product of exp(-(node - p_j)^2 / 2 sigma^2),
+    sigma = SIGMA_CELLS h, on the 2 reach + 1 nodes around its cell on every
+    axis, reach = ceil(5 SIGMA_CELLS), wrapped mod PAD side_n and scaled to sum
+    to the atom's mass; each of the `row_blocks` of atoms is scattered by one
+    unbuffered `np.add.at`, so a window that wraps onto itself adds every
+    repeat.
+    """
     h = 1.0 / side_n
     sigma = SIGMA_CELLS * h
-    return _periodic_deposit(points, masses, h, PAD * side_n, int(math.ceil(5.0 * SIGMA_CELLS)),
-                             0, lambda u: np.exp(-0.5 * (u / sigma) ** 2))
+    n_grid = PAD * side_n
+    reach = int(math.ceil(5.0 * SIGMA_CELLS))
+    offsets = np.arange(-reach, reach + 1)
+    n, d = points.shape
+    shape = (n_grid,) * d
+    dens = np.zeros(n_grid ** d)
+    for sl in row_blocks(n, len(offsets) ** d):
+        p = points[sl]
+        idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
+        vals = np.exp(-0.5 * ((idx * h - p[:, :, None]) / sigma) ** 2)
+        block, flat = _tensor_block(list(idx.transpose(1, 0, 2) % n_grid),
+                                    list(vals.transpose(1, 0, 2)), shape)
+        block *= (masses[sl] / block.sum(axis=1))[:, None]
+        np.add.at(dens, flat, block.ravel())
+    return dens.reshape(shape)
 
 
 # |xi| < 1 of the energy integral: Gauss-Legendre nodes in v = |xi|^2, and
@@ -277,17 +288,6 @@ def _center_energy(points, masses, gammas) -> list:
         # one 1-d product per gamma, so a stack rounds as its scalar calls do
         centres.append(0.5 * float(coef @ moments))
     return centres
-
-
-def _row_sums(points: np.ndarray, block_sums) -> np.ndarray:
-    """block_sums(dist, i0), one value (or a stack of them) per row, over the
-    distances from each of the `row_blocks` points[i0:i1] to every point,
-    joined along the last axis; block_sums may overwrite dist.  Squares
-    add in coordinate order, as in scipy's cdist: a GEMM expansion would blur
-    the dyadic distances `schur_dyadic_majorant` reads from the exponent."""
-    return np.concatenate([
-        block_sums(_norm(points[sl, None], points[None], np.subtract), sl.start)
-        for sl in row_blocks(len(points), len(points))], axis=-1)
 
 
 def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma) -> np.ndarray:
@@ -372,69 +372,12 @@ def shell_profile_verdict(increments) -> str:
     return "undecided"
 
 
-# -- Schur test ---------------------------------------------------------------
-
-def schur_kernel_sup(lam: FrostmanMeasure, gamma: float) -> float:
-    """sup over atoms x of sum_{y != x} w_y |x - y|^(gamma - d)."""
-    if not (0.0 < gamma < lam.d):
-        raise DomainError(f"gamma {gamma} outside (0, {lam.d})")
-    return float(_riesz_row_sums(lam.points, lam.weights, gamma).max())
-
-
-def schur_dyadic_majorant(lam: FrostmanMeasure, gamma: float) -> float:
-    """sup over atoms of sum_j 2^((j+1)(d-gamma)) lambda(B(x, 2^-j)).
-
-    Shell-by-shell domination of the direct kernel sum: on the shell
-    2^-(j+1) <= |x-y| <= 2^-j the kernel is at most 2^((j+1)(d-gamma)).
-    The balls exclude x itself, and the shells run from j = 0 to
-    ceil(-log2 r_min) + 1 for the distance r_min from x to its nearest other
-    atom (floored at 1e-300, so coincident atoms stop at j = 998).  Atom y
-    thus adds w_y times the partial sum of the shell weights up to
-    J = max{j : |x - y| <= 2^-j}, read exactly from the binary exponent of
-    |x - y|.  A sum of shell weights past the float range (coincident atoms
-    with d - gamma above about 1) raises DomainError naming the two atoms.
-    """
-    d = lam.d
-
-    def shell_sums(dist, i0):
-        self_pairs = (np.arange(len(dist)), i0 + np.arange(len(dist)))
-        dist[self_pairs] = np.inf
-        gap = dist.min(axis=1)
-        gap[np.isinf(gap)] = 1.0            # a lone atom
-        j_stop = np.array([max(0, math.ceil(-math.log2(max(g, 1e-300)))) + 1
-                           for g in gap], dtype=np.int32)[:, None]
-        # |x - y| = f 2^e with f in [0.5, 1) is within 2^-j for j <= -e, and
-        # for j = 1 - e too when f = 0.5; beyond distance 1 no ball holds y
-        mant, shell = np.frexp(dist)
-        np.negative(shell, out=shell)
-        shell += mant == 0.5
-        np.minimum(shell, j_stop, out=shell)
-        np.copyto(shell, j_stop, where=dist == 0.0)
-        shell[self_pairs] = -1
-        np.maximum(shell, -1, out=shell)
-        top = int(j_stop.max())
-        try:
-            with np.errstate(over="ignore"):
-                sums = np.cumsum([2.0 ** ((j + 1) * (d - gamma)) for j in range(top + 1)])
-        except OverflowError:
-            sums = np.array([np.inf])
-        if not np.isfinite(sums[-1]):
-            i = int(np.argmax(j_stop))
-            near = "coincide" if gap[i] == 0.0 else f"lie {gap[i]:.3g} apart"
-            raise DomainError(f"atoms {i0 + i} and {int(np.argmin(dist[i]))} {near}: the "
-                              f"shell weights 2^((j+1)(d - gamma)) up to j = {top} pass "
-                              f"the float range at d - gamma = {d - gamma:g}")
-        # shell -1 (in no ball) reads the trailing 0
-        return np.append(sums, 0.0)[shell] @ lam.weights
-
-    return float(_row_sums(lam.points, shell_sums).max(initial=0.0))
-
-
 # -- generalized Radon transform ----------------------------------------------
 
 def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
-    """Apply T_eps,t to several fields at once (the kernel is field-independent,
-    so one kernel serves them all).
+    """T_eps,t f(x) = eps^-1 int rho((t - phi(x,y))/eps) f(y) psi(x,y) dy by
+    quadrature over the grid in y for each x (d = 2), for several fields at
+    once (the kernel is field-independent, so one kernel serves them all).
 
     Without psi, a phase of x - y alone (euclidean, flat_torus) makes T a
     convolution: its kernel is tabulated once on the grid offsets and applied
@@ -447,7 +390,7 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
     n = fields[0].shape[0]
     for f in fields:
         if f.ndim != 2 or f.shape != (n, n):
-            raise DomainError("radon_apply expects square d=2 fields of one size")
+            raise DomainError("radon_apply_stack expects square d=2 fields of one size")
     if eps < 2.0 / n:
         # 2/side_n puts >= 8 grid nodes across the mollifier support, the
         # coarsest the y-quadrature stays trustworthy
@@ -493,12 +436,6 @@ def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
     return [out[:, i].reshape(n, n) for i in range(len(fields))]
 
 
-def radon_apply(phi, psi, eps: float, t: float, field: np.ndarray) -> np.ndarray:
-    """T f(x) = eps^-1 int rho((t - phi(x,y))/eps) f(y) psi(x,y) dy by
-    quadrature over the grid in y for each x (d = 2); see `radon_apply_stack`."""
-    return radon_apply_stack(phi, psi, eps, t, [field])[0]
-
-
 class SobolevRatioRow(NamedTuple):
     eps: float
     field_index: int
@@ -509,14 +446,19 @@ def radon_sobolev_ratio(phi, psi, t: float, eps_list, fields, gamma: float = 0.5
     """Table of ||T_eps f||_{H^gamma} / ||f||_{L2} and per-field max/min.
 
     Returns (rows, summary) where summary maps field_index to the max/min
-    ratio across eps -- the epsilon-uniformity diagnostic.
+    ratio across eps -- the epsilon-uniformity diagnostic.  A ratio of 0 (T_eps
+    f vanishes, as when phi stays 2 eps or more away from t on every grid
+    pair) is a DomainError naming t.
     """
     rows = []
     for eps in eps_list:
         transformed = radon_apply_stack(phi, psi, float(eps), t, list(fields))
         for fi, (f, tf) in enumerate(zip(fields, transformed)):
-            rows.append(SobolevRatioRow(float(eps), fi,
-                                        sobolev_norm(tf, gamma) / l2_norm(f)))
+            ratio = sobolev_norm(tf, gamma) / l2_norm(f)
+            if ratio == 0.0:
+                raise DomainError(f"t = {t}: T_eps f vanishes at eps = {eps} (field {fi}), "
+                                  "so the eps-uniformity ratio is undefined")
+            rows.append(SobolevRatioRow(float(eps), fi, ratio))
     summary = {}
     for fi in range(len(fields)):
         vals = [r.ratio for r in rows if r.field_index == fi]

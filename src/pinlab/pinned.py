@@ -8,13 +8,14 @@ mollification at scale eps evaluates as
 on a uniform t-grid.  Chain measures push forward (k+1)-tuples with
 consecutive gaps, mollified by the tensor product of 1-d bumps; a pinned
 density is the one-link chain, so one type, `ChainDensity`, holds both and
-one rule checks their axes (`_check_axes`).  Every kernel is evaluated on
-support windows only: the bump vanishes outside (-2 eps, 2 eps), so each gap
-gets one window per axis of min(ceil(4 eps / dt) + 3, axis length) nodes,
-its start clamped into the axis (`_window_width`), so that the window holds
-every grid node of the support and never leaves the grid.  One evaluator,
-`_window_bumps`, writes a block's window nodes and rho_eps values, bit for
-bit the mollifier's, into scratch arrays reused across blocks.
+one rule checks their axes and node budget (`_check_axes`).  Every kernel
+is evaluated on support windows only: the bump vanishes outside (-2 eps,
+2 eps), so each gap gets one window per axis of min(ceil(4 eps / dt) + 3,
+axis length) nodes, its start clamped into the axis (`_window_width`), so
+that the window holds every grid node of the support and never leaves the
+grid.  One evaluator, `_window_bumps`, writes a block's window nodes and
+rho_eps values, bit for bit the mollifier's, into scratch arrays reused
+across blocks.
 Pinned densities and Monte Carlo chains deposit through `_deposit`: the k
 window kernels multiply into one tensor block per batch of rows, scattered
 into the grid with `np.bincount`, so work and memory grow with rows x
@@ -56,7 +57,7 @@ from .phases import pairwise_value
 from .profiles import bump_norm_constant, bump_profile
 from .rng import batches, block_rows, rng_for, row_blocks
 
-#: Ceiling on chain-density grid nodes.
+#: Ceiling on the grid nodes of any density, pinned or chain.
 GRID_BUDGET = 2_000_000
 
 #: Default grid step as a fraction of eps.  The C-infinity bump integrates on
@@ -85,11 +86,14 @@ class Mollifier:
 
 
 def default_t_grid(phi_values, epsilon: float, step_divisor: int = STEP_DIVISOR):
-    """Uniform grid covering [min phi - 4 eps, max phi + 4 eps] at eps/divisor."""
+    """Uniform grid covering [min phi - 4 eps, max phi + 4 eps] at eps/divisor;
+    BudgetError, before anything is allocated, above GRID_BUDGET nodes."""
     dt = epsilon / step_divisor
     lo = float(np.min(phi_values)) - 4.0 * epsilon
     hi = float(np.max(phi_values)) + 4.0 * epsilon
     n = int(math.ceil((hi - lo) / dt)) + 1
+    if n > GRID_BUDGET:
+        raise BudgetError(f"t-grid of {n} nodes exceeds budget {GRID_BUDGET}")
     return lo + dt * np.arange(n)
 
 
@@ -125,8 +129,12 @@ class ChainDensity:
 
 
 def _check_axes(t_axes, epsilon: float) -> None:
-    """Each axis increasing and uniform (windows and trapezoid weights assume
-    one step), its step at most eps/2."""
+    """At most GRID_BUDGET grid nodes; each axis increasing and uniform
+    (windows and trapezoid weights assume one step), its step at most eps/2."""
+    nodes = math.prod(len(ax) for ax in t_axes)
+    if nodes > GRID_BUDGET:
+        what = "t-grid" if len(t_axes) == 1 else "chain grid"
+        raise BudgetError(f"{what} of {nodes} nodes exceeds budget {GRID_BUDGET}")
     for ax in t_axes:
         dt = float(ax[1] - ax[0]) if len(ax) > 1 else 0.0
         if dt > epsilon / 2.0:
@@ -369,9 +377,6 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     if len(t_axes) != k:
         raise DomainError("need one t-axis per link")
     _check_axes(t_axes, eps)
-    nodes = math.prod(len(ax) for ax in t_axes)
-    if nodes > GRID_BUDGET:
-        raise BudgetError(f"chain grid of {nodes} nodes exceeds budget {GRID_BUDGET}")
 
     if mc_samples == 0:
         values = _chain_exact(mu, phi, pin, k, mollifier, t_axes, phi_aa)
@@ -540,45 +545,3 @@ def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
             kern0 = kern0 * np.asarray(psi(pin[None, :], layers[0]))
         total += float(np.mean(kern0 * g)) * size
     return total / mc_samples
-
-
-def _periodic_deposit(points, masses, h, n_grid, reach, shift, kernel):
-    """Deposit each atom's mass on the periodic grid of n_grid^d cells of side h.
-
-    Node i of an axis sits at (i + shift) h.  Each atom p puts the tensor
-    product of kernel(node - p_j) on the 2 reach + 1 nodes around its cell on
-    every axis, wrapped mod n_grid and scaled to sum to the atom's mass;
-    each of the `row_blocks` of atoms is scattered by one unbuffered
-    `np.add.at`, so a window that wraps onto itself adds every repeat.
-    Returns the mass per cell, shape (n_grid,) * d.
-    """
-    offsets = np.arange(-reach, reach + 1)
-    n, d = points.shape
-    shape = (n_grid,) * d
-    dens = np.zeros(n_grid ** d)
-    for sl in row_blocks(n, len(offsets) ** d):
-        p = points[sl]
-        idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
-        vals = kernel((idx + shift) * h - p[:, :, None])
-        block, flat = _tensor_block(list(idx.transpose(1, 0, 2) % n_grid),
-                                    list(vals.transpose(1, 0, 2)), shape)
-        block *= (masses[sl] / block.sum(axis=1))[:, None]
-        np.add.at(dens, flat, block.ravel())
-    return dens.reshape(shape)
-
-
-def measure_mollify(mu: FrostmanMeasure, theta: float, grid_n: int):
-    """Gridded mu * rho_theta on [0,1)^d via the tensor-product mollifier.
-
-    Returns (grid density array, cell size).  Total mass is preserved to
-    1e-8: each atom deposits a normalized sampled bump at the cell centres.
-    """
-    if theta <= 0:
-        raise DomainError("theta must be positive")
-    h = 1.0 / grid_n
-    if h > theta / 4.0:
-        raise ResolutionError(f"grid step {h} too coarse for theta {theta}")
-    reach = int(math.ceil(2.0 * theta / h)) + 1
-    dens = _periodic_deposit(mu.points, mu.weights, h, grid_n, reach, 0.5,
-                             lambda u: bump_profile(u / theta))
-    return dens / h ** mu.d, h

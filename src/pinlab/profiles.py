@@ -51,11 +51,6 @@ def bump_norm_constant() -> float:
     return 1.1261418105217924
 
 
-def bump_l2_constant() -> float:
-    """int (c bump_raw)^2, c = bump_norm_constant(), stored: int rho_eps^2 = this / eps."""
-    return 0.33755840650484714
-
-
 def bump_profile(u):
     """The package's unit-mass C-infinity mollifier profile on (-2, 2)."""
     return bump_norm_constant() * bump_raw(u)

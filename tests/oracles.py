@@ -2,23 +2,23 @@
 
 These are the (node x atom) kernel-matrix evaluation of `pinned_density`,
 the (draw x node) factor evaluation of Monte Carlo `chain_density` with its
-einsum outer-product sum, the per-atom loop of `measure_mollify`, the
-(pin x t x atom) indicator tensor of `configs._window_mass`, the tuple
-enumeration of exact `config_count` and the hand-written recursion of exact
-`chain_tuple_count` that the package used before clamped tensor-window
-deposition, sorted prefix sums and the graph contraction `configs._contract`
-replaced them, plus exact `composed_operator_density` as it was before its
-phi and psi matrices were built once for all links.  The energy-integral
-pieces are the per-atom Gaussian deposit and the dense Riesz double sum,
-with the per-atom Schur row loop, as they were before the blocked
-real-arithmetic versions replaced them, `harmonic._row_sums` on scipy's
-`cdist` distances, as it was before pinlab stopped importing
-`scipy.spatial`, and the |xi| < 1 energy centre as a power series in the
-pair distances, which needs no quadrature at all.  They touch every pair
-or tuple, or rebuild what the package shares, so they are slow and
-memory-hungry, but they are simple enough to trust.  The euclidean, scaled_euclidean and flat_torus phases
-are here as the three separate classes they were before one
-Euclidean-family class, written on its difference vector, replaced them.
+einsum outer-product sum, the (pin x t x atom) indicator tensor of
+`configs._window_mass`, the tuple enumeration of exact `config_count` and
+the hand-written recursion of exact `chain_tuple_count` that the package
+used before clamped tensor-window deposition, sorted prefix sums and the
+graph contraction `configs._contract` replaced them, plus exact
+`composed_operator_density` as it was before its phi and psi matrices were
+built once for all links.  The energy-integral pieces are the per-atom
+Gaussian deposit and the dense Riesz double sum, as they were before the
+blocked real-arithmetic versions replaced them, per-row sums over blocks of
+scipy's `cdist` distances (the reference for the one-triangle Riesz row
+sums of `harmonic._riesz_row_sums`), and the |xi| < 1 energy centre as a
+power series in the pair distances, which needs no quadrature at all.  They
+touch every pair or tuple, or rebuild what the package shares, so they are
+slow and memory-hungry, but they are simple enough to trust.  The
+euclidean, scaled_euclidean and flat_torus phases are here as the three
+separate classes they were before one Euclidean-family class, written on
+its difference vector, replaced them.
 """
 
 import functools
@@ -33,7 +33,6 @@ from pinlab.harmonic import EnergyResult, riesz_constant
 from pinlab.phases import (PhaseFunction, _coord_sum, _norm, _outer,
                            pairwise_value, torus_wrap)
 from pinlab.pinned import _trapz_weights, default_t_grid
-from pinlab.profiles import bump_profile
 from pinlab.rng import batches, rng_for
 
 
@@ -136,33 +135,6 @@ def sum_outer(factors) -> np.ndarray:
     for i, f in enumerate(factors):
         operands += [f, [0, i + 1]]
     return np.einsum(*operands, list(range(1, len(factors) + 1)), optimize=True)
-
-
-def loop_measure_mollify(mu, theta, grid_n):
-    """(density, cell size) of mu * rho_theta on the periodic grid_n^d grid,
-    one atom at a time: a sampled bump at the cell centres, normalized."""
-    d = mu.d
-    h = 1.0 / grid_n
-    reach = int(math.ceil(2.0 * theta / h)) + 1
-    offsets = np.arange(-reach, reach + 1)
-    dens = np.zeros((grid_n,) * d)
-    centers = (np.floor(mu.points / h)).astype(int)
-    for p, w, c in zip(mu.points, mu.weights, centers):
-        axes_vals = []
-        axes_idx = []
-        for j in range(d):
-            idx = c[j] + offsets
-            nodes = (idx + 0.5) * h
-            vals = bump_profile((nodes - p[j]) / theta) / theta
-            axes_vals.append(vals)
-            axes_idx.append(np.mod(idx, grid_n))
-        block = axes_vals[0]
-        for v in axes_vals[1:]:
-            block = np.multiply.outer(block, v)
-        total = block.sum() * h ** d
-        block = block * (w / total)
-        dens[np.ix_(*axes_idx)] += block
-    return dens, h
 
 
 def dense_window_mass(lam, mu, phi, t_nodes, eps):
@@ -295,7 +267,9 @@ def dense_riesz_double_sum(points, masses, gamma):
 
 
 def cdist_row_sums(points, block_sums, block=1 << 20):
-    """`harmonic._row_sums` with each block's distances from scipy's cdist."""
+    """block_sums(dist, i0), one value (or a stack of them) per row, over the
+    distances from each block of rows points[i0:i0 + rows] to every point,
+    taken from scipy's cdist and joined along the last axis."""
     rows = max(1, block // len(points))
     return np.concatenate([block_sums(cdist(points[i0:i0 + rows], points), i0)
                            for i0 in range(0, len(points), rows)], axis=-1)
@@ -351,37 +325,6 @@ def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
     kernel_value = riesz_constant(gamma, d) * dense_riesz_double_sum(lam.points, masses, gamma)
     return EnergyResult(low_part + float(np.sum(incs)), kernel_value,
                         np.array(radii), np.array(incs))
-
-
-def loop_schur_kernel_sup(lam, gamma):
-    """sup over atoms x of sum_{y != x} w_y |x - y|^(gamma - d), one row at a time."""
-    best = 0.0
-    pts, w, d = lam.points, lam.weights, lam.d
-    for i in range(len(lam)):
-        dist = np.sqrt(((pts - pts[i]) ** 2).sum(1))
-        dist[i] = np.inf
-        vals = np.where(dist > 0, dist, np.inf) ** (gamma - d)
-        best = max(best, float((w * vals).sum()))
-    return best
-
-
-def loop_schur_dyadic_majorant(lam, gamma):
-    """sup over atoms x of sum_j 2^((j+1)(d-gamma)) lambda(B(x, 2^-j) - {x}),
-    one atom and one dyadic shell at a time."""
-    pts, w, d = lam.points, lam.weights, lam.d
-    best = 0.0
-    for i in range(len(lam)):
-        dist = np.sqrt(((pts - pts[i]) ** 2).sum(1))
-        dist[i] = np.inf
-        finite = dist[np.isfinite(dist)]
-        min_gap = float(finite.min()) if len(finite) else 1.0
-        j_stop = max(0, int(math.ceil(-math.log2(max(min_gap, 1e-300))))) + 1
-        total = 0.0
-        for j in range(0, j_stop + 1):
-            ball = float(w[dist <= 2.0 ** (-j)].sum())
-            total += 2.0 ** ((j + 1) * (d - gamma)) * ball
-        best = max(best, total)
-    return best
 
 
 def chunked_oscillatory_G(phi, psi, s, xi, zeta, t=0.0, quad_n=48,

@@ -204,7 +204,7 @@ def test_cli_pinned_deterministic(tmp_path):
         assert a == b
     man = json.load(open(os.path.join(out1, "manifest.json")))
     assert man["command"] == "pinned" and man["seed"] == 11
-    assert set(man["versions"]) == {"pinlab", "numpy", "scipy"}
+    assert set(man["versions"]) == {"pinlab", "numpy"}
 
 
 def test_cli_seed_override_changes_output(tmp_path):
@@ -384,10 +384,14 @@ def test_cli_fourier_bad_energy_input_exit_2(tmp_path, capsys, key, message):
      "config error: config key 'n_fields' must be an integer in [1, inf), got '0'"),
     ("which = radon\nradon_side_n = 0\n",
      "config error: config key 'radon_side_n' must be an integer in [1, inf), got '0'"),
-], ids=["decay_d2", "decay_d3", "no_fields", "radon_side_zero"])
+    # t = 5 is inside t's domain, but no grid pair lies that far apart
+    ("which = radon\nradon_side_n = 16\nepsilons = 2^-3\nn_fields = 1\nt = 5\n",
+     "config error: t = 5.0: T_eps f vanishes at eps = 0.125 (field 0), so the "
+     "eps-uniformity ratio is undefined"),
+], ids=["decay_d2", "decay_d3", "no_fields", "radon_side_zero", "radon_vanishes"])
 def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
     # each used to end in a traceback with exit 1: np.polyfit's TypeError or
-    # LinAlgError, an IndexError and a ZeroDivisionError
+    # LinAlgError, an IndexError and two ZeroDivisionErrors
     cfg = write_cfg(tmp_path, "bad.cfg", body)
     assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message + "\n"
@@ -405,7 +409,7 @@ def test_cli_fourier_bad_sizes_exit_2(tmp_path, capsys, body, message):
     ("fourier", "which = lp\nlp_side_n = 0\n",
      "config key 'lp_side_n' must be an integer in [2, inf), got '0'"),
     ("fourier", "which = lp\nj_max = -1\n",
-     "config key 'j_max' must be an integer in [0, inf), got '-1'"),
+     "config key 'j_max' must be an integer in [0, 1023], got '-1'"),
 ], ids=["target_dim", "dims", "n_atoms", "per_side", "lp_side_n", "j_max"])
 def test_cli_zero_sizes_exit_2(tmp_path, capsys, command, body, message):
     # the first five used to end in a traceback with exit 1 (four
@@ -466,6 +470,41 @@ def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource error: 1073741824 tuples exceed")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command, body, nodes", [
+    ("pinned", "epsilons = 2^-30\n", 14080792795),
+    ("pinned", "epsilons = 2^-19\n", 6875517),
+    ("chain", "k = 1\nepsilon = 2^-30\n", 3520198200),
+], ids=["pinned_2^-30", "pinned_2^-19", "chain_2^-30"])
+def test_cli_density_over_grid_budget_exit_3(tmp_path, capsys, command, body, nodes):
+    # the default t-grid is counted before it is allocated: at 2^-30 pinned
+    # and chain used to exit 1 with a numpy MemoryError of 105 and 26 GiB,
+    # and at 2^-19 pinned ran a grid past the budget the chain kept
+    cfg = write_cfg(tmp_path, "fine.cfg", "level = 1\ntarget_dim = 1.6\npins = 2\n" + body)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (f"resource error: t-grid of {nodes} nodes "
+                                       "exceeds budget 2000000\n")
+
+
+def test_cli_sweep_keeps_grid_budget_error_in_its_cells(tmp_path):
+    # a MemoryError is not a PinlabError, so the 2^-30 grids used to end
+    # the whole sweep with exit 1
+    cfg = write_cfg(tmp_path, "s.cfg", "level = 1\ndims = 1.0 1.6\n"
+                    "epsilons = 2^-3 2^-30\npins = 2\nhinge_pins = 4\n")
+    out = tmp_path / "o"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sweep_rows.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for r in rows:
+        if float(r["eps"]) == 2.0 ** -3:
+            assert r["error"] == "" and abs(float(r["mass"]) - 1.0) < 1e-6
+        else:
+            assert re.fullmatch(r"t-grid of \d+ nodes exceeds budget 2000000", r["error"])
+            assert math.isnan(float(r["mass"]))
+    assert json.load(open(out / "summary.json"))["verdicts"] == {"1.0": "ERROR",
+                                                                 "1.6": "ERROR"}
 
 
 def test_cli_chain_over_grid_budget_exit_3(tmp_path, capsys):
@@ -840,8 +879,7 @@ def test_pin_table_failed_cell_stays_in_its_cell(tmp_path, capsys, command):
 
 def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
     """A fresh process that imports the CLI and runs a sweep, the energy
-    battery and an exact chain has not loaded scipy.integrate, special,
-    spatial, optimize, linalg or sparse."""
+    battery and an exact chain has not loaded any scipy module."""
     sweep = write_cfg(tmp_path, "sweep.cfg", "level = 3\ndims = 1.0 1.6\n"
                       "epsilons = 2^-3 2^-4\npins = 2\nhinge_pins = 4\n")
     energy = write_cfg(tmp_path, "energy.cfg", "which = energy\nsegment_atoms = 256\n"
@@ -855,10 +893,8 @@ def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
         "import json, sys\n"
         "import pinlab.cli\n"
         f"codes = [pinlab.cli.main(argv) for argv in {runs!r}]\n"
-        "heavy = ('scipy.integrate', 'scipy.special', 'scipy.spatial',\n"
-        "         'scipy.optimize', 'scipy.linalg', 'scipy.sparse')\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-        "                                if m.startswith(heavy))]))\n")
+        "                                if m.startswith('scipy'))]))\n")
     src = os.path.dirname(os.path.dirname(pinlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

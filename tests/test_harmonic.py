@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (cdist_row_sums, chunked_oscillatory_G, dense_riesz_double_sum,
-                     loop_deposit_gaussian, loop_schur_dyadic_majorant,
-                     loop_schur_kernel_sup, meshgrid_freq_norms, meshgrid_rfft_shells,
+                     loop_deposit_gaussian, meshgrid_freq_norms, meshgrid_rfft_shells,
                      reference_energy_integral, series_center_energy)
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
@@ -17,17 +16,16 @@ from scipy.special import j0
 from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
                     ResolutionError, build_cutoffs, build_product_cantor,
                     circle_measure,
-                    energy_integral, freq_norms, l2_norm, lp_project,
+                    energy_integral, freq_norms, l2_norm,
                     natural_measure,
-                    oscillatory_G, phase_function, radon_apply,
+                    oscillatory_G, phase_function,
                     radon_sobolev_ratio, random_band_limited, riesz_constant,
-                    schur_dyadic_majorant, schur_kernel_sup,
                     segment_measure, sobolev_norm, surface_measure_decay,
                     uniform_grid_measure)
 from pinlab import harmonic
 from pinlab import rng as rng_module
 from pinlab.harmonic import (ResolutionWarning, _center_energy, _radon_direct,
-                             _rfft_shells, _riesz_row_sums, _row_sums, deposit_gaussian,
+                             _rfft_shells, _riesz_row_sums, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
 
@@ -80,38 +78,45 @@ def test_lp_band_support_annulus():
     assert r[np.abs(a0) > 0].max() < 4.0
 
 
+def band_parts(f, part, bands):
+    """The band profiles applied to the spectrum of the field f."""
+    fn, hat = freq_norms(f.ndim, f.shape[0]), np.fft.fftn(f)
+    return [np.real(np.fft.ifftn(part.band_profile(fn, j) * hat)) for j in bands]
+
+
 def test_lp_pure_wave_band_locality():
     side, j = 256, 3
     part = LPPartition(7)
     x = np.arange(side) / side
     f = np.cos(2 * np.pi * (2 ** j) * x)[:, None] * np.ones((1, side))
-    for band in range(0, 8):
-        e = l2_norm(lp_project(f, part, band))
+    for band, fb in enumerate(band_parts(f, part, range(0, 8))):
+        e = l2_norm(fb)
         if band in (j - 1, j, j + 1):
             continue
         assert e < 1e-12, f"band {band} leaked {e}"
-    total = sum(l2_norm(lp_project(f, part, b)) ** 2 for b in (j - 1, j, j + 1))
+    total = sum(l2_norm(fb) ** 2 for fb in band_parts(f, part, (j - 1, j, j + 1)))
     assert total == pytest.approx(l2_norm(f) ** 2, rel=1e-9)
 
 
 def test_lp_constant_lives_in_band_zero():
     part = LPPartition(5)
     f = np.full((64, 64), 2.7)
-    assert np.allclose(lp_project(f, part, 0), f, atol=1e-12)
-    for band in range(1, 6):
-        assert l2_norm(lp_project(f, part, band)) < 1e-13
+    low, *high = band_parts(f, part, range(0, 6))
+    assert np.allclose(low, f, atol=1e-12)
+    for fb in high:
+        assert l2_norm(fb) < 1e-13
 
 
 def test_lp_reconstruction_band_limited():
     part = LPPartition(7)
     f = random_band_limited(256, 2.0 ** 6, seed=3)
-    recon = sum(lp_project(f, part, j) for j in range(0, 8))
+    recon = sum(band_parts(f, part, range(0, 8)))
     assert np.abs(recon - f).max() < 1e-9
 
 
 def test_lp_band_out_of_range():
     with pytest.raises(DomainError):
-        lp_project(np.ones((32, 32)), LPPartition(4), 5)
+        LPPartition(4).band_profile(freq_norms(2, 32), 5)
 
 
 def test_sphere_raster_mass_and_zero_mode():
@@ -244,7 +249,7 @@ small_blocks = st.sampled_from([1, 64, 1 << 20])
 
 @settings(max_examples=40)
 @given(cloud=atom_clouds(), frac=st.floats(0.05, 0.95), block=small_blocks)
-def test_riesz_row_sums_match_dense_kernel_and_schur_loop(cloud, frac, block):
+def test_riesz_row_sums_match_dense_kernel(cloud, frac, block):
     pts, w, g = cloud
     gamma = frac * pts.shape[1]
     with pytest.MonkeyPatch.context() as mp:
@@ -252,8 +257,6 @@ def test_riesz_row_sums_match_dense_kernel_and_schur_loop(cloud, frac, block):
         masses = w * g
         assert_rel_close(masses @ _riesz_row_sums(pts, masses, gamma),
                          dense_riesz_double_sum(pts, masses, gamma))
-        lam = FrostmanMeasure(pts, w, exponent_s=0.0)
-        assert_rel_close(schur_kernel_sup(lam, gamma), loop_schur_kernel_sup(lam, gamma))
 
 
 @settings(max_examples=15)
@@ -262,42 +265,6 @@ def test_energy_stacked_gammas_match_scalar_calls(cloud, fracs):
     pts, w, g = cloud
     lam = FrostmanMeasure(pts, w, exponent_s=0.0)
     assert_stacked_energy_matches_scalar_calls(lam, np.array(fracs) * pts.shape[1], 16, g)
-
-
-def capture_blocks(store):
-    """A `_row_sums` block function that records each block's distances."""
-    def block_sums(dist, i0):
-        store.append((i0, dist.copy()))
-        return dist[:, 0]
-    return block_sums
-
-
-# the majorant's point set: atoms 0 and 1 coincide, the rest lie at dyadic distances
-DYADIC_PTS = np.array([[0.25, 0.5], [0.25, 0.5], [0.5, 0.5], [0.75, 0.5], [0.25, 1.5]])
-
-
-@settings(max_examples=40)
-@given(cloud=atom_clouds(), block=st.sampled_from([1, 7, 64, 1 << 20]))
-def test_row_sums_distances_match_cdist_bit_for_bit(cloud, block):
-    for pts, w in ((cloud[0], cloud[1]), (DYADIC_PTS, np.full(5, 0.2))):
-        got, want = [], []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng_module, "BLOCK", block)
-            _row_sums(pts, capture_blocks(got))
-        cdist_row_sums(pts, capture_blocks(want), block)
-        assert [i0 for i0, _ in got] == [i0 for i0, _ in want]
-        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
-        # and so the majorant on them, which reads dyadic distances from the
-        # binary exponent (the Riesz sums walk their own triangle, checked
-        # against cdist rows by test_riesz_triangle_matches_cdist_rows_and_dense_sum)
-        lam = FrostmanMeasure(pts, w, exponent_s=0.0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng_module, "BLOCK", block)
-            new = schur_dyadic_majorant(lam, pts.shape[1] - 0.5)
-            mp.setattr(harmonic, "_row_sums",
-                       lambda p, f: cdist_row_sums(p, f, block))
-            old = schur_dyadic_majorant(lam, pts.shape[1] - 0.5)
-        assert new == old
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -393,13 +360,6 @@ def test_energy_integral_matches_reference(cloud, frac, side):
     assert_rel_close(got.shell_increments, want.shell_increments)
 
 
-def test_schur_kernel_sup_matches_row_loop_on_cantor_levels():
-    for level in (4, 5, 6, 7):
-        lam = natural_measure(build_product_cantor(1, 1 / 3, level))
-        for gamma in (0.2, 0.8):
-            assert_rel_close(schur_kernel_sup(lam, gamma), loop_schur_kernel_sup(lam, gamma))
-
-
 def test_riesz_constant_gaussian_identity():
     # for the standard Gaussian pair the identity is closed-form on both sides
     for gamma in (0.6, 1.0, 1.4):
@@ -413,52 +373,12 @@ def test_riesz_constant_gaussian_identity():
             assert riesz_constant(gamma, d) == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_schur_dyadic_majorant_matches_shell_loop(d):
-    for level in (4, 5, 6):
-        lam = natural_measure(build_product_cantor(d, 1 / 3, level))
-        for gamma in (0.2, 0.8):
-            assert_rel_close(schur_dyadic_majorant(lam, gamma),
-                             loop_schur_dyadic_majorant(lam, gamma))
-
-
-def test_schur_dyadic_majorant_coincident_atoms_and_dyadic_distances():
-    # atoms 0 and 1 coincide, so their shells run to j = 998; the other
-    # distances are the dyadic 1/4, 1/2 and 1, each on its ball's boundary
-    lam = FrostmanMeasure(DYADIC_PTS, np.array([0.1, 0.2, 0.3, 0.15, 0.25]), exponent_s=0.0)
-    for gamma in (1.2, 1.5, 1.9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng_module, "BLOCK", 7)
-            got = schur_dyadic_majorant(lam, gamma)
-        assert_rel_close(got, loop_schur_dyadic_majorant(lam, gamma))
-        assert got >= 2.0 ** (999 * (2 - gamma)) * 0.2
-
-
-def test_schur_dyadic_majorant_overflow_names_coincident_atoms():
-    # atoms 0 and 2 coincide: at gamma = 1.5 the shells up to j = 998 still
-    # sum to a float; at gamma = 0.5 their weights pass the float range
-    pts = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
-    lam = FrostmanMeasure(pts, np.full(3, 1 / 3), exponent_s=0.0)
-    got = schur_dyadic_majorant(lam, 1.5)
-    assert_rel_close(got, loop_schur_dyadic_majorant(lam, 1.5))
-    assert got == pytest.approx(2.634e150, rel=1e-3)
-    with pytest.raises(DomainError, match=r"^atoms 0 and 2 coincide: .* d - gamma = 1\.5$"):
-        schur_dyadic_majorant(lam, 0.5)
-
-
-def test_schur_majorant_dominates():
-    for gamma in (0.2, 0.8):
-        for level in (4, 5, 6):
-            lam = natural_measure(build_product_cantor(1, 1 / 3, level))
-            assert schur_dyadic_majorant(lam, gamma) >= schur_kernel_sup(lam, gamma)
-
-
 def test_schur_dichotomy_across_levels():
     sups = {g: [] for g in (0.8, 0.2)}
     for level in (4, 5, 6, 7):
         lam = natural_measure(build_product_cantor(1, 1 / 3, level))
         for g in sups:
-            sups[g].append(schur_kernel_sup(lam, g))
+            sups[g].append(_riesz_row_sums(lam.points, lam.weights, g).max())
     stable = np.array(sups[0.8])
     ratios = stable[1:] / stable[:-1]
     assert np.all(ratios <= 1.10)          # gamma > d - s: <= 10% drift per level
@@ -473,24 +393,25 @@ def test_schur_dichotomy_across_levels():
 def test_radon_geometric_value_and_basics():
     phi = phase_function("euclidean", 2)
     n = 96
-    tf = radon_apply(phi, None, 2.0 ** -4, 0.25, np.ones((n, n)))
+    tf = radon_apply_stack(phi, None, 2.0 ** -4, 0.25, [np.ones((n, n))])[0]
     assert tf[n // 2, n // 2] == pytest.approx(2 * np.pi * 0.25, rel=0.01)
-    assert np.abs(radon_apply(phi, None, 2.0 ** -4, 0.25, np.zeros((n, n)))).max() == 0.0
+    assert np.abs(radon_apply_stack(phi, None, 2.0 ** -4, 0.25,
+                                    [np.zeros((n, n))])[0]).max() == 0.0
     f = random_band_limited(n, 8.0, seed=4)
     g = random_band_limited(n, 8.0, seed=5)
     both = radon_apply_stack(phi, None, 2.0 ** -4, 0.3, [f, g])
-    lin = radon_apply(phi, None, 2.0 ** -4, 0.3, 2 * f + 3 * g)
+    lin = radon_apply_stack(phi, None, 2.0 ** -4, 0.3, [2 * f + 3 * g])[0]
     assert np.abs(lin - (2 * both[0] + 3 * both[1])).max() < 1e-10
     with pytest.raises(ResolutionError):
-        radon_apply(phi, None, 1.0 / n, 0.3, f)
+        radon_apply_stack(phi, None, 1.0 / n, 0.3, [f])
 
 
 def test_radon_translation_covariance_torus():
     phi = phase_function("flat_torus", 2)
     n = 64
     f = random_band_limited(n, 8.0, seed=6)
-    a = radon_apply(phi, None, 2.0 ** -3, 0.3, np.roll(f, (7, 13), axis=(0, 1)))
-    b = np.roll(radon_apply(phi, None, 2.0 ** -3, 0.3, f), (7, 13), axis=(0, 1))
+    a = radon_apply_stack(phi, None, 2.0 ** -3, 0.3, [np.roll(f, (7, 13), axis=(0, 1))])[0]
+    b = np.roll(radon_apply_stack(phi, None, 2.0 ** -3, 0.3, [f])[0], (7, 13), axis=(0, 1))
     assert np.abs(a - b).max() < 1e-9
 
 

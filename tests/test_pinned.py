@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (dense_chain_exact, dense_chain_mc, dense_pinned_density,
-                     loop_measure_mollify, masked_bump_raw, nested_composed_density)
+                     masked_bump_raw, nested_composed_density)
 from scipy.integrate import quad
 
-from pinlab import (ChainDensity, CoverageError, DomainError, FrostmanMeasure,
-                    Mollifier, ResolutionError, build_product_cantor, chain_density,
+from pinlab import (BudgetError, ChainDensity, CoverageError, DomainError,
+                    FrostmanMeasure, Mollifier, ResolutionError,
+                    build_product_cantor, chain_density,
                     circle_measure, composed_operator_density, cs_lower_bound,
-                    density_mass, l2_energy, measure_mollify, natural_measure,
+                    density_mass, l2_energy, natural_measure,
                     phase_function, pinned_density, sample_points,
                     support_measure, uniform_grid_measure)
 from pinlab import pinned as pinned_module
 from pinlab import rng as rng_module
 from pinlab.pinned import default_t_grid
-from pinlab.profiles import (bump_l2_constant, bump_norm_constant, bump_profile,
-                             bump_raw)
+from pinlab.profiles import bump_norm_constant, bump_profile, bump_raw
 from pinlab.rng import rng_for
 
 PHI = phase_function("euclidean", 2)
@@ -49,7 +49,7 @@ def test_mollifier_profile_constants():
     norm = 1.0 / quad(lambda u: float(bump_raw(u)), -2.0, 2.0, limit=200)[0]
     assert bump_norm_constant().hex() == norm.hex() == "0x1.204ad466d96d8p+0"
     l2 = quad(lambda u: (norm * float(bump_raw(u))) ** 2, -2.0, 2.0, limit=200)[0]
-    assert bump_l2_constant().hex() == l2.hex() == "0x1.59a8e931b6780p-2"
+    assert l2.hex() == "0x1.59a8e931b6780p-2"
     moll = Mollifier(0.25)
     mass_eps = quad(lambda u: float(moll(u)), -0.5, 0.5, limit=200)[0]
     assert mass_eps == pytest.approx(1.0, abs=1e-10)
@@ -327,6 +327,22 @@ def test_resolution_and_empty_errors():
         FrostmanMeasure(np.zeros((0, 2)), np.zeros(0), exponent_s=1.0)
 
 
+def test_one_grid_budget_for_default_and_explicit_grids():
+    mu = circle_measure(64)
+    pin = mu.points[0]
+    # the default grid is counted before it is allocated
+    with pytest.raises(BudgetError, match=r"^t-grid of \d+ nodes exceeds budget 2000000$"):
+        default_t_grid(np.array([0.0, 1.0]), 2.0 ** -30)
+    with pytest.raises(BudgetError):
+        pinned_density(mu, PHI, pin, Mollifier(2.0 ** -30))
+    # an explicit grid one node past the budget, as the chain's axes
+    over = np.arange(pinned_module.GRID_BUDGET + 1) * 0.25
+    with pytest.raises(BudgetError, match=f"^t-grid of {len(over)} nodes"):
+        pinned_density(mu, PHI, pin, Mollifier(1.0), t_grid=over)
+    with pytest.raises(BudgetError, match=f"^t-grid of {len(over)} nodes"):
+        chain_density(mu, PHI, pin, 1, Mollifier(1.0), t_axes=(over,))
+
+
 def test_uniform_density_energy_bound_support():
     nu = uniform_unit_density()
     dt = float(nu.t_grid[1] - nu.t_grid[0])
@@ -341,10 +357,12 @@ def test_bump_density_energy_and_bound():
     mu = circle_measure(512)
     eps = 2.0 ** -5
     nu = pinned_density(mu, PHI, np.array([0.5, 0.5]), Mollifier(eps))
+    # int rho_eps^2 = int rho^2 / eps
+    rho_sq = quad(lambda u: float(bump_profile(u)) ** 2, -2.0, 2.0, limit=200)[0]
     energy = l2_energy([1.0], [nu])
-    assert energy == pytest.approx(bump_l2_constant() / eps, rel=1e-6)
+    assert energy == pytest.approx(rho_sq / eps, rel=1e-6)
     bound = cs_lower_bound(nu)
-    assert bound == pytest.approx(eps / bump_l2_constant(), rel=1e-5)
+    assert bound == pytest.approx(eps / rho_sq, rel=1e-5)
     assert support_measure(nu) <= 4 * eps
     assert support_measure(nu) >= bound - 1e-9
 
@@ -649,61 +667,3 @@ def test_composed_exact_matches_nested_oracle(seed, k, n_atoms, eps, with_psi):
     # the same recursion on the same kernel floats, so only BLAS summation
     # order may differ; every term is nonnegative
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-
-def test_measure_mollify_point_mass_and_conservation():
-    one = FrostmanMeasure(np.array([[0.5, 0.5]]), np.array([1.0]), exponent_s=0.0)
-    theta = 1 / 8
-    dens, h = measure_mollify(one, theta, 128)
-    assert dens.sum() * h ** 2 == pytest.approx(1.0, abs=1e-8)
-    peak = dens.max()
-    expected_peak = (bump_profile(0.0) / theta) ** 2
-    assert peak == pytest.approx(expected_peak, rel=0.01)
-
-    mu = natural_measure(build_product_cantor(2, 1 / 3, 4))
-    dens, h = measure_mollify(mu, 2.0 ** -5, 256)
-    assert dens.sum() * h ** 2 == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ResolutionError):
-        measure_mollify(mu, 2.0 ** -8, 128)
-
-
-@settings(max_examples=30)
-@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2), n_atoms=st.integers(1, 50),
-       theta=st.sampled_from([2.0 ** -3, 2.0 ** -4, 2.0 ** -5]), extra=st.integers(0, 40),
-       block=st.sampled_from([64, 1000, rng_module.BLOCK]))
-def test_measure_mollify_matches_per_atom_loop(seed, d, n_atoms, theta, extra, block):
-    # grids from the coarsest allowed (h = theta / 4) up; atoms anywhere in
-    # [0, 1)^d, so windows wrap around the torus
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.05, 1.0, n_atoms)
-    mu = FrostmanMeasure(rng.uniform(0.0, 1.0, (n_atoms, d)), w / w.sum(), exponent_s=float(d))
-    grid_n = int(round(4 / theta)) + extra
-    with mock.patch.object(rng_module, "BLOCK", block):
-        dens, h = measure_mollify(mu, theta, grid_n)
-    ref, ref_h = loop_measure_mollify(mu, theta, grid_n)
-    assert h == ref_h
-    np.testing.assert_allclose(dens, ref, rtol=1e-12, atol=0.0)
-    assert np.array_equal(dens > 0, ref > 0)
-
-
-def test_measure_mollify_wide_bump_wraps_without_loss():
-    # theta = 0.3 on 14 cells: each window (21 nodes) wraps onto itself, and
-    # the wrapped nodes must add up, not overwrite each other
-    one = FrostmanMeasure(np.array([[0.3, 0.6]]), np.array([1.0]), exponent_s=0.0)
-    dens, h = measure_mollify(one, 0.3, 14)
-    assert dens.sum() * h ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_measure_mollify_l2_converges():
-    # confined support so mollification actually moves mass (the full-box
-    # uniform measure is torus-invariant and shows no theta dependence)
-    mu = uniform_grid_measure(1, 512, 0.25, 0.75)
-    f_sq = []
-    for theta in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
-        dens, h = measure_mollify(mu, theta, 2048)
-        x = (np.arange(2048) + 0.5) * h
-        f_sq.append(float((dens * x ** 2).sum() * h))
-    diffs = np.abs(np.diff(f_sq))
-    assert np.all(np.diff(diffs) < 0)
-    exact = 2 * (0.75 ** 3 - 0.25 ** 3) / 3
-    assert f_sq[-1] == pytest.approx(exact, abs=5e-3)
