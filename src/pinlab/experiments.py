@@ -418,7 +418,9 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
     """Empirical CDF of pinned-support estimates over many pins.
 
     Flags pins whose support estimate falls below the configured floor;
-    persistent pins stay below the floor at every epsilon.  The rows are
+    persistent pins stay below the floor at every epsilon.  A failed cell
+    (its error kept in the row) is neither flagged nor counted: the flagged
+    fraction is over the cells measured, NaN when none was.  The rows are
     those of one `pin_table`, by epsilon, then pin.
     """
     seed = read_key(cfg, "seed") if seed is None else seed
@@ -439,8 +441,10 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
         rows = [{"eps": eps, "pin": pin_i, "support": math.nan if exc else sup,
                  "error": str(exc or "")} for pin_i, (sup, exc) in enumerate(cells)]
         report.rows += rows
-        flags = np.array([r["support"] for r in rows]) < floor
-        report.flagged_fraction[eps] = float(np.mean(flags))
+        measured = np.array([exc is None for _, exc in cells])
+        flags = measured & (np.array([r["support"] for r in rows]) < floor)
+        report.flagged_fraction[eps] = (float(np.mean(flags[measured])) if measured.any()
+                                        else math.nan)
         below += flags
     report.persistent_pins = [int(i) for i in np.nonzero(below == len(eps_list))[0]]
     return report

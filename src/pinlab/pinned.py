@@ -93,7 +93,7 @@ def default_t_grid(phi_values, epsilon: float, step_divisor: int = STEP_DIVISOR)
     hi = float(np.max(phi_values)) + 4.0 * epsilon
     n = int(math.ceil((hi - lo) / dt)) + 1
     if n > GRID_BUDGET:
-        raise BudgetError(f"t-grid of {n} nodes exceeds budget {GRID_BUDGET}")
+        raise BudgetError(f"grid of {n} nodes exceeds budget {GRID_BUDGET}")
     return lo + dt * np.arange(n)
 
 
@@ -133,8 +133,7 @@ def _check_axes(t_axes, epsilon: float) -> None:
     (windows and trapezoid weights assume one step), its step at most eps/2."""
     nodes = math.prod(len(ax) for ax in t_axes)
     if nodes > GRID_BUDGET:
-        what = "t-grid" if len(t_axes) == 1 else "chain grid"
-        raise BudgetError(f"{what} of {nodes} nodes exceeds budget {GRID_BUDGET}")
+        raise BudgetError(f"grid of {nodes} nodes exceeds budget {GRID_BUDGET}")
     for ax in t_axes:
         dt = float(ax[1] - ax[0]) if len(ax) > 1 else 0.0
         if dt > epsilon / 2.0:

@@ -18,6 +18,7 @@ from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
                     default_t_grid, density_mass, l2_energy, pinned_density,
                     support_measure, verdict_from_series)
 from pinlab import experiments
+from pinlab import pinned as pinned_module
 from pinlab.cli import main as cli_main
 from pinlab.experiments import (KEYS, build_generator, build_phase, draw_pins,
                                 exceptional_probe, parse_config_text, read_key,
@@ -161,6 +162,22 @@ def test_probe_lebesgue_square_flags_nothing():
                     floor="0.1", epsilons="2^-5 2^-6")
     rep = exceptional_probe(cfg)
     assert all(v == 0.0 for v in rep.flagged_fraction.values())
+    assert rep.persistent_pins == []
+
+
+def test_probe_fraction_counts_only_measured_cells(monkeypatch):
+    # pins 0.71 to 1.36 from their farthest atom need 491 to 823 nodes at
+    # 2^-5: a 650-node budget stops some of them there and all at 2^-6
+    monkeypatch.setattr(pinned_module, "GRID_BUDGET", 650)
+    cfg = probe_cfg(generator="uniform", per_side="24", pin_policy="mu",
+                    floor="1e9", epsilons="2^-4 2^-5 2^-6")
+    rep = exceptional_probe(cfg)
+    failed = {eps: sum(bool(r["error"]) for r in rep.rows if r["eps"] == eps)
+              for eps in rep.flagged_fraction}
+    assert failed[2.0 ** -4] == 0 and 0 < failed[2.0 ** -5] < 50 and failed[2.0 ** -6] == 50
+    # every measured support is below the floor; a failed cell is not flagged
+    assert rep.flagged_fraction[2.0 ** -4] == rep.flagged_fraction[2.0 ** -5] == 1.0
+    assert math.isnan(rep.flagged_fraction[2.0 ** -6])
     assert rep.persistent_pins == []
 
 
@@ -483,7 +500,7 @@ def test_cli_density_over_grid_budget_exit_3(tmp_path, capsys, command, body, no
     # and at 2^-19 pinned ran a grid past the budget the chain kept
     cfg = write_cfg(tmp_path, "fine.cfg", "level = 1\ntarget_dim = 1.6\npins = 2\n" + body)
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == (f"resource error: t-grid of {nodes} nodes "
+    assert capsys.readouterr().err == (f"resource error: grid of {nodes} nodes "
                                        "exceeds budget 2000000\n")
 
 
@@ -501,10 +518,27 @@ def test_cli_sweep_keeps_grid_budget_error_in_its_cells(tmp_path):
         if float(r["eps"]) == 2.0 ** -3:
             assert r["error"] == "" and abs(float(r["mass"]) - 1.0) < 1e-6
         else:
-            assert re.fullmatch(r"t-grid of \d+ nodes exceeds budget 2000000", r["error"])
+            assert re.fullmatch(r"grid of \d+ nodes exceeds budget 2000000", r["error"])
             assert math.isnan(float(r["mass"]))
     assert json.load(open(out / "summary.json"))["verdicts"] == {"1.0": "ERROR",
                                                                  "1.6": "ERROR"}
+
+
+def test_cli_probe_past_grid_budget_writes_nan_fraction(tmp_path):
+    # every 2^-30 cell holds the budget error: its fraction used to read 0.0
+    cfg = write_cfg(tmp_path, "p.cfg", "generator = circle\nn_atoms = 128\npins = 60\n"
+                    "epsilons = 2^-4 2^-30\nfloor = 1e9\n")
+    out = tmp_path / "o"
+    assert cli_main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "probe_rows.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if float(r["eps"]) == 2.0 ** -30]
+    assert len(rows) == 60
+    assert all(re.fullmatch(r"grid of \d+ nodes exceeds budget 2000000", r["error"])
+               for r in rows)
+    summary = json.load(open(out / "summary.json"))
+    assert summary["flagged_fraction"]["0.0625"] == 1.0
+    assert math.isnan(summary["flagged_fraction"][repr(2.0 ** -30)])
+    assert summary["persistent_pins"] == []
 
 
 def test_cli_chain_over_grid_budget_exit_3(tmp_path, capsys):
@@ -512,7 +546,7 @@ def test_cli_chain_over_grid_budget_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "chain.cfg", "d = 2\ngenerator = product_cantor\n"
                     "target_dim = 1.6\nlevel = 3\nk = 3\nepsilon = 2^-5\nmc_samples = 0\n")
     assert cli_main(["chain", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == ("resource error: chain grid of 8120601 nodes "
+    assert capsys.readouterr().err == ("resource error: grid of 8120601 nodes "
                                        "exceeds budget 2000000\n")
 
 

@@ -331,15 +331,15 @@ def test_one_grid_budget_for_default_and_explicit_grids():
     mu = circle_measure(64)
     pin = mu.points[0]
     # the default grid is counted before it is allocated
-    with pytest.raises(BudgetError, match=r"^t-grid of \d+ nodes exceeds budget 2000000$"):
+    with pytest.raises(BudgetError, match=r"^grid of \d+ nodes exceeds budget 2000000$"):
         default_t_grid(np.array([0.0, 1.0]), 2.0 ** -30)
     with pytest.raises(BudgetError):
         pinned_density(mu, PHI, pin, Mollifier(2.0 ** -30))
     # an explicit grid one node past the budget, as the chain's axes
     over = np.arange(pinned_module.GRID_BUDGET + 1) * 0.25
-    with pytest.raises(BudgetError, match=f"^t-grid of {len(over)} nodes"):
+    with pytest.raises(BudgetError, match=f"^grid of {len(over)} nodes"):
         pinned_density(mu, PHI, pin, Mollifier(1.0), t_grid=over)
-    with pytest.raises(BudgetError, match=f"^t-grid of {len(over)} nodes"):
+    with pytest.raises(BudgetError, match=f"^grid of {len(over)} nodes"):
         chain_density(mu, PHI, pin, 1, Mollifier(1.0), t_axes=(over,))
 
 
