@@ -22,12 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import BudgetError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure
 from .phases import _norm, pairwise_value
 from .pinned import Mollifier, _tensor_block
 from .profiles import smooth_step
-from .rng import rng_for, row_blocks
+from .rng import block_rows, rng_for, row_blocks
 
 
 class ResolutionWarning(UserWarning):
@@ -36,25 +36,102 @@ class ResolutionWarning(UserWarning):
 
 # -- frequency grids ---------------------------------------------------------
 
+#: Bytes of the largest array of a sphere raster, an energy deposit box or
+#: one stage of their transforms; `_check_budget` refuses more.
+BYTE_BUDGET = 1 << 28
+
+
 def freq_norms(d: int, side_n: int) -> np.ndarray:
     """|xi| at every integer frequency of the periodic grid of side_n^d nodes,
     in FFT order."""
     return np.sqrt(sum(k ** 2 for k in np.ix_(*[np.fft.fftfreq(side_n) * side_n] * d)))
 
 
-def _rfft_shells(d: int, side_n: int, pad: int):
-    """|xi| on the rfftn layout of the (pad side_n)^d periodic grid, at
-    frequency spacing 1/pad (pad a power of two, so the scaling is exact),
-    and a (geometric mid, mask) pair for each dyadic shell 2^m <= |xi| <
-    2^(m+1) below side_n/4.  ResolutionError for fewer than two shells."""
+def _shell_top(side_n: int) -> int:
+    """m_top = floor(log2(side_n/4)): the dyadic shells 2^m <= |xi| < 2^(m+1),
+    m < m_top, end at 2^m_top <= side_n/4.  ResolutionError for fewer than
+    two shells."""
     if side_n < 16:
         raise ResolutionError(f"side_n {side_n} gives fewer than two shells; need side_n >= 16")
-    n = pad * side_n
-    axes = [np.fft.fftfreq(n) * n] * (d - 1) + [np.arange(n // 2 + 1.0)]
-    fn = np.sqrt(sum(k ** 2 for k in np.ix_(*axes)))
+    return int(math.floor(math.log2(side_n / 4.0)))
+
+
+def _rfft_shells(d: int, side_n: int, pad: int):
+    """|xi| at frequency spacing 1/pad (pad a power of two, so the scaling is
+    exact) on the part of the rfftn layout of the (pad side_n)^d periodic grid
+    that the shells read, and a (geometric mid, mask) pair for each dyadic
+    shell 2^m <= |xi| < 2^(m+1), m < `_shell_top(side_n)`.  That part keeps
+    the integer frequencies |k_i| < k = pad 2^m_top on every axis, the box
+    `_rfft_box` returns: the full axes in rfftn order 0..k-1, n-k+1..n-1
+    (n = pad side_n), the last axis 0..k-1."""
+    m_top = _shell_top(side_n)
+    n, k = pad * side_n, pad * 2 ** m_top
+    full = np.fft.fftfreq(n) * n
+    axes = [np.concatenate([full[:k], full[n - k + 1:]])] * (d - 1) + [np.arange(k + 0.0)]
+    fn = sum(x ** 2 for x in np.ix_(*axes))
+    np.sqrt(fn, out=fn)
     fn /= pad
     return fn, [(math.sqrt(2.0 ** m * 2.0 ** (m + 1)), (fn >= 2.0 ** m) & (fn < 2.0 ** (m + 1)))
-                for m in range(int(math.floor(math.log2(side_n / 4.0))))]
+                for m in range(m_top)]
+
+
+def _fft_lines(src, fill, nodes, n: int, cols, fft) -> np.ndarray:
+    """fft(line)[cols] for each line along the last axis of `src`, taken as
+    the length-n line that holds its values at `nodes` and its `fill` value
+    (`fill` has a unit last axis) elsewhere; in `row_blocks` of lines."""
+    out = np.empty(src.shape[:-1] + (len(cols),), complex)
+    lines = np.empty((block_rows(n), n), src.dtype)
+    for sl in row_blocks(math.prod(src.shape[:-1]), n):
+        at = np.unravel_index(np.arange(sl.start, sl.stop), src.shape[:-1])
+        buf = lines[:sl.stop - sl.start]
+        buf[:] = fill[at]
+        buf[:, nodes] = src[at]
+        out[at] = fft(buf)[:, cols]
+    return out
+
+
+def _rfft_box(box: np.ndarray, starts, n: int, k: int) -> np.ndarray:
+    """np.fft.rfftn of the periodic n^d grid that is zero but for `box`, whose
+    cell j sits at (starts + j) mod n, at the frequencies |k_i| < k alone (k
+    <= n/2): the full axes in rfftn order 0..k-1, n-k+1..n-1, the last axis
+    0..k-1.
+
+    The axes go in rfftn's order (the last by rfft, then the others from
+    last to first), each by `_fft_lines` on lines that hold the box's values
+    at their nodes and, elsewhere, what rfftn's lines hold there: the
+    transform so far of the all-zero grid (rfft gives a zero line some -0.0
+    imaginary parts).  So every kept value has the bits of the same 1-d
+    transforms in rfftn.
+    """
+    d = box.ndim
+    keep = np.r_[0:k, n - k + 1:n]
+    box = box[None]     # a leading unit axis gives every line a leading index
+    zero = np.zeros((1,) * (d + 1))     # constant along the axes still to go
+    for axis in range(d, 0, -1):
+        fft, cols = (np.fft.rfft, keep[:k]) if axis == d else (np.fft.fft, keep)
+        fill = np.moveaxis(np.broadcast_to(zero, box.shape), axis, -1)[..., :1]
+        nodes = (starts[axis - 1] + np.arange(box.shape[axis])) % n
+        box = np.moveaxis(_fft_lines(np.moveaxis(box, axis, -1), fill, nodes, n, cols, fft),
+                          -1, axis)
+        if axis > 1:
+            z = np.moveaxis(zero, axis, -1)
+            zero = np.moveaxis(_fft_lines(z[..., :0], z, nodes[:0], n, cols, fft), -1, axis)
+    return box[0]
+
+
+def _check_budget(what: str, spans, n: int, k: int) -> None:
+    """BudgetError, before anything is allocated, when a box of `spans` cells
+    on the periodic n^d grid (float) or one stage of its `_rfft_box`
+    transform at k (complex) takes more than BYTE_BUDGET bytes."""
+    shape = [int(s) for s in spans]     # Python ints: no overflow
+    largest = 8 * math.prod(shape)
+    for axis in range(len(shape) - 1, -1, -1):
+        shape[axis] = k if axis == len(shape) - 1 else 2 * k - 1
+        largest = max(largest, 16 * math.prod(shape))
+    if largest > BYTE_BUDGET:
+        raise BudgetError(f"{what} box of {' x '.join(str(s) for s in spans)} cells on the "
+                          f"{n}^{len(shape)} grid needs {largest} bytes, exceeds budget "
+                          f"{BYTE_BUDGET}")
 
 
 def _square_grid(axis: np.ndarray) -> np.ndarray:
@@ -140,16 +217,23 @@ def rasterize_sphere_shell(d: int, side_n: int) -> np.ndarray:
 
     Cells are weighted by a tent profile across the 2-cell shell width; a
     hard indicator leaves lattice-quantization spikes that bias the decay
-    maxima upward at high frequency.
+    maxima upward at high frequency.  The side_n^d raster is the one array
+    of that size: every step after the sum of squares works in place.
     """
     h = 1.0 / side_n
     offsets = (np.arange(side_n) + 0.5) * h - 0.5
-    r = np.sqrt(sum(g ** 2 for g in np.ix_(*[offsets] * d)))
-    mass = np.maximum(0.0, 1.0 - np.abs(r - SHELL_RADIUS) / h)
+    mass = sum(g ** 2 for g in np.ix_(*[offsets] * d))
+    np.sqrt(mass, out=mass)
+    mass -= SHELL_RADIUS
+    np.abs(mass, out=mass)
+    mass /= h
+    np.subtract(1.0, mass, out=mass)
+    np.maximum(0.0, mass, out=mass)
     total = mass.sum()
     if total == 0:
         raise DomainError("shell missed every grid cell")
-    return mass / total
+    mass /= total
+    return mass
 
 
 def surface_measure_decay(d: int, side_n: int) -> DecayFit:
@@ -157,21 +241,29 @@ def surface_measure_decay(d: int, side_n: int) -> DecayFit:
 
     The fit runs over shells inside [8, side_n/4] for d = 2 and [4, side_n/4]
     for d = 3; a flagged result signals a grid too coarse for the stated
-    range (side_n < 256 in d = 2, < 64 in d = 3).
+    range (side_n < 256 in d = 2, < 64 in d = 3).  The raster's transform is
+    `_rfft_box` of the shell's own box at the frequencies the shells read; a
+    raster past BYTE_BUDGET is a BudgetError before it is built.
     """
     if d not in (2, 3):
         raise DomainError("surface decay is implemented for d in {2, 3}")
+    k = 2 ** _shell_top(side_n)
+    _check_budget("decay", (side_n,) * d, side_n, k)
     fn, shells = _rfft_shells(d, side_n, 1)
     flagged = side_n < (256 if d == 2 else 64)
-    amag = np.abs(np.fft.rfftn(rasterize_sphere_shell(d, side_n)))
+    mass = rasterize_sphere_shell(d, side_n)
+    # only the box of the shell's nonzero cells is transformed
+    nz = [np.flatnonzero(mass.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
+    amag = np.abs(_rfft_box(mass[tuple(slice(i[0], i[-1] + 1) for i in nz)],
+                            [i[0] for i in nz], side_n, k))
     radii, maxima = [], []
     for _, sel in shells:
         vals = amag[sel]
-        k = int(np.argmax(vals))
+        j = int(np.argmax(vals))
         # abscissa = frequency where the max is attained: the extremum drifts
         # inside the shell, and pinning it to the shell midpoint biases slopes
-        radii.append(float(fn[sel][k]))
-        maxima.append(float(vals[k]))
+        radii.append(float(fn[sel][j]))
+        maxima.append(float(vals[j]))
     radii, maxima = np.array(radii), np.array(maxima)
     mids = np.array([mid for mid, _ in shells])
     r_lo = 8.0 if d == 2 else 4.0
@@ -202,16 +294,30 @@ PAD = 4
 SIGMA_CELLS = 1.0
 
 
-def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int) -> np.ndarray:
-    """Mass per cell of the atoms deposited as unit-mass Gaussian bumps on the
-    periodic grid of (PAD side_n)^d cells of side h = 1/side_n, node i at i h.
+def _atom_box(points: np.ndarray, side_n: int):
+    """(starts, spans) of the smallest box of cells that `deposit_gaussian`'s
+    windows touch: per axis, from the lowest window node to the highest, or
+    the whole axis from 0 when that reaches the PAD side_n nodes."""
+    h, n_grid = 1.0 / side_n, PAD * side_n
+    reach = int(math.ceil(5.0 * SIGMA_CELLS))
+    lo = np.floor(points.min(axis=0) / h).astype(int) - reach
+    spans = np.floor(points.max(axis=0) / h).astype(int) + reach + 1 - lo
+    whole = spans >= n_grid
+    return np.where(whole, 0, lo), np.where(whole, n_grid, spans)
+
+
+def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int):
+    """(box, starts): mass per cell of the atoms deposited as unit-mass
+    Gaussian bumps on the periodic grid of (PAD side_n)^d cells of side h =
+    1/side_n, node i at i h, kept on the `_atom_box` the bumps touch; box
+    cell j is grid node (starts + j) mod PAD side_n, and every node outside
+    the box holds 0.
 
     Each atom p puts the tensor product of exp(-(node - p_j)^2 / 2 sigma^2),
     sigma = SIGMA_CELLS h, on the 2 reach + 1 nodes around its cell on every
-    axis, reach = ceil(5 SIGMA_CELLS), wrapped mod PAD side_n and scaled to sum
-    to the atom's mass; each of the `row_blocks` of atoms is scattered by one
-    unbuffered `np.add.at`, so a window that wraps onto itself adds every
-    repeat.
+    axis, reach = ceil(5 SIGMA_CELLS), scaled to sum to the atom's mass;
+    each of the `row_blocks` of atoms is scattered by one unbuffered
+    `np.add.at`, so a window that wraps onto itself adds every repeat.
     """
     h = 1.0 / side_n
     sigma = SIGMA_CELLS * h
@@ -219,17 +325,18 @@ def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int) -> np.
     reach = int(math.ceil(5.0 * SIGMA_CELLS))
     offsets = np.arange(-reach, reach + 1)
     n, d = points.shape
-    shape = (n_grid,) * d
-    dens = np.zeros(n_grid ** d)
+    starts, spans = _atom_box(points, side_n)
+    shape = tuple(int(s) for s in spans)
+    dens = np.zeros(math.prod(shape))
     for sl in row_blocks(n, len(offsets) ** d):
         p = points[sl]
         idx = np.floor(p / h).astype(int)[:, :, None] + offsets      # (atoms, d, window)
         vals = np.exp(-0.5 * ((idx * h - p[:, :, None]) / sigma) ** 2)
-        block, flat = _tensor_block(list(idx.transpose(1, 0, 2) % n_grid),
+        block, flat = _tensor_block(list((idx - starts[:, None]).transpose(1, 0, 2) % n_grid),
                                     list(vals.transpose(1, 0, 2)), shape)
         block *= (masses[sl] / block.sum(axis=1))[:, None]
         np.add.at(dens, flat, block.ravel())
-    return dens.reshape(shape)
+    return dens.reshape(shape), starts
 
 
 # |xi| < 1 of the energy integral: Gauss-Legendre nodes in v = |xi|^2, and
@@ -318,13 +425,16 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int, g_values=None):
     Fourier side: the centre |xi| < 1, where the |xi|^-gamma singularity
     defeats a lattice Riemann sum, from `_center_energy`; beyond it, atoms
     deposited as Gaussian bumps on a PAD-times-wider periodic grid (frequency
-    spacing 1/PAD), transformed, deconvolved by the exact Gaussian factor,
-    and summed with the Riemann weight.  Kernel side: the Riesz-constant-
-    weighted double sum over distinct atoms.  Dyadic shell increments of the
-    Fourier sum are returned for the convergence diagnostics.  d = 1..3.  A
-    scalar gamma gives one EnergyResult; a 1-d array of gammas gives a list
-    of them, sharing the centre pass, the deposit, the transform, the shell
-    masks and one pass over the atom-pair distances.
+    spacing 1/PAD) and kept on the box they touch, transformed by
+    `_rfft_box` at the frequencies the shells read, deconvolved by the exact
+    Gaussian factor, and summed with the Riemann weight.  A box or spectrum
+    past BYTE_BUDGET is a BudgetError before either is built.  Kernel side:
+    the Riesz-constant-weighted double sum over distinct atoms.  Dyadic
+    shell increments of the Fourier sum are returned for the convergence
+    diagnostics.  d = 1..3.  A scalar gamma gives one EnergyResult; a 1-d
+    array of gammas gives a list of them, sharing the centre pass, the
+    deposit, the transform, the shell masks and one pass over the atom-pair
+    distances.
     """
     gammas = np.atleast_1d(np.asarray(gamma, float))
     if gammas.ndim != 1 or len(gammas) == 0:
@@ -335,17 +445,19 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int, g_values=None):
     d = lam.d
     g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
     masses = lam.weights * g
-    # the centre comes first: it rejects d >= 4 before a (PAD side_n)^d grid is built
+    # the centre comes first: it rejects d >= 4 before a grid box is sized
     centres = _center_energy(lam.points, masses, gammas)
+    k = PAD * 2 ** _shell_top(side_n)
+    _check_budget("energy", _atom_box(lam.points, side_n)[1], PAD * side_n, k)
     fn, shells = _rfft_shells(d, side_n, PAD)
-    power = np.abs(np.fft.rfftn(deposit_gaussian(lam.points, masses, side_n)))
+    power = np.abs(_rfft_box(*deposit_gaussian(lam.points, masses, side_n), PAD * side_n, k))
     decon = fn ** 2
     decon *= 2.0 * np.pi ** 2 * (SIGMA_CELLS / side_n) ** 2
     power *= np.exp(decon, out=decon)
     power **= 2
-    # rfft stores half the spectrum: double all columns but 0 and the Nyquist
-    # column, which the even PAD * side_n always has
-    power[..., 1:-1] *= 2.0
+    # rfft stores half the spectrum: double every kept column but 0 (the
+    # Nyquist column, PAD side_n / 2, lies past the shells)
+    power[..., 1:] *= 2.0
     radii = np.array([mid for mid, _ in shells])
     shells = [(power[sel], fn[sel]) for _, sel in shells]
     del fn, power, decon

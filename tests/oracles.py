@@ -13,7 +13,10 @@ Gaussian deposit and the dense Riesz double sum, as they were before the
 blocked real-arithmetic versions replaced them, per-row sums over blocks of
 scipy's `cdist` distances (the reference for the one-triangle Riesz row
 sums of `harmonic._riesz_row_sums`), and the |xi| < 1 energy centre as a
-power series in the pair distances, which needs no quadrature at all.  They
+power series in the pair distances, which needs no quadrature at all.  The
+whole padded grid and its full `rfftn` (`embed_box`, `rfftn_box`,
+`reference_energy_integral`) are the reference for `harmonic`'s deposit on
+the atoms' box and its transform onto the shells' frequencies.  They
 touch every pair or tuple, or rebuild what the package shares, so they are
 slow and memory-hungry, but they are simple enough to trust.  The
 euclidean, scaled_euclidean and flat_torus phases are here as the three
@@ -296,6 +299,23 @@ def meshgrid_rfft_shells(d, side_n, pad):
         lo, hi = 2.0 ** m, 2.0 ** (m + 1)
         shells.append((math.sqrt(lo * hi), (fn >= lo) & (fn < hi)))
     return fn, shells
+
+
+def rfftn_box(full, k):
+    """The part of an array on the rfftn layout of an n^d grid at the
+    integer frequencies |k_i| < k: the full axes at 0..k-1, n-k+1..n-1, the
+    last axis at 0..k-1."""
+    n = full.shape[0]
+    keep = np.r_[0:k, n - k + 1:n]
+    return full[np.ix_(*[keep] * (full.ndim - 1) + [np.arange(k)])]
+
+
+def embed_box(box, starts, n):
+    """The periodic n^d grid that is zero but for `box`, whose cell j sits at
+    (starts + j) mod n."""
+    grid = np.zeros((n,) * box.ndim)
+    grid[np.ix_(*[(s + np.arange(b)) % n for s, b in zip(starts, box.shape)])] = box
+    return grid
 
 
 def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,

@@ -18,6 +18,7 @@ from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
                     default_t_grid, density_mass, l2_energy, pinned_density,
                     support_measure, verdict_from_series)
 from pinlab import experiments
+from pinlab import harmonic as harmonic_module
 from pinlab import pinned as pinned_module
 from pinlab.cli import main as cli_main
 from pinlab.experiments import (KEYS, build_generator, build_phase, draw_pins,
@@ -487,6 +488,28 @@ def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource error: 1073741824 tuples exceed")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("which, message, ran", [
+    ("decay", "decay box of 128 x 128 x 128 cells on the 128^3 grid needs 16777216 bytes",
+     [("raster", 2)]),
+    ("energy", "energy box of 266 x 11 cells on the 2048^2 grid needs 8380416 bytes", []),
+])
+def test_cli_fourier_over_byte_budget_exit_3(tmp_path, capsys, monkeypatch, which, message, ran):
+    # the largest array is sized before any is allocated: at a 4 MiB budget
+    # the d = 2 decay (2 MiB raster) still runs, the d = 3 raster and the
+    # energy's box spectrum (1023 x 512 complex) are refused unbuilt
+    monkeypatch.setattr(harmonic_module, "BYTE_BUDGET", 1 << 22)
+    built = []
+    raster, deposit = harmonic_module.rasterize_sphere_shell, harmonic_module.deposit_gaussian
+    monkeypatch.setattr(harmonic_module, "rasterize_sphere_shell",
+                        lambda d, side: built.append(("raster", d)) or raster(d, side))
+    monkeypatch.setattr(harmonic_module, "deposit_gaussian",
+                        lambda *args: built.append(("deposit",)) or deposit(*args))
+    cfg = write_cfg(tmp_path, "f.cfg", f"which = {which}\n")
+    assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"resource error: {message}, exceeds budget 4194304\n"
+    assert built == ran
 
 
 @pytest.mark.parametrize("command, body, nodes", [

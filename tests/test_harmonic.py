@@ -4,11 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (cdist_row_sums, chunked_oscillatory_G, dense_riesz_double_sum,
-                     loop_deposit_gaussian, meshgrid_freq_norms, meshgrid_rfft_shells,
-                     reference_energy_integral, series_center_energy)
+                     embed_box, loop_deposit_gaussian, meshgrid_freq_norms,
+                     meshgrid_rfft_shells, reference_energy_integral, rfftn_box,
+                     series_center_energy)
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import j0
@@ -25,7 +26,7 @@ from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
 from pinlab import harmonic
 from pinlab import rng as rng_module
 from pinlab.harmonic import (ResolutionWarning, _center_energy, _radon_direct,
-                             _rfft_shells, _riesz_row_sums, deposit_gaussian,
+                             _rfft_box, _rfft_shells, _riesz_row_sums, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
 
@@ -59,13 +60,49 @@ def test_lp_partition_sums_to_one():
     (d, side_n, pad) for d in (1, 2, 3) for side_n in (16, 24, 96, 128) for pad in (1, 4)
     if d < 3 or pad * side_n <= 128])
 def test_open_grids_match_meshgrid_bit_for_bit(d, side_n, pad):
+    # the box keeps |k_i| < pad 2^m_top, and every shell lies inside it
     assert freq_norms(d, side_n).tobytes() == meshgrid_freq_norms(d, side_n).tobytes()
     fn, shells = _rfft_shells(d, side_n, pad)
     want_fn, want_shells = meshgrid_rfft_shells(d, side_n, pad)
-    assert fn.shape == want_fn.shape and fn.tobytes() == want_fn.tobytes()
+    k = pad * 2 ** int(np.log2(side_n / 4))
+    assert fn.shape == (2 * k - 1,) * (d - 1) + (k,)
+    assert fn.tobytes() == rfftn_box(want_fn, k).tobytes()
     assert len(shells) == len(want_shells) == int(np.log2(side_n / 4))
     for (mid, sel), (want_mid, want_sel) in zip(shells, want_shells):
-        assert mid == want_mid and np.array_equal(sel, want_sel) and sel.any()
+        assert mid == want_mid and np.array_equal(sel, rfftn_box(want_sel, k)) and sel.any()
+        assert sel.sum() == want_sel.sum()
+
+
+@st.composite
+def grid_boxes(draw):
+    """(box, starts, n, k): a box of 1..n cells per axis, some of its lines
+    all zero, starting anywhere in -n..2n, so it often wraps past the grid's
+    edge, on an n^d grid with d = 1..3, and a cut-off k in 1..n/2."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([8, 12, 16, 24] if d < 3 else [8, 12, 16]))
+    spans = draw(st.lists(st.one_of(st.just(n), st.integers(1, n)), min_size=d, max_size=d))
+    starts = draw(st.lists(st.integers(-n, 2 * n), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    box = rng.random(spans) - 0.5
+    box[rng.random(spans[:1]) < 0.3] = 0.0
+    return box, starts, n, draw(st.integers(1, n // 2))
+
+
+@settings(max_examples=60)
+@given(case=grid_boxes(), block=st.sampled_from([1, rng_module.BLOCK]))
+@example(case=(np.arange(24.0).reshape(2, 12), [0, 0], 12, 6), block=1)     # span n
+@example(case=(np.ones((3, 5, 2)), [7, -2, 15], 8, 3), block=rng_module.BLOCK)   # wraps
+@example(case=(np.full((1, 1), 0.5), [-7, -2], 8, 4), block=rng_module.BLOCK)   # a -0.0
+def test_rfft_box_matches_full_rfftn_bit_for_bit(case, block):
+    # BLOCK = 1 transforms one line per block; in the last example rfftn's
+    # value at (0, 2) is -0.5 - 0.0j, from the -0.0 that rfft gives zero rows
+    # there, which lines filled with +0.0 would turn into -0.5 + 0.0j
+    box, starts, n, k = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "BLOCK", block)
+        got = _rfft_box(box, starts, n, k)
+    want = rfftn_box(np.fft.rfftn(embed_box(box, starts, n)), k)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_lp_band_support_annulus():
@@ -204,12 +241,14 @@ def test_energy_memory_stays_blocked():
     lam = segment_measure(4096)
     tracemalloc.start()
     try:
-        energy_integral(lam, 1.2, 512)
+        energy_integral(lam, np.array([1.2, 0.8]), 512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 161 MiB with meshgrid frequency grids and every array held to the end
-    assert peak < 144 * 2 ** 20
+    # 161 MiB with meshgrid frequency grids and every array held to the end,
+    # 132 MB with the full 2048^2 deposit and its rfftn, 22.9 MB on the box:
+    # bounded with a margin of about a third
+    assert peak < 30e6
 
 
 def test_surface_decay_memory_uses_open_grids():
@@ -219,8 +258,10 @@ def test_surface_decay_memory_uses_open_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 97 MiB with meshgrid copies of the shell and frequency grids
-    assert peak < 80 * 2 ** 20
+    # 97 MiB with meshgrid copies of the shell and frequency grids, 65 MB
+    # with the full rfftn of the 128^3 raster, 24.1 MB with the shell's box
+    # transformed: bounded with a margin of about a third
+    assert peak < 32e6
 
 
 # -- blocked energy pieces against the per-atom, complex and dense oracles ----
@@ -298,15 +339,25 @@ def test_riesz_row_sums_drop_coincident_atoms():
     assert rows.tolist() == [4.0, 4.0, 8.0]
 
 
+def two_atoms(pts):
+    return np.array(pts), np.array([0.3, 0.7]), np.ones(2)
+
+
 @settings(max_examples=30)
 @given(cloud=atom_clouds(), side=st.integers(6, 24), block=small_blocks)
+# 16 of 24 nodes from node -5, wrapping past 0; windows spanning 34 nodes, so
+# the whole grid, wrapped; the whole axis 0 and 28 of 32 nodes from -1 on axis 1
+@example(cloud=two_atoms([[0.01], [0.99]]), side=6, block=1)
+@example(cloud=two_atoms([[0.1], [3.9]]), side=6, block=1)
+@example(cloud=two_atoms([[0.02, 0.5], [-3.5, 2.7]]), side=8, block=64)
 def test_deposit_gaussian_matches_per_atom_loop(cloud, side, block):
     pts, w, g = cloud
     if pts.shape[1] == 3:
         side = min(side, 12)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK", block)
-        got = deposit_gaussian(pts, w * g, side)
+        box, starts = deposit_gaussian(pts, w * g, side)
+    got = embed_box(box, starts, 4 * side)
     want = loop_deposit_gaussian(pts, w * g, side)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
