@@ -58,6 +58,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         seed = read_key(cfg if args.seed is None else {"seed": str(args.seed)}, "seed")
         rtol = read_key(cfg, "regression_rtol")

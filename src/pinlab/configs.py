@@ -97,8 +97,6 @@ def lift_t_assignment(em: EdgeMap, t_assignment: dict) -> dict:
 
 @dataclass(frozen=True)
 class ConfigCount:
-    epsilon: float
-    t_assignment: dict
     count_normalized: float
     stderr: float
     samples: int             # 0 for exact mode
@@ -181,7 +179,7 @@ def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
     else:
         mass, se = _event_mass([lam, mu, mu], [(0, 1, t), (0, 2, t)], phi, eps,
                                samples, seed, 5)
-    return ConfigCount(eps, {"t": t}, mass / eps ** 2, se / eps ** 2, samples)
+    return ConfigCount(mass / eps ** 2, se / eps ** 2, samples)
 
 
 def sort_gaps(lam: FrostmanMeasure, mu: FrostmanMeasure, phi):
@@ -275,7 +273,7 @@ def chain_tuple_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t,
     # pin 0, chains 1..k and k+1..2k; link i of both copies has gap t[i]
     links = [(a, b, t[i]) for i in range(k) for a, b in ((i, i + 1), (k + i if i else 0, k + i + 1))]
     mass, se = _event_mass([lam] + [mu] * (2 * k), links, phi, eps, samples, seed, 6)
-    return ConfigCount(eps, {"t": tuple(t)}, mass / eps ** (2 * k), se / eps ** (2 * k), samples)
+    return ConfigCount(mass / eps ** (2 * k), se / eps ** (2 * k), samples)
 
 
 def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
@@ -304,7 +302,7 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
     links = [(i - 1, j - 1, tv) for (i, j), tv in t_map.items()]
     mass, se = _event_mass(measures, links, phi, eps, samples, seed, 7)
     n = em.n_edges
-    return ConfigCount(eps, t_map, mass / eps ** n, se / eps ** n, samples)
+    return ConfigCount(mass / eps ** n, se / eps ** n, samples)
 
 
 # -- serialization ----------------------------------------------------------

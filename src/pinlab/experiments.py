@@ -482,7 +482,8 @@ def regression_check(out_dir, csv_names, freeze: bool, rtol: float = 1e-9) -> No
     """Freeze or compare the run's CSVs against out_dir/golden copies.
 
     Comparison is numeric cell-by-cell at relative tolerance rtol; any
-    mismatch raises RegressionMismatch carrying a diff table.  A golden/
+    mismatch, or a row or column count that differs, raises
+    RegressionMismatch carrying a diff table.  A golden/
     directory that lacks one of the CSVs raises it too, naming them.
     """
     golden_dir = os.path.join(out_dir, "golden")
@@ -509,6 +510,8 @@ def regression_check(out_dir, csv_names, freeze: bool, rtol: float = 1e-9) -> No
             diffs.append((name, "row count", len(gold), len(cur)))
             continue
         for ri, (crow, grow) in enumerate(zip(cur, gold)):
+            if len(crow) != len(grow):
+                diffs.append((f"{name}:{ri}", "column count", len(grow), len(crow)))
             for ci, (cv, gv) in enumerate(zip(crow, grow)):
                 if _cell_differs(cv, gv, rtol):
                     diffs.append((f"{name}:{ri}:{ci}", "value", gv, cv))

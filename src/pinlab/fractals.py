@@ -13,7 +13,7 @@ usual b-adic tiling when scale = 1/b and leaves the familiar gaps when
 scale < 1/b.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class FrostmanMeasure:
     frostman_constant_C: float = 1.0
     cell_side: float = 0.0
     mode: str = "atoms"
-    support: CellFractal | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -105,7 +104,6 @@ class PointSample:
 
     points: np.ndarray
     weights: np.ndarray
-    seed: int
     atoms: np.ndarray | None = None     # the drawn atoms; None when jittered
 
     def __post_init__(self):
@@ -167,11 +165,8 @@ def natural_measure(f: CellFractal, mode: str = "atoms") -> FrostmanMeasure:
         raise DomainError(f"unknown measure mode {mode!r}")
     pts = f.centers()
     w = np.full(len(pts), 1.0 / len(pts))
-    mu = FrostmanMeasure(pts, w, exponent_s=f.target_dim, frostman_constant_C=1.0,
-                         cell_side=f.cell_side, mode=mode, support=f)
-    c_emp = _probe_frostman_constant(mu, f)
-    return FrostmanMeasure(pts, w, exponent_s=f.target_dim, frostman_constant_C=c_emp,
-                           cell_side=f.cell_side, mode=mode, support=f)
+    mu = FrostmanMeasure(pts, w, exponent_s=f.target_dim, cell_side=f.cell_side, mode=mode)
+    return replace(mu, frostman_constant_C=_probe_frostman_constant(mu, f))
 
 
 def _probe_frostman_constant(mu: FrostmanMeasure, f: CellFractal) -> float:
@@ -286,7 +281,7 @@ def sample_points(mu: FrostmanMeasure, count: int, seed: int) -> PointSample:
         pts = pts + jitter
         idx = None
     w = np.full(count, 1.0 / count)
-    return PointSample(pts, w, seed, idx)
+    return PointSample(pts, w, idx)
 
 
 # -- serialization ----------------------------------------------------------

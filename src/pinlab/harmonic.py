@@ -3,8 +3,8 @@
 Covers the dyadic frequency partition, sphere-measure Fourier decay, the
 fractal energy integral in both Fourier and kernel form (with the classical
 Riesz-kernel constant; Mattila, Fourier Analysis and Hausdorff Dimension,
-2015, ch. 3), the mollified averaging operator with its Sobolev ratios, and
-the separated-frequency oscillatory integral.
+2015, ch. 3), the mollified averaging operator on real fields with its
+Sobolev ratios, and the separated-frequency oscillatory integral.
 The energy's |xi| < 1 centre has one rule for d = 1..3 and every gamma:
 sphere integrals of exact atom sums at fixed nodes in |xi|^2, expanded in
 Legendre polynomials whose moments against |xi|^-gamma are closed forms.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure
-from .phases import _norm, pairwise_value
+from .phases import _norm
 from .pinned import Mollifier, _tensor_block
 from .profiles import smooth_step
 from .rng import block_rows, rng_for, row_blocks
@@ -75,16 +75,15 @@ def _rfft_shells(d: int, side_n: int, pad: int):
                 for m in range(m_top)]
 
 
-def _fft_lines(src, fill, nodes, n: int, cols, fft) -> np.ndarray:
+def _fft_lines(src, nodes, n: int, cols, fft) -> np.ndarray:
     """fft(line)[cols] for each line along the last axis of `src`, taken as
-    the length-n line that holds its values at `nodes` and its `fill` value
-    (`fill` has a unit last axis) elsewhere; in `row_blocks` of lines."""
+    the length-n line that holds its values at `nodes` and 0 elsewhere; in
+    `row_blocks` of lines."""
     out = np.empty(src.shape[:-1] + (len(cols),), complex)
-    lines = np.empty((block_rows(n), n), src.dtype)
+    lines = np.zeros((block_rows(n), n), src.dtype)     # only `nodes` are ever written
     for sl in row_blocks(math.prod(src.shape[:-1]), n):
         at = np.unravel_index(np.arange(sl.start, sl.stop), src.shape[:-1])
         buf = lines[:sl.stop - sl.start]
-        buf[:] = fill[at]
         buf[:, nodes] = src[at]
         out[at] = fft(buf)[:, cols]
     return out
@@ -97,25 +96,18 @@ def _rfft_box(box: np.ndarray, starts, n: int, k: int) -> np.ndarray:
     0..k-1.
 
     The axes go in rfftn's order (the last by rfft, then the others from
-    last to first), each by `_fft_lines` on lines that hold the box's values
-    at their nodes and, elsewhere, what rfftn's lines hold there: the
-    transform so far of the all-zero grid (rfft gives a zero line some -0.0
-    imaginary parts).  So every kept value has the bits of the same 1-d
-    transforms in rfftn.
+    last to first), each by `_fft_lines` on zero-filled lines, so every kept
+    value equals rfftn's and its magnitude has rfftn's bits.  Only the sign
+    of an exact zero may differ: rfftn's later lines hold, off the box, the
+    transform of a zero line, whose imaginary parts include -0.0.
     """
     d = box.ndim
     keep = np.r_[0:k, n - k + 1:n]
     box = box[None]     # a leading unit axis gives every line a leading index
-    zero = np.zeros((1,) * (d + 1))     # constant along the axes still to go
     for axis in range(d, 0, -1):
         fft, cols = (np.fft.rfft, keep[:k]) if axis == d else (np.fft.fft, keep)
-        fill = np.moveaxis(np.broadcast_to(zero, box.shape), axis, -1)[..., :1]
         nodes = (starts[axis - 1] + np.arange(box.shape[axis])) % n
-        box = np.moveaxis(_fft_lines(np.moveaxis(box, axis, -1), fill, nodes, n, cols, fft),
-                          -1, axis)
-        if axis > 1:
-            z = np.moveaxis(zero, axis, -1)
-            zero = np.moveaxis(_fft_lines(z[..., :0], z, nodes[:0], n, cols, fft), -1, axis)
+        box = np.moveaxis(_fft_lines(np.moveaxis(box, axis, -1), nodes, n, cols, fft), -1, axis)
     return box[0]
 
 
@@ -278,7 +270,7 @@ def surface_measure_decay(d: int, side_n: int) -> DecayFit:
 # -- fractal energy integral -------------------------------------------------
 
 def riesz_constant(gamma: float, d: int) -> float:
-    """c with int |g lambda^|^2 |xi|^-gamma = c * II |x-y|^(gamma-d) g g dl dl."""
+    """c with int |lambda^|^2 |xi|^-gamma = c * II |x-y|^(gamma-d) dl dl."""
     return np.pi ** (gamma - d / 2.0) * math.gamma((d - gamma) / 2.0) / math.gamma(gamma / 2.0)
 
 
@@ -366,14 +358,14 @@ def _sphere_directions(d: int):
 
 
 def _center_energy(points, masses, gammas) -> list:
-    """int_{|xi| < 1} |g lambda^(xi)|^2 |xi|^-gamma dxi for each gamma, from
+    """int_{|xi| < 1} |lambda^(xi)|^2 |xi|^-gamma dxi for each gamma, from
     one pass over the atoms (d = 1..3, else DomainError).
 
     In v = |xi|^2 the centre is 1/2 int_0^1 A(sqrt v) v^a dv, a = (d - 2 -
-    gamma)/2, where A(r), the sphere integral of |g lambda^|^2 at radius r,
+    gamma)/2, where A(r), the sphere integral of |lambda^|^2 at radius r,
     is smooth in v.  A is taken at fixed Gauss-Legendre nodes in v, as exact
     cosine and sine atom sums over blocks of frequencies (real masses make
-    |g lambda^|^2 even, so half the sphere's directions suffice), and
+    |lambda^|^2 even, so half the sphere's directions suffice), and
     expanded in Legendre polynomials; each term integrates in closed form,
     int_0^1 P_k(2v - 1) v^a dv = prod_{j<k} (a - j) / prod_{j=1..k+1} (a + j).
     """
@@ -419,8 +411,8 @@ def _riesz_row_sums(points: np.ndarray, weights: np.ndarray, gamma) -> np.ndarra
     return sums.reshape(np.shape(gamma) + (n,))
 
 
-def energy_integral(lam: FrostmanMeasure, gamma, side_n: int, g_values=None):
-    """Truncated energy int_{|xi|<=side_n/4} |g lambda^|^2 |xi|^-gamma, two ways.
+def energy_integral(lam: FrostmanMeasure, gamma, side_n: int):
+    """Truncated energy int_{|xi|<=side_n/4} |lambda^|^2 |xi|^-gamma, two ways.
 
     Fourier side: the centre |xi| < 1, where the |xi|^-gamma singularity
     defeats a lattice Riemann sum, from `_center_energy`; beyond it, atoms
@@ -443,8 +435,7 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int, g_values=None):
         if not (0.0 < gm < lam.d):
             raise DomainError(f"gamma {gm} outside (0, {lam.d})")
     d = lam.d
-    g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
-    masses = lam.weights * g
+    masses = lam.weights
     # the centre comes first: it rejects d >= 4 before a grid box is sized
     centres = _center_energy(lam.points, masses, gammas)
     k = PAD * 2 ** _shell_top(side_n)
@@ -488,8 +479,8 @@ def shell_profile_verdict(increments) -> str:
 
 def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
     """T_eps,t f(x) = eps^-1 int rho((t - phi(x,y))/eps) f(y) psi(x,y) dy by
-    quadrature over the grid in y for each x (d = 2), for several fields at
-    once (the kernel is field-independent, so one kernel serves them all).
+    quadrature over the grid in y for each x (d = 2), for several real
+    fields at once (one field-independent kernel serves them all).
 
     Without psi, a phase of x - y alone (euclidean, flat_torus) makes T a
     convolution: its kernel is tabulated once on the grid offsets and applied
@@ -519,29 +510,23 @@ def radon_apply_stack(phi, psi, eps: float, t: float, fields) -> list:
     dist = np.asarray(phi.value(_square_grid(k * h), np.zeros(2))).reshape(len(k), len(k))
     kern = np.zeros((size, size))
     kern[np.ix_(k % size, k % size)] = Mollifier(eps)(t - dist) * h ** 2
-    stack = np.stack(fields)
-    if np.iscomplexobj(stack):
-        out = np.fft.ifft2(np.fft.fft2(stack, s=kern.shape) * np.fft.fft2(kern))
-    else:
-        out = np.fft.irfft2(np.fft.rfft2(stack, s=kern.shape) * np.fft.rfft2(kern),
-                            s=kern.shape)
+    out = np.fft.irfft2(np.fft.rfft2(np.stack(fields), s=kern.shape) * np.fft.rfft2(kern),
+                        s=kern.shape)
     return list(out[:, :n, :n])
 
 
 def _radon_direct(phi, psi, eps: float, t: float, fields) -> list:
-    """T_eps,t by direct quadrature over the (n^2 x n^2) pair matrix."""
+    """T_eps,t by direct quadrature over the (n^2 x n^2) pair matrix, phi by
+    `phi.value` per row block (as the FFT kernel: coincident points at 0)."""
     n = fields[0].shape[0]
     h = 1.0 / n
     pts = _square_grid(np.arange(n) * h)
     phi.check_domain(pts, pts)
-    any_complex = any(np.iscomplexobj(f) for f in fields)
     fmat = np.stack([f.ravel() for f in fields], axis=1)
-    if not any_complex:
-        fmat = fmat.real.astype(float)
     moll = Mollifier(eps)
-    out = np.zeros((n * n, len(fields)), dtype=complex if any_complex else float)
+    out = np.zeros((n * n, len(fields)))
     for sl in row_blocks(n * n, n * n):
-        kern = moll(t - pairwise_value(phi, pts[sl], pts))
+        kern = moll(t - np.asarray(phi.value(pts[sl, None, :], pts[None, :, :])))
         if psi is not None:
             kern = kern * np.asarray(psi(pts[sl][:, None, :], pts[None, :, :]))
         out[sl] = kern @ fmat * h ** 2

@@ -335,9 +335,6 @@ class CutoffPair:
 
     psi: Callable
     beta: Callable
-    neighborhood_radius: float
-    t_range: tuple
-    e_bounds: tuple
 
 
 def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
@@ -367,7 +364,7 @@ def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
     def beta(t):
         return plateau(t, t0, t1, 0.1 * (t1 - t0))
 
-    return CutoffPair(psi, beta, neighborhood_radius, (t0, t1), (lo, hi))
+    return CutoffPair(psi, beta)
 
 
 def nondegeneracy_scan(phi: PhaseFunction, mu: FrostmanMeasure, pair_count: int,

@@ -108,12 +108,10 @@ class ChainDensity:
     """Mollified density on the tensor grid of k uniform t-axes; a pinned
     density is the one-link chain, its t-grid the only axis."""
 
-    pin_x: np.ndarray
     epsilon: float
     t_axes: tuple          # k 1-d node arrays
     values: np.ndarray     # shape (len(ax_1), ..., len(ax_k))
     stderr: np.ndarray
-    mc_samples: int = 0
     mass_stderr: float = 0.0
 
     @property
@@ -292,7 +290,7 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
     _check_axes(t_axes, eps)
     values, stderr, mass_se = _deposit(phi_vals[:, None], weights, t_axes,
                                        mollifier, mc_samples)
-    return ChainDensity(pin, eps, t_axes, values, stderr, mc_samples, mass_se)
+    return ChainDensity(eps, t_axes, values, stderr, mass_se)
 
 
 def _integrate(nu: ChainDensity, grid_values) -> float:
@@ -384,7 +382,7 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     else:
         values, stderr, mass_se = _chain_mc(mu, phi, pin, k, mollifier,
                                             t_axes, mc_samples, seed)
-    return ChainDensity(pin, eps, t_axes, values, stderr, mc_samples, mass_se)
+    return ChainDensity(eps, t_axes, values, stderr, mass_se)
 
 
 def _pair_range(phi, mu):
@@ -500,47 +498,24 @@ def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):
 
 
 def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
-                              mollifier: Mollifier, t, mc_samples: int = 0,
-                              seed: int = 0, psi=None) -> float:
+                              mollifier: Mollifier, t, psi=None) -> float:
     """Nested-operator evaluation of the chain density at a single gap vector.
 
     Evaluates g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
-    psi(y, z) g_i(z) innermost-out and returns g_0(pin).  Exact mode uses the
-    atoms, N^2 per link; mc_samples > 0 draws mc_samples chains (z_1, ..,
-    z_k) from mu^k and averages the product of their k link kernels, an
-    unbiased estimate of the chain sum.
+    psi(y, z) g_i(z) innermost-out over the atoms, N^2 per link, and returns
+    g_0(pin): the exact chain sum, which `chain_density` tabulates on a grid.
     """
     t = np.atleast_1d(np.asarray(t, float))
     if len(t) != k:
         raise DomainError("need one gap value per link")
-    if mc_samples < 0:
-        raise DomainError(f"mc_samples must be >= 0, got {mc_samples}")
     pin = np.asarray(pin_x, float)
-    if mc_samples == 0:
-        pts, w = mu.points, mu.weights
-        g = np.ones(len(pts))
-        if k > 1:
-            gaps = pairwise_value(phi, pts, pts)
-            weight = 1.0 if psi is None else np.asarray(psi(pts[:, None, :], pts[None, :, :]))
-        for link in range(k, 1, -1):
-            g = (mollifier(t[link - 1] - gaps) * weight) @ (w * g)
-        weight0 = 1.0 if psi is None else np.asarray(psi(pin[None, :], pts))
-        kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts))) * weight0
-        return float(kern0 @ (w * g))
-    total = 0.0
-    for b, _, size in batches(mc_samples):
-        rng = rng_for(seed, 4, b)
-        layers = [mu.points[rng.choice(len(mu), size=size, p=mu.weights)]
-                  for _ in range(k)]
-        g = np.ones(size)
-        for link in range(k, 1, -1):
-            kern = mollifier(t[link - 1] -
-                             np.asarray(phi.value(layers[link - 2], layers[link - 1])))
-            if psi is not None:
-                kern = kern * np.asarray(psi(layers[link - 2], layers[link - 1]))
-            g = kern * g
-        kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], layers[0])))
-        if psi is not None:
-            kern0 = kern0 * np.asarray(psi(pin[None, :], layers[0]))
-        total += float(np.mean(kern0 * g)) * size
-    return total / mc_samples
+    pts, w = mu.points, mu.weights
+    g = np.ones(len(pts))
+    if k > 1:
+        gaps = pairwise_value(phi, pts, pts)
+        weight = 1.0 if psi is None else np.asarray(psi(pts[:, None, :], pts[None, :, :]))
+    for link in range(k, 1, -1):
+        g = (mollifier(t[link - 1] - gaps) * weight) @ (w * g)
+    weight0 = 1.0 if psi is None else np.asarray(psi(pin[None, :], pts))
+    kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts))) * weight0
+    return float(kern0 @ (w * g))

@@ -318,14 +318,12 @@ def embed_box(box, starts, n):
     return grid
 
 
-def reference_energy_integral(lam, gamma, side_n, g_values=None, pad=4,
-                              sigma_cells=1.0):
+def reference_energy_integral(lam, gamma, side_n, pad=4, sigma_cells=1.0):
     """`energy_integral` built on the three reference pieces above: the
     per-atom deposit, the pair-distance series centre and the dense Riesz
     double sum."""
     d = lam.d
-    g = np.ones(len(lam)) if g_values is None else np.asarray(g_values, float)
-    masses = lam.weights * g
+    masses = lam.weights
     dens = loop_deposit_gaussian(lam.points, masses, side_n, pad, sigma_cells)
     hat = np.fft.rfftn(dens)
     n_tot = pad * side_n

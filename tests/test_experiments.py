@@ -602,8 +602,7 @@ seed = 5
     assert cli_main(["hinge", "--config", cfg2, "--out", out]) == 4
 
 
-def test_cli_regression_missing_golden_exit_4(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "h.cfg", """
+HINGE_CFG = """
 generator = product_cantor
 d = 2
 ratio_a = 0.44
@@ -611,7 +610,11 @@ level = 3
 pins = 8
 epsilons = 2^-3
 seed = 5
-""")
+"""
+
+
+def test_cli_regression_missing_golden_exit_4(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "h.cfg", HINGE_CFG)
     out = tmp_path / "h"
     assert cli_main(["hinge", "--config", cfg, "--out", str(out),
                      "--regression-freeze"]) == 0
@@ -620,6 +623,26 @@ seed = 5
     assert cli_main(["hinge", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err == "regression mismatch: golden file(s) missing: hinge.csv\n"
+
+
+def test_cli_regression_column_count_change_exit_4(tmp_path, capsys):
+    # rows paired cell by cell used to pass when the current run had a column
+    # more than the golden, whose cells all match
+    cfg = write_cfg(tmp_path, "h.cfg", HINGE_CFG)
+    out = tmp_path / "h"
+    assert cli_main(["hinge", "--config", cfg, "--out", str(out),
+                     "--regression-freeze"]) == 0
+    golden = out / "golden" / "hinge.csv"
+    with open(golden) as fh:
+        rows = list(csv.reader(fh))
+    with open(golden, "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:-1] for row in rows)
+    capsys.readouterr()
+    assert cli_main(["hinge", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    width = len(rows[0])
+    assert err.startswith(f"regression mismatch: {len(rows)} regression difference(s)")
+    assert f"hinge.csv:0: column count golden={width - 1} current={width}\n" in err
 
 
 def test_cli_gen_writes_cells_and_measure(tmp_path):
@@ -804,10 +827,12 @@ def test_key_value_outside_domain_is_a_config_error_naming_it(key, val):
     ("fourier", "which = radon\nradon_side_n = 16\nepsilons = 2^-3\n"
      "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
     ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\nbox_hi = 0\n", [], "box_hi"),
+    ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "0"], "jobs"),
+    ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "-1"], "jobs"),
 ], ids=["phase_factor_nan", "phase_factor_zero", "seed_key", "seed_flag", "rtol_nan",
         "floor_nan", "probe_pins_capped", "stable_tol_nan", "shrink_total_5", "hinge_t_nan",
         "radon_band", "radon_t_nan", "negative_eps", "typo", "lift_2", "d_negative",
-        "cap_measure", "cap_osc", "cap_radon", "box"])
+        "cap_measure", "cap_osc", "cap_radon", "box", "jobs_0", "jobs_negative"])
 def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, body,
                                                      argv, key):
     # each used to exit 0, exit 1 with a traceback, or exit 2 without the key

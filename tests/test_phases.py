@@ -311,7 +311,8 @@ def test_dot_and_sphere_methods_equal_last_axis_reductions_bitwise(kind, method,
     X[3] = 0.0                     # a zero point for the forbidden test
     Y[0, 7, 0] = -0.0
     for x, y in ((X, Y), (X[0, 0], Y), (X[5, 0], Y[0, 2])):
-        got, want = np.atleast_1d(fn(x, y)), np.atleast_1d(reduction(x, y))
+        with np.errstate(invalid="ignore"):     # the sphere's grad_y is 0/0 at coincident points
+            got, want = np.atleast_1d(fn(x, y)), np.atleast_1d(reduction(x, y))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
