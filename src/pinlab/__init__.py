@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .errors import (BudgetError, ConfigError, CoverageError, DomainError,
                      PinlabError, RegressionMismatch, ResolutionError)
-from .fractals import (CellFractal, FrostmanMeasure, PointSample, ball_mass,
+from .fractals import (CellFractal, FrostmanMeasure, ball_mass,
                        box_dimension_estimate, build_product_cantor,
                        build_subdivision_fractal, circle_measure,
                        frostman_exponent_fit, load_cells, load_measure,

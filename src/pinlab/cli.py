@@ -15,7 +15,7 @@ import numpy as np
 
 from .configs import (EdgeMap, config_count, hinge_count,
                       hinge_count_integrated, lift_t_assignment, pinned_lift,
-                      save_edge_map)
+                      save_edge_map, sort_gaps)
 from .errors import (BudgetError, ConfigError, DomainError, PinlabError,
                      RegressionMismatch)
 from .experiments import (build_generator, build_phase, exceptional_probe,
@@ -23,7 +23,8 @@ from .experiments import (build_generator, build_phase, exceptional_probe,
                           pinned_setup, read_key, regression_check,
                           sweep_threshold, write_csv, write_json,
                           write_manifest)
-from .fractals import save_cells, save_measure, segment_measure
+from .fractals import (probe_frostman_constant, save_cells, save_measure,
+                       segment_measure)
 from .harmonic import (LPPartition, energy_integral, freq_norms, oscillatory_G,
                        radon_sobolev_ratio, random_band_limited,
                        surface_measure_decay)
@@ -88,9 +89,11 @@ def cmd_gen(cfg, seed, out, jobs):
     if frac is not None:
         save_cells(frac, os.path.join(out, "cells.txt"))
     save_measure(mu, os.path.join(out, "measure.csv"))
+    # circle and uniform build no cell fractal, so neither constant nor
+    # target dimension was measured for them
     write_json(os.path.join(out, "summary.json"), {
         "atoms": len(mu), "exponent_s": mu.exponent_s,
-        "frostman_constant": mu.frostman_constant_C,
+        "frostman_constant": probe_frostman_constant(mu, frac) if frac is not None else None,
         "target_dim": frac.target_dim if frac is not None else None,
     })
     return ["measure.csv"]
@@ -151,10 +154,12 @@ def cmd_hinge(cfg, seed, out, jobs):
     samples = read_key(cfg, "mc_samples")
     gaps = phi.value(lam_pins[:, None, :], mu.points[None, :, :])
     lam, beta, t_nodes = hinge_setup(cfg, phi, mu, lam_pins, gaps)
+    sorted_gaps = sort_gaps(lam, mu, phi) if samples == 0 else None
     rows = []
     for eps in eps_list:
-        single = hinge_count(lam, mu, phi, t_mid, eps, samples, seed)
-        integ = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes, samples, seed)
+        single = hinge_count(lam, mu, phi, t_mid, eps, samples, seed, sorted_gaps)
+        integ = hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes, samples, seed,
+                                       sorted_gaps)
         rows.append([eps, t_mid, single.count_normalized, single.stderr, integ])
     write_csv(os.path.join(out, "hinge.csv"),
               ["eps", "t", "count_normalized", "stderr", "integrated"], rows)

@@ -166,15 +166,20 @@ def _event_mass(measures, links, phi, eps, samples, seed, stream):
 
 
 def hinge_count(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, t: float,
-                eps: float, samples: int = 0, seed: int = 0) -> ConfigCount:
+                eps: float, samples: int = 0, seed: int = 0,
+                sorted_gaps=None) -> ConfigCount:
     """eps^-2 times the lambda x mu x mu mass of the hinge event at gap t.
 
     The (y, z) legs are conditionally independent given the pin, so the exact
     triple sum factors as sum_x lam_x (sum_y mu_y 1[|phi(x,y)-t|<=eps])^2.
+    Exact mode counts windows over `sort_gaps(lam, mu, phi)`; a caller that
+    counts at several eps passes that once as `sorted_gaps`.
     """
     _check_eps_samples(eps, samples)
     if samples == 0:
-        inner = _window_mass(sort_gaps(lam, mu, phi), np.array([t]), eps)[:, 0]
+        if sorted_gaps is None:
+            sorted_gaps = sort_gaps(lam, mu, phi)
+        inner = _window_mass(sorted_gaps, np.array([t]), eps)[:, 0]
         mass, se = float(lam.weights @ inner ** 2), 0.0
     else:
         mass, se = _event_mass([lam, mu, mu], [(0, 1, t), (0, 2, t)], phi, eps,

@@ -79,7 +79,6 @@ KEYS = {
     "target_dim": Key("float", "(0, inf)"),
     "base_b": Key("int", "[2, inf)", "2"),
     "keep_m": Key("int", "[1, inf)", "3"),
-    "measure_mode": Key("word", "atoms cell_uniform", "atoms"),
     "per_side": Key("int", "[1, inf)", "32"),
     "box_lo": Key("float", "(-inf, inf)", "0"),
     "box_hi": Key("float", "(-inf, inf)", "1"),
@@ -117,7 +116,7 @@ KEYS = {
     "quad_n": Key("int", "[1, 64]", "48"),
     "dims": Key("numbers", "(0, inf)", "1.0 1.6 1.8", least=2),
     "hinge_pins": Key("int", "[1, inf)", "48"),
-    "t_step_divisor": Key("int", "[1, inf)", "16"),
+    "t_step_divisor": Key("int", "[2, inf)", "16"),
     "stable_tol": Key("float", "[0, inf)", "0.2"),
     "shrink_total": Key("float", "[0, 1)", "0.3"),
     "shrink_mode": Key("word", "cumulative per_step", "cumulative"),
@@ -210,7 +209,7 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
     if family == "uniform":
         return None, uniform_grid_measure(d, read_key(cfg, "per_side"),
                                           read_key(cfg, "box_lo"), read_key(cfg, "box_hi"))
-    level, mode = read_key(cfg, "level"), read_key(cfg, "measure_mode")
+    level = read_key(cfg, "level")
     if family == "product_cantor":
         if target_dim is None and "ratio_a" in cfg:
             a = read_key(cfg, "ratio_a")
@@ -218,13 +217,13 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
             dim = target_dim if target_dim is not None else read_key(cfg, "target_dim")
             if dim >= d:
                 frac = build_subdivision_fractal(d, 2, 2 ** d, level, seed)
-                return frac, natural_measure(frac, mode)
+                return frac, natural_measure(frac)
             a = 2.0 ** (-d / dim)
         frac = build_product_cantor(d, a, level)
     else:   # subdivision
         frac = build_subdivision_fractal(d, read_key(cfg, "base_b"),
                                          read_key(cfg, "keep_m"), level, seed)
-    return frac, natural_measure(frac, mode)
+    return frac, natural_measure(frac)
 
 
 def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):

@@ -11,9 +11,15 @@ A level-n cell is a d-tuple of digit strings.  Digit c at level l occupies
 offset c*(1-scale)/(b-1)*scale^(l-1) with side scale^l, which reduces to the
 usual b-adic tiling when scale = 1/b and leaves the familiar gaps when
 scale < 1/b.
+
+A measure is its weighted atoms (`FrostmanMeasure`): the natural measure
+puts each level-n cell's mass on the cell's centre, and a Monte Carlo draw
+(`sample_points`) is a list of atom indices.  Every ball mass -- one ball,
+the sups of the exponent fit, the probed Frostman constant -- is a sum of
+the atom weights in the closed ball, from one kernel (`_ball_masses`).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,20 +75,12 @@ class CellFractal:
 
 @dataclass(frozen=True)
 class FrostmanMeasure:
-    """Weighted point representation of a probability measure on [0,1]^d.
-
-    `mode` records how mass is spread inside cells: "atoms" keeps everything
-    at the stored points, "cell_uniform" means each point stands for a uniform
-    density over the cell of side `cell_side` centered there (relevant when
-    sampling or depositing on grids; `ball_mass` always uses the points).
-    """
+    """Weighted atoms of a probability measure on [0,1]^d; every estimator,
+    exact or Monte Carlo, pushes these atoms forward."""
 
     points: np.ndarray      # (N, d)
     weights: np.ndarray     # (N,)
     exponent_s: float
-    frostman_constant_C: float = 1.0
-    cell_side: float = 0.0
-    mode: str = "atoms"
 
     def __post_init__(self):
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -96,19 +94,6 @@ class FrostmanMeasure:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class PointSample:
-    """Monte Carlo draw from a measure; identical seed gives identical sample."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    atoms: np.ndarray | None = None     # the drawn atoms; None when jittered
-
-    def __post_init__(self):
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must sum to 1 within 1e-12")
 
 
 def build_product_cantor(d: int, ratio_a: float, level_n: int) -> CellFractal:
@@ -159,27 +144,21 @@ def build_subdivision_fractal(d: int, base_b: int, keep_m: int, level_n: int,
     return CellFractal(d, base_b, 1.0 / base_b, level_n, keep_m, cells, target)
 
 
-def natural_measure(f: CellFractal, mode: str = "atoms") -> FrostmanMeasure:
-    """Equal mass keep_m**-n on each level-n cell; exponent = target dimension."""
-    if mode not in ("atoms", "cell_uniform"):
-        raise DomainError(f"unknown measure mode {mode!r}")
+def natural_measure(f: CellFractal) -> FrostmanMeasure:
+    """Equal mass keep_m**-n on each level-n cell, held by the cell's centre;
+    exponent = target dimension."""
     pts = f.centers()
     w = np.full(len(pts), 1.0 / len(pts))
-    mu = FrostmanMeasure(pts, w, exponent_s=f.target_dim, cell_side=f.cell_side, mode=mode)
-    return replace(mu, frostman_constant_C=_probe_frostman_constant(mu, f))
+    return FrostmanMeasure(pts, w, exponent_s=f.target_dim)
 
 
-def _probe_frostman_constant(mu: FrostmanMeasure, f: CellFractal) -> float:
-    """max mass(B(x,r)) / r^s over strided atoms and construction scales."""
+def probe_frostman_constant(mu: FrostmanMeasure, f: CellFractal) -> float:
+    """max mass(B(x,r)) / r^s over every max(1, len // 64)-th atom x and
+    the construction scales r of the fractal f that mu lives on."""
     scales = f.scale ** np.arange(1, f.level_n + 1)
-    stride = max(1, len(mu) // 64)
-    best = 0.0
-    for x in mu.points[::stride]:
-        dist = np.sqrt(((mu.points - x) ** 2).sum(axis=1))
-        for r in scales:
-            mass = mu.weights[dist <= r].sum()
-            best = max(best, mass / r ** mu.exponent_s)
-    return best
+    masses = _ball_masses(mu, mu.points[::max(1, len(mu) // 64)], scales)
+    return max(float(masses[:, k].max()) / r ** mu.exponent_s
+               for k, r in enumerate(scales))
 
 
 def uniform_grid_measure(d: int, per_side: int, box_lo=0.0, box_hi=1.0) -> FrostmanMeasure:
@@ -191,7 +170,7 @@ def uniform_grid_measure(d: int, per_side: int, box_lo=0.0, box_hi=1.0) -> Frost
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     w = np.full(len(pts), 1.0 / len(pts))
-    return FrostmanMeasure(pts, w, exponent_s=float(d), cell_side=side, mode="atoms")
+    return FrostmanMeasure(pts, w, exponent_s=float(d))
 
 
 #: Centre of `circle_measure`'s circle and ends of `segment_measure`'s segment.
@@ -221,13 +200,23 @@ def segment_measure(n_atoms: int) -> FrostmanMeasure:
     return FrostmanMeasure(pts, w, exponent_s=1.0)
 
 
+def _ball_masses(mu: FrostmanMeasure, centres, radii) -> np.ndarray:
+    """(centres, radii) matrix of the exact masses of the closed Euclidean
+    balls B(x, r) under the atom weights."""
+    centres = np.asarray(centres, dtype=float)
+    out = np.empty((len(centres), len(radii)))
+    for i, x in enumerate(centres):
+        dist = np.sqrt(((mu.points - x) ** 2).sum(axis=1))
+        for k, r in enumerate(radii):
+            out[i, k] = mu.weights[dist <= r].sum()
+    return out
+
+
 def ball_mass(mu: FrostmanMeasure, x, r: float) -> float:
     """Exact mass of the closed Euclidean ball B(x, r) under the atom weights."""
     if r <= 0:
         raise DomainError("r must be positive")
-    x = np.asarray(x, dtype=float)
-    dist = np.sqrt(((mu.points - x) ** 2).sum(axis=1))
-    return float(mu.weights[dist <= r].sum())
+    return float(_ball_masses(mu, [x], [r])[0, 0])
 
 
 def frostman_exponent_fit(mu: FrostmanMeasure, scales, probes: int, seed: int):
@@ -245,11 +234,7 @@ def frostman_exponent_fit(mu: FrostmanMeasure, scales, probes: int, seed: int):
         idx = np.arange(len(mu))
     else:
         idx = np.unique(rng.choice(len(mu), size=probes, replace=True, p=mu.weights))
-    sups = np.zeros(len(scales))
-    for i in idx:
-        dist = np.sqrt(((mu.points - mu.points[i]) ** 2).sum(axis=1))
-        for k, r in enumerate(scales):
-            sups[k] = max(sups[k], mu.weights[dist <= r].sum())
+    sups = _ball_masses(mu, mu.points[idx], scales).max(axis=0, initial=0.0)
     slope, intercept = np.polyfit(np.log(scales), np.log(sups), 1)
     const = float(np.max(sups / scales ** slope))
     return float(slope), const
@@ -269,19 +254,12 @@ def box_dimension_estimate(f: CellFractal) -> float:
     return float(slope)
 
 
-def sample_points(mu: FrostmanMeasure, count: int, seed: int) -> PointSample:
-    """Draw `count` points from the measure (atom draws, jittered in cell-uniform mode)."""
+def sample_points(mu: FrostmanMeasure, count: int, seed: int) -> np.ndarray:
+    """Indices of `count` weight-biased atom draws, with replacement; the
+    same seed gives the same draws."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    rng = rng_for(seed, 1)
-    idx = rng.choice(len(mu), size=count, replace=True, p=mu.weights)
-    pts = mu.points[idx].copy()
-    if mu.mode == "cell_uniform" and mu.cell_side > 0:
-        jitter = rng.uniform(-0.5, 0.5, size=pts.shape) * mu.cell_side
-        pts = pts + jitter
-        idx = None
-    w = np.full(count, 1.0 / count)
-    return PointSample(pts, w, idx)
+    return rng_for(seed, 1).choice(len(mu), size=count, replace=True, p=mu.weights)
 
 
 # -- serialization ----------------------------------------------------------

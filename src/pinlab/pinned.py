@@ -30,9 +30,9 @@ window (half that on a symmetric table), not atoms^2 x axis length.  Either
 way every nonzero kernel value is the one a full (node x row) matrix would
 hold, and every blocked loop walks `rng.row_blocks`: a block holds at most
 `rng.BLOCK` window entries, or one row.
-Monte Carlo mode deposits each distinct atom drawn once, weighted count /
-draws (`monte_carlo_rows`), so its work grows with min(draws, atoms);
-jittered draws and chains are one row each, and a caller that deposits one
+Monte Carlo mode draws atoms of mu and deposits each distinct atom drawn
+once, weighted count / draws (`monte_carlo_rows`), so its work grows with
+min(draws, atoms); chains are one row each, and a caller that deposits one
 sample at several eps draws and groups it once.  With row weights w_r:
 stderr^2 = (sum_r w_r kernel_r^2 - values^2) / draws per node, and the mass
 stderr is the weighted std of the rows' trapezoid masses m_r,
@@ -252,12 +252,9 @@ def _deposit(gaps, weights, t_axes, mollifier: Mollifier, draws: int = 0):
 
 def monte_carlo_rows(mu: FrostmanMeasure, mc_samples: int, seed: int):
     """(points, weights) of the rows a Monte Carlo pinned density deposits
-    for `sample_points(mu, mc_samples, seed)`: each distinct atom drawn once,
-    weighted count / draws, or each jittered draw at 1 / draws."""
-    sample = sample_points(mu, mc_samples, seed)
-    if sample.atoms is None:
-        return sample.points, sample.weights
-    atoms, counts = np.unique(sample.atoms, return_counts=True)
+    for the atoms `sample_points(mu, mc_samples, seed)` draws: each distinct
+    atom once, weighted count / draws."""
+    atoms, counts = np.unique(sample_points(mu, mc_samples, seed), return_counts=True)
     return mu.points[atoms], counts / mc_samples
 
 
@@ -267,8 +264,8 @@ def pinned_density(mu: FrostmanMeasure, phi, pin_x, mollifier: Mollifier,
     """Mollified pinned density on a uniform t-grid: the one-link chain.
 
     Exact mode (mc_samples = 0) sums over the measure's atoms; Monte Carlo
-    mode averages over seeded draws and carries per-node standard errors.
-    Each atom, distinct drawn atom or jittered draw is deposited onto its
+    mode averages over seeded atom draws and carries per-node standard
+    errors.  Each atom, or distinct drawn atom, is deposited onto its
     support window only (`_deposit` with one link).  `rows`, if given, is
     `monte_carlo_rows(mu, mc_samples, seed)` computed beforehand, so that a
     caller depositing one sample at several eps draws it once.

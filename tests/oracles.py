@@ -21,7 +21,10 @@ touch every pair or tuple, or rebuild what the package shares, so they are
 slow and memory-hungry, but they are simple enough to trust.  The
 euclidean, scaled_euclidean and flat_torus phases are here as the three
 separate classes they were before one Euclidean-family class, written on
-its difference vector, replaced them.
+its difference vector, replaced them.  The three per-centre ball-mass loops
+of `fractals` -- one ball, the exponent fit's sups and the probed Frostman
+constant -- are here as they were before one (centres x radii) kernel,
+`fractals._ball_masses`, replaced them.
 """
 
 import functools
@@ -48,9 +51,9 @@ def dense_pinned_density(mu, phi, pin_x, mollifier, t_grid=None,
         phi_vals = np.asarray(phi.value(pin[None, :], mu.points))
         weights = mu.weights
     else:
-        sample = sample_points(mu, mc_samples, seed)
-        phi_vals = np.asarray(phi.value(pin[None, :], sample.points))
-        weights = sample.weights
+        atoms = sample_points(mu, mc_samples, seed)
+        phi_vals = np.asarray(phi.value(pin[None, :], mu.points[atoms]))
+        weights = np.full(mc_samples, 1.0 / mc_samples)
     if t_grid is None:
         t_grid = default_t_grid(phi_vals, eps)
     t_grid = np.asarray(t_grid, float)
@@ -138,6 +141,44 @@ def sum_outer(factors) -> np.ndarray:
     for i, f in enumerate(factors):
         operands += [f, [0, i + 1]]
     return np.einsum(*operands, list(range(1, len(factors) + 1)), optimize=True)
+
+
+def loop_ball_mass(mu, x, r):
+    """Mass of the closed ball B(x, r) under the atom weights."""
+    x = np.asarray(x, dtype=float)
+    dist = np.sqrt(((mu.points - x) ** 2).sum(axis=1))
+    return float(mu.weights[dist <= r].sum())
+
+
+def loop_frostman_exponent_fit(mu, scales, probes, seed):
+    """(slope, constant, sups) of `frostman_exponent_fit`, its sups taken
+    one probe centre at a time."""
+    scales = np.asarray(sorted(set(float(s) for s in scales)))
+    rng = rng_for(seed, 0)
+    if probes >= len(mu):
+        idx = np.arange(len(mu))
+    else:
+        idx = np.unique(rng.choice(len(mu), size=probes, replace=True, p=mu.weights))
+    sups = np.zeros(len(scales))
+    for i in idx:
+        dist = np.sqrt(((mu.points - mu.points[i]) ** 2).sum(axis=1))
+        for k, r in enumerate(scales):
+            sups[k] = max(sups[k], mu.weights[dist <= r].sum())
+    slope, _ = np.polyfit(np.log(scales), np.log(sups), 1)
+    return float(slope), float(np.max(sups / scales ** slope)), sups
+
+
+def loop_frostman_constant(mu, f):
+    """max mass(B(x,r)) / r^s over strided atoms x and f's construction scales r."""
+    scales = f.scale ** np.arange(1, f.level_n + 1)
+    stride = max(1, len(mu) // 64)
+    best = 0.0
+    for x in mu.points[::stride]:
+        dist = np.sqrt(((mu.points - x) ** 2).sum(axis=1))
+        for r in scales:
+            mass = mu.weights[dist <= r].sum()
+            best = max(best, mass / r ** mu.exponent_s)
+    return best
 
 
 def dense_window_mass(lam, mu, phi, t_nodes, eps):

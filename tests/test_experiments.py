@@ -11,19 +11,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import loop_frostman_constant
 
 import pinlab
+import pinlab.cli
 
 from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
                     default_t_grid, density_mass, l2_energy, pinned_density,
                     support_measure, verdict_from_series)
+from pinlab import configs as configs_module
 from pinlab import experiments
 from pinlab import harmonic as harmonic_module
 from pinlab import pinned as pinned_module
 from pinlab.cli import main as cli_main
 from pinlab.experiments import (KEYS, build_generator, build_phase, draw_pins,
-                                exceptional_probe, parse_config_text, read_key,
-                                sweep_threshold)
+                                exceptional_probe, hinge_setup, parse_config_text,
+                                pinned_setup, read_key, sweep_threshold)
 
 
 def test_parse_config_text():
@@ -83,9 +86,11 @@ def test_sweep_structure_and_annotations():
             assert r["mass"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_sweep_error_cells_isolated():
-    # t_step_divisor = 1 makes dt = eps > eps/2: every cell fails, sweep survives
-    rep = sweep_threshold(sweep_cfg(t_step_divisor=1))
+def test_sweep_error_cells_isolated(monkeypatch):
+    # a 10-node grid budget stops every cell; the sweep survives, each error
+    # kept in its cell's row
+    monkeypatch.setattr(pinned_module, "GRID_BUDGET", 10)
+    rep = sweep_threshold(sweep_cfg())
     assert all(r["error"] for r in rep.rows)
     assert all(v == "ERROR" for v in rep.verdicts.values())
 
@@ -322,7 +327,7 @@ def test_cli_sweep_step_divisor_below_one_exit_2(tmp_path, capsys, divisor):
     cfg = write_cfg(tmp_path, "div.cfg", f"level = 3\nt_step_divisor = {divisor}\n")
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"config error: config key 't_step_divisor' must be an integer in [1, inf), "
+        f"config error: config key 't_step_divisor' must be an integer in [2, inf), "
         f"got '{divisor}'\n")
 
 
@@ -613,6 +618,59 @@ seed = 5
 """
 
 
+@pytest.mark.parametrize("samples", [0, 200])
+def test_cli_hinge_sorts_gaps_once_per_exact_run(tmp_path, samples):
+    # the sort depends on neither eps nor t, so an exact run sorts once for
+    # both counts at every eps (Monte Carlo sorts none), and hinge.csv holds
+    # what counts that sort for themselves give
+    path = write_cfg(tmp_path, "h.cfg", HINGE_CFG.replace("2^-3", "2^-3 2^-4 2^-5")
+                     + f"mc_samples = {samples}\n")
+    calls = []
+
+    def spy(lam, mu, phi, sort=configs_module.sort_gaps):
+        calls.append(len(lam))
+        return sort(lam, mu, phi)
+
+    out = tmp_path / "o"
+    with mock.patch.object(pinlab.cli, "sort_gaps", spy), \
+            mock.patch.object(configs_module, "sort_gaps", spy):
+        assert cli_main(["hinge", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == (samples == 0)
+    cfg = experiments.load_config(path)
+    mu, pins, phi = pinned_setup(cfg, 5, read_key(cfg, "pins", "48"))
+    gaps = phi.value(pins[:, None, :], mu.points[None, :, :])
+    lam, beta, t_nodes = hinge_setup(cfg, phi, mu, pins, gaps)
+    rows = []
+    for eps in read_key(cfg, "epsilons"):
+        single = configs_module.hinge_count(lam, mu, phi, 0.5, eps, samples, 5)
+        rows.append([eps, 0.5, single.count_normalized, single.stderr,
+                     configs_module.hinge_count_integrated(lam, mu, phi, beta, eps, t_nodes,
+                                                           samples, 5)])
+    experiments.write_csv(tmp_path / "hinge.csv",
+                          ["eps", "t", "count_normalized", "stderr", "integrated"], rows)
+    assert (out / "hinge.csv").read_bytes() == (tmp_path / "hinge.csv").read_bytes()
+
+
+@pytest.mark.parametrize("generator", ["product_cantor", "subdivision", "circle", "uniform"])
+def test_cli_gen_frostman_constant_is_probed_or_null(tmp_path, generator):
+    # circle and uniform used to write the dataclass default 1.0, which
+    # nothing measured; the cell fractals keep their probed constant bit
+    # for bit
+    path = write_cfg(tmp_path, "g.cfg", f"generator = {generator}\nlevel = 4\n"
+                     "target_dim = 1.6\nn_atoms = 64\nper_side = 8\nseed = 9\n")
+    out = tmp_path / "o"
+    assert cli_main(["gen", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    frac, mu = build_generator(experiments.load_config(path), 9)
+    assert summary["atoms"] == len(mu)
+    if frac is None:
+        assert summary["frostman_constant"] is None and summary["target_dim"] is None
+    else:
+        assert summary["frostman_constant"] == loop_frostman_constant(mu, frac)
+        assert summary["frostman_constant"] == {"product_cantor": 1.875,
+                                                "subdivision": 5.000000000000002}[generator]
+
+
 def test_cli_regression_missing_golden_exit_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "h.cfg", HINGE_CFG)
     out = tmp_path / "h"
@@ -827,12 +885,14 @@ def test_key_value_outside_domain_is_a_config_error_naming_it(key, val):
     ("fourier", "which = radon\nradon_side_n = 16\nepsilons = 2^-3\n"
      "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
     ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\nbox_hi = 0\n", [], "box_hi"),
+    ("sweep", "t_step_divisor = 1\n", [], "t_step_divisor"),
     ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "0"], "jobs"),
     ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "-1"], "jobs"),
 ], ids=["phase_factor_nan", "phase_factor_zero", "seed_key", "seed_flag", "rtol_nan",
         "floor_nan", "probe_pins_capped", "stable_tol_nan", "shrink_total_5", "hinge_t_nan",
         "radon_band", "radon_t_nan", "negative_eps", "typo", "lift_2", "d_negative",
-        "cap_measure", "cap_osc", "cap_radon", "box", "jobs_0", "jobs_negative"])
+        "cap_measure", "cap_osc", "cap_radon", "box", "step_divisor_1", "jobs_0",
+        "jobs_negative"])
 def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, body,
                                                      argv, key):
     # each used to exit 0, exit 1 with a traceback, or exit 2 without the key

@@ -1,11 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import loop_ball_mass, loop_frostman_constant, loop_frostman_exponent_fit
 
-from pinlab import (BudgetError, DomainError, ball_mass, box_dimension_estimate,
-                    build_product_cantor, build_subdivision_fractal,
-                    frostman_exponent_fit, load_cells, load_measure,
-                    natural_measure, sample_points, save_cells, save_measure,
-                    segment_measure, uniform_grid_measure)
+from pinlab import (BudgetError, DomainError, FrostmanMeasure, ball_mass,
+                    box_dimension_estimate, build_product_cantor,
+                    build_subdivision_fractal, frostman_exponent_fit,
+                    load_cells, load_measure, natural_measure, sample_points,
+                    save_cells, save_measure, segment_measure,
+                    uniform_grid_measure)
+from pinlab.fractals import probe_frostman_constant
 
 
 def test_segment_measure_needs_an_atom():
@@ -115,6 +122,50 @@ def test_ball_mass_matches_bruteforce_level5():
     assert ball_mass(mu, x, r) == pytest.approx(total, abs=1e-15)
 
 
+@st.composite
+def lattice_measures(draw):
+    """Atoms on the lattice (Z/8)^d in [0, 1]^d, d = 1..3, so that many pair
+    distances coincide, with positive weights summing to 1."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.uniform(0.05, 1.0, n)
+    return FrostmanMeasure(rng.integers(0, 9, (n, d)) / 8.0, w / w.sum(), exponent_s=float(d))
+
+
+@given(mu=lattice_measures(), data=st.data())
+def test_ball_mass_kernel_matches_per_centre_loops(mu, data):
+    # ball_mass and the exponent fit's sups equal the per-centre loops bit
+    # for bit; the radii include every distance from x to an atom exactly,
+    # since the ball is closed
+    x = mu.points[data.draw(st.integers(0, len(mu) - 1))]
+    dist = np.sqrt(((mu.points - x) ** 2).sum(axis=1))
+    radii = sorted({float(r) for r in dist[dist > 0]} | {0.1, 0.3, 2.0})
+    for r in radii:
+        assert ball_mass(mu, x, r) == loop_ball_mass(mu, x, r)
+    scales = data.draw(st.lists(st.sampled_from(radii), min_size=2, unique=True))
+    probes, seed = data.draw(st.integers(1, 50)), data.draw(st.integers(0, 99))
+    with mock.patch.object(np, "polyfit", wraps=np.polyfit) as fit:
+        got = frostman_exponent_fit(mu, scales, probes, seed)
+    slope, const, sups = loop_frostman_exponent_fit(mu, scales, probes, seed)
+    assert np.array_equal(fit.call_args.args[1], np.log(sups))
+    assert got == (slope, const)
+
+
+@given(d=st.integers(1, 2), level=st.integers(1, 4), ratio=st.floats(0.05, 0.49),
+       keep=st.integers(1, 9), base=st.sampled_from([2, 3]), seed=st.integers(0, 99),
+       family=st.sampled_from(["product_cantor", "subdivision"]))
+def test_probe_frostman_constant_matches_per_centre_loop(d, level, ratio, keep, base,
+                                                         seed, family):
+    # b-adic centres sit at exact multiples of the construction scales, so
+    # radii equal to atom distances occur
+    if family == "product_cantor":
+        f = build_product_cantor(d, ratio, level)
+    else:
+        f = build_subdivision_fractal(d, base, min(keep, base ** d), min(level, 3), seed)
+    mu = natural_measure(f)
+    assert probe_frostman_constant(mu, f) == loop_frostman_constant(mu, f)
+
+
 def test_frostman_fit_middle_thirds():
     mu = natural_measure(build_product_cantor(1, 1 / 3, 6))
     slope, const = frostman_exponent_fit(mu, [3.0 ** -k for k in range(1, 7)],
@@ -181,24 +232,14 @@ def test_determinism_bit_identical():
     b = build_subdivision_fractal(2, 2, 3, 5, seed=42)
     assert np.array_equal(a.digits, b.digits)
     mu = natural_measure(a)
+    # a draw is its atom indices
     s1 = sample_points(mu, 1000, seed=9)
     s2 = sample_points(mu, 1000, seed=9)
-    assert np.array_equal(s1.points, s2.points)
+    assert np.array_equal(s1, s2)
     s3 = sample_points(mu, 1000, seed=10)
-    assert not np.array_equal(s1.points, s3.points)
-    # atom draws record their atoms; jittered draws record none
-    assert np.array_equal(mu.points[s1.atoms], s1.points)
-
-
-def test_cell_uniform_sampling_jitters_inside_cells():
-    f = build_product_cantor(2, 1 / 3, 3)
-    mu = natural_measure(f, mode="cell_uniform")
-    s = sample_points(mu, 500, seed=4)
-    centers = natural_measure(f).points
-    assert s.atoms is None
-    for p in s.points[:50]:
-        d = np.abs(centers - p).max(axis=1).min()
-        assert d <= f.cell_side / 2 + 1e-12
+    assert not np.array_equal(s1, s3)
+    assert s1.shape == (1000,) and s1.dtype.kind == "i"
+    assert 0 <= s1.min() and s1.max() < len(mu)
 
 
 def test_cells_roundtrip(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 from unittest import mock
 
@@ -177,13 +176,9 @@ def test_exact_deposition_over_default_blocks_matches_dense_oracle(mu, pin, eps)
 
 @given(mu=random_measures(max_atoms=200), pin=PINS, eps=EPSILONS,
        per_atom=st.sampled_from([0.5, 4.0]), seed=st.integers(0, 10_000),
-       jitter=st.booleans(), block=BLOCKS)
-def test_grouped_monte_carlo_matches_per_draw_oracle(mu, pin, eps, per_atom, seed,
-                                                     jitter, block):
-    # atom draws deposit each distinct atom once, weighted count / draws;
-    # cell-uniform draws are jittered and stay one row per draw
-    if jitter:
-        mu = dataclasses.replace(mu, mode="cell_uniform", cell_side=0.01)
+       block=BLOCKS)
+def test_grouped_monte_carlo_matches_per_draw_oracle(mu, pin, eps, per_atom, seed, block):
+    # atom draws deposit each distinct atom once, weighted count / draws
     samples = max(2, int(per_atom * len(mu)))
     moll = Mollifier(eps)
     with mock.patch.object(rng_module, "BLOCK", block):
@@ -201,11 +196,10 @@ def test_grouped_monte_carlo_matches_per_draw_oracle(mu, pin, eps, per_atom, see
     # the dense oracle sums each draw's mass in another order, ~1e-16 apart
     # on a std of ~1e-8 (see above); the deposit's own masses of the
     # ungrouped draws agree bit for bit, so their spreads agree to rounding
-    sample = sample_points(mu, samples, seed)
-    assert (sample.atoms is None) == jitter
-    gaps = np.asarray(PHI.value(pin[None, :], sample.points))[:, None]
-    _, _, per_draw_mass_se = pinned_module._deposit(gaps, sample.weights, (grid,),
-                                                    moll, samples)
+    atoms = sample_points(mu, samples, seed)
+    gaps = np.asarray(PHI.value(pin[None, :], mu.points[atoms]))[:, None]
+    _, _, per_draw_mass_se = pinned_module._deposit(gaps, np.full(samples, 1.0 / samples),
+                                                    (grid,), moll, samples)
     assert nu.mass_stderr == pytest.approx(per_draw_mass_se, rel=1e-12, abs=0.0)
 
 
