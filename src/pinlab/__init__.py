@@ -15,9 +15,9 @@ from .errors import (BudgetError, ConfigError, CoverageError, DomainError,
 from .fractals import (CellFractal, FrostmanMeasure, ball_mass,
                        box_dimension_estimate, build_product_cantor,
                        build_subdivision_fractal, circle_measure,
-                       frostman_exponent_fit, load_cells, load_measure,
-                       natural_measure, sample_points, save_cells,
-                       save_measure, segment_measure, uniform_grid_measure)
+                       frostman_exponent_fit, natural_measure, sample_points,
+                       save_cells, save_measure, segment_measure,
+                       uniform_grid_measure)
 from .phases import (CutoffPair, PhaseFunction, build_cutoffs,
                      monge_ampere_det, nondegeneracy_scan, phase_function)
 from .pinned import (ChainDensity, Mollifier, chain_density,
@@ -26,7 +26,7 @@ from .pinned import (ChainDensity, Mollifier, chain_density,
                      support_measure)
 from .configs import (ConfigCount, EdgeMap, chain_edge_map, chain_tuple_count,
                       config_count, hinge_count, hinge_count_integrated,
-                      load_edge_map, pinned_lift, save_edge_map, star_edge_map)
+                      pinned_lift, save_edge_map, star_edge_map)
 from .harmonic import (DecayFit, EnergyResult, LPPartition, energy_integral,
                        freq_norms, l2_norm, oscillatory_G, radon_sobolev_ratio,
                        random_band_limited, riesz_constant,

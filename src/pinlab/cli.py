@@ -63,12 +63,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         seed = read_key(cfg if args.seed is None else {"seed": str(args.seed)}, "seed")
-        rtol = read_key(cfg, "regression_rtol")
         os.makedirs(args.out, exist_ok=True)
         handler = _COMMANDS[args.command]
         csv_names = handler(cfg, seed, args.out, args.jobs)
         write_manifest(args.out, args.command, cfg, seed)
-        regression_check(args.out, csv_names, args.regression_freeze, rtol=rtol)
+        regression_check(args.out, csv_names, args.regression_freeze)
         return 0
     except RegressionMismatch as exc:
         print(f"regression mismatch: {exc}", file=sys.stderr)
@@ -106,7 +105,6 @@ def cmd_pinned(cfg, seed, out, jobs):
                       lambda nu: (nu, [density_mass(nu), cs_lower_bound(nu),
                                        support_measure(nu), nu.mass_stderr]),
                       read_key(cfg, "mc_samples"), seed, 17, jobs=jobs)
-    which = read_key(cfg, "write_densities")
     rows = []
     names = ["pinned_summary.csv"]
     for pi in range(len(pins)):
@@ -116,7 +114,7 @@ def cmd_pinned(cfg, seed, out, jobs):
                 raise exc
             nu, summary = val
             rows.append([pi, eps] + summary)
-            if which == "all" or (which == "first" and pi == 0):
+            if pi == 0:
                 name = f"density_pin{pi}_eps{ei}.csv"
                 write_csv(os.path.join(out, name), ["t", "value", "stderr"],
                           [[float(t), float(v), float(s)] for t, v, s in
@@ -153,7 +151,7 @@ def cmd_hinge(cfg, seed, out, jobs):
     t_mid = read_key(cfg, "t")
     samples = read_key(cfg, "mc_samples")
     gaps = phi.value(lam_pins[:, None, :], mu.points[None, :, :])
-    lam, beta, t_nodes = hinge_setup(cfg, phi, mu, lam_pins, gaps)
+    lam, beta, t_nodes = hinge_setup(phi, mu, lam_pins, gaps)
     sorted_gaps = sort_gaps(lam, mu, phi) if samples == 0 else None
     rows = []
     for eps in eps_list:
@@ -180,7 +178,10 @@ def cmd_config_count(cfg, seed, out, jobs):
     frac, mu = build_generator(cfg, seed)
     phi = build_phase(cfg, mu.d, mu.points)
     edges = frozenset(_parse_pair(tok, "edges") for tok in read_key(cfg, "edges"))
-    em = EdgeMap(read_key(cfg, "vertices", str(max(max(e) for e in edges))), edges)
+    try:
+        em = EdgeMap(max(max(e) for e in edges), edges)
+    except DomainError as exc:
+        raise ConfigError(f"config key 'edges': {exc}") from None
     t_map = {}
     for tok in read_key(cfg, "t_assignment"):
         pair, sep, val = tok.partition(":")
@@ -201,6 +202,10 @@ def cmd_config_count(cfg, seed, out, jobs):
     write_csv(os.path.join(out, "config_counts.csv"),
               ["eps", "count_normalized", "stderr", "samples", "n_edges"], rows)
     return ["config_counts.csv"]
+
+
+#: Band limit of the `radon` part's random fields.
+RADON_BAND = 1.45
 
 
 def cmd_fourier(cfg, seed, out, jobs):
@@ -255,7 +260,7 @@ def cmd_fourier(cfg, seed, out, jobs):
         side = read_key(cfg, "radon_side_n")
         phi = build_phase(cfg, 2)
         eps_list = read_key(cfg, "epsilons", "2^-3 2^-4 2^-5 2^-6")
-        fields = [random_band_limited(side, read_key(cfg, "radon_band"), seed + fi)
+        fields = [random_band_limited(side, RADON_BAND, seed + fi)
                   for fi in range(read_key(cfg, "n_fields"))]
         rows_raw, summary = radon_sobolev_ratio(phi, None, read_key(cfg, "t"),
                                                 eps_list, fields)
@@ -277,10 +282,14 @@ def cmd_fourier(cfg, seed, out, jobs):
         cuts = build_cutoffs(phi, (0.15, 0.85), 0.05, (0.1, 1.0))
         # (j, k, s): the matched triple, then the separated ones, in one call
         triples = [(2, 2, 4.0), (0, 4, 1.0), (4, 0, 1.0), (0, 4, 2.0)]
+        quad_n = read_key(cfg, "quad_n")
         vals = np.abs(oscillatory_G(phi, cuts.psi, np.array([s for _, _, s in triples]),
                                     np.array([[2.0 ** k, 0.0] for _, k, _ in triples]),
                                     np.array([[2.0 ** j, 0.0] for j, _, _ in triples]),
-                                    quad_n=read_key(cfg, "quad_n")))
+                                    quad_n=quad_n))
+        if vals[0] == 0:    # too few nodes: none, or no pair, inside the cutoff
+            raise ConfigError(f"config key 'quad_n': the matched |G| is 0 at quad_n = "
+                              f"{quad_n}, so the ratios to it are undefined")
         rows = [[j, k, s, v, v / vals[0]] for (j, k, s), v in zip(triples, vals)]
         write_csv(os.path.join(out, "oscillatory_decay.csv"),
                   ["j", "k", "s", "abs_G", "ratio_to_matched"], rows)

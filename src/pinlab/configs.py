@@ -313,21 +313,10 @@ def config_count(em: EdgeMap, measures, phi, t_assignment: dict, eps: float,
 # -- serialization ----------------------------------------------------------
 
 def save_edge_map(em: EdgeMap, path) -> None:
-    """Header `vertices n`, then one sorted `i j` pair per line."""
+    """Header `<vertex count> <edge count>` (such as `4 4`), then one sorted
+    `i j` pair per line."""
     with open(path, "w") as fh:
         fh.write(f"{em.vertex_count} {em.n_edges}\n")
         for i, j in em.sorted_edges():
             fh.write(f"{i} {j}\n")
 
-
-def load_edge_map(path) -> EdgeMap:
-    with open(path) as fh:
-        head = fh.readline().split()
-        v = int(head[0])
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                i, j = line.split()
-                edges.append((int(i), int(j)))
-    return EdgeMap(v, frozenset(edges))

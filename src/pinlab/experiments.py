@@ -8,13 +8,17 @@ versions into a manifest; data files are byte-reproducible functions of
 
 The sweep's verdict rule is a frozen convention (see `verdict_from_series`):
 a pinned-set size trajectory over a shrinking epsilon schedule is SHRINKING
-when it decreases monotonically and loses at least `shrink_total` (default
-30%) over the sweep, STABLE when the final two epsilon steps change by at
-most `stable_tol` (default 20%).  The cumulative reading of the 30% is
-deliberate: the canonical dimension-1.0 product Cantor shrinks 10-20% per
-step at desk scales (its arithmetic structure caps the blow-up rate), so a
-per-step 30% rule would miss exactly the sub-threshold sets the sweep exists
-to flag.
+when it decreases monotonically and loses at least SHRINK_TOTAL (30%) over
+the sweep, STABLE when the final two epsilon steps change by at most
+STABLE_TOL (20%).  No config key sets either.  The cumulative reading of
+the 30% is deliberate: the canonical dimension-1.0 product Cantor shrinks
+10-20% per step at desk scales (its arithmetic structure caps the blow-up
+rate), so a per-step 30% rule would miss exactly the sub-threshold sets the
+sweep exists to flag.
+
+The knobs no experiment varies are module constants, not keys: PHASE_FACTOR,
+HINGE_T_NODES, HINGE_PINS and the verdict rule's two here, `cli.RADON_BAND`,
+and `fractals.CIRCLE_RADIUS`; the uniform grid tiles the unit box.
 """
 
 import csv
@@ -71,7 +75,6 @@ class Key:
 #: domain is "any".  Lists are space- or comma-separated.
 KEYS = {
     "seed": Key("int", "[0, 2^53)", "0"),
-    "regression_rtol": Key("float", "[0, inf)", "1e-9"),
     "generator": Key("word", "product_cantor subdivision uniform circle", "product_cantor"),
     "d": Key("int", "[1, inf)", "2"),
     "level": Key("int", "[1, inf)", "5"),
@@ -80,26 +83,18 @@ KEYS = {
     "base_b": Key("int", "[2, inf)", "2"),
     "keep_m": Key("int", "[1, inf)", "3"),
     "per_side": Key("int", "[1, inf)", "32"),
-    "box_lo": Key("float", "(-inf, inf)", "0"),
-    "box_hi": Key("float", "(-inf, inf)", "1"),
     "n_atoms": Key("int", "[1, inf)", "512"),
-    "radius": Key("float", "(0, inf)", "0.25"),
     "phase": Key("word", "euclidean scaled_euclidean dot_product flat_torus "
                  "sphere_geodesic_chart", "euclidean"),
-    "phase_factor": Key("float", "(-inf, inf)", "3"),
-    "cap_radius": Key("float", "(0, 1)", "0.75"),
     "pin_policy": Key("word", "mu fixed", "mu"),
     "pin": Key("numbers", "(-inf, inf)"),
     "pins": Key("int", "[1, inf)"),
     "epsilons": Key("numbers", "(0, inf)"),
     "mc_samples": Key("int", "[0, inf)", "0"),
-    "write_densities": Key("word", "any", "first"),
     "k": Key("int", "[1, inf)", "2"),
     "epsilon": Key("float", "(0, inf)", "2^-3"),
     "t": Key("float", "(0, inf)", "0.5"),
-    "hinge_t_nodes": Key("int", "[2, inf)", "96"),
     "edges": Key("words", "any"),
-    "vertices": Key("int", "[1, inf)"),
     "t_assignment": Key("words", "any"),
     "lift": Key("int", "[0, 1]", "0"),
     "which": Key("words", "lp decay energy radon osc", "lp decay energy"),
@@ -111,15 +106,9 @@ KEYS = {
     "energy_side_n": Key("int", "[16, inf)", "512"),
     "gammas": Key("numbers", "(0, 2)", "1.2 0.8"),
     "radon_side_n": Key("int", "[1, inf)", "128"),
-    "radon_band": Key("float", "(0, inf)", "1.45"),
     "n_fields": Key("int", "[1, inf)", "5"),
     "quad_n": Key("int", "[1, 64]", "48"),
     "dims": Key("numbers", "(0, inf)", "1.0 1.6 1.8", least=2),
-    "hinge_pins": Key("int", "[1, inf)", "48"),
-    "t_step_divisor": Key("int", "[2, inf)", "16"),
-    "stable_tol": Key("float", "[0, inf)", "0.2"),
-    "shrink_total": Key("float", "[0, 1)", "0.3"),
-    "shrink_mode": Key("word", "cumulative per_step", "cumulative"),
     "floor": Key("float", "[0, inf)", "0.05"),
 }
 
@@ -181,22 +170,22 @@ def _read_token(row: Key, key: str, tok: str):
     raise ConfigError(f"config key {key!r} must be {what} in {row.domain}, got {tok!r}")
 
 
+#: The factor a of the `scaled_euclidean` phase |x - a y|.
+PHASE_FACTOR = 3.0
+
+
 def build_phase(cfg, d: int, *points):
     """The configured phase in dimension d, its domain checked once on each
     (n, d) array of `points` it will be evaluated on (a sphere chart's cap
-    must hold them all)."""
+    must hold them all, else a ConfigError naming `phase`)."""
     kind = read_key(cfg, "phase")
-    params = {}
-    if kind == "scaled_euclidean":
-        params["factor"] = read_key(cfg, "phase_factor")
-        if params["factor"] == 0:     # an interval cannot say "nonzero"
-            raise ConfigError(f"config key 'phase_factor' must be nonzero, "
-                              f"got {cfg['phase_factor']!r}")
-    if kind == "sphere_geodesic_chart":
-        params["cap_radius"] = read_key(cfg, "cap_radius")
-    phi = phase_function(kind, d, **params)
-    for p in points:
-        phi.check_domain(p, p)
+    phi = phase_function(kind, d, **({"factor": PHASE_FACTOR}
+                                     if kind == "scaled_euclidean" else {}))
+    try:
+        for p in points:
+            phi.check_domain(p, p)
+    except DomainError as exc:
+        raise ConfigError(f"config key 'phase': {exc}") from None
     return phi
 
 
@@ -205,10 +194,9 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
     d = read_key(cfg, "d")
     family = read_key(cfg, "generator")
     if family == "circle":
-        return None, circle_measure(read_key(cfg, "n_atoms"), radius=read_key(cfg, "radius"))
+        return None, circle_measure(read_key(cfg, "n_atoms"))
     if family == "uniform":
-        return None, uniform_grid_measure(d, read_key(cfg, "per_side"),
-                                          read_key(cfg, "box_lo"), read_key(cfg, "box_hi"))
+        return None, uniform_grid_measure(d, read_key(cfg, "per_side"))
     level = read_key(cfg, "level")
     if family == "product_cantor":
         if target_dim is None and "ratio_a" in cfg:
@@ -226,16 +214,20 @@ def build_generator(cfg, seed: int, target_dim: float | None = None):
     return frac, natural_measure(frac)
 
 
-def hinge_setup(cfg, phi, mu: FrostmanMeasure, lam_points, gaps):
+#: t-nodes of every integrated hinge count, and pins of the sweep's.
+HINGE_T_NODES = 96
+HINGE_PINS = 48
+
+
+def hinge_setup(phi, mu: FrostmanMeasure, lam_points, gaps):
     """(lam, beta, t_nodes) of an integrated hinge count: the uniform pin
     measure on lam_points, and the plateau beta over the range of the
-    observed `gaps` with `hinge_t_nodes` t-nodes reaching 0.05 past it."""
-    n_t = read_key(cfg, "hinge_t_nodes")
+    observed `gaps` with HINGE_T_NODES t-nodes reaching 0.05 past it."""
     lam = FrostmanMeasure(lam_points, np.full(len(lam_points), 1.0 / len(lam_points)),
                           exponent_s=mu.exponent_s)
     t_lo, t_hi = float(np.min(gaps)), float(np.max(gaps))
     beta = build_cutoffs(phi, (0.0, 1.0), 0.05, (t_lo, t_hi)).beta
-    t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, n_t)
+    t_nodes = np.linspace(t_lo - 0.05, t_hi + 0.05, HINGE_T_NODES)
     return lam, beta, t_nodes
 
 
@@ -289,29 +281,25 @@ def pin_table(mu, pins, phi, eps_list, measure, mc_samples: int, seed: int,
 
 # -- verdict rule -------------------------------------------------------------
 
-def verdict_from_series(values, stable_tol: float = 0.2, shrink_total: float = 0.3,
-                        shrink_mode: str = "cumulative") -> str:
+#: The frozen verdict rule: the least cumulative decline of a SHRINKING
+#: trajectory, and the largest last-step change of a STABLE one.
+SHRINK_TOTAL = 0.3
+STABLE_TOL = 0.2
+
+
+def verdict_from_series(values) -> str:
     """Pure classification of an epsilon-refinement trajectory.
 
-    SHRINKING: monotone decreasing at every step and, under the default
-    cumulative mode, total decline >= shrink_total (per_step mode instead
-    requires every step to lose >= shrink_total).  STABLE: the final two
-    steps change by <= stable_tol.  Anything else: MIXED.
+    SHRINKING: decreasing at every step, with total decline >= SHRINK_TOTAL.
+    STABLE: the final two steps change by <= STABLE_TOL.  Anything else:
+    MIXED.
     """
     v = np.asarray(values, float)
     if len(v) < 2:
         raise DomainError("need at least two epsilon steps")
-    steps = v[1:] / v[:-1]
-    monotone = bool(np.all(steps < 1.0))
-    if shrink_mode == "cumulative":
-        shrinking = monotone and (v[-1] / v[0] <= 1.0 - shrink_total)
-    elif shrink_mode == "per_step":
-        shrinking = monotone and bool(np.all(steps <= 1.0 - shrink_total))
-    else:
-        raise DomainError(f"unknown shrink_mode {shrink_mode!r}")
-    if shrinking:
+    if np.all(v[1:] / v[:-1] < 1.0) and v[-1] / v[0] <= 1.0 - SHRINK_TOTAL:
         return "SHRINKING"
-    if abs(v[-1] - v[-2]) / max(abs(v[-2]), 1e-300) <= stable_tol:
+    if abs(v[-1] - v[-2]) / max(abs(v[-2]), 1e-300) <= STABLE_TOL:
         return "STABLE"
     return "MIXED"
 
@@ -352,9 +340,6 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
                           f"got {len(eps_list)}")
     n_pins = read_key(cfg, "pins", "12")
     mc_samples = read_key(cfg, "mc_samples")
-    rule = [read_key(cfg, k) for k in ("stable_tol", "shrink_total", "shrink_mode")]
-    hinge_pins = read_key(cfg, "hinge_pins")
-    step_div = read_key(cfg, "t_step_divisor")
 
     report = SweepReport()
     threshold = (d + 1) / 2.0
@@ -370,11 +355,11 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
                           lambda nu: (nu, density_mass(nu), cs_lower_bound(nu),
                                       support_measure(nu)),
                           mc_samples, seed, 17, jobs=jobs,
-                          grid=lambda eps: default_t_grid(ref_vals, eps, step_div))
+                          grid=lambda eps: default_t_grid(ref_vals, eps))
 
-        lam_idx = rng_for(seed, 10).choice(len(mu), size=min(hinge_pins, len(mu)),
+        lam_idx = rng_for(seed, 10).choice(len(mu), size=min(HINGE_PINS, len(mu)),
                                            replace=False)
-        lam, beta, t_nodes = hinge_setup(cfg, phi, mu, mu.points[lam_idx], ref_vals)
+        lam, beta, t_nodes = hinge_setup(phi, mu, mu.points[lam_idx], ref_vals)
         lam_gaps = sort_gaps(lam, mu, phi)
         series = []
         for eps, cells in zip(eps_list, table):
@@ -399,7 +384,7 @@ def sweep_threshold(cfg: dict, seed: int | None = None, jobs: int = 1) -> SweepR
         if any(math.isnan(s) for s in series):
             report.verdicts[dim] = "ERROR"
         else:
-            report.verdicts[dim] = verdict_from_series(series, *rule)
+            report.verdicts[dim] = verdict_from_series(series)
     return report
 
 

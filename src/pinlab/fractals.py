@@ -161,29 +161,37 @@ def probe_frostman_constant(mu: FrostmanMeasure, f: CellFractal) -> float:
                for k, r in enumerate(scales))
 
 
-def uniform_grid_measure(d: int, per_side: int, box_lo=0.0, box_hi=1.0) -> FrostmanMeasure:
-    """Lebesgue atoms: per_side^d equal-weight cell centers tiling [box_lo, box_hi]^d."""
-    if not box_lo < box_hi:
-        raise DomainError(f"need box_lo < box_hi, got {box_lo} and {box_hi}")
-    side = (box_hi - box_lo) / per_side
-    axis = box_lo + (np.arange(per_side) + 0.5) * side
+def _check_atoms(count: int, what: str) -> None:
+    """BudgetError, before anything is allocated, past CELL_BUDGET atoms."""
+    if count > CELL_BUDGET:
+        raise BudgetError(f"{what} of {count} atoms exceeds budget {CELL_BUDGET}")
+
+
+def uniform_grid_measure(d: int, per_side: int) -> FrostmanMeasure:
+    """Lebesgue atoms: per_side^d equal-weight cell centers tiling [0, 1]^d."""
+    _check_atoms(per_side ** d, "uniform grid")
+    axis = (np.arange(per_side) + 0.5) * (1.0 / per_side)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     w = np.full(len(pts), 1.0 / len(pts))
     return FrostmanMeasure(pts, w, exponent_s=float(d))
 
 
-#: Centre of `circle_measure`'s circle and ends of `segment_measure`'s segment.
+#: Centre and radius of `circle_measure`'s circle, ends of `segment_measure`'s
+#: segment.
 CIRCLE_CENTER = (0.5, 0.5)
+CIRCLE_RADIUS = 0.25
 SEGMENT_ENDS = ((0.25, 0.5), (0.75, 0.5))
 
 
-def circle_measure(n_atoms: int, radius: float = 0.25) -> FrostmanMeasure:
-    """Uniform atoms on the circle about CIRCLE_CENTER; a 1-dimensional
-    measure in the plane."""
+def circle_measure(n_atoms: int) -> FrostmanMeasure:
+    """Uniform atoms on the circle of CIRCLE_RADIUS about CIRCLE_CENTER; a
+    1-dimensional measure in the plane."""
+    _check_atoms(n_atoms, "circle")
     th = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
     cx, cy = CIRCLE_CENTER
-    pts = np.stack([cx + radius * np.cos(th), cy + radius * np.sin(th)], axis=1)
+    r = CIRCLE_RADIUS
+    pts = np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=1)
     w = np.full(n_atoms, 1.0 / n_atoms)
     return FrostmanMeasure(pts, w, exponent_s=1.0)
 
@@ -193,6 +201,7 @@ def segment_measure(n_atoms: int) -> FrostmanMeasure:
     the plane."""
     if n_atoms < 1:
         raise DomainError(f"need n_atoms >= 1, got {n_atoms}")
+    _check_atoms(n_atoms, "segment")
     u = (np.arange(n_atoms) + 0.5) / n_atoms
     p0, p1 = np.asarray(SEGMENT_ENDS, float)
     pts = np.outer(1.0 - u, p0) + np.outer(u, p1)
@@ -277,23 +286,6 @@ def save_cells(f: CellFractal, path) -> None:
             fh.write(" ".join(",".join(str(int(c)) for c in axis) for axis in cell) + "\n")
 
 
-def load_cells(path) -> CellFractal:
-    with open(path) as fh:
-        head = fh.readline().split()
-        d, b, n, m = (int(x) for x in head[:4])
-        target = float(head[4])
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            axes = [[int(c) for c in grp.split(",")] for grp in line.split()]
-            rows.append(axes)
-    digits = np.array(rows, dtype=np.uint8)
-    scale = 1.0 / b if m == 1 else float(m) ** (-1.0 / target)
-    return CellFractal(d, b, scale, n, m, digits, target)
-
-
 def save_measure(mu: FrostmanMeasure, path) -> None:
     """CSV with header x_1,...,x_d,weight."""
     d = mu.d
@@ -301,10 +293,3 @@ def save_measure(mu: FrostmanMeasure, path) -> None:
         fh.write(",".join(f"x_{j + 1}" for j in range(d)) + ",weight\n")
         for p, w in zip(mu.points, mu.weights):
             fh.write(",".join(repr(float(c)) for c in p) + f",{float(w)!r}\n")
-
-
-def load_measure(path, exponent_s: float = 1.0) -> FrostmanMeasure:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    pts, w = data[:, :-1], data[:, -1]
-    return FrostmanMeasure(pts, w / w.sum() if abs(w.sum() - 1) > 1e-12 else w,
-                           exponent_s=exponent_s)

@@ -5,9 +5,10 @@ fractal energy integral in both Fourier and kernel form (with the classical
 Riesz-kernel constant; Mattila, Fourier Analysis and Hausdorff Dimension,
 2015, ch. 3), the mollified averaging operator on real fields with its
 Sobolev ratios, and the separated-frequency oscillatory integral.
-The energy's |xi| < 1 centre has one rule for d = 1..3 and every gamma:
-sphere integrals of exact atom sums at fixed nodes in |xi|^2, expanded in
-Legendre polynomials whose moments against |xi|^-gamma are closed forms.
+The energy (of planar measures only) takes its |xi| < 1 centre by one rule
+for every gamma: circle integrals of exact atom sums at fixed nodes in
+|xi|^2, expanded in Legendre polynomials whose moments against |xi|^-gamma
+are closed forms.
 
 Grid conventions: fields live on [0,1)^d sampled at idx/n, treated
 periodically; their Fourier coefficients are the forward FFT / n^d, so
@@ -332,40 +333,30 @@ def deposit_gaussian(points: np.ndarray, masses: np.ndarray, side_n: int):
 
 
 # |xi| < 1 of the energy integral: Gauss-Legendre nodes in v = |xi|^2, and
-# directions on half of S^(d-1) (32 angles in d = 2, 16 cos(theta) x 32 phi
-# in d = 3), exact to about 1e-13 for atoms in the unit box
+# 32 directions on half of the unit circle, exact to about 1e-13 for atoms
+# in the unit box
 CENTER_NODES = 20
 
 
 def _sphere_directions(d: int):
-    """Directions on half of S^(d-1) and weights that integrate an even
-    function over the whole sphere: the point 1 (weight 2) in d = 1, a
-    half-circle trapezoid in d = 2, Gauss-Legendre in cos(theta) on [0, 1]
-    times a trapezoid in phi in d = 3."""
-    if d == 1:
-        return np.ones((1, 1)), np.array([2.0])
-    if d == 2:
-        th = (np.arange(32) + 0.5) * (np.pi / 32)
-        return np.stack([np.cos(th), np.sin(th)], axis=1), np.full(32, np.pi / 16)
-    if d == 3:
-        ct, cw = np.polynomial.legendre.leggauss(16)
-        ct = (ct + 1.0) / 2.0
-        st, ph = np.sqrt(1.0 - ct ** 2), np.arange(32) * (np.pi / 16)
-        dirs = np.stack([np.outer(st, np.cos(ph)), np.outer(st, np.sin(ph)),
-                         np.repeat(ct[:, None], 32, axis=1)], axis=-1)
-        return dirs.reshape(-1, 3), np.repeat(cw * (np.pi / 16), 32)
-    raise DomainError(f"the energy centre is implemented for d in 1..3, got d = {d}")
+    """Directions on half of the unit circle and weights that integrate an
+    even function over the whole circle: a half-circle trapezoid (d = 2
+    only, else DomainError)."""
+    if d != 2:
+        raise DomainError(f"the energy centre is implemented for d = 2 only, got d = {d}")
+    th = (np.arange(32) + 0.5) * (np.pi / 32)
+    return np.stack([np.cos(th), np.sin(th)], axis=1), np.full(32, np.pi / 16)
 
 
 def _center_energy(points, masses, gammas) -> list:
     """int_{|xi| < 1} |lambda^(xi)|^2 |xi|^-gamma dxi for each gamma, from
-    one pass over the atoms (d = 1..3, else DomainError).
+    one pass over the atoms (d = 2 only, else DomainError).
 
     In v = |xi|^2 the centre is 1/2 int_0^1 A(sqrt v) v^a dv, a = (d - 2 -
-    gamma)/2, where A(r), the sphere integral of |lambda^|^2 at radius r,
+    gamma)/2, where A(r), the circle integral of |lambda^|^2 at radius r,
     is smooth in v.  A is taken at fixed Gauss-Legendre nodes in v, as exact
     cosine and sine atom sums over blocks of frequencies (real masses make
-    |lambda^|^2 even, so half the sphere's directions suffice), and
+    |lambda^|^2 even, so half the circle's directions suffice), and
     expanded in Legendre polynomials; each term integrates in closed form,
     int_0^1 P_k(2v - 1) v^a dv = prod_{j<k} (a - j) / prod_{j=1..k+1} (a + j).
     """
@@ -423,7 +414,7 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int):
     past BYTE_BUDGET is a BudgetError before either is built.  Kernel side:
     the Riesz-constant-weighted double sum over distinct atoms.  Dyadic
     shell increments of the Fourier sum are returned for the convergence
-    diagnostics.  d = 1..3.  A scalar gamma gives one EnergyResult; a 1-d
+    diagnostics.  d = 2 only.  A scalar gamma gives one EnergyResult; a 1-d
     array of gammas gives a list of them, sharing the centre pass, the
     deposit, the transform, the shell masks and one pass over the atom-pair
     distances.
@@ -436,7 +427,7 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int):
             raise DomainError(f"gamma {gm} outside (0, {lam.d})")
     d = lam.d
     masses = lam.weights
-    # the centre comes first: it rejects d >= 4 before a grid box is sized
+    # the centre comes first: it rejects d != 2 before a grid box is sized
     centres = _center_energy(lam.points, masses, gammas)
     k = PAD * 2 ** _shell_top(side_n)
     _check_budget("energy", _atom_box(lam.points, side_n)[1], PAD * side_n, k)

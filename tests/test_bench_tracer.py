@@ -71,11 +71,13 @@ def test_counters_accept_the_sweep_and_probe_calls(spans):
                         spans._count_hinge_integrated)
     dens = tracer.wrap("pinned.pinned_density", pinned.pinned_density, spans._count_pinned)
     sweep_cfg = {"d": "2", "dims": "1.0 1.8", "epsilons": "2^-3 2^-4", "level": "3",
-                 "pins": "2", "hinge_pins": "4", "hinge_t_nodes": "8"}
+                 "pins": "2"}
     probe_cfg = {"d": "2", "generator": "circle", "n_atoms": "64", "pins": "50",
                  "epsilons": "2^-4 2^-5", "mc_samples": "32"}
     with mock.patch.object(experiments, "hinge_count_integrated", hinge), \
-            mock.patch.object(experiments, "pinned_density", dens):
+            mock.patch.object(experiments, "pinned_density", dens), \
+            mock.patch.object(experiments, "HINGE_PINS", 4), \
+            mock.patch.object(experiments, "HINGE_T_NODES", 8):
         experiments.sweep_threshold(sweep_cfg, seed=7)
         experiments.exceptional_probe(probe_cfg, seed=7, jobs=2)
     out = tracer.summary()

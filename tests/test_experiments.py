@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -20,11 +21,12 @@ from pinlab import (ConfigError, DomainError, Mollifier, cs_lower_bound,
                     default_t_grid, density_mass, l2_energy, pinned_density,
                     support_measure, verdict_from_series)
 from pinlab import configs as configs_module
+from pinlab import fractals as fractals_module
 from pinlab import experiments
 from pinlab import harmonic as harmonic_module
 from pinlab import pinned as pinned_module
 from pinlab.cli import main as cli_main
-from pinlab.experiments import (KEYS, build_generator, build_phase, draw_pins,
+from pinlab.experiments import (KEYS, Key, build_generator, build_phase, draw_pins,
                                 exceptional_probe, hinge_setup, parse_config_text,
                                 pinned_setup, read_key, sweep_threshold)
 
@@ -57,13 +59,18 @@ def test_verdict_rule_pure_function():
     assert verdict_from_series([1.0, 0.95, 0.91, 0.88]) == "STABLE"
     # non-monotone with a big last step
     assert verdict_from_series([1.0, 1.4, 0.9]) == "MIXED"
-    # per-step mode requires every step to lose 30%
-    assert verdict_from_series([1.0, 0.65, 0.42], shrink_mode="per_step") == "SHRINKING"
-    assert verdict_from_series([1.0, 0.8, 0.55], shrink_mode="per_step") == "MIXED"
     with pytest.raises(DomainError):
         verdict_from_series([1.0])
-    with pytest.raises(DomainError):
-        verdict_from_series([1.0, 0.5], shrink_mode="nope")
+
+
+def test_verdict_rule_reads_its_constants_at_call_time(monkeypatch):
+    # a 45% cumulative decline shrinks under the frozen 30%, not under 50%,
+    # and its last step's 15% change is stable under 20%, not under 10%
+    series = [1.0, 0.8, 0.65, 0.55]
+    monkeypatch.setattr(experiments, "SHRINK_TOTAL", 0.5)
+    assert verdict_from_series(series) == "STABLE"
+    monkeypatch.setattr(experiments, "STABLE_TOL", 0.1)
+    assert verdict_from_series(series) == "MIXED"
 
 
 def sweep_cfg(**over):
@@ -278,10 +285,11 @@ def test_cli_malformed_numbers_exit_2(tmp_path, capsys, command, body, message):
     ("hinge", "level = 4\ntarget_dim = 1.6\npins = 0\n",
      "config error: config key 'pins' must be an integer in [1, inf), got '0'"),
     ("sweep", "level = 4\nhinge_pins = 0\n",
-     "config error: config key 'hinge_pins' must be an integer in [1, inf), got '0'"),
+     "config error: unknown config key 'hinge_pins'"),
 ], ids=["hinge", "sweep"])
 def test_cli_zero_pins_exit_2(tmp_path, capsys, command, body, message):
-    # both used to reach hinge_setup's 1 / len(pins) and exit 1 with a traceback
+    # both used to reach hinge_setup's 1 / len(pins) and exit 1 with a
+    # traceback; the sweep's pin count is now the constant HINGE_PINS
     cfg = write_cfg(tmp_path, "zero.cfg", body)
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message + "\n"
@@ -290,13 +298,12 @@ def test_cli_zero_pins_exit_2(tmp_path, capsys, command, body, message):
 @pytest.mark.parametrize("command", ["hinge", "sweep"])
 @pytest.mark.parametrize("n_t", [1, 0, -1])
 def test_cli_too_few_hinge_t_nodes_exit_2(tmp_path, capsys, command, n_t):
-    # 1 and 0 used to raise IndexError at t_nodes[1], -1 a numpy ValueError
+    # 1 and 0 used to raise IndexError at t_nodes[1], -1 a numpy ValueError;
+    # the node count is now the constant HINGE_T_NODES, which no config sets
     cfg = write_cfg(tmp_path, "few.cfg", "level = 3\ntarget_dim = 1.6\npins = 4\n"
                     f"dims = 1.0 1.6\nepsilons = 2^-3 2^-4\nhinge_t_nodes = {n_t}\n")
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: config key 'hinge_t_nodes' must be an integer in [2, inf), "
-        f"got '{n_t}'\n")
+    assert capsys.readouterr().err == "config error: unknown config key 'hinge_t_nodes'\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "probe", "chain", "pinned"])
@@ -323,12 +330,11 @@ def test_cli_non_finite_epsilon_exit_2(tmp_path, capsys, command, key, value):
 
 @pytest.mark.parametrize("divisor", [0, -2])
 def test_cli_sweep_step_divisor_below_one_exit_2(tmp_path, capsys, divisor):
-    # 0 used to raise ZeroDivisionError in default_t_grid, with exit 1
+    # 0 used to raise ZeroDivisionError in default_t_grid, with exit 1; the
+    # divisor is now the constant pinned.STEP_DIVISOR, which no config sets
     cfg = write_cfg(tmp_path, "div.cfg", f"level = 3\nt_step_divisor = {divisor}\n")
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: config key 't_step_divisor' must be an integer in [2, inf), "
-        f"got '{divisor}'\n")
+    assert capsys.readouterr().err == "config error: unknown config key 't_step_divisor'\n"
 
 
 @pytest.mark.parametrize("generator", ["subdivision", "circle", "uniform"])
@@ -349,7 +355,7 @@ SUBDIVISION_CFG = "generator = subdivision\nbase_b = 2\nkeep_m = 3\nlevel = 4\n"
 
 @pytest.mark.parametrize("command, body, rows_file, distinct", [
     ("probe", SUBDIVISION_CFG + "pins = 50\nepsilons = 2^-4 2^-5\n", "probe_rows.csv", 10),
-    ("pinned", SUBDIVISION_CFG + "pins = 6\nepsilons = 2^-4 2^-5\nwrite_densities = all\n",
+    ("pinned", SUBDIVISION_CFG + "pins = 6\nepsilons = 2^-4 2^-5\n",
      "pinned_summary.csv", 11),
     ("sweep", "level = 4\ndims = 1.0 1.8\nepsilons = 2^-4 2^-5\npins = 4\n",
      "sweep_rows.csv", 15),
@@ -366,7 +372,8 @@ def test_cli_pin_table_jobs_invariance(tmp_path, command, body, rows_file, disti
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                      if p.name != "manifest.json"})
     assert outs[0] == outs[1]
-    assert (command == "pinned") == ("density_pin5_eps1.csv" in outs[0])
+    assert (command == "pinned") == ("density_pin0_eps1.csv" in outs[0])
+    assert "density_pin1_eps0.csv" not in outs[0]
     supports = {row["support"] for row in
                 csv.DictReader(outs[0][rows_file].decode().splitlines())}
     assert len(supports) > distinct
@@ -486,6 +493,24 @@ def test_cli_fourier_osc_deterministic(tmp_path):
     assert lines[1].endswith(",1.0")
 
 
+@pytest.mark.parametrize("command, body, message", [
+    ("gen", "generator = uniform\nper_side = 11\n", "uniform grid of 121 atoms"),
+    ("gen", "generator = uniform\nd = 3\nper_side = 5\n", "uniform grid of 125 atoms"),
+    ("gen", "generator = circle\nn_atoms = 101\n", "circle of 101 atoms"),
+    ("fourier", "which = energy\nsegment_atoms = 101\n", "segment of 101 atoms"),
+], ids=["uniform", "uniform_d3", "circle", "segment"])
+def test_cli_simple_measure_over_cell_budget_exit_3(tmp_path, capsys, monkeypatch, command,
+                                                    body, message):
+    # counted before allocation: per_side = 100000, n_atoms = 1e10 and
+    # segment_atoms = 1e10 used to exit 1 with numpy's _ArrayMemoryError
+    monkeypatch.setattr(fractals_module, "CELL_BUDGET", 100)
+    cfg = write_cfg(tmp_path, "big.cfg", body)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"resource error: {message} exceeds budget 100\n"
+    cfg = write_cfg(tmp_path, "fits.cfg", "generator = uniform\nper_side = 10\n")
+    assert cli_main(["gen", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+
+
 def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
     # 1024 atoms on a 2-chain: 1024^3 tuples, past the exact-count budget
     cfg = write_cfg(tmp_path, "big.cfg", COUNT_CFG.replace("per_side = 4", "per_side = 32"))
@@ -536,7 +561,7 @@ def test_cli_sweep_keeps_grid_budget_error_in_its_cells(tmp_path):
     # a MemoryError is not a PinlabError, so the 2^-30 grids used to end
     # the whole sweep with exit 1
     cfg = write_cfg(tmp_path, "s.cfg", "level = 1\ndims = 1.0 1.6\n"
-                    "epsilons = 2^-3 2^-30\npins = 2\nhinge_pins = 4\n")
+                    "epsilons = 2^-3 2^-30\npins = 2\n")
     out = tmp_path / "o"
     assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "sweep_rows.csv") as fh:
@@ -581,7 +606,7 @@ def test_cli_chain_over_grid_budget_exit_3(tmp_path, capsys):
 def test_config_number_edge_cases():
     for bad in ("2^x", "-2^0.5", "0^-1", "10^400", "1.5.2"):
         with pytest.raises(ConfigError):
-            read_key({"box_lo": bad}, "box_lo")
+            read_key({"floor": bad}, "floor")
     with pytest.raises(ConfigError):
         read_key({"seed": "nan"}, "seed")
     assert read_key({"epsilons": "2^-2, 0.5"}, "epsilons") == [0.25, 0.5]
@@ -639,7 +664,7 @@ def test_cli_hinge_sorts_gaps_once_per_exact_run(tmp_path, samples):
     cfg = experiments.load_config(path)
     mu, pins, phi = pinned_setup(cfg, 5, read_key(cfg, "pins", "48"))
     gaps = phi.value(pins[:, None, :], mu.points[None, :, :])
-    lam, beta, t_nodes = hinge_setup(cfg, phi, mu, pins, gaps)
+    lam, beta, t_nodes = hinge_setup(phi, mu, pins, gaps)
     rows = []
     for eps in read_key(cfg, "epsilons"):
         single = configs_module.hinge_count(lam, mu, phi, 0.5, eps, samples, 5)
@@ -714,11 +739,10 @@ seed = 9
 """)
     out = str(tmp_path / "g")
     assert cli_main(["gen", "--config", cfg, "--out", out]) == 0
-    from pinlab import load_cells, load_measure
-    f = load_cells(os.path.join(out, "cells.txt"))
-    assert len(f.digits) == 3 ** 4
-    mu = load_measure(os.path.join(out, "measure.csv"))
-    assert len(mu) == 3 ** 4
+    cells = open(os.path.join(out, "cells.txt")).read().splitlines()
+    assert cells[0].split()[:4] == ["2", "2", "4", "3"] and len(cells) == 1 + 3 ** 4
+    atoms = np.loadtxt(os.path.join(out, "measure.csv"), delimiter=",", skiprows=1)
+    assert atoms.shape == (3 ** 4, 3) and atoms[:, 2].sum() == pytest.approx(1.0)
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["atoms"] == 81
 
@@ -809,6 +833,47 @@ def test_readme_key_table_is_keys():
         assert row.default is None or default == f"`{row.default}`", key
 
 
+def _config_keys(text):
+    """The keys of config text, or none when it is not config text."""
+    try:
+        return set(parse_config_text(text))
+    except ConfigError:
+        return set()
+
+
+def _keys_set_in(path):
+    """Keys of the config texts and config dicts (str keys, str values) that
+    a Python file holds as literals."""
+    keys = set()
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            keys |= _config_keys(node.value)
+        elif isinstance(node, ast.Dict) and node.keys and all(
+                isinstance(n, ast.Constant) and isinstance(n.value, str)
+                for n in node.keys + node.values):
+            keys |= {n.value for n in node.keys}
+    return keys
+
+
+def test_every_key_is_set_by_an_experiment():
+    """Every KEYS row is set by a config of an acceptance criterion, a demo,
+    a benchmark workload or a README config block: a key no experiment sets
+    is a constant."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    demos = os.path.join(root, "demos")
+    paths = [os.path.join(root, "tests", "test_acceptance.py"),
+             os.path.join(root, "bench", "workloads.py")]
+    paths += [os.path.join(demos, name) for name in sorted(os.listdir(demos))
+              if name.endswith(".py")]
+    keys = set().union(*map(_keys_set_in, paths))
+    with open(os.path.join(root, "README.md")) as fh:
+        for lang, block in re.findall(r"^```(\w*)\n(.*?)^```", fh.read(), re.S | re.M):
+            keys |= set() if lang else _config_keys(block)
+    assert sorted(set(KEYS) - keys) == []
+
+
 def _bounds(row):
     lo, hi = (experiments.parse_number(end, "end") for end in row.domain[1:-1].split(","))
     return lo, hi, row.domain[0] == "(", row.domain[-1] == ")"
@@ -856,43 +921,85 @@ def _outside(row):
     return out
 
 
-@pytest.mark.parametrize("key, val", [(k, v) for k in NUMERIC_KEYS for v in _outside(KEYS[k])])
-def test_key_value_outside_domain_is_a_config_error_naming_it(key, val):
+#: The numeric keys that became constants, with the rows they had: a config
+#: setting one is refused whatever its value.
+RETIRED_KEYS = {
+    "regression_rtol": Key("float", "[0, inf)"),
+    "box_lo": Key("float", "(-inf, inf)"),
+    "box_hi": Key("float", "(-inf, inf)"),
+    "radius": Key("float", "(0, inf)"),
+    "phase_factor": Key("float", "(-inf, inf)"),
+    "cap_radius": Key("float", "(0, 1)"),
+    "hinge_t_nodes": Key("int", "[2, inf)"),
+    "vertices": Key("int", "[1, inf)"),
+    "radon_band": Key("float", "(0, inf)"),
+    "hinge_pins": Key("int", "[1, inf)"),
+    "t_step_divisor": Key("int", "[2, inf)"),
+    "stable_tol": Key("float", "[0, inf)"),
+    "shrink_total": Key("float", "[0, 1)"),
+}
+
+
+@pytest.mark.parametrize("key, val", [(k, v) for k in NUMERIC_KEYS for v in _outside(KEYS[k])]
+                         + [(k, v) for k, row in RETIRED_KEYS.items() for v in _outside(row)])
+def test_key_value_outside_domain_is_a_config_error_naming_it(tmp_path, key, val):
+    if key in RETIRED_KEYS:
+        path = write_cfg(tmp_path, "c.cfg", f"{key} = {float(val)!r}\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            experiments.load_config(path)
+        return
     with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
         read_key({key: _text(KEYS[key], repr(float(val)))}, key)
 
 
 @pytest.mark.parametrize("command, body, argv, key", [
-    ("pinned", "phase = scaled_euclidean\nphase_factor = nan\n", [], "phase_factor"),
-    ("pinned", "phase = scaled_euclidean\nphase_factor = 0\n", [], "phase_factor"),
     ("pinned", "mc_samples = 64\nseed = -1\n", [], "seed"),
     ("pinned", "mc_samples = 64\n", ["--seed", "-1"], "seed"),
-    ("hinge", "regression_rtol = nan\n", [], "regression_rtol"),
     ("probe", "pins = 50\nfloor = nan\n", [], "floor"),
     ("probe", "generator = circle\nn_atoms = 20\npins = 60\n", [], "pins"),
-    ("sweep", "stable_tol = nan\n", [], "stable_tol"),
-    ("sweep", "shrink_total = 5\n", [], "shrink_total"),
     ("hinge", "t = nan\n", [], "t"),
-    ("fourier", "which = radon\nradon_band = -1\n", [], "radon_band"),
     ("fourier", "which = radon\nt = nan\n", [], "t"),
     ("sweep", "epsilons = 2^-3 -0.0625\n", [], "epsilons"),
     ("pinned", "mc_sample = 64\n", [], "mc_sample"),
     ("config-count", COUNT_CFG + "lift = 2\n", [], "lift"),
     ("sweep", "d = -1\n", [], "d"),
-    ("pinned", "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
+    # in d = 2 every atom lies inside the 0.75 cap, so only a fixed pin leaves it
+    ("pinned", "phase = sphere_geodesic_chart\npin_policy = fixed\npin = 1.4 0.5\n", [],
+     "phase"),
+    ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "0"], "jobs"),
+    ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "-1"], "jobs"),
+    # one Gauss-Legendre node sits on psi's zero diagonal: every |G| is 0
+    ("fourier", "which = osc\nquad_n = 1\n", [], "quad_n"),
+    ("fourier", "which = osc\nquad_n = 1\nphase = flat_torus\n", [], "quad_n"),
+    ("config-count", COUNT_CFG.replace("1-2 2-3\n", "2-1\n"), [], "edges"),
+    ("config-count", COUNT_CFG.replace("1-2 2-3\n", "1-1\n"), [], "edges"),
+    ("config-count", COUNT_CFG.replace("1-2 2-3\n", "0-1\n"), [], "edges"),
+    # the keys that became constants: any value is an unknown key
+    ("hinge", "regression_rtol = nan\n", [], "regression_rtol"),
+    ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\n", [], "box_lo"),
+    ("gen", "generator = uniform\nper_side = 4\nbox_hi = 0\n", [], "box_hi"),
+    ("gen", "generator = circle\nradius = 0.25\n", [], "radius"),
+    ("pinned", "phase = scaled_euclidean\nphase_factor = nan\n", [], "phase_factor"),
+    ("pinned", "phase = scaled_euclidean\nphase_factor = 0\n", [], "phase_factor"),
     ("fourier", "which = osc\nquad_n = 8\nphase = sphere_geodesic_chart\n"
      "cap_radius = 0.1\n", [], "cap_radius"),
     ("fourier", "which = radon\nradon_side_n = 16\nepsilons = 2^-3\n"
      "phase = sphere_geodesic_chart\ncap_radius = 0.1\n", [], "cap_radius"),
-    ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\nbox_hi = 0\n", [], "box_hi"),
+    ("pinned", "write_densities = all\n", [], "write_densities"),
+    ("hinge", "hinge_t_nodes = 8\n", [], "hinge_t_nodes"),
+    ("config-count", COUNT_CFG + "vertices = 3\n", [], "vertices"),
+    ("fourier", "which = radon\nradon_band = -1\n", [], "radon_band"),
+    ("sweep", "hinge_pins = 4\n", [], "hinge_pins"),
     ("sweep", "t_step_divisor = 1\n", [], "t_step_divisor"),
-    ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "0"], "jobs"),
-    ("probe", "generator = circle\nn_atoms = 128\npins = 60\n", ["--jobs", "-1"], "jobs"),
-], ids=["phase_factor_nan", "phase_factor_zero", "seed_key", "seed_flag", "rtol_nan",
-        "floor_nan", "probe_pins_capped", "stable_tol_nan", "shrink_total_5", "hinge_t_nan",
-        "radon_band", "radon_t_nan", "negative_eps", "typo", "lift_2", "d_negative",
-        "cap_measure", "cap_osc", "cap_radon", "box", "step_divisor_1", "jobs_0",
-        "jobs_negative"])
+    ("sweep", "stable_tol = nan\n", [], "stable_tol"),
+    ("sweep", "shrink_total = 5\n", [], "shrink_total"),
+    ("sweep", "shrink_mode = per_step\n", [], "shrink_mode"),
+], ids=["seed_key", "seed_flag", "floor_nan", "probe_pins_capped", "hinge_t_nan",
+        "radon_t_nan", "negative_eps", "typo", "lift_2", "d_negative", "cap_measure",
+        "jobs_0", "jobs_negative", "quad_n_1", "quad_n_1_torus", "edges_2-1", "edges_1-1",
+        "edges_0-1", "rtol_nan", "box", "box_hi", "radius", "phase_factor_nan",
+        "phase_factor_zero", "cap_osc", "cap_radon", "write_densities", "hinge_t_nodes", "vertices", "radon_band", "hinge_pins",
+        "step_divisor_1", "stable_tol_nan", "shrink_total_5", "shrink_mode"])
 def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, body,
                                                      argv, key):
     # each used to exit 0, exit 1 with a traceback, or exit 2 without the key
@@ -906,7 +1013,7 @@ def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, 
 #: The three callers of `experiments.pin_table`: config text (seed included)
 #: and the Monte Carlo seed stride of each.
 TABLE_RUNS = {
-    "pinned": (PINNED_CFG + "write_densities = all\n", 17),
+    "pinned": (PINNED_CFG, 17),
     "sweep": ("d = 2\ndims = 1.0 1.8\nepsilons = 2^-3 2^-4 2^-5\nlevel = 4\npins = 4\n"
               "seed = 3\n", 17),
     "probe": (SUBDIVISION_CFG + "pins = 50\nepsilons = 2^-4 2^-5 2^-6\nseed = 7\n", 13),
@@ -951,14 +1058,14 @@ def test_pin_table_rows_are_one_density_per_pin_and_eps(tmp_path, command, mc_sa
         want_draws += [seed + stride * pi for pi in range(len(pins))] if mc_samples else []
         for ei, eps in enumerate(read_key(cfg, "epsilons")):
             for pi, pin in enumerate(pins):
-                grid = None if dim is None else default_t_grid(ref, eps, 16)
+                grid = None if dim is None else default_t_grid(ref, eps)
                 nu = pinned_density(mu, phi, pin, Mollifier(eps), t_grid=grid,
                                     mc_samples=mc_samples, seed=seed + stride * pi)
                 mass, cs, sup = density_mass(nu), cs_lower_bound(nu), support_measure(nu)
                 rows.append({"pinned": [pi, eps, mass, cs, sup, nu.mass_stderr],
                              "sweep": [dim, pi, eps, mass, cs, sup, ""],
                              "probe": [eps, pi, sup, ""]}[command])
-                if command == "pinned":
+                if command == "pinned" and pi == 0:
                     name = f"density_pin{pi}_eps{ei}.csv"
                     experiments.write_csv(tmp_path / name, ["t", "value", "stderr"],
                                           [[float(t), float(v), float(s)] for t, v, s in
@@ -1013,7 +1120,7 @@ def test_pin_table_failed_cell_stays_in_its_cell(tmp_path, capsys, command):
         ref = phi.value(pins[:, None, :], mu.points[None, :, :])
         for (pi, eps) in bad:
             dens = [pinned_density(mu, phi, pin, Mollifier(eps),
-                                   t_grid=default_t_grid(ref, eps, 16))
+                                   t_grid=default_t_grid(ref, eps))
                     for pj, pin in enumerate(pins) if pj != pi]
             row, = (r for r in rep.energy_rows if (r["dim"], r["eps"]) == (dim, eps))
             assert row["l2_energy"] == l2_energy(np.full(len(dens), 1.0 / len(dens)), dens)
@@ -1023,7 +1130,7 @@ def test_cli_run_loads_no_heavy_scipy_module(tmp_path):
     """A fresh process that imports the CLI and runs a sweep, the energy
     battery and an exact chain has not loaded any scipy module."""
     sweep = write_cfg(tmp_path, "sweep.cfg", "level = 3\ndims = 1.0 1.6\n"
-                      "epsilons = 2^-3 2^-4\npins = 2\nhinge_pins = 4\n")
+                      "epsilons = 2^-3 2^-4\npins = 2\n")
     energy = write_cfg(tmp_path, "energy.cfg", "which = energy\nsegment_atoms = 256\n"
                        "energy_side_n = 64\n")
     chain = write_cfg(tmp_path, "chain.cfg", "level = 3\ntarget_dim = 1.6\nk = 3\n"

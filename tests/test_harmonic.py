@@ -310,7 +310,8 @@ def test_riesz_row_sums_match_dense_kernel(cloud, frac, block):
 
 
 @settings(max_examples=15)
-@given(cloud=atom_clouds(), fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
+@given(cloud=atom_clouds(dims=(2,)),
+       fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
 def test_energy_stacked_gammas_match_scalar_calls(cloud, fracs):
     lam = cloud_measure(*cloud)
     assert_stacked_energy_matches_scalar_calls(lam, np.array(fracs) * lam.d, 16)
@@ -373,8 +374,8 @@ def test_deposit_gaussian_matches_per_atom_loop(cloud, side, block):
 
 
 @settings(max_examples=30)
-@given(cloud=atom_clouds(), fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
-       block=small_blocks)
+@given(cloud=atom_clouds(dims=(2,)),
+       fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3), block=small_blocks)
 def test_center_energy_matches_pair_distance_series(cloud, fracs, block):
     pts, w, g = cloud
     gammas = np.array(fracs) * pts.shape[1]
@@ -389,29 +390,34 @@ def test_center_energy_two_atoms_across_the_box(d):
     # the unit box's diagonal, sqrt(d), is the largest distance between atoms
     pts, masses = np.array([[0.0] * d, [1.0] * d]), np.array([0.3, 0.7])
     gammas = np.linspace(0.1, 0.95, 7) * d
+    if d != 2:
+        # the energy is planar only
+        with pytest.raises(DomainError, match=f"d = 2 only, got d = {d}"):
+            _center_energy(pts, masses, gammas)
+        with pytest.raises(DomainError, match=f"d = 2 only, got d = {d}"):
+            energy_integral(FrostmanMeasure(pts, masses, exponent_s=0.0), gammas[0], 16)
+        return
     assert_rel_close(_center_energy(pts, masses, gammas),
                      [series_center_energy(pts, masses, gm) for gm in gammas])
-    # one atom: |lambda^|^2 = 1, so the centre is |S^(d-1)| / (d - gamma)
-    area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
-    assert_rel_close(_center_energy(pts[:1], np.ones(1), gammas), area / (d - gammas))
+    # one atom: |lambda^|^2 = 1, so the centre is 2 pi / (2 - gamma)
+    assert_rel_close(_center_energy(pts[:1], np.ones(1), gammas), 2.0 * np.pi / (2 - gammas))
 
 
 def test_energy_centre_rejects_four_dimensions():
     lam = FrostmanMeasure(np.full((2, 4), 0.5), np.full(2, 0.5), exponent_s=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="d = 2 only, got d = 4"):
         _center_energy(lam.points, lam.weights, [1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="d = 2 only, got d = 4"):
         energy_integral(lam, 1.0, 16)
 
 
 @settings(max_examples=20)
-@given(cloud=atom_clouds(), frac=st.floats(0.05, 0.95), side=st.sampled_from([16, 32]))
+@given(cloud=atom_clouds(dims=(2,)), frac=st.floats(0.05, 0.95),
+       side=st.sampled_from([16, 32]))
 def test_energy_integral_matches_reference(cloud, frac, side):
     lam = cloud_measure(*cloud)
-    d = lam.d
-    side = 16 if d == 3 else side
-    got = energy_integral(lam, frac * d, side)
-    want = reference_energy_integral(lam, frac * d, side)
+    got = energy_integral(lam, frac * 2, side)
+    want = reference_energy_integral(lam, frac * 2, side)
     assert_rel_close(got.fourier_value, want.fourier_value)
     assert_rel_close(got.kernel_value, want.kernel_value)
     assert np.array_equal(got.shell_radii, want.shell_radii)
@@ -522,6 +528,15 @@ def test_radon_fft_matches_direct_at_benchmark_size():
     fields = [random_band_limited(96, 1.45, seed=7 + i) for i in range(5)]
     assert_fields_close(radon_apply_stack(phi, None, 2.0 ** -5, 0.5, fields),
                         _radon_direct(phi, None, 2.0 ** -5, 0.5, fields))
+
+
+def test_sphere_chart_cap_is_checked_on_grid_and_quadrature_points():
+    # the CLI's 0.75 cap holds the unit square; a 0.1 cap leaves out most of it
+    phi = phase_function("sphere_geodesic_chart", 2, cap_radius=0.1)
+    with pytest.raises(DomainError, match="chart cap: cap_radius 0.1"):
+        radon_sobolev_ratio(phi, None, 0.5, [2.0 ** -3], [random_band_limited(16, 1.45, 0)])
+    with pytest.raises(DomainError, match="chart cap: cap_radius 0.1"):
+        oscillatory_G(phi, None, 1.0, [1.0, 0.0], [1.0, 0.0], quad_n=8)
 
 
 def test_radon_dispatch_direct_for_weighted_and_non_invariant(monkeypatch):

@@ -218,7 +218,8 @@ def test_nondegeneracy_scan_euclidean_cantor():
 
 
 def test_nondegeneracy_scan_dot_product_box():
-    mu = uniform_grid_measure(2, 16, 0.5, 1.0)
+    grid = uniform_grid_measure(2, 16)
+    mu = FrostmanMeasure(0.5 + 0.5 * grid.points, grid.weights, exponent_s=2.0)
     phi = phase_function("dot_product", 2)
     res = nondegeneracy_scan(phi, mu, 4000, tolerance=0.25, seed=4)
     assert res.forbidden_mass_estimate == 0.0

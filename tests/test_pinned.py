@@ -568,7 +568,7 @@ def test_chain_exact_evaluates_one_triangle_of_a_symmetric_pair_table(phi, trian
 def test_chain_exact_computes_the_pair_table_once(atoms, shapes):
     # up to 2047 atoms the default axes' pair sample (every n // 1024-th
     # atom beyond 1024) is the whole table, and the exact chain reuses it
-    mu = circle_measure(atoms, radius=0.25)
+    mu = circle_measure(atoms)
     spy = pinned_module.pairwise_value
     seen = []
 
