@@ -13,18 +13,16 @@ __version__ = "0.1.0"
 from .errors import (BudgetError, ConfigError, CoverageError, DomainError,
                      PinlabError, RegressionMismatch, ResolutionError)
 from .fractals import (CellFractal, FrostmanMeasure, ball_mass,
-                       box_dimension_estimate, build_product_cantor,
-                       build_subdivision_fractal, circle_measure,
-                       frostman_exponent_fit, natural_measure, sample_points,
-                       save_cells, save_measure, segment_measure,
-                       uniform_grid_measure)
+                       build_product_cantor, build_subdivision_fractal,
+                       circle_measure, frostman_exponent_fit, natural_measure,
+                       sample_points, save_cells, save_measure,
+                       segment_measure, uniform_grid_measure)
 from .phases import (CutoffPair, PhaseFunction, build_cutoffs,
                      monge_ampere_det, nondegeneracy_scan, phase_function)
-from .pinned import (ChainDensity, Mollifier, chain_density,
-                     composed_operator_density, cs_lower_bound,
+from .pinned import (ChainDensity, Mollifier, chain_density, cs_lower_bound,
                      default_t_grid, density_mass, l2_energy, pinned_density,
                      support_measure)
-from .configs import (ConfigCount, EdgeMap, chain_edge_map, chain_tuple_count,
+from .configs import (ConfigCount, EdgeMap, chain_tuple_count,
                       config_count, hinge_count, hinge_count_integrated,
                       pinned_lift, save_edge_map, star_edge_map)
 from .harmonic import (DecayFit, EnergyResult, LPPartition, energy_integral,

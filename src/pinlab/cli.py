@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -188,7 +189,11 @@ def cmd_config_count(cfg, seed, out, jobs):
         if not sep:
             raise ConfigError(f"config key 't_assignment': bad token {tok!r}, "
                               "expected i-j:t")
-        t_map[_parse_pair(pair, "t_assignment")] = parse_number(val, "t_assignment")
+        edge = tuple(sorted(_parse_pair(pair, "t_assignment")))
+        if edge in t_map:
+            raise ConfigError(f"config key 't_assignment': pair {pair!r} repeats edge "
+                              f"{edge[0]}-{edge[1]}")
+        t_map[edge] = parse_number(val, "t_assignment")
     eps_list = read_key(cfg, "epsilons", "2^-3")
     samples = read_key(cfg, "mc_samples")
     if read_key(cfg, "lift"):
@@ -283,13 +288,19 @@ def cmd_fourier(cfg, seed, out, jobs):
         # (j, k, s): the matched triple, then the separated ones, in one call
         triples = [(2, 2, 4.0), (0, 4, 1.0), (4, 0, 1.0), (0, 4, 2.0)]
         quad_n = read_key(cfg, "quad_n")
-        vals = np.abs(oscillatory_G(phi, cuts.psi, np.array([s for _, _, s in triples]),
-                                    np.array([[2.0 ** k, 0.0] for _, k, _ in triples]),
-                                    np.array([[2.0 ** j, 0.0] for j, _, _ in triples]),
-                                    quad_n=quad_n))
+        # held back until |G| is known, so that an error is the run's one line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vals = np.abs(oscillatory_G(phi, cuts.psi, np.array([s for _, _, s in triples]),
+                                        np.array([[2.0 ** k, 0.0] for _, k, _ in triples]),
+                                        np.array([[2.0 ** j, 0.0] for j, _, _ in triples]),
+                                        quad_n=quad_n))
         if vals[0] == 0:    # too few nodes: none, or no pair, inside the cutoff
             raise ConfigError(f"config key 'quad_n': the matched |G| is 0 at quad_n = "
                               f"{quad_n}, so the ratios to it are undefined")
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, __name__,
+                                   globals().setdefault("__warningregistry__", {}))
         rows = [[j, k, s, v, v / vals[0]] for (j, k, s), v in zip(triples, vals)]
         write_csv(os.path.join(out, "oscillatory_decay.csv"),
                   ["j", "k", "s", "abs_G", "ratio_to_matched"], rows)

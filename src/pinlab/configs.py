@@ -59,11 +59,6 @@ class EdgeMap:
         return sorted(self.edges)
 
 
-def chain_edge_map(k: int) -> EdgeMap:
-    """The k-link chain: edges (i, i+1) for i = 1..k."""
-    return EdgeMap(k + 1, frozenset((i, i + 1) for i in range(1, k + 1)))
-
-
 def star_edge_map(k: int, center: int) -> EdgeMap:
     """k+1 vertices, every non-center vertex joined to the center."""
     edges = frozenset(tuple(sorted((i, center))) for i in range(1, k + 2) if i != center)

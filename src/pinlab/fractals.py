@@ -52,17 +52,6 @@ class CellFractal:
     def cell_side(self) -> float:
         return self.scale ** self.level_n
 
-    def cells_at_level(self, level: int) -> np.ndarray:
-        """Distinct digit prefixes of length `level` (ancestors of the cells)."""
-        if not (1 <= level <= self.level_n):
-            raise DomainError(f"level {level} outside 1..{self.level_n}")
-        prefix = self.digits[:, :, :level]
-        flat = prefix.reshape(len(prefix), -1)
-        return np.unique(flat, axis=0).reshape(-1, self.dimension_d, level)
-
-    def cell_count_at_level(self, level: int) -> int:
-        return len(self.cells_at_level(level))
-
     def origins(self) -> np.ndarray:
         """(n_cells, d) lower corners of the level-n cells."""
         stride = (1.0 - self.scale) / (self.base_b - 1) if self.base_b > 1 else 0.0
@@ -247,20 +236,6 @@ def frostman_exponent_fit(mu: FrostmanMeasure, scales, probes: int, seed: int):
     slope, intercept = np.polyfit(np.log(scales), np.log(sups), 1)
     const = float(np.max(sups / scales ** slope))
     return float(slope), const
-
-
-def box_dimension_estimate(f: CellFractal) -> float:
-    """Slope of log cell-count against level, in the geometric base 1/scale.
-
-    Counts are keep_m**level exactly, so the fit returns
-    log(keep_m)/log(1/scale) up to float error.
-    """
-    if f.level_n < 3:
-        raise DomainError("need level_n >= 3")
-    levels = np.arange(1, f.level_n + 1)
-    counts = np.array([f.cell_count_at_level(int(l)) for l in levels], dtype=float)
-    slope, _ = np.polyfit(levels * np.log(1.0 / f.scale), np.log(counts), 1)
-    return float(slope)
 
 
 def sample_points(mu: FrostmanMeasure, count: int, seed: int) -> np.ndarray:

@@ -51,8 +51,12 @@ class PhaseFunction:
             raise DomainError("dimension must be >= 1")
         self.dimension_d = dimension_d
 
-    # subclasses implement value/grad_x/grad_y/mixed_hessian/forbidden/
+    # subclasses implement value/grad_x/grad_y/mixed_hessian/
     # forbidden_distance on broadcast (..., d) arrays
+
+    def forbidden(self, x, y):
+        """Whether (x, y) lies on the forbidden set: at distance 0 from it."""
+        return self.forbidden_distance(x, y) == 0.0
 
     def check_domain(self, x, y) -> None:
         """Raise DomainError if (x, y) falls outside the kind's chart."""
@@ -142,9 +146,6 @@ class Euclidean(PhaseFunction):
         eye = np.eye(x.shape[-1])
         return self.factor * (_outer(u) - eye) / r[..., None]
 
-    def forbidden(self, x, y):
-        return self.value(x, y) == 0.0
-
     def forbidden_distance(self, x, y):
         return self.value(x, y)
 
@@ -175,11 +176,6 @@ class DotProduct(PhaseFunction):
         shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
         return np.broadcast_to(np.eye(x.shape[-1]), shape + (x.shape[-1],) * 2).copy()
 
-    def forbidden(self, x, y):
-        nx = _coord_sum(x, x, np.multiply)
-        ny = _coord_sum(y, y, np.multiply)
-        return (nx == 0.0) | (ny == 0.0)
-
     def forbidden_distance(self, x, y):
         yb = np.broadcast_arrays(x, y)[1]
         nx = np.sqrt(_coord_sum(x, x, np.multiply))
@@ -199,11 +195,6 @@ class FlatTorus(Euclidean):
 
     def _diff(self, x, y):
         return torus_wrap(x - y)
-
-    def forbidden(self, x, y):
-        w = torus_wrap(x - y)
-        on_cut = (np.abs(np.abs(w) - 0.5) == 0.0).any(axis=-1)
-        return (self.value(x, y) == 0.0) | on_cut
 
     def forbidden_distance(self, x, y):
         w = torus_wrap(x - y)
@@ -287,7 +278,10 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray) -> np.ndarr
     The euclidean and scaled_euclidean kinds go through a GEMM expansion of
     |a - factor b|^2, which is several times faster than broadcast subtraction
     at grid scale, and dot_product is one GEMM; each is one product over all
-    of A, formed in place, so its bits do not depend on any block size.  Other
+    of A, formed in place, so its bits do not depend on any block size.  The
+    expansion adds the squared norms a_i + b_j per `row_blocks` block, so no
+    temporary is as large as the table, and each entry is still out + (a_i +
+    b_j) whatever the block.  Other
     kinds, the flat torus among them, broadcast `value` over `row_blocks` of A.
     Dispatch reads `phi.kind`, never the class: FlatTorus subclasses Euclidean
     but has no such expansion.
@@ -298,7 +292,9 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray) -> np.ndarr
         Bs = phi.factor * B
         out = A @ Bs.T
         out *= -2.0
-        out += (A ** 2).sum(axis=1)[:, None] + (Bs ** 2).sum(axis=1)[None, :]
+        a, b = (A ** 2).sum(axis=1), (Bs ** 2).sum(axis=1)
+        for sl in row_blocks(len(A), len(B)):
+            out[sl] += a[sl, None] + b[None, :]
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
     if phi.kind == "dot_product":

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import BudgetError, CoverageError, DomainError, ResolutionError
 from .fractals import FrostmanMeasure, sample_points
 from .phases import pairwise_value
-from .profiles import bump_norm_constant, bump_profile
+from .profiles import _bump_in_place, bump_norm_constant, bump_profile
 from .rng import batches, block_rows, rng_for, row_blocks
 
 #: Ceiling on the grid nodes of any density, pinned or chain.
@@ -158,9 +158,10 @@ def _window_bumps(gaps, ax, width: int, mollifier: Mollifier, nodes, kern):
     reach - t0) / dt) is clamped into [0, len - width] so that the window
     never leaves the axis; every node within reach = 2 eps of the gap lies
     in it.  The kernel takes `Mollifier.__call__`'s operations in their
-    order, in place, so each value is bit for bit mollifier(ax[first + o] -
-    gap): one division by 2 eps gives the bump values that / eps, then / 2,
-    give.
+    order, in place, the bump's own steps through `bump_raw`'s helper
+    `_bump_in_place`, so each value is bit for bit mollifier(ax[first + o]
+    - gap): one division by 2 eps gives the bump values that / eps, then /
+    2, give.
     """
     rows = len(gaps)
     nodes = nodes[:rows * width].reshape(rows, width)
@@ -172,10 +173,7 @@ def _window_bumps(gaps, ax, width: int, mollifier: Mollifier, nodes, kern):
     np.take(ax, nodes, out=kern, mode="clip")
     kern -= gaps[:, None]
     kern /= 2.0 * eps
-    with np.errstate(divide="ignore", over="ignore"):
-        np.square(kern, out=kern)
-        np.maximum(np.subtract(1.0, kern, out=kern), 0.0, out=kern)
-        np.exp(np.divide(-1.0, kern, out=kern), out=kern)
+    _bump_in_place(kern)
     kern *= bump_norm_constant()
     kern /= eps
     return nodes, kern
@@ -492,27 +490,3 @@ def _chain_mc(mu, phi, pin, k, mollifier, t_axes, mc_samples, seed):
             gaps[start:start + size, i] = np.asarray(phi.value(prev, chain_pts[:, i]))
             prev = chain_pts[:, i]
     return _deposit(gaps, np.full(mc_samples, 1.0 / mc_samples), t_axes, mollifier, mc_samples)
-
-
-def composed_operator_density(mu: FrostmanMeasure, phi, pin_x, k: int,
-                              mollifier: Mollifier, t, psi=None) -> float:
-    """Nested-operator evaluation of the chain density at a single gap vector.
-
-    Evaluates g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
-    psi(y, z) g_i(z) innermost-out over the atoms, N^2 per link, and returns
-    g_0(pin): the exact chain sum, which `chain_density` tabulates on a grid.
-    """
-    t = np.atleast_1d(np.asarray(t, float))
-    if len(t) != k:
-        raise DomainError("need one gap value per link")
-    pin = np.asarray(pin_x, float)
-    pts, w = mu.points, mu.weights
-    g = np.ones(len(pts))
-    if k > 1:
-        gaps = pairwise_value(phi, pts, pts)
-        weight = 1.0 if psi is None else np.asarray(psi(pts[:, None, :], pts[None, :, :]))
-    for link in range(k, 1, -1):
-        g = (mollifier(t[link - 1] - gaps) * weight) @ (w * g)
-    weight0 = 1.0 if psi is None else np.asarray(psi(pin[None, :], pts))
-    kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts))) * weight0
-    return float(kern0 @ (w * g))

@@ -34,14 +34,19 @@ def plateau(t, lo, hi, margin):
     return smooth_step((t - (lo - margin)) / margin) * smooth_step(((hi + margin) - t) / margin)
 
 
-def bump_raw(u):
-    """Unnormalized even bump exp(-1/(1-(u/2)^2)) supported on (-2, 2); outside
-    it 1 - (u/2)^2 is clamped to 0, so exp(-1/0) = exp(-inf) = 0."""
-    v = np.asarray(np.asarray(u, dtype=float) / 2.0)
+def _bump_in_place(v):
+    """Overwrite the float array v with exp(-1/(1 - v^2)); where |v| >= 1,
+    1 - v^2 is clamped to 0, so exp(-1/0) = exp(-inf) = 0."""
     with np.errstate(divide="ignore", over="ignore"):
         np.square(v, out=v)
         np.maximum(np.subtract(1.0, v, out=v), 0.0, out=v)
         np.exp(np.divide(-1.0, v, out=v), out=v)
+    return v
+
+
+def bump_raw(u):
+    """Unnormalized even bump exp(-1/(1-(u/2)^2)) supported on (-2, 2)."""
+    v = _bump_in_place(np.asarray(np.asarray(u, dtype=float) / 2.0))
     return float(v) if v.ndim == 0 else v
 
 

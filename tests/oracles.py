@@ -6,9 +6,10 @@ einsum outer-product sum, the (pin x t x atom) indicator tensor of
 `configs._window_mass`, the tuple enumeration of exact `config_count` and
 the hand-written recursion of exact `chain_tuple_count` that the package
 used before clamped tensor-window deposition, sorted prefix sums and the
-graph contraction `configs._contract` replaced them, plus exact
-`composed_operator_density` as it was before its phi and psi matrices were
-built once for all links.  The energy-integral pieces are the per-atom
+graph contraction `configs._contract` replaced them, plus the composed
+averaging operator evaluated at one gap vector by its nested recursion,
+the identity that exact `chain_density` must reproduce on its grid
+(criterion 03).  The energy-integral pieces are the per-atom
 Gaussian deposit and the dense Riesz double sum, as they were before the
 blocked real-arithmetic versions replaced them, per-row sums over blocks of
 scipy's `cdist` distances (the reference for the one-triangle Riesz row
@@ -233,20 +234,17 @@ def nested_chain_tuple_mass(lam, mu, phi, t, eps):
     return float(lam.weights @ m_x ** 2)
 
 
-def nested_composed_density(mu, phi, pin_x, k, mollifier, t, psi=None):
-    """g_0(pin) for g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z))
-    psi(y, z) g_i(z), evaluated innermost-out on the atoms."""
+def nested_composed_density(mu, phi, pin_x, k, mollifier, t):
+    """The composed averaging operator at one gap vector t: g_0(pin) for
+    g_k = 1, g_{i-1}(y) = sum_z w_z rho_eps(t_i - phi(y, z)) g_i(z),
+    evaluated innermost-out on the atoms, N^2 per link.  It is the exact
+    chain sum that `chain_density` tabulates on a grid."""
     pin = np.asarray(pin_x, float)
     pts, w = mu.points, mu.weights
     g = np.ones(len(pts))
     for link in range(k, 1, -1):
-        kern = mollifier(t[link - 1] - pairwise_value(phi, pts, pts))
-        if psi is not None:
-            kern = kern * np.asarray(psi(pts[:, None, :], pts[None, :, :]))
-        g = kern @ (w * g)
+        g = mollifier(t[link - 1] - pairwise_value(phi, pts, pts)) @ (w * g)
     kern0 = mollifier(t[0] - np.asarray(phi.value(pin[None, :], pts)))
-    if psi is not None:
-        kern0 = kern0 * np.asarray(psi(pin[None, :], pts))
     return float(kern0 @ (w * g))
 
 

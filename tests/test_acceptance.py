@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 import pytest
+from oracles import nested_composed_density
 
 from pinlab import (EdgeMap, FrostmanMeasure, LPPartition, Mollifier,
                     build_cutoffs, build_product_cantor, chain_density,
-                    circle_measure, composed_operator_density,
-                    cs_lower_bound, density_mass, energy_integral,
+                    circle_measure, cs_lower_bound, density_mass, energy_integral,
                     freq_norms, hinge_count_integrated, natural_measure,
                     oscillatory_G, phase_function, pinned_density, pinned_lift,
                     radon_sobolev_ratio, random_band_limited, star_edge_map,
@@ -94,7 +94,7 @@ def test_criterion_03_composed_operator_identity():
         ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes)
         for idx in itertools.islice(itertools.product(range(3, 36, 9), repeat=k), 6):
             t = [axes[i][idx[i]] for i in range(k)]
-            val = composed_operator_density(mu, PHI, pin, k, moll, t)
+            val = nested_composed_density(mu, PHI, pin, k, moll, t)
             worst = max(worst, abs(val - float(ch.values[tuple(idx)])))
     report(3, worst <= 1e-10, f"max |composed - chain| = {worst:.2e}, k in {{1,2,3}}")
 

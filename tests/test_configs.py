@@ -9,7 +9,7 @@ from oracles import (dense_window_mass, enumerated_config_mass,
                      nested_chain_tuple_mass)
 
 from pinlab import (BudgetError, DomainError, EdgeMap, FrostmanMeasure,
-                    build_product_cantor, chain_edge_map, chain_tuple_count,
+                    build_product_cantor, chain_tuple_count,
                     config_count, hinge_count, hinge_count_integrated,
                     natural_measure, phase_function, pinned_lift,
                     save_edge_map, star_edge_map, uniform_grid_measure)
@@ -216,7 +216,7 @@ def test_config_four_star_vs_five_tuple_bruteforce():
 
 def test_config_two_chain_vs_triple_loop():
     mu = uniform_grid_measure(2, 4)
-    em = chain_edge_map(2)
+    em = EdgeMap(3, frozenset({(1, 2), (2, 3)}))
     t = {(1, 2): 0.5, (2, 3): 0.5}
     eps = 0.1
     c = config_count(em, mu, PHI, t, eps)
@@ -263,7 +263,7 @@ def test_config_epsilon_halving_stability():
 def test_config_exact_vs_monte_carlo_small():
     pts = rng_for(11, 0).uniform(0.1, 0.9, size=(8, 2))
     mu = FrostmanMeasure(pts, np.full(8, 1 / 8), exponent_s=2.0)
-    em = chain_edge_map(2)
+    em = EdgeMap(3, frozenset({(1, 2), (2, 3)}))
     t = {(1, 2): 0.4, (2, 3): 0.4}
     exact = config_count(em, mu, PHI, t, 0.2)
     mc = config_count(em, mu, PHI, t, 0.2, samples=60_000, seed=2)
@@ -273,7 +273,7 @@ def test_config_exact_vs_monte_carlo_small():
 
 def test_config_budget_and_validation():
     mu = uniform_grid_measure(2, 32)   # 1024 atoms: 1024^3 > 1e7
-    em = chain_edge_map(2)
+    em = EdgeMap(3, frozenset({(1, 2), (2, 3)}))
     with pytest.raises(BudgetError):
         config_count(em, mu, PHI, {(1, 2): 0.5, (2, 3): 0.5}, 0.1)
     with pytest.raises(DomainError):
@@ -424,7 +424,7 @@ def test_contract_sixty_vertex_path_of_single_atoms():
     # more vertices than einsum has labels; enumeration sees a single tuple
     a = FrostmanMeasure(np.array([[0.2, 0.5]]), np.array([1.0]), exponent_s=0.0)
     b = FrostmanMeasure(np.array([[0.7, 0.5]]), np.array([1.0]), exponent_s=0.0)
-    em = chain_edge_map(59)
+    em = EdgeMap(60, frozenset((i, i + 1) for i in range(1, 60)))
     t_map = {e: 0.5 for e in em.edges}
     c = config_count(em, [a, b] * 30, PHI, t_map, 0.25)
     assert c.count_normalized == 4.0 ** 59

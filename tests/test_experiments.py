@@ -479,11 +479,28 @@ def test_cli_fourier_osc_bad_quad_n_exit_2(tmp_path, capsys):
                                        "integer in [1, 64], got '0'\n")
 
 
+def test_cli_fourier_osc_quad_n_1_error_is_the_only_stderr_line(tmp_path):
+    # in a fresh process, where no pytest capture holds back the
+    # ResolutionWarnings that the run used to print before its error
+    cfg = write_cfg(tmp_path, "bad.cfg", "which = osc\nquad_n = 1\n")
+    src = os.path.dirname(os.path.dirname(pinlab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "pinlab.cli", "fourier", "--config", cfg,
+                           "--out", str(tmp_path / "o")], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: config key 'quad_n': ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_cli_fourier_osc_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, "osc.cfg", "which = osc\nquad_n = 20\nseed = 7\n")
     outs = [str(tmp_path / f"r{run}") for run in (1, 2)]
     for out in outs:
-        assert cli_main(["fourier", "--config", cfg, "--out", out]) == 0
+        # a run that succeeds still warns of its quadrature-limited triples
+        with pytest.warns(harmonic_module.ResolutionWarning, match="beyond quad_n/4 = 5.0"):
+            assert cli_main(["fourier", "--config", cfg, "--out", out]) == 0
     a, b = (open(os.path.join(out, "oscillatory_decay.csv"), "rb").read() for out in outs)
     assert a == b
     lines = a.decode().splitlines()
@@ -874,6 +891,32 @@ def test_every_key_is_set_by_an_experiment():
     assert sorted(set(KEYS) - keys) == []
 
 
+def test_every_export_is_used_outside_the_unit_tests():
+    """Every name `pinlab/__init__.py` exports is named by `src/` other than
+    at its own `def` or `class` line, by a demo, an acceptance criterion, the
+    README or a file of `bench/`: a name only unit tests call is not API."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    src = os.path.dirname(pinlab.__file__)
+
+    def texts(folder, suffix=""):
+        paths = [os.path.join(folder, n) for n in sorted(os.listdir(folder)) if n.endswith(suffix)]
+        return [open(p).read() for p in paths if os.path.isfile(p)]
+
+    with open(os.path.join(src, "__init__.py")) as fh:
+        init = fh.read()
+    exports = [alias.name for node in ast.parse(init).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    users = "\n".join([t for t in texts(src, ".py") if t != init]
+                      + texts(os.path.join(root, "demos"), ".py")
+                      + texts(os.path.join(root, "bench"))
+                      + texts(os.path.join(root, "tests"), "test_acceptance.py")
+                      + texts(root, "README.md"))
+    unused = [name for name in exports
+              if not re.search(rf"\b{name}\b", re.sub(rf"^(def|class) {name}\b", "",
+                                                     users, flags=re.M))]
+    assert unused == []
+
+
 def _bounds(row):
     lo, hi = (experiments.parse_number(end, "end") for end in row.domain[1:-1].split(","))
     return lo, hi, row.domain[0] == "(", row.domain[-1] == ")"
@@ -974,6 +1017,11 @@ def test_key_value_outside_domain_is_a_config_error_naming_it(tmp_path, key, val
     ("config-count", COUNT_CFG.replace("1-2 2-3\n", "2-1\n"), [], "edges"),
     ("config-count", COUNT_CFG.replace("1-2 2-3\n", "1-1\n"), [], "edges"),
     ("config-count", COUNT_CFG.replace("1-2 2-3\n", "0-1\n"), [], "edges"),
+    # a repeated pair, in either order, used to replace the earlier gap
+    ("config-count", COUNT_CFG.replace("1-2 2-3\n", "1-2\n").replace("2-3:0.5", "1-2:0.7"),
+     [], "t_assignment"),
+    ("config-count", COUNT_CFG.replace("1-2 2-3\n", "1-2\n").replace("2-3:0.5", "2-1:0.7"),
+     [], "t_assignment"),
     # the keys that became constants: any value is an unknown key
     ("hinge", "regression_rtol = nan\n", [], "regression_rtol"),
     ("gen", "generator = uniform\nper_side = 4\nbox_lo = 1\n", [], "box_lo"),
@@ -997,7 +1045,8 @@ def test_key_value_outside_domain_is_a_config_error_naming_it(tmp_path, key, val
 ], ids=["seed_key", "seed_flag", "floor_nan", "probe_pins_capped", "hinge_t_nan",
         "radon_t_nan", "negative_eps", "typo", "lift_2", "d_negative", "cap_measure",
         "jobs_0", "jobs_negative", "quad_n_1", "quad_n_1_torus", "edges_2-1", "edges_1-1",
-        "edges_0-1", "rtol_nan", "box", "box_hi", "radius", "phase_factor_nan",
+        "edges_0-1", "t_assignment_repeat", "t_assignment_reversed", "rtol_nan", "box",
+        "box_hi", "radius", "phase_factor_nan",
         "phase_factor_zero", "cap_osc", "cap_radon", "write_densities", "hinge_t_nodes", "vertices", "radon_band", "hinge_pins",
         "step_divisor_1", "stable_tol_nan", "shrink_total_5", "shrink_mode"])
 def test_cli_bad_key_exits_2_with_one_line_naming_it(tmp_path, capsys, command, body,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from oracles import loop_ball_mass, loop_frostman_constant, loop_frostman_exponent_fit
 
 from pinlab import (BudgetError, DomainError, FrostmanMeasure, ball_mass,
-                    box_dimension_estimate, build_product_cantor,
-                    build_subdivision_fractal, frostman_exponent_fit,
+                    build_product_cantor, build_subdivision_fractal,
+                    frostman_exponent_fit,
                     natural_measure, sample_points, save_cells, save_measure,
                     segment_measure, uniform_grid_measure)
 from pinlab.fractals import probe_frostman_constant
@@ -72,12 +72,17 @@ def test_subdivision_counts_and_dims():
 
 def test_nesting_invariant():
     f = build_subdivision_fractal(2, 2, 3, 5, seed=11)
+
+    def prefixes(level):
+        """The distinct digit prefixes of length `level`: the level's cells."""
+        return {tuple(c.ravel()) for c in f.digits[:, :, :level]}
+
     for level in range(1, f.level_n):
-        parents = {tuple(c.ravel()) for c in f.cells_at_level(level)}
-        children = f.cells_at_level(level + 1)
-        for c in children:
+        parents = prefixes(level)
+        for c in f.digits[:, :, :level + 1]:
             assert tuple(c[:, :level].ravel()) in parents
-        assert len(f.cells_at_level(level)) == f.keep_m ** level
+        assert len(parents) == f.keep_m ** level
+    assert len(prefixes(f.level_n)) == len(f.digits) == f.keep_m ** f.level_n
 
 
 def test_natural_measure_masses():
@@ -206,16 +211,6 @@ def test_frostman_fit_degenerate_scales():
     mu = uniform_grid_measure(1, 8)
     with pytest.raises(DomainError):
         frostman_exponent_fit(mu, [0.1, 0.1, 0.1], probes=4, seed=0)
-
-
-def test_box_dimension_exact():
-    assert box_dimension_estimate(build_product_cantor(2, 1 / 3, 4)) == pytest.approx(
-        2 * np.log(2) / np.log(3), abs=1e-9)
-    assert box_dimension_estimate(
-        build_subdivision_fractal(2, 2, 4, 4, seed=0)) == pytest.approx(2.0, abs=1e-9)
-    assert box_dimension_estimate(
-        build_subdivision_fractal(2, 2, 3, 5, seed=9)) == pytest.approx(
-        np.log(3) / np.log(2), abs=1e-9)
 
 
 def test_determinism_bit_identical():

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -412,3 +413,18 @@ def test_row_blocks_cover_every_row_once(n, per_row, sizes):
         blocks = list(rng_module.row_blocks(n, per_row))
     assert [sl.stop - sl.start for sl in blocks] == sizes
     assert [i for sl in blocks for i in range(n)[sl]] == list(range(n))
+
+
+@pytest.mark.parametrize("kind, params", [("euclidean", {}),
+                                          ("scaled_euclidean", {"factor": 1.7})])
+def test_pair_table_peak_is_the_table_itself(kind, params):
+    # the squared norms used to be added as one table-sized temporary
+    pts = natural_measure(build_product_cantor(2, 1 / 3, 5)).points    # 1024 atoms
+    phi = phase_function(kind, 2, **params)
+    tracemalloc.start()
+    try:
+        table = pairwise_value(phi, pts, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * table.nbytes

