@@ -132,12 +132,10 @@ def cmd_chain(cfg, seed, out, jobs):
     eps = read_key(cfg, "epsilon")
     nu = chain_density(mu, phi, pins[0], k, Mollifier(eps),
                        mc_samples=read_key(cfg, "mc_samples", "4096"), seed=seed)
-    grid = np.meshgrid(*nu.t_axes, indexing="ij")
-    flat = [g.ravel() for g in grid]
-    rows = [list(map(float, tup)) + [float(v), float(s)]
-            for *tup, v, s in zip(*flat, nu.values.ravel(), nu.stderr.ravel())]
+    cols = [g.ravel().tolist() for g in np.meshgrid(*nu.t_axes, indexing="ij")]
     write_csv(os.path.join(out, "chain_density.csv"),
-              [f"t{i + 1}" for i in range(k)] + ["value", "stderr"], rows)
+              [f"t{i + 1}" for i in range(k)] + ["value", "stderr"],
+              zip(*cols, nu.values.ravel().tolist(), nu.stderr.ravel().tolist()))
     write_json(os.path.join(out, "summary.json"), {
         "k": k, "epsilon": eps, "mass": density_mass(nu),
         "mass_stderr": nu.mass_stderr, "support": support_measure(nu),
@@ -294,7 +292,7 @@ def cmd_fourier(cfg, seed, out, jobs):
             vals = np.abs(oscillatory_G(phi, cuts.psi, np.array([s for _, _, s in triples]),
                                         np.array([[2.0 ** k, 0.0] for _, k, _ in triples]),
                                         np.array([[2.0 ** j, 0.0] for j, _, _ in triples]),
-                                        quad_n=quad_n))
+                                        quad_n=quad_n, window=cuts.window))
         if vals[0] == 0:    # too few nodes: none, or no pair, inside the cutoff
             raise ConfigError(f"config key 'quad_n': the matched |G| is 0 at quad_n = "
                               f"{quad_n}, so the ratios to it are undefined")

@@ -37,8 +37,8 @@ class ResolutionWarning(UserWarning):
 
 # -- frequency grids ---------------------------------------------------------
 
-#: Bytes of the largest array of a sphere raster, an energy deposit box or
-#: one stage of their transforms; `_check_budget` refuses more.
+#: Bytes of the largest array that a sphere raster, an energy deposit box or
+#: one stage of their transforms holds; `_check_budget` refuses more.
 BYTE_BUDGET = 1 << 28
 
 
@@ -57,44 +57,62 @@ def _shell_top(side_n: int) -> int:
     return int(math.floor(math.log2(side_n / 4.0)))
 
 
-def _rfft_shells(d: int, side_n: int, pad: int):
+def _shell_mids(m_top: int) -> list:
+    """The geometric mid sqrt(2^m 2^(m+1)) of each dyadic shell m < m_top."""
+    return [math.sqrt(2.0 ** m * 2.0 ** (m + 1)) for m in range(m_top)]
+
+
+def _shell_index(fn, m_top: int) -> np.ndarray:
+    """1 + m where 2^m <= fn < 2^(m+1), m < m_top; 0 below the first shell
+    and m_top + 1 past the last.  The one shell rule: exact comparisons with
+    the edges 2^m."""
+    return np.searchsorted(2.0 ** np.arange(m_top + 1.0), fn, side="right")
+
+
+def _rfft_norms(d: int, side_n: int, pad: int, lines=None) -> np.ndarray:
     """|xi| at frequency spacing 1/pad (pad a power of two, so the scaling is
-    exact) on the part of the rfftn layout of the (pad side_n)^d periodic grid
-    that the shells read, and a (geometric mid, mask) pair for each dyadic
-    shell 2^m <= |xi| < 2^(m+1), m < `_shell_top(side_n)`.  That part keeps
-    the integer frequencies |k_i| < k = pad 2^m_top on every axis, the box
-    `_rfft_box` returns: the full axes in rfftn order 0..k-1, n-k+1..n-1
-    (n = pad side_n), the last axis 0..k-1."""
+    exact) on the `_rfft_box` layout of the (pad side_n)^d periodic grid at k
+    = pad 2^m_top: the integer frequencies |k_i| < k, the full axes in rfftn
+    order 0..k-1, n-k+1..n-1 (n = pad side_n), the last axis 0..k-1.
+
+    Without `lines`, the whole box from open grids; with a slice of the
+    lines of its trailing axes (C order), the (lines, 2k - 1) values along
+    the first axis of each, as `_rfft_box` yields them.  Either way each
+    value is sqrt(sum_i k_i^2) / pad, summed over the axes in order."""
     m_top = _shell_top(side_n)
     n, k = pad * side_n, pad * 2 ** m_top
     full = np.fft.fftfreq(n) * n
     axes = [np.concatenate([full[:k], full[n - k + 1:]])] * (d - 1) + [np.arange(k + 0.0)]
-    fn = sum(x ** 2 for x in np.ix_(*axes))
+    if lines is None:
+        grids = np.ix_(*axes)
+    else:
+        at = np.unravel_index(np.arange(lines.start, lines.stop), [len(a) for a in axes[1:]])
+        grids = [axes[0]] + [a[i][:, None] for a, i in zip(axes[1:], at)]
+    fn = sum(x ** 2 for x in grids)
     np.sqrt(fn, out=fn)
     fn /= pad
-    return fn, [(math.sqrt(2.0 ** m * 2.0 ** (m + 1)), (fn >= 2.0 ** m) & (fn < 2.0 ** (m + 1)))
-                for m in range(m_top)]
+    return fn
 
 
-def _fft_lines(src, nodes, n: int, cols, fft) -> np.ndarray:
-    """fft(line)[cols] for each line along the last axis of `src`, taken as
-    the length-n line that holds its values at `nodes` and 0 elsewhere; in
-    `row_blocks` of lines."""
-    out = np.empty(src.shape[:-1] + (len(cols),), complex)
+def _fft_lines(src, nodes, n: int, cols, fft):
+    """Yield (sl, fft(line)[cols]) for each of the `row_blocks` sl of the
+    lines along the last axis of `src` (flat indices over src.shape[:-1]),
+    each taken as the length-n line that holds its values at `nodes` and 0
+    elsewhere."""
     lines = np.zeros((block_rows(n), n), src.dtype)     # only `nodes` are ever written
     for sl in row_blocks(math.prod(src.shape[:-1]), n):
-        at = np.unravel_index(np.arange(sl.start, sl.stop), src.shape[:-1])
         buf = lines[:sl.stop - sl.start]
-        buf[:, nodes] = src[at]
-        out[at] = fft(buf)[:, cols]
-    return out
+        buf[:, nodes] = src[np.unravel_index(np.arange(sl.start, sl.stop), src.shape[:-1])]
+        yield sl, fft(buf)[:, cols]
 
 
-def _rfft_box(box: np.ndarray, starts, n: int, k: int) -> np.ndarray:
+def _rfft_box(box: np.ndarray, starts, n: int, k: int):
     """np.fft.rfftn of the periodic n^d grid that is zero but for `box`, whose
     cell j sits at (starts + j) mod n, at the frequencies |k_i| < k alone (k
-    <= n/2): the full axes in rfftn order 0..k-1, n-k+1..n-1, the last axis
-    0..k-1.
+    <= n/2), on the layout of `_rfft_norms`, yielded by the `_fft_lines`
+    blocks of its last stage: (sl, vals), vals[j] the 2k - 1 values along
+    the first axis at the j-th of the lines sl of the trailing axes (C
+    order).  Every earlier stage is one array; the last never is.
 
     The axes go in rfftn's order (the last by rfft, then the others from
     last to first), each by `_fft_lines` on zero-filled lines, so every kept
@@ -108,17 +126,35 @@ def _rfft_box(box: np.ndarray, starts, n: int, k: int) -> np.ndarray:
     for axis in range(d, 0, -1):
         fft, cols = (np.fft.rfft, keep[:k]) if axis == d else (np.fft.fft, keep)
         nodes = (starts[axis - 1] + np.arange(box.shape[axis])) % n
-        box = np.moveaxis(_fft_lines(np.moveaxis(box, axis, -1), nodes, n, cols, fft), -1, axis)
-    return box[0]
+        src = np.moveaxis(box, axis, -1)
+        if axis == 1:
+            yield from _fft_lines(src, nodes, n, cols, fft)
+            return
+        out = np.empty(src.shape[:-1] + (len(cols),), complex)
+        flat = out.reshape(-1, len(cols))
+        for sl, vals in _fft_lines(src, nodes, n, cols, fft):
+            flat[sl] = vals
+        box = np.moveaxis(out, -1, axis)
 
 
-def _check_budget(what: str, spans, n: int, k: int) -> None:
+def _rfft_full(box: np.ndarray, starts, n: int, k: int) -> np.ndarray:
+    """`_rfft_box`'s blocks assembled into one array of its layout."""
+    out = np.empty((2 * k - 1,) * (box.ndim - 1) + (k,), complex)
+    flat = out.reshape(out.shape[0], -1)
+    for sl, vals in _rfft_box(box, starts, n, k):
+        flat[:, sl] = vals.T
+    return out
+
+
+def _check_budget(what: str, spans, n: int, k: int, assembled: bool) -> None:
     """BudgetError, before anything is allocated, when a box of `spans` cells
     on the periodic n^d grid (float) or one stage of its `_rfft_box`
-    transform at k (complex) takes more than BYTE_BUDGET bytes."""
+    transform at k (complex) takes more than BYTE_BUDGET bytes.  The last
+    stage counts only when the caller `assembled` it (`_rfft_full`); else it
+    lives block by block."""
     shape = [int(s) for s in spans]     # Python ints: no overflow
     largest = 8 * math.prod(shape)
-    for axis in range(len(shape) - 1, -1, -1):
+    for axis in range(len(shape) - 1, -1 if assembled else 0, -1):
         shape[axis] = k if axis == len(shape) - 1 else 2 * k - 1
         largest = max(largest, 16 * math.prod(shape))
     if largest > BYTE_BUDGET:
@@ -205,16 +241,32 @@ class DecayFit(NamedTuple):
 SHELL_RADIUS = 0.25     # of the sphere about the box centre in `surface_measure_decay`
 
 
-def rasterize_sphere_shell(d: int, side_n: int) -> np.ndarray:
-    """Unit-mass thin shell of the sphere |x - 1/2| = SHELL_RADIUS (mass-exact).
+def _shell_cells(side_n: int):
+    """(start, offsets): the run of cells i whose centre offset (i + 1/2) h -
+    1/2, h = 1/side_n, lies within SHELL_RADIUS + h of the centre, by the
+    tent's own operations.  A cell off this run on any axis has |x - 1/2|
+    >= SHELL_RADIUS + h (a sum of squares rounds to no less than one of its
+    terms), so its tent weight is exactly 0."""
+    h = 1.0 / side_n
+    offsets = (np.arange(side_n) + 0.5) * h - 0.5
+    near = np.flatnonzero((np.abs(offsets) - SHELL_RADIUS) / h < 1.0)
+    return int(near[0]), offsets[near]
+
+
+def rasterize_sphere_shell(d: int, side_n: int):
+    """(box, starts): unit-mass thin shell of the sphere |x - 1/2| =
+    SHELL_RADIUS (mass-exact) on the side_n^d grid of cells, kept on the box
+    of its nonzero cells; box cell j is grid cell starts + j, and every cell
+    outside the box holds 0.
 
     Cells are weighted by a tent profile across the 2-cell shell width; a
     hard indicator leaves lattice-quantization spikes that bias the decay
-    maxima upward at high frequency.  The side_n^d raster is the one array
-    of that size: every step after the sum of squares works in place.
+    maxima upward at high frequency.  Only the cells of `_shell_cells` on
+    every axis are computed, and every step after their sum of squares
+    works in place.
     """
     h = 1.0 / side_n
-    offsets = (np.arange(side_n) + 0.5) * h - 0.5
+    start, offsets = _shell_cells(side_n)
     mass = sum(g ** 2 for g in np.ix_(*[offsets] * d))
     np.sqrt(mass, out=mass)
     mass -= SHELL_RADIUS
@@ -222,11 +274,12 @@ def rasterize_sphere_shell(d: int, side_n: int) -> np.ndarray:
     mass /= h
     np.subtract(1.0, mass, out=mass)
     np.maximum(0.0, mass, out=mass)
-    total = mass.sum()
-    if total == 0:
+    if not mass.any():
         raise DomainError("shell missed every grid cell")
-    mass /= total
-    return mass
+    nz = [np.flatnonzero(mass.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
+    box = mass[tuple(slice(i[0], i[-1] + 1) for i in nz)]
+    box /= box.sum()
+    return box, [start + int(i[0]) for i in nz]
 
 
 def surface_measure_decay(d: int, side_n: int) -> DecayFit:
@@ -234,23 +287,23 @@ def surface_measure_decay(d: int, side_n: int) -> DecayFit:
 
     The fit runs over shells inside [8, side_n/4] for d = 2 and [4, side_n/4]
     for d = 3; a flagged result signals a grid too coarse for the stated
-    range (side_n < 256 in d = 2, < 64 in d = 3).  The raster's transform is
-    `_rfft_box` of the shell's own box at the frequencies the shells read; a
-    raster past BYTE_BUDGET is a BudgetError before it is built.
+    range (side_n < 256 in d = 2, < 64 in d = 3).  The raster's box is
+    transformed by `_rfft_box` at the frequencies the shells read and
+    assembled (`_rfft_full`), at most 2 MiB at the default sides; a box or
+    stage past BYTE_BUDGET is a BudgetError before the raster is built.
     """
     if d not in (2, 3):
         raise DomainError("surface decay is implemented for d in {2, 3}")
-    k = 2 ** _shell_top(side_n)
-    _check_budget("decay", (side_n,) * d, side_n, k)
-    fn, shells = _rfft_shells(d, side_n, 1)
+    m_top = _shell_top(side_n)
+    k = 2 ** m_top
+    _check_budget("decay", (len(_shell_cells(side_n)[1]),) * d, side_n, k, assembled=True)
     flagged = side_n < (256 if d == 2 else 64)
-    mass = rasterize_sphere_shell(d, side_n)
-    # only the box of the shell's nonzero cells is transformed
-    nz = [np.flatnonzero(mass.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
-    amag = np.abs(_rfft_box(mass[tuple(slice(i[0], i[-1] + 1) for i in nz)],
-                            [i[0] for i in nz], side_n, k))
+    amag = np.abs(_rfft_full(*rasterize_sphere_shell(d, side_n), side_n, k))
+    fn = _rfft_norms(d, side_n, 1)
+    shell = _shell_index(fn, m_top)
     radii, maxima = [], []
-    for _, sel in shells:
+    for m in range(m_top):
+        sel = shell == m + 1
         vals = amag[sel]
         j = int(np.argmax(vals))
         # abscissa = frequency where the max is attained: the extremum drifts
@@ -258,7 +311,7 @@ def surface_measure_decay(d: int, side_n: int) -> DecayFit:
         radii.append(float(fn[sel][j]))
         maxima.append(float(vals[j]))
     radii, maxima = np.array(radii), np.array(maxima)
-    mids = np.array([mid for mid, _ in shells])
+    mids = np.array(_shell_mids(m_top))
     r_lo = 8.0 if d == 2 else 4.0
     keep = (mids >= r_lo) & (mids <= side_n / 4)
     if keep.sum() < 2:
@@ -409,15 +462,17 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int):
     defeats a lattice Riemann sum, from `_center_energy`; beyond it, atoms
     deposited as Gaussian bumps on a PAD-times-wider periodic grid (frequency
     spacing 1/PAD) and kept on the box they touch, transformed by
-    `_rfft_box` at the frequencies the shells read, deconvolved by the exact
-    Gaussian factor, and summed with the Riemann weight.  A box or spectrum
-    past BYTE_BUDGET is a BudgetError before either is built.  Kernel side:
-    the Riesz-constant-weighted double sum over distinct atoms.  Dyadic
-    shell increments of the Fourier sum are returned for the convergence
-    diagnostics.  d = 2 only.  A scalar gamma gives one EnergyResult; a 1-d
-    array of gammas gives a list of them, sharing the centre pass, the
-    deposit, the transform, the shell masks and one pass over the atom-pair
-    distances.
+    `_rfft_box` at the frequencies the shells read.  Each of its blocks is
+    deconvolved by the exact Gaussian factor and reduced at once into
+    per-shell, per-gamma sums (`_shell_index`), so no array spans the
+    frequency box; the sums take the Riemann weight.  A box or transform
+    stage past BYTE_BUDGET is a BudgetError before either is built.  Kernel
+    side: the Riesz-constant-weighted double sum over distinct atoms.
+    Dyadic shell increments of the Fourier sum are returned for the
+    convergence diagnostics.  d = 2 only.  A scalar gamma gives one
+    EnergyResult; a 1-d array of gammas gives a list of them, sharing the
+    centre pass, the deposit, the transform and one pass over the atom-pair
+    distances, each gamma's sums taken as a scalar call takes them.
     """
     gammas = np.atleast_1d(np.asarray(gamma, float))
     if gammas.ndim != 1 or len(gammas) == 0:
@@ -429,27 +484,35 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int):
     masses = lam.weights
     # the centre comes first: it rejects d != 2 before a grid box is sized
     centres = _center_energy(lam.points, masses, gammas)
-    k = PAD * 2 ** _shell_top(side_n)
-    _check_budget("energy", _atom_box(lam.points, side_n)[1], PAD * side_n, k)
-    fn, shells = _rfft_shells(d, side_n, PAD)
-    power = np.abs(_rfft_box(*deposit_gaussian(lam.points, masses, side_n), PAD * side_n, k))
-    decon = fn ** 2
-    decon *= 2.0 * np.pi ** 2 * (SIGMA_CELLS / side_n) ** 2
-    power *= np.exp(decon, out=decon)
-    power **= 2
-    # rfft stores half the spectrum: double every kept column but 0 (the
-    # Nyquist column, PAD side_n / 2, lies past the shells)
-    power[..., 1:] *= 2.0
-    radii = np.array([mid for mid, _ in shells])
-    shells = [(power[sel], fn[sel]) for _, sel in shells]
-    del fn, power, decon
+    m_top = _shell_top(side_n)
+    k = PAD * 2 ** m_top
+    _check_budget("energy", _atom_box(lam.points, side_n)[1], PAD * side_n, k, assembled=False)
+    sums = np.zeros((len(gammas), m_top + 2))
+    box, starts = deposit_gaussian(lam.points, masses, side_n)
+    for sl, hat in _rfft_box(box, starts, PAD * side_n, k):
+        fn = _rfft_norms(d, side_n, PAD, sl)
+        power = np.abs(hat)
+        decon = fn ** 2
+        decon *= 2.0 * np.pi ** 2 * (SIGMA_CELLS / side_n) ** 2
+        power *= np.exp(decon, out=decon)
+        power **= 2
+        # rfft stores half the spectrum: double every kept column but 0 (the
+        # Nyquist column, PAD side_n / 2, lies past the shells)
+        power[np.arange(sl.start, sl.stop) % k > 0] *= 2.0
+        shell = _shell_index(fn, m_top)
+        inside = (shell > 0) & (shell <= m_top)
+        shell, power, fn = shell[inside], power[inside], fn[inside]
+        for row, gm in zip(sums, gammas):
+            row += np.bincount(shell, power * fn ** (-gm), m_top + 2)
     cell = (1.0 / PAD) ** d
+    radii = np.array(_shell_mids(m_top))
     results = []
-    for gm, centre, row_sums in zip(gammas, centres, _riesz_row_sums(lam.points, masses, gammas)):
-        incs = [float((p * f ** (-gm)).sum() * cell) for p, f in shells]
+    for gm, centre, row, row_sums in zip(gammas, centres, sums,
+                                         _riesz_row_sums(lam.points, masses, gammas)):
+        incs = row[1:m_top + 1] * cell
         results.append(EnergyResult(centre + float(np.sum(incs)),
                                     riesz_constant(gm, d) * float(masses @ row_sums),
-                                    radii.copy(), np.array(incs)))
+                                    radii.copy(), incs))
     return results[0] if np.ndim(gamma) == 0 else results
 
 
@@ -556,7 +619,24 @@ def radon_sobolev_ratio(phi, psi, t: float, eps_list, fields, gamma: float = 0.5
 
 # -- oscillatory integral -----------------------------------------------------
 
-def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
+def _psi_support(psi, pts: np.ndarray, window=None):
+    """(keep_x, keep_y): the nodes whose psi row over `pts` is not
+    identically zero and those whose psi column is not, by one `row_blocks`
+    pass of psi.  With `window`, W with psi(x, y) = 0 wherever W(x) = 0 or
+    W(y) = 0, the pass covers the nodes where W != 0 alone: every other row
+    and column is zero, so the kept sets are the same."""
+    cand = np.arange(len(pts)) if window is None else np.flatnonzero(window(pts) != 0)
+    sub = pts[cand]
+    keep_x, keep_y = np.zeros(len(pts), bool), np.zeros(len(pts), bool)
+    for sl in row_blocks(len(sub), len(sub)):
+        nz = np.broadcast_to(np.asarray(psi(sub[sl, None, :], sub[None, :, :])),
+                             (sl.stop - sl.start, len(sub))) != 0
+        keep_x[cand[sl]] = nz.any(axis=1)
+        keep_y[cand] |= nz.any(axis=0)
+    return keep_x, keep_y
+
+
+def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48, window=None):
     """Tensor Gauss-Legendre quadrature over the unit box of the
     separated-frequency integral
 
@@ -566,12 +646,13 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
     for one triple (s scalar, xi and zeta of shape (2,)) or m stacked ones (s,
     xi, zeta of shapes (m,), (m, 2), (m, 2); m values).  G = sum_x u_x (K_s v)_x
     with u = w e^(-2 pi i x.xi), v = w e^(2 pi i y.zeta), K_s = psi e^(2 pi i s
-    (phi - t)).  A first blocked pass of psi keeps the x nodes whose psi row
-    is not identically zero and the y nodes whose psi column is not (every
-    node without psi); the sum runs over kept rows x kept columns only.  Per
-    block of kept x rows (`row_blocks`), 2 pi (phi - t) and psi are
-    tabulated once; per distinct s, psi cos and psi sin take one GEMM each
-    with v's stacked real and imaginary columns.  DomainError for
+    (phi - t)).  A first pass (`_psi_support`, on the nodes where `window`,
+    psi's separable factor W, is nonzero when given) keeps the x nodes whose
+    psi row is not identically zero and the y nodes whose psi column is not
+    (every node without psi); the sum runs over kept rows x kept columns
+    only.  Per block of kept x rows (`row_blocks`), 2 pi (phi - t) and psi
+    are tabulated once; per distinct s, psi cos and psi sin take one GEMM
+    each with v's stacked real and imaginary columns.  DomainError for
     other shapes, a quad_n outside the integers 1..64 or a non-finite input;
     a ResolutionWarning for each triple with a frequency
     beyond quad_n/4 (its value is quadrature-limited).
@@ -598,12 +679,7 @@ def oscillatory_G(phi, psi, s, xi, zeta, t: float = 0.0, quad_n: int = 48):
     keep_x = keep_y = slice(None)
     if psi is not None:
         # pairs where psi vanishes add nothing: drop its all-zero rows and columns
-        keep_x, keep_y = np.zeros(len(pts), bool), np.zeros(len(pts), bool)
-        for sl in row_blocks(len(pts), len(pts)):
-            nz = np.broadcast_to(np.asarray(psi(pts[sl, None, :], pts[None, :, :])),
-                                 (sl.stop - sl.start, len(pts))) != 0
-            keep_x[sl] = nz.any(axis=1)
-            keep_y |= nz.any(axis=0)
+        keep_x, keep_y = _psi_support(psi, pts, window)
     px, py = pts[keep_x], pts[keep_y]
     u = w2[keep_x, None] * np.exp(-2j * np.pi * (px @ xi.T))
     v = w2[keep_y, None] * np.exp(2j * np.pi * (py @ zeta.T))

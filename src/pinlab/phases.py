@@ -327,10 +327,12 @@ def phase_function(kind: str, dimension_d: int, **params) -> PhaseFunction:
 class CutoffPair:
     """psi kills a neighborhood of the forbidden set (and the box boundary,
     so oscillatory integrands stay compactly supported); beta is a smooth
-    plateau over the observed range of phi values."""
+    plateau over the observed range of phi values; window is psi's separable
+    factor W, so psi(x, y) is exactly 0 wherever W(x) or W(y) is."""
 
     psi: Callable
     beta: Callable
+    window: Callable
 
 
 def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
@@ -360,7 +362,7 @@ def build_cutoffs(phi: PhaseFunction, e_bounds, neighborhood_radius: float,
     def beta(t):
         return plateau(t, t0, t1, 0.1 * (t1 - t0))
 
-    return CutoffPair(psi, beta)
+    return CutoffPair(psi, beta, window)
 
 
 def nondegeneracy_scan(phi: PhaseFunction, mu: FrostmanMeasure, pair_count: int,

@@ -29,7 +29,8 @@ one GEMM with the partial sums.  So kernel evaluations grow with atoms^2 x
 window (half that on a symmetric table), not atoms^2 x axis length.  Either
 way every nonzero kernel value is the one a full (node x row) matrix would
 hold, and every blocked loop walks `rng.row_blocks`: a block holds at most
-`rng.BLOCK` window entries, or one row.
+`rng.BLOCK` window entries, or one row (`_pair_range`'s blocks hold two
+rows or more).
 Monte Carlo mode draws atoms of mu and deposits each distinct atom drawn
 once, weighted count / draws (`monte_carlo_rows`), so its work grows with
 min(draws, atoms); chains are one row each, and a caller that deposits one
@@ -344,12 +345,14 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
                   t_axes=None, mc_samples: int = 0, seed: int = 0) -> ChainDensity:
     """Mollified k-link chain density on a tensor t-grid.
 
-    Exact mode contracts the atom-pair kernels link by link (the nested-sum
-    expansion of the composed operator), each pair's kernel built on its
-    clamped support window only (`_chain_exact`), so its cost does not grow
-    as eps shrinks; Monte Carlo mode samples chains (x^2, ..., x^{k+1}) and
-    deposits the tensor-product bump on each chain's clamped windows
-    (`_deposit`).
+    Default axes span the pin's gaps and `_pair_range`, which holds one
+    block of pair rows at a time.  Exact mode contracts the atom-pair
+    kernels link by link (the nested-sum expansion of the composed
+    operator), each pair's kernel built on its clamped support window only
+    (`_chain_exact`), so its cost does not grow as eps shrinks; Monte Carlo
+    mode samples chains (x^2, ..., x^{k+1}) and deposits the tensor-product
+    bump on each chain's clamped windows (`_deposit`), so it holds no
+    (atom x atom) table at all.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -357,10 +360,9 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
         raise DomainError(f"mc_samples must be >= 0, got {mc_samples}")
     pin = np.asarray(pin_x, float)
     eps = mollifier.epsilon
-    phi_aa = None
     if t_axes is None:
         phi_pin = np.asarray(phi.value(pin[None, :], mu.points))
-        pair_lo, pair_hi, phi_aa = _pair_range(phi, mu)
+        pair_lo, pair_hi = _pair_range(phi, mu)
         lo = min(float(phi_pin.min()), pair_lo)
         hi = max(float(phi_pin.max()), pair_hi)
         axis = default_t_grid(np.array([lo, hi]), eps, step_divisor=4)
@@ -371,7 +373,7 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
     _check_axes(t_axes, eps)
 
     if mc_samples == 0:
-        values = _chain_exact(mu, phi, pin, k, mollifier, t_axes, phi_aa)
+        values = _chain_exact(mu, phi, pin, k, mollifier, t_axes)
         stderr = np.zeros(values.shape)
         mass_se = 0.0
     else:
@@ -381,23 +383,32 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
 
 
 def _pair_range(phi, mu):
-    """(min, max, table) of phi over the pairs of every atom, or of every
-    (len // 1024)-th one beyond 1024 atoms; the table is returned when it
-    holds every atom (up to 2047 atoms), else None."""
+    """(min, max) of phi over the pairs of every atom, or of every
+    (len // 1024)-th one beyond 1024 atoms, from `pairwise_value` on blocks
+    of max(2, `block_rows`) rows of the table, a one-row tail joined to the
+    block before it.  A block of two or more rows is a GEMM, in the
+    expanded kinds with the whole table's bits wherever the BLAS gives both
+    the same kernel (as on the level-5 Cantor set); one row would be a GEMV,
+    which rounds differently."""
     pts = mu.points if len(mu) <= 1024 else mu.points[:: len(mu) // 1024]
-    m = pairwise_value(phi, pts, pts)
-    return float(m.min()), float(m.max()), m if len(pts) == len(mu) else None
+    n = len(pts)
+    rows = max(2, block_rows(n))
+    lo, hi, start = np.inf, -np.inf, 0
+    for stop in list(range(rows, n - 1, rows)) + [n]:     # no stop at n - 1
+        m = pairwise_value(phi, pts[start:stop], pts)
+        lo, hi, start = np.minimum(lo, m.min()), np.maximum(hi, m.max()), stop
+    return float(lo), float(hi)
 
 
-def _chain_exact(mu, phi, pin, k, mollifier, t_axes, phi_aa=None) -> np.ndarray:
+def _chain_exact(mu, phi, pin, k, mollifier, t_axes) -> np.ndarray:
     """Exact chain values, contracted link by link from the last.
 
     g_k = 1 and g_{i-1}(y, t_i, ...) = sum_z w_z rho_eps(t_i - phi(y, z))
     g_i(z, ...), then the pin link contracts g_1 the same way with
     phi(pin, z).  The last link, where g = 1, is a pinned density from
     every atom (`_last_link`); each link before it is one GEMM with g per
-    block of rows (`_outer_link`).  `phi_aa`, the (atom x atom) table of phi,
-    is computed here unless the caller already holds it.
+    block of rows (`_outer_link`).  For k >= 2 the (atom x atom) table of
+    phi is one `pairwise_value` call.
     """
     w = mu.weights
     widths = [_window_width(ax, mollifier.support_radius) for ax in t_axes]
@@ -405,8 +416,7 @@ def _chain_exact(mu, phi, pin, k, mollifier, t_axes, phi_aa=None) -> np.ndarray:
     if k == 1:
         values = _last_link(phi_pin, w, t_axes[0], widths[0], mollifier, False)
     else:
-        if phi_aa is None:
-            phi_aa = pairwise_value(phi, mu.points, mu.points)
+        phi_aa = pairwise_value(phi, mu.points, mu.points)
         g = _last_link(phi_aa, w, t_axes[-1], widths[-1], mollifier,
                        np.array_equal(phi_aa, phi_aa.T))
         for ax, wd in zip(reversed(t_axes[1:-1]), reversed(widths[1:-1])):

@@ -17,7 +17,14 @@ sums of `harmonic._riesz_row_sums`), and the |xi| < 1 energy centre as a
 power series in the pair distances, which needs no quadrature at all.  The
 whole padded grid and its full `rfftn` (`embed_box`, `rfftn_box`,
 `reference_energy_integral`) are the reference for `harmonic`'s deposit on
-the atoms' box and its transform onto the shells' frequencies.  They
+the atoms' box and its transform onto the shells' frequencies; the energy's
+shell sums over that whole frequency box (`full_box_energy_shells`) and the
+sphere raster over the whole side_n^d grid (`full_sphere_raster`), as they
+were before both were computed block by block, are the reference for the
+streamed ones.  The full psi pass of the oscillatory integral
+(`full_psi_support`) and the cell-by-cell CSV formatting
+(`cellwise_csv_rows`) are the references for the window-restricted psi
+pass and the column formatting.  They
 touch every pair or tuple, or rebuild what the package shares, so they are
 slow and memory-hungry, but they are simple enough to trust.  The
 euclidean, scaled_euclidean and flat_torus phases are here as the three
@@ -36,7 +43,8 @@ from scipy.spatial.distance import cdist
 
 from pinlab.errors import DomainError
 from pinlab.fractals import sample_points
-from pinlab.harmonic import EnergyResult, riesz_constant
+from pinlab.harmonic import (PAD, SHELL_RADIUS, SIGMA_CELLS, EnergyResult,
+                             deposit_gaussian, riesz_constant)
 from pinlab.phases import (PhaseFunction, _coord_sum, _norm, _outer,
                            pairwise_value, torus_wrap)
 from pinlab.pinned import _trapz_weights, default_t_grid
@@ -382,6 +390,55 @@ def reference_energy_integral(lam, gamma, side_n, pad=4, sigma_cells=1.0):
     kernel_value = riesz_constant(gamma, d) * dense_riesz_double_sum(lam.points, masses, gamma)
     return EnergyResult(low_part + float(np.sum(incs)), kernel_value,
                         np.array(radii), np.array(incs))
+
+
+def full_box_energy_shells(lam, gammas, side_n):
+    """The energy's shell increments per gamma, each shell summed at once
+    over the whole frequency box: the deposit's full rfftn cut to the box,
+    deconvolved, and masked by `meshgrid_rfft_shells`."""
+    box, starts = deposit_gaussian(lam.points, lam.weights, side_n)
+    n = PAD * side_n
+    k = PAD * 2 ** int(math.floor(math.log2(side_n / 4.0)))
+    fn, shells = meshgrid_rfft_shells(lam.d, side_n, PAD)
+    fn = rfftn_box(fn, k)
+    power = np.abs(rfftn_box(np.fft.rfftn(embed_box(box, starts, n)), k))
+    decon = fn ** 2
+    decon *= 2.0 * np.pi ** 2 * (SIGMA_CELLS / side_n) ** 2
+    power *= np.exp(decon)
+    power **= 2
+    power[..., 1:] *= 2.0
+    cell = (1.0 / PAD) ** lam.d
+    return [[float((power[sel] * fn[sel] ** (-gm)).sum() * cell)
+             for sel in (rfftn_box(sel, k) for _, sel in shells)] for gm in gammas]
+
+
+def full_sphere_raster(d, side_n):
+    """The unit-mass tent raster of the sphere |x - 1/2| = SHELL_RADIUS on
+    the whole side_n^d grid of cells."""
+    h = 1.0 / side_n
+    offsets = (np.arange(side_n) + 0.5) * h - 0.5
+    r = np.sqrt(sum(g ** 2 for g in np.meshgrid(*[offsets] * d, indexing="ij")))
+    mass = np.maximum(0.0, 1.0 - np.abs(r - SHELL_RADIUS) / h)
+    return mass / mass.sum()
+
+
+def full_psi_support(psi, pts):
+    """(rows, cols): the nodes whose psi row, and whose psi column, over
+    every node is somewhere nonzero, from 256-row chunks of all pairs."""
+    rows, cols = np.zeros(len(pts), bool), np.zeros(len(pts), bool)
+    for i0 in range(0, len(pts), 256):
+        nz = np.broadcast_to(psi(pts[i0:i0 + 256, None, :], pts[None, :, :]),
+                             (len(pts[i0:i0 + 256]), len(pts))) != 0
+        rows[i0:i0 + 256] = nz.any(axis=1)
+        cols |= nz.any(axis=0)
+    return rows, cols
+
+
+def cellwise_csv_rows(rows):
+    """CSV cells as `write_csv` formatted them one at a time: every Python
+    or numpy float as repr(float), anything else left to the writer."""
+    return [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows]
 
 
 def chunked_oscillatory_G(phi, psi, s, xi, zeta, t=0.0, quad_n=48,

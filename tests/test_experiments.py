@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_frostman_constant
+from oracles import cellwise_csv_rows, loop_frostman_constant
 
 import pinlab
 import pinlab.cli
@@ -538,15 +538,16 @@ def test_cli_config_count_over_budget_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("which, message, ran", [
-    ("decay", "decay box of 128 x 128 x 128 cells on the 128^3 grid needs 16777216 bytes",
+    ("decay", "decay box of 66 x 66 x 66 cells on the 128^3 grid needs 2299968 bytes",
      [("raster", 2)]),
-    ("energy", "energy box of 266 x 11 cells on the 2048^2 grid needs 8380416 bytes", []),
-])
+    ("energy", "energy box of 266 x 11 cells on the 2048^2 grid needs 2179072 bytes", []),
+], ids=["decay", "energy"])
 def test_cli_fourier_over_byte_budget_exit_3(tmp_path, capsys, monkeypatch, which, message, ran):
-    # the largest array is sized before any is allocated: at a 4 MiB budget
-    # the d = 2 decay (2 MiB raster) still runs, the d = 3 raster and the
-    # energy's box spectrum (1023 x 512 complex) are refused unbuilt
-    monkeypatch.setattr(harmonic_module, "BYTE_BUDGET", 1 << 22)
+    # the largest array is sized before any is allocated: at a 1 MiB budget
+    # the d = 2 decay (a 258^2 raster box) still runs, the d = 3 raster box
+    # and the energy's first transform stage (266 x 512 complex) are
+    # refused unbuilt
+    monkeypatch.setattr(harmonic_module, "BYTE_BUDGET", 1 << 20)
     built = []
     raster, deposit = harmonic_module.rasterize_sphere_shell, harmonic_module.deposit_gaussian
     monkeypatch.setattr(harmonic_module, "rasterize_sphere_shell",
@@ -555,7 +556,7 @@ def test_cli_fourier_over_byte_budget_exit_3(tmp_path, capsys, monkeypatch, whic
                         lambda *args: built.append(("deposit",)) or deposit(*args))
     cfg = write_cfg(tmp_path, "f.cfg", f"which = {which}\n")
     assert cli_main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == f"resource error: {message}, exceeds budget 4194304\n"
+    assert capsys.readouterr().err == f"resource error: {message}, exceeds budget 1048576\n"
     assert built == ran
 
 
@@ -691,6 +692,24 @@ def test_cli_hinge_sorts_gaps_once_per_exact_run(tmp_path, samples):
     experiments.write_csv(tmp_path / "hinge.csv",
                           ["eps", "t", "count_normalized", "stderr", "integrated"], rows)
     assert (out / "hinge.csv").read_bytes() == (tmp_path / "hinge.csv").read_bytes()
+
+
+def test_write_csv_by_column_keeps_the_cell_by_cell_bytes(tmp_path):
+    # float columns (Python, float64 or float32) go through one .tolist();
+    # a column that mixes ints and floats, strings, None or bools cell by cell
+    rows = [[1, 0.1, np.float64(2.5), "a", np.float32(0.1), 3, None, True, np.int64(7),
+             float("nan")],
+            [2, np.float64(1e-300), 0.3, "", np.float64(4.0), 2.0, 5, np.bool_(False),
+             np.int64(-1), -0.0]]
+    header = list("abcdefghij")
+    experiments.write_csv(tmp_path / "got.csv", header, rows)
+    with open(tmp_path / "want.csv", "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(cellwise_csv_rows(rows))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    experiments.write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
 
 
 @pytest.mark.parametrize("generator", ["product_cantor", "subdivision", "circle", "uniform"])

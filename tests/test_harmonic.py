@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (cdist_row_sums, chunked_oscillatory_G, dense_riesz_double_sum,
-                     embed_box, loop_deposit_gaussian, meshgrid_freq_norms,
+                     embed_box, full_box_energy_shells, full_psi_support,
+                     full_sphere_raster, loop_deposit_gaussian, meshgrid_freq_norms,
                      meshgrid_rfft_shells, reference_energy_integral, rfftn_box,
                      series_center_energy)
 from scipy.integrate import quad
@@ -25,8 +26,9 @@ from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
                     uniform_grid_measure)
 from pinlab import harmonic
 from pinlab import rng as rng_module
-from pinlab.harmonic import (ResolutionWarning, _center_energy, _radon_direct,
-                             _rfft_box, _rfft_shells, _riesz_row_sums, deposit_gaussian,
+from pinlab.harmonic import (ResolutionWarning, _center_energy, _psi_support,
+                             _radon_direct, _rfft_full, _rfft_norms, _riesz_row_sums,
+                             _shell_index, _shell_mids, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
 
@@ -62,15 +64,23 @@ def test_lp_partition_sums_to_one():
 def test_open_grids_match_meshgrid_bit_for_bit(d, side_n, pad):
     # the box keeps |k_i| < pad 2^m_top, and every shell lies inside it
     assert freq_norms(d, side_n).tobytes() == meshgrid_freq_norms(d, side_n).tobytes()
-    fn, shells = _rfft_shells(d, side_n, pad)
+    fn = _rfft_norms(d, side_n, pad)
     want_fn, want_shells = meshgrid_rfft_shells(d, side_n, pad)
-    k = pad * 2 ** int(np.log2(side_n / 4))
+    m_top = int(np.log2(side_n / 4))
+    k = pad * 2 ** m_top
     assert fn.shape == (2 * k - 1,) * (d - 1) + (k,)
     assert fn.tobytes() == rfftn_box(want_fn, k).tobytes()
-    assert len(shells) == len(want_shells) == int(np.log2(side_n / 4))
-    for (mid, sel), (want_mid, want_sel) in zip(shells, want_shells):
+    shell = _shell_index(fn, m_top)
+    assert len(want_shells) == m_top
+    for m, (mid, (want_mid, want_sel)) in enumerate(zip(_shell_mids(m_top), want_shells)):
+        sel = shell == m + 1
         assert mid == want_mid and np.array_equal(sel, rfftn_box(want_sel, k)) and sel.any()
         assert sel.sum() == want_sel.sum()
+    # the lines of the trailing axes, as `_rfft_box` yields them, in ragged blocks
+    lines = fn.reshape(fn.shape[0], -1).T
+    for start in range(0, len(lines), 7) if d > 1 else []:
+        sl = slice(start, min(start + 7, len(lines)))
+        assert _rfft_norms(d, side_n, pad, sl).tobytes() == lines[sl].tobytes()
 
 
 @st.composite
@@ -94,15 +104,16 @@ def grid_boxes(draw):
 @example(case=(np.ones((3, 5, 2)), [7, -2, 15], 8, 3), block=rng_module.BLOCK)   # wraps
 @example(case=(np.full((1, 1), 0.5), [-7, -2], 8, 4), block=rng_module.BLOCK)   # a -0.0
 def test_rfft_box_matches_full_rfftn_bit_for_bit(case, block):
-    # BLOCK = 1 transforms one line per block.  Values compare with +0.0 ==
-    # -0.0: in the last example rfftn's value at (0, 2) is -0.5 - 0.0j, from
+    # BLOCK = 1 transforms one line per block, and the last stage's blocks
+    # are assembled (`_rfft_full`) as the decay assembles them.  Values
+    # compare with +0.0 == -0.0: in the last example rfftn's value at (0, 2) is -0.5 - 0.0j, from
     # the -0.0 that rfft gives zero rows there, and the box's zero-filled
     # lines give -0.5 + 0.0j.  The magnitudes, all that energy and decay
     # read, keep rfftn's bits.
     box, starts, n, k = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK", block)
-        got = _rfft_box(box, starts, n, k)
+        got = _rfft_full(box, starts, n, k)
     want = rfftn_box(np.fft.rfftn(embed_box(box, starts, n)), k)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.abs(got).tobytes() == np.abs(want).tobytes()
@@ -160,9 +171,24 @@ def test_lp_band_out_of_range():
 
 
 def test_sphere_raster_mass_and_zero_mode():
-    m = rasterize_sphere_shell(2, 256)
-    assert m.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.fft.fftn(m).flat[0].real == pytest.approx(1.0, abs=1e-12)
+    box, starts = rasterize_sphere_shell(2, 256)
+    assert box.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.fft.fftn(embed_box(box, starts, 256)).flat[0].real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, side_n", [(2, 16), (2, 100), (2, 512), (2, 1023),
+                                       (3, 16), (3, 37), (3, 128)])
+def test_sphere_raster_box_matches_full_raster(d, side_n):
+    # the box is the full raster's nonzero box, at the same cells, and
+    # holds its values up to the order of the normalizing sum
+    box, starts = rasterize_sphere_shell(d, side_n)
+    full = full_sphere_raster(d, side_n)
+    nz = [np.flatnonzero(full.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
+    assert starts == [int(i[0]) for i in nz]
+    want = full[tuple(slice(i[0], i[-1] + 1) for i in nz)]
+    assert box.shape == want.shape and np.array_equal(box > 0, want > 0)
+    assert np.all(np.abs(box - want) <= 1e-12 * want)
+    assert np.abs(embed_box(box, starts, side_n) - full).max() <= 1e-12 * full.max()
 
 
 def test_surface_decay_slopes():
@@ -239,6 +265,21 @@ def test_energy_stacked_gammas_match_scalar_calls_on_segment():
     assert_stacked_energy_matches_scalar_calls(segment_measure(1024), np.array([1.2, 0.8]), 128)
 
 
+@pytest.mark.parametrize("measure, side, block", [
+    ("segment", 256, rng_module.BLOCK), ("segment", 64, 100), ("circle", 128, rng_module.BLOCK),
+    ("uniform", 64, 1)])
+def test_energy_streamed_shells_match_full_box_sums(measure, side, block):
+    # each block's per-shell sums, added up, against each shell summed at
+    # once over the whole frequency box; BLOCK = 1 streams one line a block
+    lam = {"segment": lambda: segment_measure(4096), "circle": lambda: circle_measure(1024),
+           "uniform": lambda: uniform_grid_measure(2, 24)}[measure]()
+    gammas = np.array([1.2, 0.8, 1.7])
+    with mock.patch.object(rng_module, "BLOCK", block):
+        got = energy_integral(lam, gammas, side)
+    for res, incs in zip(got, full_box_energy_shells(lam, gammas, side)):
+        assert_rel_close(res.shell_increments, incs)
+
+
 def test_energy_memory_stays_blocked():
     # the complex full-circle centre sum and dense kernel blocks peaked at 451 MiB
     lam = segment_measure(4096)
@@ -249,9 +290,10 @@ def test_energy_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     # 161 MiB with meshgrid frequency grids and every array held to the end,
-    # 132 MB with the full 2048^2 deposit and its rfftn, 22.9 MB on the box:
-    # bounded with a margin of about a third
-    assert peak < 30e6
+    # 132 MB with the full 2048^2 deposit and its rfftn, 22.9 MB on the box,
+    # 5.1 MB with the last transform stage reduced block by block: bounded
+    # with a margin of about a third
+    assert peak < 6.8e6
 
 
 def test_surface_decay_memory_uses_open_grids():
@@ -263,8 +305,9 @@ def test_surface_decay_memory_uses_open_grids():
         tracemalloc.stop()
     # 97 MiB with meshgrid copies of the shell and frequency grids, 65 MB
     # with the full rfftn of the 128^3 raster, 24.1 MB with the shell's box
-    # transformed: bounded with a margin of about a third
-    assert peak < 32e6
+    # transformed, 10.4 MB with only the 66^3 box rasterized: bounded with
+    # a margin of about a third
+    assert peak < 13.9e6
 
 
 # -- blocked energy pieces against the per-atom, complex and dense oracles ----
@@ -718,16 +761,12 @@ def test_oscillatory_cli_triples_evaluate_only_kept_pairs():
     # nonzero times the y nodes whose psi column is: about a quarter of the
     # 2304^2 pairs at the CLI's cutoffs
     phi = phase_function("euclidean", 2)
-    # psi reads a phase object of its own, so the spy sees only the tabulation
-    psi = build_cutoffs(phase_function("euclidean", 2), (0.15, 0.85), 0.05, (0.1, 1.0)).psi
+    # psi reads a phase object of its own, so the spy sees only the
+    # tabulation; the call is the CLI's, with psi's window
+    cuts = build_cutoffs(phase_function("euclidean", 2), (0.15, 0.85), 0.05, (0.1, 1.0))
     gn, _ = np.polynomial.legendre.leggauss(48)
     g1, g2 = np.meshgrid(0.5 + 0.5 * gn, 0.5 + 0.5 * gn, indexing="ij")
-    pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
-    rows, cols = np.zeros(len(pts), bool), np.zeros(len(pts), bool)
-    for i0 in range(0, len(pts), 256):
-        nz = psi(pts[i0:i0 + 256, None, :], pts[None, :, :]) != 0
-        rows[i0:i0 + 256] = nz.any(axis=1)
-        cols |= nz.any(axis=0)
+    rows, cols = full_psi_support(cuts.psi, np.stack([g1.ravel(), g2.ravel()], axis=1))
     shapes = []
     value = phi.value
 
@@ -740,10 +779,30 @@ def test_oscillatory_cli_triples_evaluate_only_kept_pairs():
     zeta = np.array([[4.0, 0.0], [1.0, 0.0], [16.0, 0.0], [1.0, 0.0]])
     with warnings.catch_warnings(), mock.patch.object(phi, "value", spy):
         warnings.simplefilter("ignore", ResolutionWarning)
-        oscillatory_G(phi, psi, s, xi, zeta, quad_n=48)
+        oscillatory_G(phi, cuts.psi, s, xi, zeta, quad_n=48, window=cuts.window)
     kept = int(rows.sum()) * int(cols.sum())
     assert sum(int(np.prod(sh)) for sh in shapes) == kept
-    assert 0.24 < kept / len(pts) ** 2 < 0.26
+    assert 0.24 < kept / len(rows) ** 2 < 0.26
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("euclidean", {}), ("scaled_euclidean", {"factor": 3.0}), ("dot_product", {}),
+    ("flat_torus", {}), ("sphere_geodesic_chart", {})])
+@pytest.mark.parametrize("bounds, quad_n", [((0.15, 0.85), 48), ((0.3, 0.6), 24)])
+def test_psi_support_on_the_window_keeps_the_full_pass_sets(kind, params, bounds, quad_n):
+    # psi vanishes wherever its window W does, so the pass over W's support
+    # keeps the sets that the pass over every node pair kept
+    phi = phase_function(kind, 2, **params)
+    cuts = build_cutoffs(phi, bounds, 0.05, (0.1, 1.0))
+    gn, _ = np.polynomial.legendre.leggauss(quad_n)
+    g1, g2 = np.meshgrid(0.5 + 0.5 * gn, 0.5 + 0.5 * gn, indexing="ij")
+    pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
+    support = cuts.window(pts) != 0
+    keep_x, keep_y = _psi_support(cuts.psi, pts, cuts.window)
+    rows, cols = full_psi_support(cuts.psi, pts)
+    assert np.array_equal(keep_x, rows) and np.array_equal(keep_y, cols)
+    assert 0 < rows.sum() <= support.sum() < len(pts)
+    assert [a.tolist() for a in _psi_support(cuts.psi, pts)] == [rows.tolist(), cols.tolist()]
 
 
 def test_oscillatory_stack_memory_stays_blocked():

@@ -1,9 +1,10 @@
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (dense_chain_exact, dense_chain_mc, dense_pinned_density,
                      masked_bump_raw, nested_composed_density)
@@ -18,6 +19,7 @@ from pinlab import (BudgetError, ChainDensity, CoverageError, DomainError,
                     support_measure, uniform_grid_measure)
 from pinlab import pinned as pinned_module
 from pinlab import rng as rng_module
+from pinlab.phases import pairwise_value
 from pinlab.pinned import default_t_grid
 from pinlab.profiles import bump_norm_constant, bump_profile, bump_raw
 from pinlab.rng import rng_for
@@ -564,11 +566,13 @@ def test_chain_exact_evaluates_one_triangle_of_a_symmetric_pair_table(phi, trian
 
 
 @pytest.mark.parametrize("atoms, shapes", [
-    (1000, [(1000, 1000)]), (1500, [(1500, 1500)]), (2100, [(1050, 1050), (2100, 2100)])])
+    (1000, [(1000, 1000)]), (1500, [(1500, 1500)]), (2100, [(2100, 2100)])])
 def test_chain_exact_computes_the_pair_table_once(atoms, shapes):
-    # up to 2047 atoms the default axes' pair sample (every n // 1024-th
-    # atom beyond 1024) is the whole table, and the exact chain reuses it
+    # the default axes' pair range (every n // 1024-th atom beyond 1024)
+    # walks blocks of rows that cover its sample once; the exact chain then
+    # builds the one full table
     mu = circle_measure(atoms)
+    sample = len(mu.points[:: max(1, atoms // 1024)])
     spy = pinned_module.pairwise_value
     seen = []
 
@@ -579,7 +583,69 @@ def test_chain_exact_computes_the_pair_table_once(atoms, shapes):
     with mock.patch.object(pinned_module, "pairwise_value", counted), \
             mock.patch.object(pinned_module, "_link_windows", lambda *a: iter(())):
         chain_density(mu, PHI, mu.points[0], 2, Mollifier(2.0 ** -3))
-    assert seen == shapes
+    blocks, tables = seen[:-len(shapes)], seen[-len(shapes):]
+    assert tables == shapes
+    assert sum(rows for rows, _ in blocks) == sample and len(blocks) > 1
+    assert all(2 <= rows < sample and cols == sample for rows, cols in blocks)
+
+
+CANTOR_5 = natural_measure(build_product_cantor(2, 2.0 ** (-2 / 1.6), 5))
+KINDS = [PHI, SCALED, phase_function("dot_product", 2), phase_function("flat_torus", 2),
+         phase_function("sphere_geodesic_chart", 2)]
+
+
+@settings(max_examples=60, derandomize=True)
+@given(kind=st.sampled_from(range(len(KINDS))), rows=st.integers(2, 40),
+       blocks=st.integers(1, 5), tail=st.sampled_from([0, 1, 2]) | st.integers(0, 39),
+       seed=st.integers(0, 2 ** 32 - 1), corner=st.booleans())
+# one-row tails whose GEMV max differs from the table's in scipy-openblas
+# 0.3.31 (a dot_product table of one point set is a SYRK, whose bits the
+# blocks need not have: at kind=2, rows=3, blocks=4, tail=1, seed=42 with
+# `corner` its max is an ulp below theirs)
+@example(kind=0, rows=3, blocks=2, tail=1, seed=235, corner=True)
+@example(kind=1, rows=2, blocks=1, tail=1, seed=55, corner=True)
+def test_pair_range_blocks_match_the_full_table_bit_for_bit(kind, rows, blocks, tail, seed,
+                                                            corner):
+    # BLOCK is set so that a block holds `rows` rows, and n = rows x blocks
+    # + tail atoms: a tail of 1 (n mod rows == 1) is joined to the block
+    # before it, since a one-row GEMV rounds unlike the table's GEMM.  With
+    # `corner` the last atom sits at the corner nearest 0, so the last row
+    # of the scaled_euclidean table holds its max
+    n = max(1, rows * blocks + tail)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.05, 0.95, (n, 2))
+    if corner:
+        pts[-1] = 0.05
+    mu = FrostmanMeasure(pts, np.full(n, 1.0 / n), exponent_s=2.0)
+    phi = KINDS[kind]
+    with mock.patch.object(rng_module, "BLOCK", rows * n):
+        lo, hi = pinned_module._pair_range(phi, mu)
+    full = pairwise_value(phi, pts, pts)
+    assert (lo.hex(), hi.hex()) == (float(full.min()).hex(), float(full.max()).hex())
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5, 7, 16, 32, 33, 100])
+def test_pair_range_on_the_level_5_cantor_set(rows):
+    # 1,024 atoms: 3 and 33 rows leave a one-row tail
+    full = pairwise_value(PHI, CANTOR_5.points, CANTOR_5.points)
+    with mock.patch.object(rng_module, "BLOCK", rows * 1024):
+        lo, hi = pinned_module._pair_range(PHI, CANTOR_5)
+    assert (lo.hex(), hi.hex()) == (float(full.min()).hex(), float(full.max()).hex())
+
+
+def test_monte_carlo_chain_memory_holds_no_pair_table():
+    # the bench's Monte Carlo chain: its default axes' pair range used to
+    # build the 8 MiB (1024 x 1024) table, 10.4 MiB traced in all; 2.5 MB
+    # with the range taken over blocks of rows: bounded with a margin of
+    # about a third
+    tracemalloc.start()
+    try:
+        chain_density(CANTOR_5, PHI, CANTOR_5.points[0], 2, Mollifier(2.0 ** -3),
+                      mc_samples=16384, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4e6
 
 
 def test_empty_energy_raises_domain_error():
