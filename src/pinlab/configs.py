@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .fractals import FrostmanMeasure
 from .phases import pairwise_value
-from .pinned import _trapz_weights
+from .pinned import _axis_step, _trapz_weights
 from .rng import batches, rng_for
 
 #: Exact `config_count` refuses more tuples than this; pass samples instead.
@@ -232,7 +232,9 @@ def _first_passing(sorted_gaps, t_nodes, test):
 def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,
                            eps: float, t_nodes, samples: int = 0,
                            seed: int = 0, sorted_gaps=None) -> float:
-    """Trapezoid t-integral of beta(t) * hinge_count(t) over the node grid.
+    """Trapezoid t-integral of beta(t) * hinge_count(t) over the node grid,
+    which must be increasing and uniform (`_axis_step`, DomainError
+    otherwise): its weights take one step.
 
     Exact mode counts windows over `sort_gaps(lam, mu, phi)`; a caller that
     integrates at several eps passes that once as `sorted_gaps`.
@@ -241,7 +243,7 @@ def hinge_count_integrated(lam: FrostmanMeasure, mu: FrostmanMeasure, phi, beta,
     t_nodes = np.asarray(t_nodes, float)
     if t_nodes.ndim != 1 or len(t_nodes) < 2:
         raise DomainError(f"need a 1-d grid of >= 2 t-nodes, got shape {t_nodes.shape}")
-    tw = _trapz_weights(len(t_nodes), float(t_nodes[1] - t_nodes[0]))
+    tw = _trapz_weights(len(t_nodes), _axis_step(t_nodes))
     bvals = np.asarray(beta(t_nodes), float) if beta is not None else np.ones(len(t_nodes))
     if samples == 0:
         if sorted_gaps is None:

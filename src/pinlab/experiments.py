@@ -436,22 +436,15 @@ def exceptional_probe(cfg: dict, seed: int | None = None, jobs: int = 1) -> Prob
 
 # -- output & regression --------------------------------------------------------
 
-def _csv_column(cells) -> list:
-    """One CSV column's cells, each float (Python or numpy) as repr(float):
-    a column of floats alone from one `.tolist()`, which gives the same
-    Python floats, any other cell by cell."""
-    if all(issubclass(t, (float, np.floating)) for t in set(map(type, cells))):
-        return np.asarray(cells, float).tolist()
-    return [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in cells]
-
-
 def write_csv(path, header, rows) -> None:
-    """Deterministic CSV of rows of one length, formatted by column
-    (`_csv_column`): floats via repr, newline-normalized."""
+    """Deterministic CSV of rows of one length, newline-normalized: each
+    numpy scalar becomes its Python value (`.item()`), and the writer
+    formats every cell one way, floats via repr."""
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(zip(*[_csv_column(c) for c in zip(*rows)]))
+        w.writerows([v.item() if isinstance(v, np.generic) else v for v in row]
+                    for row in rows)
 
 
 def write_json(path, payload) -> None:

@@ -69,26 +69,21 @@ def _shell_index(fn, m_top: int) -> np.ndarray:
     return np.searchsorted(2.0 ** np.arange(m_top + 1.0), fn, side="right")
 
 
-def _rfft_norms(d: int, side_n: int, pad: int, lines=None) -> np.ndarray:
+def _rfft_norms(d: int, side_n: int, pad: int, lines) -> np.ndarray:
     """|xi| at frequency spacing 1/pad (pad a power of two, so the scaling is
     exact) on the `_rfft_box` layout of the (pad side_n)^d periodic grid at k
     = pad 2^m_top: the integer frequencies |k_i| < k, the full axes in rfftn
     order 0..k-1, n-k+1..n-1 (n = pad side_n), the last axis 0..k-1.
 
-    Without `lines`, the whole box from open grids; with a slice of the
-    lines of its trailing axes (C order), the (lines, 2k - 1) values along
-    the first axis of each, as `_rfft_box` yields them.  Either way each
-    value is sqrt(sum_i k_i^2) / pad, summed over the axes in order."""
+    For the slice `lines` of the lines of its trailing axes (C order), the
+    (lines, 2k - 1) values along the first axis of each, as `_rfft_box`
+    yields them: sqrt(sum_i k_i^2) / pad, summed over the axes in order."""
     m_top = _shell_top(side_n)
     n, k = pad * side_n, pad * 2 ** m_top
     full = np.fft.fftfreq(n) * n
     axes = [np.concatenate([full[:k], full[n - k + 1:]])] * (d - 1) + [np.arange(k + 0.0)]
-    if lines is None:
-        grids = np.ix_(*axes)
-    else:
-        at = np.unravel_index(np.arange(lines.start, lines.stop), [len(a) for a in axes[1:]])
-        grids = [axes[0]] + [a[i][:, None] for a, i in zip(axes[1:], at)]
-    fn = sum(x ** 2 for x in grids)
+    at = np.unravel_index(np.arange(lines.start, lines.stop), [len(a) for a in axes[1:]])
+    fn = sum(x ** 2 for x in [axes[0]] + [a[i][:, None] for a, i in zip(axes[1:], at)])
     np.sqrt(fn, out=fn)
     fn /= pad
     return fn
@@ -137,24 +132,14 @@ def _rfft_box(box: np.ndarray, starts, n: int, k: int):
         box = np.moveaxis(out, -1, axis)
 
 
-def _rfft_full(box: np.ndarray, starts, n: int, k: int) -> np.ndarray:
-    """`_rfft_box`'s blocks assembled into one array of its layout."""
-    out = np.empty((2 * k - 1,) * (box.ndim - 1) + (k,), complex)
-    flat = out.reshape(out.shape[0], -1)
-    for sl, vals in _rfft_box(box, starts, n, k):
-        flat[:, sl] = vals.T
-    return out
-
-
-def _check_budget(what: str, spans, n: int, k: int, assembled: bool) -> None:
+def _check_budget(what: str, spans, n: int, k: int) -> None:
     """BudgetError, before anything is allocated, when a box of `spans` cells
     on the periodic n^d grid (float) or one stage of its `_rfft_box`
     transform at k (complex) takes more than BYTE_BUDGET bytes.  The last
-    stage counts only when the caller `assembled` it (`_rfft_full`); else it
-    lives block by block."""
+    stage does not count: it lives block by block."""
     shape = [int(s) for s in spans]     # Python ints: no overflow
     largest = 8 * math.prod(shape)
-    for axis in range(len(shape) - 1, -1 if assembled else 0, -1):
+    for axis in range(len(shape) - 1, 0, -1):
         shape[axis] = k if axis == len(shape) - 1 else 2 * k - 1
         largest = max(largest, 16 * math.prod(shape))
     if largest > BYTE_BUDGET:
@@ -288,29 +273,32 @@ def surface_measure_decay(d: int, side_n: int) -> DecayFit:
     The fit runs over shells inside [8, side_n/4] for d = 2 and [4, side_n/4]
     for d = 3; a flagged result signals a grid too coarse for the stated
     range (side_n < 256 in d = 2, < 64 in d = 3).  The raster's box is
-    transformed by `_rfft_box` at the frequencies the shells read and
-    assembled (`_rfft_full`), at most 2 MiB at the default sides; a box or
-    stage past BYTE_BUDGET is a BudgetError before the raster is built.
+    transformed by `_rfft_box` at the frequencies the shells read, and each
+    of its blocks is reduced as it arrives, as in `energy_integral`: per
+    shell, the largest |sigma^| so far and the |xi| where the first block
+    that reached it attains it.  A box or transform stage past BYTE_BUDGET
+    is a BudgetError before the raster is built.
     """
     if d not in (2, 3):
         raise DomainError("surface decay is implemented for d in {2, 3}")
     m_top = _shell_top(side_n)
     k = 2 ** m_top
-    _check_budget("decay", (len(_shell_cells(side_n)[1]),) * d, side_n, k, assembled=True)
+    _check_budget("decay", (len(_shell_cells(side_n)[1]),) * d, side_n, k)
     flagged = side_n < (256 if d == 2 else 64)
-    amag = np.abs(_rfft_full(*rasterize_sphere_shell(d, side_n), side_n, k))
-    fn = _rfft_norms(d, side_n, 1)
-    shell = _shell_index(fn, m_top)
-    radii, maxima = [], []
-    for m in range(m_top):
-        sel = shell == m + 1
-        vals = amag[sel]
-        j = int(np.argmax(vals))
-        # abscissa = frequency where the max is attained: the extremum drifts
-        # inside the shell, and pinning it to the shell midpoint biases slopes
-        radii.append(float(fn[sel][j]))
-        maxima.append(float(vals[j]))
-    radii, maxima = np.array(radii), np.array(maxima)
+    maxima, radii = np.full(m_top, -1.0), np.zeros(m_top)
+    for sl, hat in _rfft_box(*rasterize_sphere_shell(d, side_n), side_n, k):
+        amag = np.abs(hat).ravel()
+        fn = _rfft_norms(d, side_n, 1, sl).ravel()
+        shell = _shell_index(fn, m_top)
+        for m in range(m_top):
+            sel = np.flatnonzero(shell == m + 1)
+            if len(sel):
+                j = sel[np.argmax(amag[sel])]
+                if amag[j] > maxima[m]:
+                    # abscissa = frequency where the max is attained: the extremum
+                    # drifts inside the shell, and pinning it to the shell
+                    # midpoint biases slopes
+                    maxima[m], radii[m] = amag[j], fn[j]
     mids = np.array(_shell_mids(m_top))
     r_lo = 8.0 if d == 2 else 4.0
     keep = (mids >= r_lo) & (mids <= side_n / 4)
@@ -486,7 +474,7 @@ def energy_integral(lam: FrostmanMeasure, gamma, side_n: int):
     centres = _center_energy(lam.points, masses, gammas)
     m_top = _shell_top(side_n)
     k = PAD * 2 ** m_top
-    _check_budget("energy", _atom_box(lam.points, side_n)[1], PAD * side_n, k, assembled=False)
+    _check_budget("energy", _atom_box(lam.points, side_n)[1], PAD * side_n, k)
     sums = np.zeros((len(gammas), m_top + 2))
     box, starts = deposit_gaussian(lam.points, masses, side_n)
     for sl, hat in _rfft_box(box, starts, PAD * side_n, k):

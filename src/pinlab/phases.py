@@ -276,15 +276,15 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray) -> np.ndarr
     """phi(a, b) for all rows of A against all rows of B, (len(A), len(B)).
 
     The euclidean and scaled_euclidean kinds go through a GEMM expansion of
-    |a - factor b|^2, which is several times faster than broadcast subtraction
-    at grid scale, and dot_product is one GEMM; each is one product over all
-    of A, formed in place, so its bits do not depend on any block size.  The
-    expansion adds the squared norms a_i + b_j per `row_blocks` block, so no
-    temporary is as large as the table, and each entry is still out + (a_i +
-    b_j) whatever the block.  Other
-    kinds, the flat torus among them, broadcast `value` over `row_blocks` of A.
-    Dispatch reads `phi.kind`, never the class: FlatTorus subclasses Euclidean
-    but has no such expansion.
+    |a - factor b|^2, which is several times faster than broadcast
+    subtraction at grid scale: one product over all of A, formed in place,
+    so its bits do not depend on any block size.  The expansion adds the
+    squared norms a_i + b_j per `row_blocks` block, so no temporary is as
+    large as the table, and each entry is still out + (a_i + b_j) whatever
+    the block.  Every other kind, dot_product and the flat torus among
+    them, broadcasts `value` over `row_blocks` of A.  Dispatch reads
+    `phi.kind`, never the class: FlatTorus subclasses Euclidean but has no
+    such expansion.
     """
     A = np.asarray(A, float)
     B = np.asarray(B, float)
@@ -297,8 +297,6 @@ def pairwise_value(phi: PhaseFunction, A: np.ndarray, B: np.ndarray) -> np.ndarr
             out[sl] += a[sl, None] + b[None, :]
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
-    if phi.kind == "dot_product":
-        return A @ B.T
     out = np.empty((len(A), len(B)))
     for sl in row_blocks(len(A), len(B)):
         out[sl] = np.asarray(phi.value(A[sl][:, None, :], B[None, :, :]))

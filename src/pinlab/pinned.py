@@ -29,8 +29,7 @@ one GEMM with the partial sums.  So kernel evaluations grow with atoms^2 x
 window (half that on a symmetric table), not atoms^2 x axis length.  Either
 way every nonzero kernel value is the one a full (node x row) matrix would
 hold, and every blocked loop walks `rng.row_blocks`: a block holds at most
-`rng.BLOCK` window entries, or one row (`_pair_range`'s blocks hold two
-rows or more).
+`rng.BLOCK` window entries, or one row.
 Monte Carlo mode draws atoms of mu and deposits each distinct atom drawn
 once, weighted count / draws (`monte_carlo_rows`), so its work grows with
 min(draws, atoms); chains are one row each, and a caller that deposits one
@@ -127,18 +126,26 @@ class ChainDensity:
         return [_trapz_weights(len(ax), float(ax[1] - ax[0])) for ax in self.t_axes]
 
 
+def _axis_step(ax) -> float:
+    """The step of the 1-d axis `ax`, which must be increasing and uniform:
+    every step within 1e-6 of the first, which windows and trapezoid
+    weights assume; DomainError otherwise."""
+    dt = float(ax[1] - ax[0]) if len(ax) > 1 else 0.0
+    if not (dt > 0 and np.abs(np.diff(ax) - dt).max() <= 1e-6 * dt):
+        raise DomainError("t-axes must be increasing and uniformly spaced")
+    return dt
+
+
 def _check_axes(t_axes, epsilon: float) -> None:
     """At most GRID_BUDGET grid nodes; each axis increasing and uniform
-    (windows and trapezoid weights assume one step), its step at most eps/2."""
+    (`_axis_step`), its step at most eps/2."""
     nodes = math.prod(len(ax) for ax in t_axes)
     if nodes > GRID_BUDGET:
         raise BudgetError(f"grid of {nodes} nodes exceeds budget {GRID_BUDGET}")
     for ax in t_axes:
-        dt = float(ax[1] - ax[0]) if len(ax) > 1 else 0.0
+        dt = _axis_step(ax)
         if dt > epsilon / 2.0:
             raise ResolutionError(f"grid step {dt} too coarse for epsilon {epsilon}")
-        if dt <= 0 or np.abs(np.diff(ax) - dt).max() > 1e-6 * dt:
-            raise DomainError("t-axes must be increasing and uniformly spaced")
 
 
 def _window_width(ax, reach: float) -> int:
@@ -384,19 +391,15 @@ def chain_density(mu: FrostmanMeasure, phi, pin_x, k: int, mollifier: Mollifier,
 
 def _pair_range(phi, mu):
     """(min, max) of phi over the pairs of every atom, or of every
-    (len // 1024)-th one beyond 1024 atoms, from `pairwise_value` on blocks
-    of max(2, `block_rows`) rows of the table, a one-row tail joined to the
-    block before it.  A block of two or more rows is a GEMM, in the
-    expanded kinds with the whole table's bits wherever the BLAS gives both
-    the same kernel (as on the level-5 Cantor set); one row would be a GEMV,
-    which rounds differently."""
+    (len // 1024)-th one beyond 1024 atoms, from `phi.value` on the
+    `row_blocks` of the table.  `value` computes each pair on its own, per
+    coordinate and not by a matrix product, so no bit depends on the
+    block."""
     pts = mu.points if len(mu) <= 1024 else mu.points[:: len(mu) // 1024]
-    n = len(pts)
-    rows = max(2, block_rows(n))
-    lo, hi, start = np.inf, -np.inf, 0
-    for stop in list(range(rows, n - 1, rows)) + [n]:     # no stop at n - 1
-        m = pairwise_value(phi, pts[start:stop], pts)
-        lo, hi, start = np.minimum(lo, m.min()), np.maximum(hi, m.max()), stop
+    lo, hi = np.inf, -np.inf
+    for sl in row_blocks(len(pts), len(pts)):
+        m = np.asarray(phi.value(pts[sl, None], pts[None]))
+        lo, hi = np.minimum(lo, m.min()), np.maximum(hi, m.max())
     return float(lo), float(hi)
 
 

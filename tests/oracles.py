@@ -21,10 +21,12 @@ the atoms' box and its transform onto the shells' frequencies; the energy's
 shell sums over that whole frequency box (`full_box_energy_shells`) and the
 sphere raster over the whole side_n^d grid (`full_sphere_raster`), as they
 were before both were computed block by block, are the reference for the
-streamed ones.  The full psi pass of the oscillatory integral
-(`full_psi_support`) and the cell-by-cell CSV formatting
+streamed ones.  The decay's spectrum assembled whole, each shell's max
+one argmax over its mask (`assembled_surface_decay`), is the reference for
+the decay reduced block by block.  The full psi pass of the oscillatory
+integral (`full_psi_support`) and the cell-by-cell CSV formatting
 (`cellwise_csv_rows`) are the references for the window-restricted psi
-pass and the column formatting.  They
+pass and `write_csv`'s one rule for every cell.  They
 touch every pair or tuple, or rebuild what the package shares, so they are
 slow and memory-hungry, but they are simple enough to trust.  The
 euclidean, scaled_euclidean and flat_torus phases are here as the three
@@ -43,8 +45,8 @@ from scipy.spatial.distance import cdist
 
 from pinlab.errors import DomainError
 from pinlab.fractals import sample_points
-from pinlab.harmonic import (PAD, SHELL_RADIUS, SIGMA_CELLS, EnergyResult,
-                             deposit_gaussian, riesz_constant)
+from pinlab.harmonic import (PAD, SHELL_RADIUS, SIGMA_CELLS, DecayFit, EnergyResult,
+                             deposit_gaussian, rasterize_sphere_shell, riesz_constant)
 from pinlab.phases import (PhaseFunction, _coord_sum, _norm, _outer,
                            pairwise_value, torus_wrap)
 from pinlab.pinned import _trapz_weights, default_t_grid
@@ -422,6 +424,34 @@ def full_sphere_raster(d, side_n):
     return mass / mass.sum()
 
 
+def assembled_surface_decay(d, side_n):
+    """`harmonic.surface_measure_decay` with its spectrum assembled: the
+    raster box's full rfftn cut to the shells' frequency box, |xi| and the
+    shell masks from `meshgrid_rfft_shells`, and each shell's max taken by
+    one argmax over its mask."""
+    box, starts = rasterize_sphere_shell(d, side_n)
+    m_top = int(math.floor(math.log2(side_n / 4.0)))
+    k = 2 ** m_top
+    amag = np.abs(rfftn_box(np.fft.rfftn(embed_box(box, starts, side_n)), k))
+    fn, shells = meshgrid_rfft_shells(d, side_n, 1)
+    fn = rfftn_box(fn, k)
+    radii, maxima = [], []
+    for _, sel in shells:
+        sel = rfftn_box(sel, k)
+        j = int(np.argmax(amag[sel]))
+        radii.append(float(fn[sel][j]))
+        maxima.append(float(amag[sel][j]))
+    radii, maxima = np.array(radii), np.array(maxima)
+    mids = np.array([mid for mid, _ in shells])
+    flagged = side_n < (256 if d == 2 else 64)
+    keep = (mids >= (8.0 if d == 2 else 4.0)) & (mids <= side_n / 4)
+    if keep.sum() < 2:
+        keep = mids >= 1.0
+        flagged = True
+    slope, _ = np.polyfit(np.log(radii[keep]), np.log(maxima[keep]), 1)
+    return DecayFit(float(slope), radii, maxima, flagged)
+
+
 def full_psi_support(psi, pts):
     """(rows, cols): the nodes whose psi row, and whose psi column, over
     every node is somewhere nonzero, from 256-row chunks of all pairs."""
@@ -435,8 +465,9 @@ def full_psi_support(psi, pts):
 
 
 def cellwise_csv_rows(rows):
-    """CSV cells as `write_csv` formatted them one at a time: every Python
-    or numpy float as repr(float), anything else left to the writer."""
+    """CSV cells as `write_csv` formatted them one at a time, before it left
+    every cell to the writer: every Python or numpy float as repr(float),
+    anything else as it is."""
     return [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
             for row in rows]
 

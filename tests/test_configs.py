@@ -352,6 +352,20 @@ def test_hinge_count_integrated_needs_two_t_nodes(t_nodes):
         hinge_count_integrated(mu, mu, PHI, None, 0.1, t_nodes)
 
 
+@pytest.mark.parametrize("t_nodes", [[0.9, 0.6, 0.3, 0.0], [0.0, 0.1, 0.5, 0.9],
+                                     [0.0, 0.0, 0.0], [0.0, float("nan"), 1.0]])
+def test_hinge_count_integrated_needs_increasing_uniform_t_nodes(t_nodes):
+    # trapezoid weights take the first step alone: falling nodes gave
+    # -4.083 (rising ones +4.083), uneven ones 0.624, without an error
+    mu = uniform_grid_measure(2, 8)
+    lam = FrostmanMeasure(mu.points[:4], np.full(4, 0.25), exponent_s=2.0)
+    for samples in (0, 64):
+        with pytest.raises(DomainError, match=r"^t-axes must be increasing and uniformly"):
+            hinge_count_integrated(lam, mu, PHI, None, 0.1, t_nodes, samples)
+    assert hinge_count_integrated(lam, mu, PHI, None, 0.1, [0.0, 0.3, 0.6, 0.9]) == \
+        pytest.approx(4.083, abs=1e-3)
+
+
 # -- exact counts by contraction against tuple enumeration -----------------
 
 NAMED_PATTERNS = {

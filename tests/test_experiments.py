@@ -694,15 +694,17 @@ def test_cli_hinge_sorts_gaps_once_per_exact_run(tmp_path, samples):
     assert (out / "hinge.csv").read_bytes() == (tmp_path / "hinge.csv").read_bytes()
 
 
-def test_write_csv_by_column_keeps_the_cell_by_cell_bytes(tmp_path):
-    # float columns (Python, float64 or float32) go through one .tolist();
-    # a column that mixes ints and floats, strings, None or bools cell by cell
+def test_write_csv_keeps_the_cell_by_cell_bytes(tmp_path):
+    # every cell one way: Python and numpy floats (float32 too), ints, bools,
+    # None, strings, NaN, +-inf and -0.0, alone or mixed in one column
     rows = [[1, 0.1, np.float64(2.5), "a", np.float32(0.1), 3, None, True, np.int64(7),
              float("nan")],
             [2, np.float64(1e-300), 0.3, "", np.float64(4.0), 2.0, 5, np.bool_(False),
-             np.int64(-1), -0.0]]
+             np.int64(-1), -0.0],
+            [np.int32(3), float("inf"), -np.inf, np.str_("b"), np.float32(-0.0), np.nan,
+             np.float32(np.inf), np.bool_(True), np.uint8(255), np.float64(-0.0)]]
     header = list("abcdefghij")
-    experiments.write_csv(tmp_path / "got.csv", header, rows)
+    experiments.write_csv(tmp_path / "got.csv", header, iter(rows))
     with open(tmp_path / "want.csv", "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)

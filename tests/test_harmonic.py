@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (cdist_row_sums, chunked_oscillatory_G, dense_riesz_double_sum,
-                     embed_box, full_box_energy_shells, full_psi_support,
+from oracles import (assembled_surface_decay, cdist_row_sums, chunked_oscillatory_G,
+                     dense_riesz_double_sum, embed_box, full_box_energy_shells, full_psi_support,
                      full_sphere_raster, loop_deposit_gaussian, meshgrid_freq_norms,
                      meshgrid_rfft_shells, reference_energy_integral, rfftn_box,
                      series_center_energy)
@@ -27,7 +27,7 @@ from pinlab import (DomainError, EnergyResult, FrostmanMeasure, LPPartition,
 from pinlab import harmonic
 from pinlab import rng as rng_module
 from pinlab.harmonic import (ResolutionWarning, _center_energy, _psi_support,
-                             _radon_direct, _rfft_full, _rfft_norms, _riesz_row_sums,
+                             _radon_direct, _rfft_box, _rfft_norms, _riesz_row_sums,
                              _shell_index, _shell_mids, deposit_gaussian,
                              radon_apply_stack, rasterize_sphere_shell,
                              shell_profile_verdict)
@@ -64,23 +64,24 @@ def test_lp_partition_sums_to_one():
 def test_open_grids_match_meshgrid_bit_for_bit(d, side_n, pad):
     # the box keeps |k_i| < pad 2^m_top, and every shell lies inside it
     assert freq_norms(d, side_n).tobytes() == meshgrid_freq_norms(d, side_n).tobytes()
-    fn = _rfft_norms(d, side_n, pad)
     want_fn, want_shells = meshgrid_rfft_shells(d, side_n, pad)
     m_top = int(np.log2(side_n / 4))
     k = pad * 2 ** m_top
-    assert fn.shape == (2 * k - 1,) * (d - 1) + (k,)
+    assert len(want_shells) == m_top
+    if d == 1:      # `_rfft_box` yields lines of the trailing axes, which d = 1 lacks
+        return
+    # the lines of the trailing axes, as `_rfft_box` yields them, in ragged
+    # blocks, assembled into the box
+    lines = (2 * k - 1) ** (d - 2) * k
+    fn = np.concatenate([_rfft_norms(d, side_n, pad, slice(start, min(start + 7, lines)))
+                         for start in range(0, lines, 7)])
+    fn = fn.T.reshape((2 * k - 1,) * (d - 1) + (k,))
     assert fn.tobytes() == rfftn_box(want_fn, k).tobytes()
     shell = _shell_index(fn, m_top)
-    assert len(want_shells) == m_top
     for m, (mid, (want_mid, want_sel)) in enumerate(zip(_shell_mids(m_top), want_shells)):
         sel = shell == m + 1
         assert mid == want_mid and np.array_equal(sel, rfftn_box(want_sel, k)) and sel.any()
         assert sel.sum() == want_sel.sum()
-    # the lines of the trailing axes, as `_rfft_box` yields them, in ragged blocks
-    lines = fn.reshape(fn.shape[0], -1).T
-    for start in range(0, len(lines), 7) if d > 1 else []:
-        sl = slice(start, min(start + 7, len(lines)))
-        assert _rfft_norms(d, side_n, pad, sl).tobytes() == lines[sl].tobytes()
 
 
 @st.composite
@@ -104,16 +105,19 @@ def grid_boxes(draw):
 @example(case=(np.ones((3, 5, 2)), [7, -2, 15], 8, 3), block=rng_module.BLOCK)   # wraps
 @example(case=(np.full((1, 1), 0.5), [-7, -2], 8, 4), block=rng_module.BLOCK)   # a -0.0
 def test_rfft_box_matches_full_rfftn_bit_for_bit(case, block):
-    # BLOCK = 1 transforms one line per block, and the last stage's blocks
-    # are assembled (`_rfft_full`) as the decay assembles them.  Values
-    # compare with +0.0 == -0.0: in the last example rfftn's value at (0, 2) is -0.5 - 0.0j, from
-    # the -0.0 that rfft gives zero rows there, and the box's zero-filled
-    # lines give -0.5 + 0.0j.  The magnitudes, all that energy and decay
-    # read, keep rfftn's bits.
+    # BLOCK = 1 transforms one line per block, and the test assembles the
+    # last stage's blocks itself.  Values compare with +0.0 == -0.0: in the
+    # last example rfftn's value at (0, 2) is -0.5 - 0.0j, from the -0.0
+    # that rfft gives zero rows there, and the box's zero-filled lines give
+    # -0.5 + 0.0j.  The magnitudes, all that energy and decay read, keep
+    # rfftn's bits.
     box, starts, n, k = case
+    got = np.empty((2 * k - 1,) * (box.ndim - 1) + (k,), complex)
+    flat = got.reshape(got.shape[0], -1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK", block)
-        got = _rfft_full(box, starts, n, k)
+        for sl, vals in _rfft_box(box, starts, n, k):
+            flat[:, sl] = vals.T
     want = rfftn_box(np.fft.rfftn(embed_box(box, starts, n)), k)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.abs(got).tobytes() == np.abs(want).tobytes()
@@ -199,6 +203,23 @@ def test_surface_decay_slopes():
     assert not fit3.flagged
     assert fit3.slope == pytest.approx(-1.0, abs=0.1)
     assert surface_measure_decay(2, 128).flagged
+
+
+DECAY_SIDES = [(2, side) for side in (16, 17, 31, 64, 100, 128, 255, 256, 512, 1000)] + \
+              [(3, side) for side in (16, 17, 32, 63, 64, 100, 129)]
+
+
+@pytest.mark.parametrize("block", [1, rng_module.BLOCK])
+def test_surface_decay_matches_the_assembled_spectrum_bit_for_bit(block):
+    # each block is reduced as it arrives; the fit is the one an argmax over
+    # each shell of the whole assembled spectrum gives
+    for d, side_n in DECAY_SIDES:
+        with mock.patch.object(rng_module, "BLOCK", block):
+            got = surface_measure_decay(d, side_n)
+        want = assembled_surface_decay(d, side_n)
+        assert got.slope.hex() == want.slope.hex() and got.flagged == want.flagged, (d, side_n)
+        assert got.shell_radii.tobytes() == want.shell_radii.tobytes(), (d, side_n)
+        assert got.shell_max.tobytes() == want.shell_max.tobytes(), (d, side_n)
 
 
 def test_energy_segment_dichotomy_and_oracle_shells():
@@ -305,9 +326,10 @@ def test_surface_decay_memory_uses_open_grids():
         tracemalloc.stop()
     # 97 MiB with meshgrid copies of the shell and frequency grids, 65 MB
     # with the full rfftn of the 128^3 raster, 24.1 MB with the shell's box
-    # transformed, 10.4 MB with only the 66^3 box rasterized: bounded with
-    # a margin of about a third
-    assert peak < 13.9e6
+    # transformed, 10.4 MB with only the 66^3 box rasterized, 6.1 MB with
+    # the last transform stage reduced block by block: bounded with a
+    # margin of about a third
+    assert peak < 8.1e6
 
 
 # -- blocked energy pieces against the per-atom, complex and dense oracles ----

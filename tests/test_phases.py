@@ -383,8 +383,8 @@ def test_distance_phases_equal_pre_merge_classes_bitwise(case):
 @given(kind=st.sampled_from(KINDS), d=st.integers(1, 3), n=st.integers(0, 30),
        m=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
 def test_pairwise_value_bits_do_not_depend_on_block(kind, d, n, m, seed):
-    """The GEMM kinds form one product over all rows and the value kinds
-    broadcast `value` per row block, so no kind's bits move with rng.BLOCK,
+    """The euclidean kinds form one GEMM over all rows and every other kind
+    broadcasts `value` per row block, so no kind's bits move with rng.BLOCK,
     and the value kinds equal the broadcast `value` itself."""
     name, params = kind
     phi = phase_function(name, d, **params)
@@ -396,7 +396,7 @@ def test_pairwise_value_bits_do_not_depend_on_block(kind, d, n, m, seed):
         with mock.patch.object(rng_module, "BLOCK", block):
             outs.append(pairwise_value(phi, A, B))
     assert all(o.shape == (n, m) and o.tobytes() == outs[-1].tobytes() for o in outs)
-    if name in ("flat_torus", "sphere_geodesic_chart"):
+    if name in ("dot_product", "flat_torus", "sphere_geodesic_chart"):
         want = np.asarray(phi.value(A[:, None, :], B[None, :, :]))
         assert want.tobytes() == outs[-1].tobytes()
 

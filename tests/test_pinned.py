@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (dense_chain_exact, dense_chain_mc, dense_pinned_density,
                      masked_bump_raw, nested_composed_density)
@@ -19,7 +19,6 @@ from pinlab import (BudgetError, ChainDensity, CoverageError, DomainError,
                     support_measure, uniform_grid_measure)
 from pinlab import pinned as pinned_module
 from pinlab import rng as rng_module
-from pinlab.phases import pairwise_value
 from pinlab.pinned import default_t_grid
 from pinlab.profiles import bump_norm_constant, bump_profile, bump_raw
 from pinlab.rng import rng_for
@@ -569,24 +568,28 @@ def test_chain_exact_evaluates_one_triangle_of_a_symmetric_pair_table(phi, trian
     (1000, [(1000, 1000)]), (1500, [(1500, 1500)]), (2100, [(2100, 2100)])])
 def test_chain_exact_computes_the_pair_table_once(atoms, shapes):
     # the default axes' pair range (every n // 1024-th atom beyond 1024)
-    # walks blocks of rows that cover its sample once; the exact chain then
-    # builds the one full table
+    # reads `phi.value` over blocks of rows that cover its sample once; the
+    # exact chain then builds the one full table, its only `pairwise_value`
     mu = circle_measure(atoms)
     sample = len(mu.points[:: max(1, atoms // 1024)])
-    spy = pinned_module.pairwise_value
-    seen = []
+    spy, value = pinned_module.pairwise_value, PHI.value
+    seen, blocks = [], []
 
     def counted(phi, a, b):
         seen.append((len(a), len(b)))
         return spy(phi, a, b)
 
+    def rows(x, y):
+        blocks.append(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])
+        return value(x, y)
+
     with mock.patch.object(pinned_module, "pairwise_value", counted), \
+            mock.patch.object(PHI, "value", rows), \
             mock.patch.object(pinned_module, "_link_windows", lambda *a: iter(())):
         chain_density(mu, PHI, mu.points[0], 2, Mollifier(2.0 ** -3))
-    blocks, tables = seen[:-len(shapes)], seen[-len(shapes):]
-    assert tables == shapes
-    assert sum(rows for rows, _ in blocks) == sample and len(blocks) > 1
-    assert all(2 <= rows < sample and cols == sample for rows, cols in blocks)
+    assert seen == shapes
+    pair_blocks = [b for b in blocks if len(b) == 2 and b[1] == sample]
+    assert sum(r for r, _ in pair_blocks) == sample and len(pair_blocks) > 1
 
 
 CANTOR_5 = natural_measure(build_product_cantor(2, 2.0 ** (-2 / 1.6), 5))
@@ -594,43 +597,40 @@ KINDS = [PHI, SCALED, phase_function("dot_product", 2), phase_function("flat_tor
          phase_function("sphere_geodesic_chart", 2)]
 
 
+def full_value_range(phi, pts):
+    """(min, max) of the whole `phi.value` table of `pts`, as hex strings."""
+    full = np.asarray(phi.value(pts[:, None], pts[None]))
+    return float(full.min()).hex(), float(full.max()).hex()
+
+
 @settings(max_examples=60, derandomize=True)
-@given(kind=st.sampled_from(range(len(KINDS))), rows=st.integers(2, 40),
-       blocks=st.integers(1, 5), tail=st.sampled_from([0, 1, 2]) | st.integers(0, 39),
-       seed=st.integers(0, 2 ** 32 - 1), corner=st.booleans())
-# one-row tails whose GEMV max differs from the table's in scipy-openblas
-# 0.3.31 (a dot_product table of one point set is a SYRK, whose bits the
-# blocks need not have: at kind=2, rows=3, blocks=4, tail=1, seed=42 with
-# `corner` its max is an ulp below theirs)
-@example(kind=0, rows=3, blocks=2, tail=1, seed=235, corner=True)
-@example(kind=1, rows=2, blocks=1, tail=1, seed=55, corner=True)
-def test_pair_range_blocks_match_the_full_table_bit_for_bit(kind, rows, blocks, tail, seed,
-                                                            corner):
-    # BLOCK is set so that a block holds `rows` rows, and n = rows x blocks
-    # + tail atoms: a tail of 1 (n mod rows == 1) is joined to the block
-    # before it, since a one-row GEMV rounds unlike the table's GEMM.  With
-    # `corner` the last atom sits at the corner nearest 0, so the last row
-    # of the scaled_euclidean table holds its max
-    n = max(1, rows * blocks + tail)
+@given(kind=st.sampled_from(range(len(KINDS))), n=st.integers(1, 120),
+       block=st.sampled_from([1, 7, rng_module.BLOCK]), seed=st.integers(0, 2 ** 32 - 1),
+       corner=st.booleans())
+def test_pair_range_blocks_match_the_full_table_bit_for_bit(kind, n, block, seed, corner):
+    # `value` works pair by pair, so a block of any rows (one at BLOCK = 1
+    # and 7) gives the whole table's bits.  With `corner` the last atom sits
+    # at the corner nearest 0, so the last row of the scaled_euclidean table
+    # holds its max
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.05, 0.95, (n, 2))
     if corner:
         pts[-1] = 0.05
     mu = FrostmanMeasure(pts, np.full(n, 1.0 / n), exponent_s=2.0)
     phi = KINDS[kind]
-    with mock.patch.object(rng_module, "BLOCK", rows * n):
+    with mock.patch.object(rng_module, "BLOCK", block):
         lo, hi = pinned_module._pair_range(phi, mu)
-    full = pairwise_value(phi, pts, pts)
-    assert (lo.hex(), hi.hex()) == (float(full.min()).hex(), float(full.max()).hex())
+    assert (lo.hex(), hi.hex()) == full_value_range(phi, pts)
 
 
-@pytest.mark.parametrize("rows", [2, 3, 5, 7, 16, 32, 33, 100])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16, 32, 33, 100])
 def test_pair_range_on_the_level_5_cantor_set(rows):
-    # 1,024 atoms: 3 and 33 rows leave a one-row tail
-    full = pairwise_value(PHI, CANTOR_5.points, CANTOR_5.points)
-    with mock.patch.object(rng_module, "BLOCK", rows * 1024):
-        lo, hi = pinned_module._pair_range(PHI, CANTOR_5)
-    assert (lo.hex(), hi.hex()) == (float(full.min()).hex(), float(full.max()).hex())
+    # 1,024 atoms in blocks of `rows` rows (32 at the default BLOCK; 3 and
+    # 33 leave a one-row tail), for every kind
+    for phi in KINDS:
+        with mock.patch.object(rng_module, "BLOCK", rows * 1024):
+            lo, hi = pinned_module._pair_range(phi, CANTOR_5)
+        assert (lo.hex(), hi.hex()) == full_value_range(phi, CANTOR_5.points), phi.kind
 
 
 def test_monte_carlo_chain_memory_holds_no_pair_table():
